@@ -127,7 +127,9 @@ def load_jsonl(path, require_pairs: bool = True) -> list[Example]:
                     raise ParseError(path, line_no, f"missing field {f!r}")
             if obj["variant"] not in (VARIANT_ORIGINAL, VARIANT_COUNTERFACTUAL):
                 raise ParseError(path, line_no, f"bad variant {obj['variant']!r}")
-            if not isinstance(obj["label"], int) or obj["label"] < 0:
+            # bool is an int subclass: `"label": true` must not load as class 1
+            if (isinstance(obj["label"], bool) or not isinstance(obj["label"], int)
+                    or obj["label"] < 0):
                 raise ParseError(path, line_no, f"label must be a non-negative int, got {obj['label']!r}")
             examples.append(Example(
                 id=str(obj["id"]),

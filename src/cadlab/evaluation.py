@@ -155,10 +155,30 @@ _WORKER_DATASET: GeneratedDataset | None = None
 _WORKER_VOCAB: Vocab | None = None
 
 
-def _worker_init(dataset: GeneratedDataset, vocab: Vocab) -> None:
+def _one_blas_thread() -> None:
+    """Limit the BLAS that numpy links to one thread, if it is an OpenBLAS
+    whose thread setter is found; otherwise do nothing."""
+    import ctypes
+    try:
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
+        return
+    for symbol in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                   "openblas_set_num_threads64_", "openblas_set_num_threads"):
+        setter = getattr(lib, symbol, None)
+        if setter is not None:
+            setter(1)
+            return
+
+
+def _worker_init(dataset: GeneratedDataset, vocab: Vocab, pool_worker: bool = False) -> None:
     global _WORKER_DATASET, _WORKER_VOCAB
     _WORKER_DATASET = dataset
     _WORKER_VOCAB = vocab
+    if pool_worker:
+        # one BLAS thread per worker, so nproc workers do not oversubscribe the cores
+        _one_blas_thread()
 
 
 def _worker_run(job: dict) -> dict:
@@ -201,7 +221,7 @@ def _run_jobs(jobs: list[dict], dataset: GeneratedDataset, vocab: Vocab,
     import multiprocessing as mp
     ctx = mp.get_context("fork")
     with ctx.Pool(processes=workers, initializer=_worker_init,
-                  initargs=(dataset, vocab)) as pool:
+                  initargs=(dataset, vocab, True)) as pool:
         return pool.map(_worker_run, jobs)
 
 

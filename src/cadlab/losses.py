@@ -3,8 +3,14 @@ and the orthogonal-component-distance penalty on counterfactual pairs.
 
 The invariance penalty squares the gradient of each environment's risk with
 respect to a scalar dummy classifier fixed at 1.0 that multiplies the logits.
-That gradient is computed by a differentiable backward pass, so the penalty
-itself remains differentiable with respect to the model parameters.
+
+Two implementations compute the same objective. ``objective_and_grad`` gives
+the loss values and the full parameter gradient of one step in closed form
+with numpy; training uses it. ``combined_loss`` builds the objective as a
+scalar graph: a differentiable backward pass computes the invariance
+gradient, so the penalty itself stays differentiable, and ``autodiff.grad``
+then gives the parameter gradient. It is the reference that checks the
+closed form.
 """
 
 from __future__ import annotations
@@ -12,10 +18,13 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
+import numpy as np
+
 from .autodiff import Node, add, const, dot, grad, mul, nsum, scale, sub
 from .data import Example, Vocab, featurize_sparse
 from .model import (
-    DegenerateLabelVector, ModelParams, cross_entropy, decompose, encode, logits,
+    DEGENERATE_NORM_EPS, DegenerateLabelVector, ModelParams, Snapshot, cross_entropy,
+    decompose, encode, logits,
 )
 
 log = logging.getLogger(__name__)
@@ -194,3 +203,116 @@ def combined_loss(batch: list[Example],
         n_pairs_used=n_pairs_used,
     )
     return total, breakdown
+
+
+# ---------------------------------------------------------------------------
+# closed form
+
+def objective_and_grad(params: Snapshot, grads: Snapshot, x: np.ndarray, y: np.ndarray,
+                       envs: list[np.ndarray], pairs: np.ndarray,
+                       alpha: float, beta: float,
+                       stop_grad_on_classifier: bool = False,
+                       lp_mode: str = "union") -> LossBreakdown:
+    """combined_loss and its gradient in closed form, for one step.
+
+    x holds the step's feature rows and y their labels. envs lists, in sorted
+    environment-name order, the row positions of each environment; pairs is
+    an (m, 2) array of the row positions of each (original, counterfactual)
+    pair. The gradient is written into ``grads``, whose arrays are views into
+    the gradient vector. Values and requirements are those of combined_loss.
+    """
+    if alpha < 0.0 or beta < 0.0:
+        raise ValueError("alpha and beta must be non-negative")
+    if lp_mode not in ("union", "env_mean"):
+        raise ValueError(f"unknown lp_mode {lp_mode!r}")
+    n = len(y)
+    if n == 0:
+        raise ValueError("prediction loss over an empty batch")
+    rows = np.arange(n)
+    w = params.classifier
+    h1 = np.tanh(x @ params.embedding + params.enc_bias)
+    h = h1 if params.hidden is None else np.tanh(h1 @ params.hidden.T + params.hidden_bias)
+    z = h @ w.T + params.out_bias
+    z_max = z.max(axis=1, keepdims=True)
+    e = np.exp(z - z_max)
+    e_sum = e.sum(axis=1, keepdims=True)
+    p = e / e_sum
+    ce = (z_max + np.log(e_sum))[:, 0] - z[rows, y]
+    p_minus_y = p.copy()
+    p_minus_y[rows, y] -= 1.0
+
+    # dz: gradient of the total with respect to the logits
+    if lp_mode == "union":
+        l_p = ce.sum() * (1.0 / n)
+        dz = p_minus_y * (1.0 / n)
+    else:
+        if not envs:
+            raise ValueError('lp_mode "env_mean" requires environment batches')
+        l_p = sum(ce[idx].sum() * (1.0 / len(idx)) for idx in envs) * (1.0 / len(envs))
+        dz = np.zeros_like(z)
+        for idx in envs:
+            np.add.at(dz, idx, p_minus_y[idx] * (1.0 / (len(envs) * len(idx))))
+    total = l_p
+
+    l_irm = 0.0
+    if alpha > 0.0:
+        if not envs:
+            raise ValueError("alpha > 0 requires environment batches")
+        # g_e = mean_i(sum_k p_ik z_ik - z_iy), the omega-gradient of the risk at 1
+        z_bar = (p * z).sum(axis=1)
+        per_example = z_bar - z[rows, y]
+        dg = p * (1.0 + z - z_bar[:, None])
+        dg[rows, y] -= 1.0
+        squares = []
+        for idx in envs:
+            g = per_example[idx].sum() * (1.0 / len(idx))
+            squares.append(g * g)
+            np.add.at(dz, idx, dg[idx] * (alpha * 2.0 * g / len(idx)))
+        l_irm = sum(squares)
+        total = total + alpha * l_irm
+
+    dh = dz @ w
+    grads.classifier[...] = dz.T @ h
+    l_ocd, n_pairs_used = 0.0, 0
+    if beta > 0.0:
+        if len(pairs) == 0:
+            raise ValueError("beta > 0 requires counterfactual pairs")
+        usable = (w * w).sum(axis=1) > DEGENERATE_NORM_EPS ** 2
+        used = pairs[usable[y[pairs[:, 0]]] & usable[y[pairs[:, 1]]]]
+        n_pairs_used = len(used)
+        if n_pairs_used == 0:
+            log.warning("all %d pairs skipped in the pair-alignment term (degenerate label vectors)",
+                        len(pairs))
+        else:
+            sides = []
+            for idx in (used[:, 0], used[:, 1]):
+                w_y = w[y[idx]]
+                q = (w_y * w_y).sum(axis=1)
+                s = (h[idx] * w_y).sum(axis=1)
+                sides.append((idx, w_y, q, s))
+            h_perp = [h[idx] - (s / q)[:, None] * w_y for idx, w_y, q, s in sides]
+            diff = h_perp[0] - h_perp[1]
+            l_ocd = (diff * diff).sum() * (1.0 / n_pairs_used)
+            total = total + beta * l_ocd
+            # u = dL/dh_perp; back through h_perp = h - (h.w / w.w) w
+            u_a = diff * (beta * 2.0 / n_pairs_used)
+            for (idx, w_y, q, s), u in zip(sides, (u_a, -u_a)):
+                t = (u * w_y).sum(axis=1)
+                np.add.at(dh, idx, u - (t / q)[:, None] * w_y)
+                if not stop_grad_on_classifier:
+                    dw = ((2.0 * s * t / (q * q))[:, None] * w_y
+                          - (t[:, None] * h[idx] + s[:, None] * u) / q[:, None])
+                    np.add.at(grads.classifier, y[idx], dw)
+
+    grads.out_bias[...] = dz.sum(axis=0)
+    if params.hidden is not None:
+        da = dh * (1.0 - h * h)
+        grads.hidden[...] = da.T @ h1
+        grads.hidden_bias[...] = da.sum(axis=0)
+        dh = da @ params.hidden
+    da = dh * (1.0 - h1 * h1)
+    grads.embedding[...] = x.T @ da
+    grads.enc_bias[...] = da.sum(axis=0)
+    return LossBreakdown(l_p=float(l_p), l_irm=float(l_irm), l_ocd=float(l_ocd),
+                         total=float(total), alpha=alpha, beta=beta,
+                         n_pairs_used=n_pairs_used)

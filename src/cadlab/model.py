@@ -5,8 +5,11 @@ of class k is softmax over the dot products of the sentence representation
 with the label vectors. The parallel/orthogonal decomposition of the sentence
 representation against its gold label vector feeds the pair-alignment loss.
 
-The training path builds scalar graph Nodes; evaluation uses a detached numpy
-snapshot of the same parameters for speed.
+Parameters have two forms. Training and evaluation use a Snapshot: numpy
+arrays that can be views into one flat float64 vector (``Snapshot.from_flat``),
+so an optimizer updates the vector in place. ModelParams holds the same values
+as scalar graph Nodes for the autodiff reference, which checks the
+closed-form training gradient. Both start from ``initial_values``.
 """
 
 from __future__ import annotations
@@ -42,6 +45,11 @@ class ModelConfig:
         if self.vocab_size < 1 or self.n_classes < 1 or self.embed_dim < 1:
             raise ValueError("vocab_size, n_classes and embed_dim must be positive")
 
+    def n_params(self) -> int:
+        d = self.embed_dim
+        hidden = d * d + d if self.use_hidden else 0
+        return self.vocab_size * d + d + hidden + self.n_classes * d + self.n_classes
+
     def to_dict(self) -> dict:
         return {"vocab_size": self.vocab_size, "n_classes": self.n_classes,
                 "embed_dim": self.embed_dim, "use_hidden": self.use_hidden}
@@ -49,6 +57,12 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         return cls(**d)
+
+
+def initial_values(config: ModelConfig, seed: int) -> list[float]:
+    """Seeded initial parameter values, in ModelParams.flat() order."""
+    rng = random.Random(seed)
+    return [rng.uniform(-0.1, 0.1) for _ in range(config.n_params())]
 
 
 class ModelParams:
@@ -60,10 +74,10 @@ class ModelParams:
     """
 
     def __init__(self, config: ModelConfig, seed: int):
-        rng = random.Random(seed)
+        values = iter(initial_values(config, seed))
         d = config.embed_dim
         self.config = config
-        u = lambda: const(rng.uniform(-0.1, 0.1))
+        u = lambda: const(next(values))
         self.embedding = [[u() for _ in range(d)] for _ in range(config.vocab_size)]
         self.enc_bias = [u() for _ in range(d)]
         if config.use_hidden:
@@ -137,6 +151,25 @@ class Snapshot:
     hidden_bias: np.ndarray | None
     classifier: np.ndarray
     out_bias: np.ndarray
+
+    @classmethod
+    def from_flat(cls, config: ModelConfig, vector: np.ndarray) -> "Snapshot":
+        """Arrays as views into one flat vector in ModelParams.flat() order, so
+        writes to the vector show through and vice versa."""
+        if vector.shape != (config.n_params(),):
+            raise ValueError(f"expected {config.n_params()} parameters, got shape {vector.shape}")
+        V, K, d = config.vocab_size, config.n_classes, config.embed_dim
+        shapes = {"embedding": (V, d), "enc_bias": (d,)}
+        if config.use_hidden:
+            shapes.update(hidden=(d, d), hidden_bias=(d,))
+        shapes.update(classifier=(K, d), out_bias=(K,))
+        parts = {"hidden": None, "hidden_bias": None}
+        start = 0
+        for name, shape in shapes.items():
+            size = math.prod(shape)
+            parts[name] = vector[start:start + size].reshape(shape)
+            start += size
+        return cls(config=config, **parts)
 
     def encode_matrix(self, features: np.ndarray) -> np.ndarray:
         h = np.tanh(features @ self.embedding + self.enc_bias)

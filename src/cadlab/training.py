@@ -2,7 +2,13 @@
 
 Both members of a counterfactual pair always land in the same step, so the
 pairwise alignment term is computable and every step sees both environments.
-Given (seed, config, data), every logged number is reproducible bit-for-bit.
+The training data are featurized once; each step slices its rows and takes
+the loss values and gradient in closed form (``losses.objective_and_grad``).
+All parameters live in one float64 vector, which Adam or SGD updates with
+array operations. The list-based ``adam_step`` and ``sgd_step`` update scalar
+graph leaves and serve, with ``combined_loss`` and ``autodiff.grad``, as the
+reference that the tests check this path against. Given (seed, config, data),
+every logged number is reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -11,15 +17,21 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 
-from .autodiff import grad
+import numpy as np
+
+# perfbench/spans.py wraps cadlab.training.grad and .combined_loss by name
+from .autodiff import grad  # noqa: F401
 from .data import PairedExample, Vocab, featurize_matrix, partition_environments
-from .losses import LossBreakdown, combined_loss
-from .model import ModelConfig, ModelParams, Snapshot
+from .losses import LossBreakdown, combined_loss, objective_and_grad  # noqa: F401
+from .model import ModelConfig, Snapshot, initial_values
 
 
 class NonFiniteLossError(RuntimeError):
+    """A loss component, the gradient ("grad") or the parameters ("params")
+    became non-finite at a training step."""
+
     def __init__(self, step: int, component: str, value: float):
-        super().__init__(f"step {step}: loss component {component!r} became non-finite ({value!r})")
+        super().__init__(f"step {step}: {component} became non-finite ({value!r})")
         self.step = step
         self.component = component
 
@@ -61,6 +73,8 @@ class TrainConfig:
             raise ValueError(f"unknown env_mode {self.env_mode!r}")
         if self.lp_mode not in ("union", "env_mean"):
             raise ValueError(f"unknown lp_mode {self.lp_mode!r}")
+        if self.n_classes < 1 or self.embed_dim < 1:
+            raise ValueError("n_classes and embed_dim must be >= 1")
 
     def to_dict(self) -> dict:
         return {f: getattr(self, f) for f in self.__dataclass_fields__}
@@ -142,8 +156,8 @@ def make_batches(pairs: list[PairedExample], batch_pairs: int, seed: int,
 
 @dataclass
 class AdamState:
-    m: list[float]
-    v: list[float]
+    m: list[float] | np.ndarray
+    v: list[float] | np.ndarray
     t: int = 0
 
     @classmethod
@@ -171,12 +185,43 @@ def sgd_step(flat_params, grads, lr: float) -> None:
         p.value -= lr * g
 
 
-def train_accuracy(snapshot: Snapshot, examples, vocab: Vocab) -> float:
-    features = featurize_matrix(examples, vocab)
-    predictions = snapshot.predict_matrix(features)
-    labels = [ex.label for ex in examples]
-    correct = sum(1 for p, y in zip(predictions, labels) if p == y)
-    return correct / len(examples)
+def adam_step_vector(theta: np.ndarray, g: np.ndarray, state: AdamState, lr: float,
+                     beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+    """adam_step on one parameter vector, in place, rounding as adam_step does."""
+    state.t += 1
+    bc1 = 1.0 - beta1 ** state.t
+    bc2 = 1.0 - beta2 ** state.t
+    state.m *= beta1
+    state.m += (1.0 - beta1) * g
+    state.v *= beta2
+    state.v += (1.0 - beta2) * g * g
+    theta -= lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + eps)
+
+
+def train_accuracy(snapshot: Snapshot, features: np.ndarray, labels: np.ndarray) -> float:
+    return int((snapshot.predict_matrix(features) == labels).sum()) / len(labels)
+
+
+def _check_finite(step: int, component: str, values: np.ndarray) -> None:
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise NonFiniteLossError(step, component, float(bad[0]))
+
+
+def batch_rows(batch: list[PairedExample], need_envs: bool, alpha: float,
+               env_mode: str) -> tuple[list, list[np.ndarray], np.ndarray]:
+    """A batch's examples, the positions of each environment's members (in
+    sorted environment-name order, from partition_environments) and the
+    (original, counterfactual) positions of each pair."""
+    examples = [m for unit in batch for m in unit.members()]
+    position = {id(ex): j for j, ex in enumerate(examples)}
+    envs = partition_environments(examples, alpha, env_mode) if need_envs else {}
+    env_rows = [np.array([position[id(ex)] for ex in envs[name]], dtype=np.intp)
+                for name in sorted(envs)]
+    pair_rows = np.array([(position[id(u.original)], position[id(u.counterfactual)])
+                          for u in batch if u.counterfactual is not None],
+                         dtype=np.intp).reshape(-1, 2)
+    return examples, env_rows, pair_rows
 
 
 def train(config: TrainConfig, pairs: list[PairedExample],
@@ -201,16 +246,26 @@ def train(config: TrainConfig, pairs: list[PairedExample],
         partition_environments(all_examples, config.alpha, config.env_mode)
     if config.checkpoint_rule == "best_val_accuracy" and not val_pairs:
         raise ValueError('checkpoint rule "best_val_accuracy" requires val_pairs')
-    val_examples = ([m for unit in val_pairs for m in unit.members()]
-                    if val_pairs else None)
 
     if vocab is None:
         vocab = Vocab.from_examples(all_examples)
+    features = featurize_matrix(all_examples, vocab)
+    labels = np.array([ex.label for ex in all_examples], dtype=np.intp)
+    row_of = {id(ex): i for i, ex in enumerate(all_examples)}
+    if val_pairs:
+        val_examples = [m for unit in val_pairs for m in unit.members()]
+        val_features = featurize_matrix(val_examples, vocab)
+        val_labels = np.array([ex.label for ex in val_examples], dtype=np.intp)
+
     model_cfg = ModelConfig(vocab_size=vocab.size, n_classes=config.n_classes,
                             embed_dim=config.embed_dim, use_hidden=config.use_hidden)
-    params = ModelParams(model_cfg, seed=config.seed)
-    flat = params.flat()
-    adam = AdamState.zeros(len(flat)) if config.optimizer == "adam" else None
+    theta = np.array(initial_values(model_cfg, config.seed))
+    gradient = np.zeros_like(theta)
+    params = Snapshot.from_flat(model_cfg, theta)
+    grads = Snapshot.from_flat(model_cfg, gradient)
+    adam = (AdamState(m=np.zeros_like(theta), v=np.zeros_like(theta))
+            if config.optimizer == "adam" else None)
+    need_envs = config.alpha > 0.0 or config.lp_mode == "env_mean"
 
     log = TrainingLog()
     best: Checkpoint | None = None
@@ -218,35 +273,33 @@ def train(config: TrainConfig, pairs: list[PairedExample],
     for epoch in range(config.epochs):
         epoch_breakdowns = []
         for batch in make_batches(pairs, config.batch_pairs, config.seed, epoch):
-            batch_examples = [m for unit in batch for m in unit.members()]
-            step_pairs = [(u.original, u.counterfactual) for u in batch
-                          if u.counterfactual is not None]
-            need_envs = config.alpha > 0.0 or config.lp_mode == "env_mean"
-            envs = (partition_environments(batch_examples, config.alpha, config.env_mode)
-                    if need_envs else {})
-            total, breakdown = combined_loss(
-                batch_examples, step_pairs, envs, params, vocab,
-                config.alpha, config.beta,
-                stop_grad_on_classifier=config.stop_grad_on_W_for_ocd,
-                lp_mode=config.lp_mode)
-            for component, value in (("l_p", breakdown.l_p), ("l_irm", breakdown.l_irm),
-                                     ("l_ocd", breakdown.l_ocd), ("total", breakdown.total)):
-                if not math.isfinite(value):
-                    raise NonFiniteLossError(step, component, value)
-            grads = grad(total, flat)
-            if config.optimizer == "adam":
-                adam_step(flat, grads, adam, config.learning_rate,
-                          config.adam_beta1, config.adam_beta2, config.adam_eps)
-            else:
-                sgd_step(flat, grads, config.learning_rate)
+            batch_examples, env_rows, pair_rows = batch_rows(
+                batch, need_envs, config.alpha, config.env_mode)
+            rows = [row_of[id(ex)] for ex in batch_examples]
+            with np.errstate(over="ignore", invalid="ignore"):
+                breakdown = objective_and_grad(
+                    params, grads, features[rows], labels[rows], env_rows, pair_rows,
+                    config.alpha, config.beta,
+                    stop_grad_on_classifier=config.stop_grad_on_W_for_ocd,
+                    lp_mode=config.lp_mode)
+                for component, value in (("l_p", breakdown.l_p), ("l_irm", breakdown.l_irm),
+                                         ("l_ocd", breakdown.l_ocd), ("total", breakdown.total)):
+                    if not math.isfinite(value):
+                        raise NonFiniteLossError(step, component, value)
+                _check_finite(step, "grad", gradient)
+                if adam is not None:
+                    adam_step_vector(theta, gradient, adam, config.learning_rate,
+                                     config.adam_beta1, config.adam_beta2, config.adam_eps)
+                else:
+                    theta -= config.learning_rate * gradient
+                _check_finite(step, "params", theta)
             log.steps.append(breakdown)
             epoch_breakdowns.append(breakdown)
             step += 1
 
-        snap = params.snapshot()
-        acc = train_accuracy(snap, all_examples, vocab)
-        val_acc = (train_accuracy(snap, val_examples, vocab)
-                   if val_examples is not None else None)
+        snap = Snapshot.from_flat(model_cfg, theta.copy())
+        acc = train_accuracy(snap, features, labels)
+        val_acc = train_accuracy(snap, val_features, val_labels) if val_pairs else None
         n = len(epoch_breakdowns)
         log.epochs.append(EpochSummary(
             epoch=epoch,

@@ -111,6 +111,20 @@ def test_train_runtime_failure_exit_2(small_data, capsys):
     assert "runtime failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, config", [
+    (["--embed-dim", "0"], {}),
+    ([], {"n_classes": 0}),
+])
+def test_train_empty_model_dimension_exit_1(small_data, capsys, flag, config):
+    tmp_path, data_dir = small_data
+    cfg = tmp_path / "train.json"
+    _write_json(cfg, config)
+    rc = main(["train", "--config", str(cfg), "--data", str(data_dir),
+               "--out", str(tmp_path / "o"), "--seed", "1", *flag])
+    assert rc == 1
+    assert "bad train config" in capsys.readouterr().err
+
+
 def test_eval_bad_checkpoint_exit_1(small_data, capsys):
     tmp_path, data_dir = small_data
     bad = tmp_path / "bad.json"

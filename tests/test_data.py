@@ -92,6 +92,13 @@ def test_parse_error_on_missing_field_and_bad_values(tmp_path):
         load_jsonl(p, require_pairs=False)
 
 
+def test_boolean_label_is_parse_error(tmp_path):
+    p = tmp_path / "d.jsonl"
+    _write_lines(p, [_row("a", "x", True, "p", "original")])
+    with pytest.raises(ParseError, match="label"):
+        load_jsonl(p, require_pairs=False)
+
+
 def test_roundtrip_identity(tmp_path):
     ds = generate_cad(GeneratorConfig(n_pairs=25, n_ood=10, seed=3))
     p = tmp_path / "train.jsonl"

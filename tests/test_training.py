@@ -1,17 +1,28 @@
+import logging
 import math
+import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cadlab import training
 from cadlab.autodiff import const, grad, nsum, scale
 from cadlab.data import (
-    EmptyEnvironmentError, GeneratorConfig, PairedExample, Vocab, generate_cad,
+    EmptyEnvironmentError, GeneratorConfig, PairedExample, Vocab, featurize_matrix,
+    generate_cad, partition_environments,
 )
-from cadlab.model import ModelConfig, ModelParams, cross_entropy, encode, logits
+from cadlab.evaluation import evaluate
+from cadlab.losses import combined_loss, objective_and_grad
+from cadlab.model import ModelConfig, ModelParams, Snapshot, cross_entropy, encode, logits
 from cadlab.data import featurize_sparse
 from cadlab.training import (
     AdamState, Checkpoint, NonFiniteLossError, PRESETS, TrainConfig, ablated,
-    adam_step, make_batches, sgd_step, train,
+    adam_step, batch_rows, make_batches, sgd_step, train,
 )
+
+# closed form vs scalar autodiff: |difference| <= TOL * max(1, |reference|)
+TOL = 1e-12
 
 
 def _dataset(n_pairs=20, seed=0, **kw):
@@ -93,6 +104,10 @@ def test_train_config_validation():
         TrainConfig(optimizer="rmsprop")
     with pytest.raises(ValueError):
         TrainConfig(env_mode="both")
+    with pytest.raises(ValueError):
+        TrainConfig(embed_dim=0)
+    with pytest.raises(ValueError):
+        TrainConfig(n_classes=0)
     with pytest.raises(ValueError):
         TrainConfig.from_dict({"alpha": 0.1, "bogus": 2})
     cfg = TrainConfig.from_dict(TrainConfig(alpha=0.3).to_dict())
@@ -255,3 +270,186 @@ def test_stop_grad_flag_changes_training():
                           embed_dim=4, stop_grad_on_W_for_ocd=True)
     ck3, _ = train(flagged, ds.train_pairs)
     assert ck1.snapshot.classifier.tolist() != ck3.snapshot.classifier.tolist()
+
+
+# ---------------------------------------------------------------------------
+# the closed-form step against the scalar autodiff reference
+
+def _close(got, ref) -> bool:
+    return abs(got - ref) <= TOL * max(1.0, abs(ref))
+
+
+def _assert_breakdowns_match(got, ref):
+    for name in ("l_p", "l_irm", "l_ocd", "total"):
+        assert _close(getattr(got, name), getattr(ref, name)), name
+    assert got.n_pairs_used == ref.n_pairs_used
+
+
+def _step_both_ways(units, params, vocab, alpha, beta, env_mode, lp_mode, stop_grad):
+    """One step's loss breakdown and gradient from combined_loss plus
+    autodiff.grad, and from objective_and_grad on the same batch."""
+    need_envs = alpha > 0.0 or lp_mode == "env_mean"
+    batch, env_rows, pair_rows = batch_rows(units, need_envs, alpha, env_mode)
+    envs = partition_environments(batch, alpha, env_mode) if need_envs else {}
+    pairs = [(u.original, u.counterfactual) for u in units if u.counterfactual is not None]
+    total, ref = combined_loss(batch, pairs, envs, params, vocab, alpha, beta,
+                               stop_grad_on_classifier=stop_grad, lp_mode=lp_mode)
+    ref_grad = np.array(grad(total, params.flat()))
+    theta = np.array([p.value for p in params.flat()])
+    got_grad = np.zeros_like(theta)
+    got = objective_and_grad(
+        Snapshot.from_flat(params.config, theta), Snapshot.from_flat(params.config, got_grad),
+        featurize_matrix(batch, vocab), np.array([ex.label for ex in batch]),
+        env_rows, pair_rows, alpha, beta, stop_grad_on_classifier=stop_grad, lp_mode=lp_mode)
+    return ref, ref_grad, got, got_grad
+
+
+def _assert_grads_match(got_grad, ref_grad):
+    worst = np.abs(got_grad - ref_grad).max()
+    assert worst <= TOL * max(1.0, np.abs(ref_grad).max()), worst
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 20), n_classes=st.sampled_from([2, 3]),
+       use_hidden=st.booleans(), env_mode=st.sampled_from(["disjoint", "overlap"]),
+       lp_mode=st.sampled_from(["union", "env_mean"]), stop_grad=st.booleans(),
+       alpha=st.sampled_from([0.0, 0.4, 1.6]), beta=st.sampled_from([0.0, 0.1, 2.0]),
+       n_paired=st.integers(1, 4), n_unpaired=st.integers(0, 3),
+       spread=st.floats(0.05, 1.5), degenerate_class=st.sampled_from([None, 0, 1]))
+def test_closed_form_step_matches_autodiff(seed, n_classes, use_hidden, env_mode, lp_mode,
+                                           stop_grad, alpha, beta, n_paired, n_unpaired,
+                                           spread, degenerate_class):
+    rng = random.Random(seed)
+    ds = generate_cad(GeneratorConfig(n_pairs=8, n_ood=2, n_classes=n_classes,
+                                      sentence_length=7, seed=seed))
+    chosen = rng.sample(ds.train_pairs, n_paired + n_unpaired)
+    units = chosen[:n_paired] + [PairedExample(u.original, None) for u in chosen[n_paired:]]
+    rng.shuffle(units)
+    vocab = Vocab.from_examples([m for u in ds.train_pairs for m in u.members()])
+    params = ModelParams(ModelConfig(vocab_size=vocab.size, n_classes=n_classes,
+                                     embed_dim=3, use_hidden=use_hidden), seed=seed)
+    for p in params.flat():
+        p.value = rng.uniform(-spread, spread)
+    if degenerate_class is not None:
+        for p in params.classifier[degenerate_class]:
+            p.value = 0.0
+
+    ref, ref_grad, got, got_grad = _step_both_ways(
+        units, params, vocab, alpha, beta, env_mode, lp_mode, stop_grad)
+    _assert_breakdowns_match(got, ref)
+    _assert_grads_match(got_grad, ref_grad)
+
+
+def test_closed_form_step_skips_degenerate_pairs_like_reference(caplog):
+    ds = _dataset(n_pairs=6, seed=2)
+    vocab = Vocab.from_examples(ds.train_examples())
+    params = ModelParams(ModelConfig(vocab_size=vocab.size, embed_dim=4), seed=3)
+    for p in params.classifier[1]:
+        p.value = 0.0               # every pair has one class-1 member
+    with caplog.at_level(logging.WARNING, logger="cadlab.losses"):
+        ref, ref_grad, got, got_grad = _step_both_ways(
+            ds.train_pairs, params, vocab, 1.6, 0.1, "disjoint", "union", False)
+    assert ref.n_pairs_used == got.n_pairs_used == 0
+    assert ref.l_ocd == got.l_ocd == 0.0
+    _assert_breakdowns_match(got, ref)
+    _assert_grads_match(got_grad, ref_grad)
+    warnings = [r.getMessage() for r in caplog.records if "pairs skipped" in r.getMessage()]
+    assert len(warnings) == 2 and warnings[0] == warnings[1]
+
+
+def _reference_train(cfg, pairs):
+    """The scalar reference loop: combined_loss, autodiff.grad and the
+    list-based optimizer steps, with a snapshot after every epoch."""
+    vocab = Vocab.from_examples([m for u in pairs for m in u.members()])
+    params = ModelParams(ModelConfig(vocab_size=vocab.size, n_classes=cfg.n_classes,
+                                     embed_dim=cfg.embed_dim, use_hidden=cfg.use_hidden),
+                         seed=cfg.seed)
+    flat = params.flat()
+    state = AdamState.zeros(len(flat))
+    need_envs = cfg.alpha > 0.0 or cfg.lp_mode == "env_mean"
+    steps, snapshots = [], []
+    for epoch in range(cfg.epochs):
+        for batch in make_batches(pairs, cfg.batch_pairs, cfg.seed, epoch):
+            members = [m for u in batch for m in u.members()]
+            envs = partition_environments(members, cfg.alpha, cfg.env_mode) if need_envs else {}
+            step_pairs = [(u.original, u.counterfactual) for u in batch
+                          if u.counterfactual is not None]
+            total, breakdown = combined_loss(
+                members, step_pairs, envs, params, vocab, cfg.alpha, cfg.beta,
+                stop_grad_on_classifier=cfg.stop_grad_on_W_for_ocd, lp_mode=cfg.lp_mode)
+            grads = grad(total, flat)
+            if cfg.optimizer == "adam":
+                adam_step(flat, grads, state, cfg.learning_rate,
+                          cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+            else:
+                sgd_step(flat, grads, cfg.learning_rate)
+            steps.append(breakdown)
+        snapshots.append(params.snapshot())
+    return vocab, steps, snapshots
+
+
+def _snapshot_vector(snap):
+    parts = [snap.embedding, snap.enc_bias, snap.hidden, snap.hidden_bias,
+             snap.classifier, snap.out_bias]
+    return np.concatenate([a.ravel() for a in parts if a is not None])
+
+
+@pytest.mark.parametrize("changes", [
+    {},
+    {"optimizer": "sgd", "learning_rate": 0.5},
+    {"use_hidden": True},
+    {"env_mode": "overlap"},
+    {"env_mode": "overlap", "lp_mode": "env_mean"},
+    {"stop_grad_on_W_for_ocd": True, "beta": 2.0},
+    {"n_classes": 3},
+    {"checkpoint_rule": "best_val_accuracy"},
+], ids=lambda c: ",".join(f"{k}={v}" for k, v in c.items()) or "default")
+def test_train_matches_scalar_reference_loop(changes):
+    """train() on the closed-form path follows the scalar reference step for
+    step on the full objective, and keeps the same checkpoint."""
+    n_classes = changes.get("n_classes", 2)
+    ds = generate_cad(GeneratorConfig(n_pairs=14, n_ood=2, n_classes=n_classes, seed=21))
+    train_part, val_part = ds.train_pairs[:10], ds.train_pairs[10:]
+    cfg = TrainConfig(**{"alpha": 1.6, "beta": 0.1, "learning_rate": 0.05, "epochs": 3,
+                         "batch_pairs": 4, "seed": 4, "embed_dim": 4, **changes})
+    ck, log = train(cfg, train_part, val_pairs=val_part)
+
+    vocab, ref_steps, ref_snaps = _reference_train(cfg, train_part)
+    assert len(log.steps) == len(ref_steps)
+    for got, ref in zip(log.steps, ref_steps):
+        _assert_breakdowns_match(got, ref)
+    train_examples = [m for u in train_part for m in u.members()]
+    val_examples = [m for u in val_part for m in u.members()]
+    for summary, snap in zip(log.epochs, ref_snaps):
+        assert summary.train_accuracy == evaluate(snap, train_examples, vocab).accuracy
+    if cfg.checkpoint_rule == "best_val_accuracy":
+        accs = [evaluate(snap, val_examples, vocab).accuracy for snap in ref_snaps]
+        assert ck.val_accuracy == max(accs)
+    else:
+        accs = [e.train_accuracy for e in log.epochs]
+    assert ck.epoch == accs.index(max(accs))
+    got_vec = _snapshot_vector(ck.snapshot)
+    ref_vec = _snapshot_vector(ref_snaps[ck.epoch])
+    assert np.abs(got_vec - ref_vec).max() <= TOL * max(1.0, np.abs(ref_vec).max())
+
+
+@pytest.mark.parametrize("component, poison, optimizer, lr", [
+    ("grad", float("nan"), "adam", 1e-3),
+    ("params", 1e300, "sgd", 1e10),    # a finite gradient whose update overflows
+])
+def test_non_finite_grad_or_params_abort(monkeypatch, component, poison, optimizer, lr):
+    real = training.objective_and_grad
+
+    def poisoned(params, grads, *args, **kwargs):
+        breakdown = real(params, grads, *args, **kwargs)
+        grads.enc_bias[0] = poison
+        return breakdown
+
+    monkeypatch.setattr(training, "objective_and_grad", poisoned)
+    ds = _dataset(n_pairs=8)
+    cfg = TrainConfig(alpha=1.6, beta=0.1, epochs=1, batch_pairs=4, seed=1, embed_dim=4,
+                      optimizer=optimizer, learning_rate=lr)
+    with pytest.raises(NonFiniteLossError) as exc:
+        train(cfg, ds.train_pairs)
+    assert exc.value.component == component
+    assert exc.value.step == 0
