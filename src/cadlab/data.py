@@ -1,6 +1,12 @@
 """Counterfactual-pair data model, JSONL I/O, featurization, environment
 partitioning, and the synthetic pair generator.
 
+Featurization has one implementation, featurize_matrix: the tokens of a list
+of examples are looked up once as integer ids (TokenIds), a mask removes ids
+with np.isin, and the L1-normalized counts are one np.bincount divided by the
+row totals. Callers that score the same examples repeatedly (the probe, the
+ablation runs) keep the TokenIds and featurize from them.
+
 The generator realizes a token-level feature model with four disjoint
 vocabulary groups: edited-causal tokens (replaced by the counterfactual edit),
 non-edited causal tokens, label-correlated tokens whose alignment strength is
@@ -217,37 +223,72 @@ class Vocab:
         return cls(toks)
 
 
+@dataclass(frozen=True)
+class TokenIds:
+    """The tokens of a list of rows, looked up once and kept as integer ids.
+
+    ``table`` holds the distinct tokens (sorted), ``ids`` the table index of
+    every token, row after row, and ``lengths`` the token count of each row.
+    The ids do not depend on a vocabulary, so one TokenIds serves every
+    vocabulary and every mask; a token outside a vocabulary keeps its own id
+    until featurize_matrix has applied the mask.
+    """
+    table: tuple[str, ...]
+    ids: np.ndarray
+    lengths: np.ndarray
+
+    @classmethod
+    def from_tokens(cls, token_lists) -> "TokenIds":
+        token_lists = list(token_lists)
+        flat = [t for toks in token_lists for t in toks]
+        table = tuple(sorted(set(flat)))
+        index = {t: i for i, t in enumerate(table)}
+        ids = np.fromiter(map(index.__getitem__, flat), dtype=np.intp, count=len(flat))
+        lengths = np.fromiter(map(len, token_lists), dtype=np.intp, count=len(token_lists))
+        return cls(table, ids, lengths)
+
+    @classmethod
+    def from_examples(cls, examples) -> "TokenIds":
+        return cls.from_tokens(ex.tokens for ex in examples)
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def rows(self, start: int, stop: int) -> "TokenIds":
+        """Rows start..stop-1, sharing this table."""
+        offsets = np.concatenate(([0], np.cumsum(self.lengths)))
+        return TokenIds(self.table, self.ids[offsets[start]:offsets[stop]],
+                        self.lengths[start:stop])
+
+
+def featurize_matrix(examples, vocab: Vocab, mask_tokens: frozenset | set | None = None) -> np.ndarray:
+    """L1-normalized token counts over the vocabulary, one row per example,
+    with unknown tokens in the OOV bucket. ``examples`` is a list of examples
+    or their TokenIds. mask_tokens are removed before counting (the inputs are
+    never mutated); a row left without tokens is all zeros."""
+    tids = examples if isinstance(examples, TokenIds) else TokenIds.from_examples(examples)
+    n, V = len(tids), vocab.size
+    ids = tids.ids
+    rows = np.repeat(np.arange(n), tids.lengths)
+    if mask_tokens:
+        keep = ~np.isin(ids, [i for i, t in enumerate(tids.table) if t in mask_tokens])
+        ids, rows = ids[keep], rows[keep]
+    column = np.array([vocab.index.get(t, vocab.oov_index) for t in tids.table], dtype=np.intp)
+    counts = np.bincount(rows * V + column[ids], minlength=n * V).reshape(n, V)
+    totals = np.bincount(rows, minlength=n)
+    # integer counts over the integer row total: the exact quotient of each float division
+    return counts / np.maximum(totals, 1)[:, None]
+
+
 def featurize(tokens, vocab: Vocab) -> np.ndarray:
-    """L1-normalized token counts over the vocabulary, unknowns to the OOV bucket."""
-    x = np.zeros(vocab.size, dtype=np.float64)
-    for t in tokens:
-        x[vocab.index.get(t, vocab.oov_index)] += 1.0
-    total = x.sum()
-    if total > 0.0:
-        x /= total
-    return x
+    """featurize_matrix for one token sequence."""
+    return featurize_matrix(TokenIds.from_tokens([tokens]), vocab)[0]
 
 
 def featurize_sparse(tokens, vocab: Vocab) -> list[tuple[int, float]]:
     """Sparse (index, weight) view of featurize(), for the graph-building encoder."""
-    counts: dict[int, float] = {}
-    for t in tokens:
-        i = vocab.index.get(t, vocab.oov_index)
-        counts[i] = counts.get(i, 0.0) + 1.0
-    total = sum(counts.values())
-    if total <= 0.0:
-        return []
-    return [(i, c / total) for i, c in sorted(counts.items())]
-
-
-def featurize_matrix(examples, vocab: Vocab, mask_tokens: frozenset | set | None = None) -> np.ndarray:
-    """Dense feature matrix for a list of examples; mask_tokens are removed
-    before featurization (the inputs are never mutated)."""
-    rows = np.zeros((len(examples), vocab.size), dtype=np.float64)
-    for i, ex in enumerate(examples):
-        toks = ex.tokens if mask_tokens is None else tuple(t for t in ex.tokens if t not in mask_tokens)
-        rows[i] = featurize(toks, vocab)
-    return rows
+    x = featurize(tokens, vocab)
+    return [(int(i), float(x[i])) for i in np.flatnonzero(x)]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,11 @@ computed over both OOD variants together (the correlation-reversed split and
 its stress variant with edited-causal tokens removed), so reliance on
 non-edited features is visible even when edited features would otherwise
 dominate.
+
+The runners look up the token ids of that union once per call, before the
+worker pool forks; each run featurizes its eval matrices (row slices of the
+union) and its probe matrices from those ids, so only the training rows are
+looked up per run.
 """
 
 from __future__ import annotations
@@ -19,8 +24,11 @@ import math
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from .data import (
-    FeatureGroups, GeneratedDataset, PairedExample, Vocab, featurize_matrix,
+    DataError, FeatureGroups, GeneratedDataset, PairedExample, TokenIds, Vocab,
+    featurize_matrix,
 )
 from .model import Snapshot
 from .training import TrainConfig, ablated, train
@@ -62,22 +70,28 @@ class EvalReport:
 
 def evaluate(snapshot: Snapshot, examples, vocab: Vocab, split: str = "",
              fingerprint: str = "", seed: int = 0,
-             mask_tokens=None) -> EvalReport:
-    """Accuracy of a parameter snapshot on a list of examples (pure, read-only)."""
+             mask_tokens=None, ids: TokenIds | None = None) -> EvalReport:
+    """Accuracy of a parameter snapshot on a list of examples (pure, read-only).
+
+    ids, when given, are the examples' TokenIds, so callers that score the
+    same examples again do not look their tokens up again.
+    """
     if not examples:
         raise ValueError("evaluate needs a non-empty example list")
-    features = featurize_matrix(examples, vocab, mask_tokens=mask_tokens)
-    predictions = snapshot.predict_matrix(features)
-    total = 0
-    per_class_correct: dict[int, int] = {}
-    per_class_n: dict[int, int] = {}
-    for pred, ex in zip(predictions, examples):
-        per_class_n[ex.label] = per_class_n.get(ex.label, 0) + 1
-        if pred == ex.label:
-            total += 1
-            per_class_correct[ex.label] = per_class_correct.get(ex.label, 0) + 1
-    per_class = {c: per_class_correct.get(c, 0) / n for c, n in sorted(per_class_n.items())}
-    return EvalReport(split=split, accuracy=total / len(examples), n=len(examples),
+    n_classes = snapshot.config.n_classes
+    labels = np.array([ex.label for ex in examples], dtype=np.intp)
+    outside = np.flatnonzero((labels < 0) | (labels >= n_classes))
+    if outside.size:
+        ex = examples[outside[0]]
+        raise DataError(f"example {ex.id!r} has label {ex.label}, outside the "
+                        f"model's {n_classes} classes")
+    features = featurize_matrix(examples if ids is None else ids, vocab, mask_tokens=mask_tokens)
+    correct = snapshot.predict_matrix(features) == labels
+    n_per_class = np.bincount(labels, minlength=n_classes)
+    correct_per_class = np.bincount(labels[correct], minlength=n_classes)
+    per_class = {int(c): int(correct_per_class[c]) / int(n_per_class[c])
+                 for c in np.flatnonzero(n_per_class)}
+    return EvalReport(split=split, accuracy=int(correct.sum()) / len(examples), n=len(examples),
                       per_class_accuracy=per_class, fingerprint=fingerprint, seed=seed)
 
 
@@ -93,22 +107,25 @@ class RelianceProbe:
 
 
 def myopia_probe(snapshot: Snapshot, examples, groups: FeatureGroups,
-                 vocab: Vocab) -> RelianceProbe:
+                 vocab: Vocab, ids: TokenIds | None = None) -> RelianceProbe:
     """Per-group accuracy drop when that group's tokens are masked.
 
     Masking happens at featurization time; the examples are never mutated and
-    the unmasked baseline stays recomputable afterwards.
+    the unmasked baseline stays recomputable afterwards. The tokens are looked
+    up once (or taken from ids) and serve the baseline and every mask.
     """
     if not examples:
         raise ValueError("probe needs a non-empty example list")
     for ex in examples:
         if ex.groups is None:
             raise ValueError(f"example {ex.id!r} lacks group annotations")
-    baseline = evaluate(snapshot, examples, vocab, split="probe_baseline")
+    if ids is None:
+        ids = TokenIds.from_examples(examples)
+    baseline = evaluate(snapshot, examples, vocab, split="probe_baseline", ids=ids)
     drops = {}
     for name in PROBE_GROUPS:
         masked = evaluate(snapshot, examples, vocab, split=f"probe_mask_{name}",
-                          mask_tokens=groups.by_name(name))
+                          mask_tokens=groups.by_name(name), ids=ids)
         drops[name] = baseline.accuracy - masked.accuracy
     return RelianceProbe(baseline_accuracy=baseline.accuracy, drops=drops, n=len(examples))
 
@@ -125,17 +142,32 @@ def sign_test_p(wins: int, losses: int) -> float:
 # ---------------------------------------------------------------------------
 # shared single-run machinery
 
+def ood_token_ids(dataset: GeneratedDataset) -> TokenIds:
+    """TokenIds of the union ood + ood_stress, the rows run_single scores."""
+    return TokenIds.from_examples(dataset.ood + dataset.ood_stress)
+
+
 def run_single(config: TrainConfig, dataset: GeneratedDataset,
-               vocab: Vocab | None = None) -> dict:
+               vocab: Vocab | None = None, ood_ids: TokenIds | None = None) -> dict:
     """Train one model, evaluate the checkpoint on both OOD variants, and run
-    the reliance probe over their union. Returns one flat result row."""
+    the reliance probe over their union. Returns one flat result row.
+
+    ood_ids are ood_token_ids(dataset), which runners look up once for all
+    their runs; each OOD split is a row slice of them.
+    """
     if vocab is None:
         vocab = Vocab.from_examples(dataset.train_examples())
+    if ood_ids is None:
+        ood_ids = ood_token_ids(dataset)
     checkpoint, _ = train(config, dataset.train_pairs, vocab=vocab)
     snap = checkpoint.snapshot
-    acc_ood = evaluate(snap, dataset.ood, vocab, split="ood").accuracy
-    acc_stress = evaluate(snap, dataset.ood_stress, vocab, split="ood_stress").accuracy
-    probe = myopia_probe(snap, dataset.ood + dataset.ood_stress, dataset.groups, vocab)
+    n_ood = len(dataset.ood)
+    acc_ood = evaluate(snap, dataset.ood, vocab, split="ood",
+                       ids=ood_ids.rows(0, n_ood)).accuracy
+    acc_stress = evaluate(snap, dataset.ood_stress, vocab, split="ood_stress",
+                          ids=ood_ids.rows(n_ood, len(ood_ids))).accuracy
+    probe = myopia_probe(snap, dataset.ood + dataset.ood_stress, dataset.groups, vocab,
+                         ids=ood_ids)
     return {
         "seed": config.seed,
         "alpha": config.alpha,
@@ -153,6 +185,7 @@ def run_single(config: TrainConfig, dataset: GeneratedDataset,
 
 _WORKER_DATASET: GeneratedDataset | None = None
 _WORKER_VOCAB: Vocab | None = None
+_WORKER_OOD_IDS: TokenIds | None = None
 
 
 def _one_blas_thread() -> None:
@@ -172,10 +205,12 @@ def _one_blas_thread() -> None:
             return
 
 
-def _worker_init(dataset: GeneratedDataset, vocab: Vocab, pool_worker: bool = False) -> None:
-    global _WORKER_DATASET, _WORKER_VOCAB
+def _worker_init(dataset: GeneratedDataset, vocab: Vocab, ood_ids: TokenIds,
+                 pool_worker: bool = False) -> None:
+    global _WORKER_DATASET, _WORKER_VOCAB, _WORKER_OOD_IDS
     _WORKER_DATASET = dataset
     _WORKER_VOCAB = vocab
+    _WORKER_OOD_IDS = ood_ids
     if pool_worker:
         # one BLAS thread per worker, so nproc workers do not oversubscribe the cores
         _one_blas_thread()
@@ -199,7 +234,7 @@ def _worker_run(job: dict) -> dict:
                                    ood_stress=base.ood_stress, groups=base.groups,
                                    config=base.config)
         vocab = Vocab.from_examples(dataset.train_examples())
-    row = run_single(config, dataset, vocab)
+    row = run_single(config, dataset, vocab, _WORKER_OOD_IDS)
     row.update(job["tags"])
     if subset is not None:
         members = [m for u in dataset.train_pairs for m in u.members()]
@@ -213,15 +248,17 @@ def _run_jobs(jobs: list[dict], dataset: GeneratedDataset, vocab: Vocab,
     """Run (config, tags) jobs in deterministic order, optionally in parallel.
 
     Each run owns its parameters; results are collected in job order so the
-    emitted reports do not depend on scheduling.
+    emitted reports do not depend on scheduling. The OOD token ids are looked
+    up once, before the pool forks, and every run featurizes from them.
     """
+    ood_ids = ood_token_ids(dataset)
     if workers <= 1 or len(jobs) <= 1:
-        _worker_init(dataset, vocab)
+        _worker_init(dataset, vocab, ood_ids)
         return [_worker_run(job) for job in jobs]
     import multiprocessing as mp
     ctx = mp.get_context("fork")
     with ctx.Pool(processes=workers, initializer=_worker_init,
-                  initargs=(dataset, vocab, True)) as pool:
+                  initargs=(dataset, vocab, ood_ids, True)) as pool:
         return pool.map(_worker_run, jobs)
 
 

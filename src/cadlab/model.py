@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node, add, const, div, dot, exp, log, mul, nmax, nsum, sub, tanh, wsum
-from .data import Vocab, featurize_sparse
+from .data import Vocab
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -46,9 +46,16 @@ class ModelConfig:
             raise ValueError("vocab_size, n_classes and embed_dim must be positive")
 
     def n_params(self) -> int:
-        d = self.embed_dim
-        hidden = d * d + d if self.use_hidden else 0
-        return self.vocab_size * d + d + hidden + self.n_classes * d + self.n_classes
+        return sum(math.prod(shape) for shape in self.param_shapes().values())
+
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Shape of each parameter array, in ModelParams.flat() order."""
+        V, K, d = self.vocab_size, self.n_classes, self.embed_dim
+        shapes = {"embedding": (V, d), "enc_bias": (d,)}
+        if self.use_hidden:
+            shapes.update(hidden=(d, d), hidden_bias=(d,))
+        shapes.update(classifier=(K, d), out_bias=(K,))
+        return shapes
 
     def to_dict(self) -> dict:
         return {"vocab_size": self.vocab_size, "n_classes": self.n_classes,
@@ -120,26 +127,6 @@ class ModelParams:
             out_bias=np.array([p.value for p in self.out_bias]),
         )
 
-    def load_snapshot(self, snap: "Snapshot") -> None:
-        if snap.config.to_dict() != self.config.to_dict():
-            raise ValueError("snapshot/model configuration mismatch")
-        for row, vals in zip(self.embedding, snap.embedding):
-            for p, v in zip(row, vals):
-                p.value = float(v)
-        for p, v in zip(self.enc_bias, snap.enc_bias):
-            p.value = float(v)
-        if self.hidden is not None:
-            for row, vals in zip(self.hidden, snap.hidden):
-                for p, v in zip(row, vals):
-                    p.value = float(v)
-            for p, v in zip(self.hidden_bias, snap.hidden_bias):
-                p.value = float(v)
-        for row, vals in zip(self.classifier, snap.classifier):
-            for p, v in zip(row, vals):
-                p.value = float(v)
-        for p, v in zip(self.out_bias, snap.out_bias):
-            p.value = float(v)
-
 
 @dataclass
 class Snapshot:
@@ -158,14 +145,9 @@ class Snapshot:
         writes to the vector show through and vice versa."""
         if vector.shape != (config.n_params(),):
             raise ValueError(f"expected {config.n_params()} parameters, got shape {vector.shape}")
-        V, K, d = config.vocab_size, config.n_classes, config.embed_dim
-        shapes = {"embedding": (V, d), "enc_bias": (d,)}
-        if config.use_hidden:
-            shapes.update(hidden=(d, d), hidden_bias=(d,))
-        shapes.update(classifier=(K, d), out_bias=(K,))
         parts = {"hidden": None, "hidden_bias": None}
         start = 0
-        for name, shape in shapes.items():
+        for name, shape in config.param_shapes().items():
             size = math.prod(shape)
             parts[name] = vector[start:start + size].reshape(shape)
             start += size
@@ -183,12 +165,6 @@ class Snapshot:
     def predict_matrix(self, features: np.ndarray) -> np.ndarray:
         # argmax breaks ties toward the lowest class index
         return np.argmax(self.logits_matrix(features), axis=1)
-
-    def proba_matrix(self, features: np.ndarray) -> np.ndarray:
-        z = self.logits_matrix(features)
-        z = z - z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +188,6 @@ def encode(x_sparse: list[tuple[int, float]], params: ModelParams) -> list[Node]
             h2.append(tanh(add(dot(params.hidden[j], h), params.hidden_bias[j])))
         h = h2
     return h
-
-
-def encode_example(example, vocab: Vocab, params: ModelParams) -> list[Node]:
-    return encode(featurize_sparse(example.tokens, vocab), params)
 
 
 def logits(h: list[Node], params: ModelParams) -> list[Node]:
@@ -303,24 +275,36 @@ def save_checkpoint(path, snap: Snapshot, vocab: Vocab, extra: dict | None = Non
 
 
 def load_checkpoint(path) -> tuple[Snapshot, Vocab, dict]:
+    """Load a checkpoint, checking every parameter array's shape against the
+    model config and that every value is finite (ValueError otherwise)."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict) or not isinstance(payload.get("params"), dict):
+        raise ValueError("a checkpoint is a JSON object with a \"params\" object")
     version = payload.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format version {version!r}")
-    config = ModelConfig.from_dict(payload["model"])
+    try:
+        config = ModelConfig.from_dict(payload["model"])
+    except TypeError as e:
+        raise ValueError(f"bad model config: {e}") from e
     p = payload["params"]
-    snap = Snapshot(
-        config=config,
-        embedding=np.array(p["embedding"], dtype=np.float64),
-        enc_bias=np.array(p["enc_bias"], dtype=np.float64),
-        hidden=np.array(p["hidden"], dtype=np.float64) if p["hidden"] is not None else None,
-        hidden_bias=(np.array(p["hidden_bias"], dtype=np.float64)
-                     if p["hidden_bias"] is not None else None),
-        classifier=np.array(p["classifier"], dtype=np.float64),
-        out_bias=np.array(p["out_bias"], dtype=np.float64),
-    )
+    shapes = config.param_shapes()
+    for name in ("hidden", "hidden_bias"):
+        if name not in shapes and p.get(name) is not None:
+            raise ValueError(f"{name} is given but the model has no hidden layer")
+    arrays = {"hidden": None, "hidden_bias": None}
+    for name, shape in shapes.items():
+        try:
+            values = np.array(p[name], dtype=np.float64)
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"{name} is not a numeric array: {e}") from e
+        if values.shape != shape:
+            raise ValueError(f"{name} has shape {values.shape}, expected {shape}")
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} holds a non-finite value")
+        arrays[name] = values
     vocab = Vocab(payload["vocab"])
     if vocab.size != config.vocab_size:
         raise ValueError("checkpoint vocab does not match model vocab_size")
-    return snap, vocab, payload.get("extra", {})
+    return Snapshot(config=config, **arrays), vocab, payload.get("extra", {})

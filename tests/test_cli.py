@@ -133,6 +133,112 @@ def test_eval_bad_checkpoint_exit_1(small_data, capsys):
     assert rc == 1
 
 
+@pytest.fixture()
+def trained(small_data):
+    tmp_path, data_dir = small_data
+    rc = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "run"),
+               "--seed", "1", "--epochs", "1", "--embed-dim", "4"])
+    assert rc == 0
+    return tmp_path, data_dir, tmp_path / "run" / "checkpoint.json"
+
+
+def _set(path, value):
+    """Checkpoint payload edit: set the value at a key path."""
+    def edit(payload):
+        *parents, last = path
+        node = payload
+        for key in parents:
+            node = node[key]
+        node[last] = value(node[last]) if callable(value) else value
+        return payload
+    return edit
+
+
+def _drop(*path):
+    """Checkpoint payload edit: delete the key at a key path."""
+    def edit(payload):
+        *parents, last = path
+        node = payload
+        for key in parents:
+            node = node[key]
+        del node[last]
+        return payload
+    return edit
+
+
+def _nan_at(row, col):
+    def value(matrix):
+        matrix[row][col] = float("nan")
+        return matrix
+    return value
+
+
+# one malformed checkpoint per row: (name, edit, expected exit code, message fragment)
+MALFORMED_CHECKPOINTS = [
+    ("truncated embedding", _set(("params", "embedding"), lambda m: m[:-1]), 1,
+     "embedding has shape (32, 4), expected (33, 4)"),
+    ("short embedding rows", _set(("params", "embedding"), lambda m: [r[:-1] for r in m]), 1,
+     "embedding has shape (33, 3), expected (33, 4)"),
+    ("ragged embedding", _set(("params", "embedding"), lambda m: [m[0][:-1]] + m[1:]), 1,
+     "embedding is not a numeric array"),
+    ("string weight", _set(("params", "enc_bias"), lambda v: ["w"] + v[1:]), 1,
+     "enc_bias is not a numeric array"),
+    ("NaN weight", _set(("params", "classifier"), _nan_at(1, 2)), 1,
+     "classifier holds a non-finite value"),
+    ("infinite bias", _set(("params", "out_bias"), lambda v: [float("inf")] + v[1:]), 1,
+     "out_bias holds a non-finite value"),
+    ("long out_bias", _set(("params", "out_bias"), lambda v: v + [0.0]), 1,
+     "out_bias has shape (3,), expected (2,)"),
+    ("null classifier", _set(("params", "classifier"), None), 1,
+     "classifier has shape (), expected (2, 4)"),
+    ("missing out_bias", _drop("params", "out_bias"), 1, "'out_bias'"),
+    ("params not an object", _set(("params",), lambda v: list(v.values())), 1,
+     'a checkpoint is a JSON object with a "params" object'),
+    ("missing params", _drop("params"), 1, 'a checkpoint is a JSON object with a "params" object'),
+    ("not an object", lambda payload: [payload], 1,
+     'a checkpoint is a JSON object with a "params" object'),
+    ("hidden layer the model lacks", _set(("params", "hidden"), [[0.0] * 4] * 4), 1,
+     "hidden is given but the model has no hidden layer"),
+    ("hidden layer missing", _set(("model", "use_hidden"), True), 1,
+     "hidden has shape (), expected (4, 4)"),
+    ("unknown model key", _set(("model", "depth"), 3), 1, "bad model config"),
+    ("vocab mismatch", _set(("vocab",), lambda v: v[:-1]), 1,
+     "checkpoint vocab does not match model vocab_size"),
+    ("format version", _set(("format_version",), 2), 1,
+     "unsupported checkpoint format version 2"),
+]
+
+
+@pytest.mark.parametrize("command", ["eval", "probe"])
+@pytest.mark.parametrize("name, edit, code, message", MALFORMED_CHECKPOINTS,
+                         ids=[row[0] for row in MALFORMED_CHECKPOINTS])
+def test_malformed_checkpoint_exit_code(trained, capsys, command, name, edit, code, message):
+    tmp_path, data_dir, ckpt = trained
+    bad = tmp_path / "bad.json"
+    _write_json(bad, edit(json.loads(ckpt.read_text())))
+    capsys.readouterr()
+    rc = main([command, "--checkpoint", str(bad), "--data", str(data_dir / "ood.jsonl")])
+    err = capsys.readouterr().err
+    assert rc == code, err
+    assert err.startswith(f"error: bad checkpoint {bad}: ") and message in err, err
+
+
+@pytest.mark.parametrize("command", ["eval", "probe"])
+def test_label_outside_model_classes_exit_1(trained, capsys, command):
+    tmp_path, data_dir, ckpt = trained
+    lines = (data_dir / "ood.jsonl").read_text().splitlines()
+    row = json.loads(lines[0])
+    row["label"] = 7
+    data = tmp_path / "bad_labels.jsonl"
+    data.write_text("\n".join([lines[1], json.dumps(row)] + lines[2:]) + "\n")
+    capsys.readouterr()
+    groups = ["--groups", str(data_dir / "groups.json")] if command == "probe" else []
+    rc = main([command, "--checkpoint", str(ckpt), "--data", str(data), *groups])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert f"example {row['id']!r} has label 7, outside the model's 2 classes" in err, err
+
+
 def test_ablate_cli_and_determinism(small_data, capsys):
     tmp_path, data_dir = small_data
     train_cfg = tmp_path / "train.json"

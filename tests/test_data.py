@@ -3,10 +3,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cadlab.data import (
-    DataError, EmptyEnvironmentError, FeatureGroups, GeneratorConfig,
-    PairingError, ParseError, Vocab,
+    DataError, EmptyEnvironmentError, Example, FeatureGroups, GeneratorConfig,
+    PairingError, ParseError, TokenIds, Vocab,
     dump_jsonl, featurize, featurize_matrix, featurize_sparse, generate_cad,
     load_jsonl, pair_examples, partition_environments, read_dataset, write_dataset,
 )
@@ -288,6 +289,60 @@ def test_dataset_directory_roundtrip(tmp_path):
 def test_feature_groups_disjointness_enforced():
     with pytest.raises(DataError):
         FeatureGroups(frozenset({"a"}), frozenset({"a"}), frozenset(), frozenset())
+
+
+def _reference_featurize_matrix(examples, vocab, mask_tokens=None):
+    """The per-example loop that featurize_matrix replaced, kept as the reference."""
+    rows = np.zeros((len(examples), vocab.size), dtype=np.float64)
+    for i, ex in enumerate(examples):
+        toks = ex.tokens if mask_tokens is None else tuple(t for t in ex.tokens if t not in mask_tokens)
+        x = np.zeros(vocab.size, dtype=np.float64)
+        for t in toks:
+            x[vocab.index.get(t, vocab.oov_index)] += 1.0
+        total = x.sum()
+        if total > 0.0:
+            x /= total
+        rows[i] = x
+    return rows
+
+
+def _bits(a):
+    return a.view(np.uint64)
+
+
+# vocabulary tokens, and tokens that are not in the vocabulary
+_KNOWN = ["a", "b", "c", "d", "e"]
+_UNKNOWN = ["x", "y", "z"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(vocab_tokens=st.lists(st.sampled_from(_KNOWN), max_size=5),
+       rows=st.lists(st.lists(st.sampled_from(_KNOWN + _UNKNOWN), max_size=12), max_size=8),
+       mask=st.none() | st.frozensets(st.sampled_from(_KNOWN + _UNKNOWN + ["w"]), max_size=5),
+       start=st.integers(0, 8), stop=st.integers(0, 8))
+def test_featurize_matrix_is_bit_identical_to_the_per_example_loop(vocab_tokens, rows, mask,
+                                                                   start, stop):
+    # repeated tokens, empty rows, rows whose tokens are all masked, masked
+    # tokens outside the vocabulary and in no row ("w"), and unknown tokens
+    vocab = Vocab(vocab_tokens)
+    examples = [Example(id=str(i), tokens=tuple(toks), label=0, pair_id=str(i),
+                        variant="original") for i, toks in enumerate(rows)]
+    expected = _reference_featurize_matrix(examples, vocab, mask)
+    got = featurize_matrix(examples, vocab, mask_tokens=mask)
+    assert got.dtype == np.float64 and got.shape == expected.shape
+    assert np.array_equal(_bits(got), _bits(expected))
+    ids = TokenIds.from_examples(examples)
+    assert np.array_equal(_bits(featurize_matrix(ids, vocab, mask_tokens=mask)), _bits(expected))
+    start, stop = sorted((min(start, len(rows)), min(stop, len(rows))))
+    sliced = featurize_matrix(ids.rows(start, stop), vocab, mask_tokens=mask)
+    assert np.array_equal(_bits(sliced), _bits(expected[start:stop]))
+    plain = _reference_featurize_matrix(examples, vocab)
+    for toks, row in zip(rows, plain):
+        assert np.array_equal(_bits(featurize(toks, vocab)), _bits(row))
+        sparse = featurize_sparse(toks, vocab)
+        assert [j for j, _ in sparse] == np.flatnonzero(row).tolist()
+        assert [w for _, w in sparse] == row[row != 0.0].tolist()
+        assert all(type(j) is int and type(w) is float for j, w in sparse)
 
 
 def test_featurize_matrix_masking_does_not_mutate():

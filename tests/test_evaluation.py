@@ -1,12 +1,14 @@
+import json
+
 import pytest
 
-from cadlab.data import GeneratorConfig, Vocab, generate_cad
+from cadlab.data import DataError, GeneratorConfig, Vocab, generate_cad
 from cadlab.evaluation import (
-    config_fingerprint, evaluate, myopia_probe, rows_to_csv, run_ablation,
+    config_fingerprint, evaluate, myopia_probe, ood_token_ids, rows_to_csv, run_ablation,
     run_data_efficiency, run_single, sign_test_p, write_report,
 )
 from cadlab.model import ModelConfig, ModelParams
-from cadlab.training import TrainConfig
+from cadlab.training import TrainConfig, train
 
 
 def _dataset(**kw):
@@ -57,6 +59,26 @@ def test_evaluate_trivial_cases():
 
     with pytest.raises(ValueError):
         evaluate(snap, [], vocab)
+
+
+def test_evaluate_per_class_accuracy_and_label_range():
+    ds = _dataset()
+    vocab = Vocab.from_examples(ds.train_examples())
+    snap = _edited_only_params(vocab, ds.groups).snapshot()
+    relabel = lambda ex, label: type(ex)(id=ex.id, tokens=ex.tokens, label=label,
+                                         pair_id=ex.pair_id, variant=ex.variant)
+    # class 0 right 3/3; class 1 right 1/3 (two class-0 examples relabeled as 1)
+    zeros = [ex for ex in ds.ood if ex.label == 0][:5]
+    ones = [ex for ex in ds.ood if ex.label == 1][:1]
+    examples = zeros[:3] + [relabel(ex, 1) for ex in zeros[3:]] + ones
+    report = evaluate(snap, examples, vocab)
+    assert report.per_class_accuracy == {0: 1.0, 1: 1 / 3}
+    assert all(type(k) is int and type(v) is float for k, v in report.per_class_accuracy.items())
+    assert report.accuracy == 4 / 6
+    assert evaluate(snap, zeros, vocab).per_class_accuracy == {0: 1.0}
+    for label in (2, 7, -1):
+        with pytest.raises(DataError, match=f"has label {label}, outside the model's 2 classes"):
+            evaluate(snap, zeros[:2] + [relabel(zeros[2], label)], vocab)
 
 
 def test_evaluate_is_pure_and_deterministic():
@@ -170,6 +192,29 @@ def test_run_ablation_parallel_matches_serial():
     serial = run_ablation(_fast_config(epochs=1), ds, seeds=[0, 1], workers=1)
     parallel = run_ablation(_fast_config(epochs=1), ds, seeds=[0, 1], workers=2)
     assert serial == parallel
+
+
+def test_run_data_efficiency_parallel_matches_serial():
+    ds = _dataset(n_pairs=12, n_ood=16)
+    serial = run_data_efficiency(_fast_config(epochs=1), ds, sizes=[4, 8], seeds=[0, 1],
+                                 workers=1)
+    parallel = run_data_efficiency(_fast_config(epochs=1), ds, sizes=[4, 8], seeds=[0, 1],
+                                   workers=2)
+    assert serial == parallel
+    assert json.dumps(serial, sort_keys=True) == json.dumps(parallel, sort_keys=True)
+
+
+def test_run_single_scores_each_split_from_the_shared_ood_ids():
+    ds = _dataset(n_pairs=12, n_ood=16)
+    vocab = Vocab.from_examples(ds.train_examples())
+    config = _fast_config(epochs=3, learning_rate=0.05)
+    row = run_single(config, ds, vocab, ood_token_ids(ds))
+    assert row["acc_ood"] != row["acc_ood_stress"]   # so a swapped slice would show
+    snap = train(config, ds.train_pairs, vocab=vocab)[0].snapshot
+    assert row["acc_ood"] == evaluate(snap, ds.ood, vocab).accuracy
+    assert row["acc_ood_stress"] == evaluate(snap, ds.ood_stress, vocab).accuracy
+    probe = myopia_probe(snap, ds.ood + ds.ood_stress, ds.groups, vocab)
+    assert {name: row[f"drop_{name}"] for name in probe.drops} == probe.drops
 
 
 def test_run_data_efficiency_structure():
