@@ -19,7 +19,7 @@ from .evaluation import (
 from .losses import LossBreakdown, combined_loss, env_risk_omega_grad, irm_penalty, ocd_loss
 from .model import (
     Decomposition, ModelConfig, ModelParams, Snapshot, decompose,
-    load_checkpoint, predict, predict_proba, save_checkpoint,
+    load_checkpoint, save_checkpoint,
 )
 from .training import Checkpoint, TrainConfig, adam_step, make_batches, train
 
@@ -33,7 +33,7 @@ __all__ = [
     "decompose", "env_risk_omega_grad", "evaluate", "featurize",
     "finite_diff_check", "generate_cad", "grad", "irm_penalty", "load_checkpoint",
     "load_jsonl", "make_batches", "myopia_probe", "ocd_loss",
-    "partition_environments", "predict", "predict_proba", "read_dataset",
-    "run_ablation", "run_data_efficiency", "save_checkpoint", "sign_test_p",
-    "train", "write_dataset",
+    "partition_environments", "read_dataset", "run_ablation",
+    "run_data_efficiency", "save_checkpoint", "sign_test_p", "train",
+    "write_dataset",
 ]

@@ -13,8 +13,8 @@ import os
 import sys
 
 from .data import (
-    DataError, FeatureGroups, GeneratorConfig, Vocab, generate_cad, load_jsonl,
-    read_dataset, write_dataset,
+    DataError, GeneratorConfig, Vocab, generate_cad, load_jsonl, read_dataset, read_groups,
+    write_dataset,
 )
 from .evaluation import (
     config_fingerprint, evaluate, myopia_probe, run_ablation, run_data_efficiency,
@@ -145,10 +145,9 @@ def cmd_probe(args) -> int:
     examples = _load_eval_examples(args.data)
     groups_path = args.groups or os.path.join(os.path.dirname(args.data), "groups.json")
     try:
-        with open(groups_path, encoding="utf-8") as fh:
-            groups = FeatureGroups.from_dict(json.load(fh))
-    except (FileNotFoundError, json.JSONDecodeError, KeyError, DataError) as e:
-        raise CliError(f"bad groups file {groups_path}: {e}")
+        groups = read_groups(groups_path)
+    except DataError as e:
+        raise CliError(f"bad groups file: {e}")
     try:
         probe = myopia_probe(snapshot, examples, groups, vocab)
     except ValueError as e:

@@ -101,6 +101,9 @@ class FeatureGroups:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureGroups":
+        missing = [name for name in GROUP_NAMES if name not in d]
+        if missing:
+            raise DataError(f"feature groups lack {missing}")
         return cls(**{name: frozenset(d[name]) for name in GROUP_NAMES})
 
 
@@ -509,19 +512,40 @@ def write_dataset(dataset: GeneratedDataset, out_dir) -> dict:
     return paths
 
 
+def _read_json_file(path, parse):
+    """parse(the JSON object in a file). A missing file, invalid JSON, another
+    JSON value, or a DataError or TypeError from parse is a DataError that
+    names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except FileNotFoundError as e:
+        raise DataError(f"{path}: file not found") from e
+    except json.JSONDecodeError as e:
+        raise DataError(f"{path}: invalid JSON: {e}") from e
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    try:
+        return parse(payload)
+    except (DataError, TypeError) as e:
+        raise DataError(f"{path}: {e}") from e
+
+
+def read_groups(path) -> FeatureGroups:
+    """Load a groups.json file written by write_dataset()."""
+    return _read_json_file(path, FeatureGroups.from_dict)
+
+
 def read_dataset(data_dir) -> GeneratedDataset:
-    """Load a dataset directory produced by write_dataset()."""
+    """Load a dataset directory produced by write_dataset(). Every file but
+    ood_stress.jsonl must be there; the generator config is the one that
+    made the data, since fingerprints are computed from it."""
     import os
     train = load_jsonl(os.path.join(data_dir, "train.jsonl"), require_pairs=True)
     ood = load_jsonl(os.path.join(data_dir, "ood.jsonl"), require_pairs=False)
     stress_path = os.path.join(data_dir, "ood_stress.jsonl")
     ood_stress = load_jsonl(stress_path, require_pairs=False) if os.path.exists(stress_path) else []
-    with open(os.path.join(data_dir, "groups.json"), encoding="utf-8") as fh:
-        groups = FeatureGroups.from_dict(json.load(fh))
-    cfg_path = os.path.join(data_dir, "generator_config.json")
-    if os.path.exists(cfg_path):
-        with open(cfg_path, encoding="utf-8") as fh:
-            cfg = GeneratorConfig.from_dict(json.load(fh))
-    else:
-        cfg = GeneratorConfig()
+    groups = read_groups(os.path.join(data_dir, "groups.json"))
+    cfg = _read_json_file(os.path.join(data_dir, "generator_config.json"),
+                            GeneratorConfig.from_dict)
     return GeneratedDataset(pair_examples(train), ood, ood_stress, groups, cfg)

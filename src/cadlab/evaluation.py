@@ -22,7 +22,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,15 +31,16 @@ from .data import (
     featurize_matrix,
 )
 from .model import Snapshot
-from .training import TrainConfig, ablated, train
+from .training import TrainConfig, train
 
 PROBE_GROUPS = ("edited_causal", "nonedited_causal", "correlated")
 
+# (arm, changes to the base config)
 ABLATION_ARMS = (
-    ("full", None, None),          # keep both weights
-    ("no_irm", 0.0, None),         # alpha zeroed
-    ("no_ocd", None, 0.0),         # beta zeroed
-    ("neither", 0.0, 0.0),         # plain prediction loss
+    ("full", {}),
+    ("no_irm", {"alpha": 0.0}),
+    ("no_ocd", {"beta": 0.0}),
+    ("neither", {"alpha": 0.0, "beta": 0.0}),    # plain prediction loss
 )
 
 
@@ -278,9 +279,8 @@ def run_ablation(base_config: TrainConfig, dataset: GeneratedDataset,
     vocab = Vocab.from_examples(dataset.train_examples())
     jobs = []
     for seed in seeds:
-        for arm, alpha, beta in ABLATION_ARMS:
-            cfg = ablated(base_config, alpha=alpha, beta=beta)
-            cfg = TrainConfig.from_dict({**cfg.to_dict(), "seed": seed})
+        for arm, changes in ABLATION_ARMS:
+            cfg = replace(base_config, **changes, seed=seed)
             jobs.append({"config": cfg.to_dict(), "tags": {"arm": arm}})
     rows = _run_jobs(jobs, dataset, vocab, workers)
     fingerprint = config_fingerprint({
@@ -290,7 +290,7 @@ def run_ablation(base_config: TrainConfig, dataset: GeneratedDataset,
         "seeds": list(seeds),
     })
     summary = {}
-    for arm, _, _ in ABLATION_ARMS:
+    for arm, _ in ABLATION_ARMS:
         arm_rows = [r for r in rows if r["arm"] == arm]
         summary[arm] = {
             "mean_ood": sum(r["mean_ood"] for r in arm_rows) / len(arm_rows),
@@ -303,7 +303,12 @@ def run_ablation(base_config: TrainConfig, dataset: GeneratedDataset,
     return {"fingerprint": fingerprint, "seeds": list(seeds), "rows": rows, "summary": summary}
 
 
-DATA_EFFICIENCY_ARMS = ("ecf_pairs", "erm_pairs", "erm_unaugmented")
+# (arm, changes to the base config, kind of training subset)
+DATA_EFFICIENCY_ARMS = (
+    ("ecf_pairs", {}, "pairs"),
+    ("erm_pairs", {"alpha": 0.0, "beta": 0.0}, "pairs"),
+    ("erm_unaugmented", {"alpha": 0.0, "beta": 0.0}, "unaugmented"),
+)
 
 
 def run_data_efficiency(base_config: TrainConfig, dataset: GeneratedDataset,
@@ -326,14 +331,10 @@ def run_data_efficiency(base_config: TrainConfig, dataset: GeneratedDataset,
 
     jobs = []
     for s in sizes:
-        for arm in DATA_EFFICIENCY_ARMS:
-            if arm == "ecf_pairs":
-                cfg_arm = base_config
-            else:
-                cfg_arm = ablated(base_config, alpha=0.0, beta=0.0)
-            subset = ("pairs", s // 2) if arm != "erm_unaugmented" else ("unaugmented", s)
+        for arm, changes, kind in DATA_EFFICIENCY_ARMS:
+            subset = (kind, s // 2 if kind == "pairs" else s)
             for seed in seeds:
-                cfg = TrainConfig.from_dict({**cfg_arm.to_dict(), "seed": seed})
+                cfg = replace(base_config, **changes, seed=seed)
                 jobs.append({"config": cfg.to_dict(), "subset": subset,
                              "tags": {"arm": arm, "size": s}})
     rows = _run_jobs(jobs, dataset, None, workers)

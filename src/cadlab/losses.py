@@ -1,8 +1,11 @@
 """The training objective: prediction loss, environment-invariance penalty,
 and the orthogonal-component-distance penalty on counterfactual pairs.
 
-The invariance penalty squares the gradient of each environment's risk with
+The prediction loss is the mean cross-entropy over the whole batch. The
+invariance penalty squares the gradient of each environment's risk with
 respect to a scalar dummy classifier fixed at 1.0 that multiplies the logits.
+The pair-alignment penalty is differentiated through both the
+representations and the label vectors it projects them against.
 
 Two implementations compute the same objective. ``objective_and_grad`` gives
 the loss values and the full parameter gradient of one step in closed form
@@ -108,8 +111,8 @@ def irm_penalty(env_fwds: dict[str, list[ForwardExample]]) -> Node:
     return nsum(squares)
 
 
-def ocd_loss(pair_fwds: list[tuple[ForwardExample, ForwardExample]], params: ModelParams,
-             stop_grad_on_classifier: bool = False) -> tuple[Node, int]:
+def ocd_loss(pair_fwds: list[tuple[ForwardExample, ForwardExample]],
+             params: ModelParams) -> tuple[Node, int]:
     """Mean squared distance between the two sides' orthogonal components.
 
     Each side is decomposed against its own gold label vector. Pairs whose
@@ -119,8 +122,8 @@ def ocd_loss(pair_fwds: list[tuple[ForwardExample, ForwardExample]], params: Mod
     dists = []
     for fa, fb in pair_fwds:
         try:
-            da = decompose(fa.h, fa.label, params, stop_grad_on_classifier)
-            db = decompose(fb.h, fb.label, params, stop_grad_on_classifier)
+            da = decompose(fa.h, fa.label, params)
+            db = decompose(fb.h, fb.label, params)
         except DegenerateLabelVector:
             continue
         diff = [sub(a, b) for a, b in zip(da.h_perp, db.h_perp)]
@@ -139,24 +142,18 @@ def combined_loss(batch: list[Example],
                   params: ModelParams,
                   vocab: Vocab,
                   alpha: float,
-                  beta: float,
-                  stop_grad_on_classifier: bool = False,
-                  lp_mode: str = "union") -> tuple[Node, LossBreakdown]:
+                  beta: float) -> tuple[Node, LossBreakdown]:
     """total = L_P + alpha * L_IRM + beta * L_OCD over one step's batch.
 
-    lp_mode "union" takes the prediction loss as a uniform mean over the whole
-    batch; "env_mean" averages the per-environment mean losses instead (these
-    coincide when the environments partition the batch into equal halves).
-    env_batches is consulted only when alpha > 0 or lp_mode is "env_mean",
-    pairs only when beta > 0; all example lists must reference the same
-    Example objects as ``batch`` so the forward graph is shared.
+    The prediction loss is a uniform mean over the whole batch. env_batches
+    is consulted only when alpha > 0, pairs only when beta > 0; all example
+    lists must reference the same Example objects as ``batch`` so the
+    forward graph is shared.
     """
     if alpha < 0.0 or beta < 0.0:
         raise ValueError("alpha and beta must be non-negative")
-    if lp_mode not in ("union", "env_mean"):
-        raise ValueError(f"unknown lp_mode {lp_mode!r}")
     everything = list(batch)
-    if alpha > 0.0 or lp_mode == "env_mean":
+    if alpha > 0.0:
         for members in env_batches.values():
             everything.extend(members)
     if beta > 0.0:
@@ -165,14 +162,7 @@ def combined_loss(batch: list[Example],
             everything.append(b)
     fwds = forward_examples(everything, vocab, params)
 
-    if lp_mode == "union":
-        l_p = prediction_loss([fwds[id(ex)] for ex in batch])
-    else:
-        if not env_batches:
-            raise ValueError('lp_mode "env_mean" requires environment batches')
-        env_means = [prediction_loss([fwds[id(ex)] for ex in env_batches[name]])
-                     for name in sorted(env_batches)]
-        l_p = scale(nsum(env_means), 1.0 / len(env_means))
+    l_p = prediction_loss([fwds[id(ex)] for ex in batch])
     total = l_p
     l_irm_value = 0.0
     l_ocd_value = 0.0
@@ -189,7 +179,7 @@ def combined_loss(batch: list[Example],
         if not pairs:
             raise ValueError("beta > 0 requires counterfactual pairs")
         pair_fwds = [(fwds[id(a)], fwds[id(b)]) for a, b in pairs]
-        l_ocd, n_pairs_used = ocd_loss(pair_fwds, params, stop_grad_on_classifier)
+        l_ocd, n_pairs_used = ocd_loss(pair_fwds, params)
         l_ocd_value = l_ocd.value
         total = add(total, scale(l_ocd, beta))
 
@@ -210,9 +200,7 @@ def combined_loss(batch: list[Example],
 
 def objective_and_grad(params: Snapshot, grads: Snapshot, x: np.ndarray, y: np.ndarray,
                        envs: list[np.ndarray], pairs: np.ndarray,
-                       alpha: float, beta: float,
-                       stop_grad_on_classifier: bool = False,
-                       lp_mode: str = "union") -> LossBreakdown:
+                       alpha: float, beta: float) -> LossBreakdown:
     """combined_loss and its gradient in closed form, for one step.
 
     x holds the step's feature rows and y their labels. envs lists, in sorted
@@ -223,8 +211,6 @@ def objective_and_grad(params: Snapshot, grads: Snapshot, x: np.ndarray, y: np.n
     """
     if alpha < 0.0 or beta < 0.0:
         raise ValueError("alpha and beta must be non-negative")
-    if lp_mode not in ("union", "env_mean"):
-        raise ValueError(f"unknown lp_mode {lp_mode!r}")
     n = len(y)
     if n == 0:
         raise ValueError("prediction loss over an empty batch")
@@ -238,21 +224,13 @@ def objective_and_grad(params: Snapshot, grads: Snapshot, x: np.ndarray, y: np.n
     e_sum = e.sum(axis=1, keepdims=True)
     p = e / e_sum
     ce = (z_max + np.log(e_sum))[:, 0] - z[rows, y]
-    p_minus_y = p.copy()
-    p_minus_y[rows, y] -= 1.0
+    l_p = ce.sum() * (1.0 / n)
+    total = l_p
 
     # dz: gradient of the total with respect to the logits
-    if lp_mode == "union":
-        l_p = ce.sum() * (1.0 / n)
-        dz = p_minus_y * (1.0 / n)
-    else:
-        if not envs:
-            raise ValueError('lp_mode "env_mean" requires environment batches')
-        l_p = sum(ce[idx].sum() * (1.0 / len(idx)) for idx in envs) * (1.0 / len(envs))
-        dz = np.zeros_like(z)
-        for idx in envs:
-            np.add.at(dz, idx, p_minus_y[idx] * (1.0 / (len(envs) * len(idx))))
-    total = l_p
+    dz = p.copy()
+    dz[rows, y] -= 1.0
+    dz *= 1.0 / n
 
     l_irm = 0.0
     if alpha > 0.0:
@@ -299,10 +277,9 @@ def objective_and_grad(params: Snapshot, grads: Snapshot, x: np.ndarray, y: np.n
             for (idx, w_y, q, s), u in zip(sides, (u_a, -u_a)):
                 t = (u * w_y).sum(axis=1)
                 np.add.at(dh, idx, u - (t / q)[:, None] * w_y)
-                if not stop_grad_on_classifier:
-                    dw = ((2.0 * s * t / (q * q))[:, None] * w_y
-                          - (t[:, None] * h[idx] + s[:, None] * u) / q[:, None])
-                    np.add.at(grads.classifier, y[idx], dw)
+                dw = ((2.0 * s * t / (q * q))[:, None] * w_y
+                      - (t[:, None] * h[idx] + s[:, None] * u) / q[:, None])
+                np.add.at(grads.classifier, y[idx], dw)
 
     grads.out_bias[...] = dz.sum(axis=0)
     if params.hidden is not None:

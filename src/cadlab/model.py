@@ -7,9 +7,10 @@ representation against its gold label vector feeds the pair-alignment loss.
 
 Parameters have two forms. Training and evaluation use a Snapshot: numpy
 arrays that can be views into one flat float64 vector (``Snapshot.from_flat``),
-so an optimizer updates the vector in place. ModelParams holds the same values
-as scalar graph Nodes for the autodiff reference, which checks the
-closed-form training gradient. Both start from ``initial_values``.
+so an optimizer updates the vector in place, and every prediction is
+``Snapshot.predict_matrix``. ModelParams holds the same values as scalar graph
+Nodes for the autodiff reference, which checks the closed-form training
+gradient. Both start from ``initial_values``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Node, add, const, div, dot, exp, log, mul, nmax, nsum, sub, tanh, wsum
 from .data import Vocab
 
@@ -109,11 +109,6 @@ class ModelParams:
     def n_params(self) -> int:
         return len(self.flat())
 
-    def assert_finite(self) -> None:
-        for p in self.flat():
-            if not math.isfinite(p.value):
-                raise FloatingPointError("non-finite parameter value")
-
     def snapshot(self) -> "Snapshot":
         return Snapshot(
             config=self.config,
@@ -194,18 +189,6 @@ def logits(h: list[Node], params: ModelParams) -> list[Node]:
     return [add(dot(row, h), b) for row, b in zip(params.classifier, params.out_bias)]
 
 
-def log_softmax(z: list[Node]) -> list[Node]:
-    """Numerically stable log-probabilities via max-subtracted log-sum-exp."""
-    m = nmax(z)
-    lse = add(m, log(nsum([exp(sub(zi, m)) for zi in z])))
-    return [sub(zi, lse) for zi in z]
-
-
-def predict_proba(h: list[Node], params: ModelParams) -> list[Node]:
-    """Class probabilities: softmax over label-vector dot products."""
-    return [exp(lp) for lp in log_softmax(logits(h, params))]
-
-
 def cross_entropy(z: list[Node], label: int) -> Node:
     m = nmax(z)
     lse = add(m, log(nsum([exp(sub(zi, m)) for zi in z])))
@@ -218,8 +201,7 @@ class Decomposition:
     h_perp: list[Node]
 
 
-def decompose(h: list[Node], label: int, params: ModelParams,
-              stop_grad_on_classifier: bool = False) -> Decomposition:
+def decompose(h: list[Node], label: int, params: ModelParams) -> Decomposition:
     """Split h into components parallel and orthogonal to the gold label vector.
 
     h_par = ((h . w_y) / (w_y . w_y)) w_y and h_perp = h - h_par. Raises
@@ -227,8 +209,6 @@ def decompose(h: list[Node], label: int, params: ModelParams,
     so callers can skip the pair rather than divide by epsilon.
     """
     row = params.classifier[label]
-    if stop_grad_on_classifier:
-        row = [const(p.value) for p in row]
     q = dot(row, row)
     if q.value <= DEGENERATE_NORM_EPS ** 2:
         raise DegenerateLabelVector(
@@ -237,16 +217,6 @@ def decompose(h: list[Node], label: int, params: ModelParams,
     h_par = [mul(coef, w_j) for w_j in row]
     h_perp = [sub(h_j, p_j) for h_j, p_j in zip(h, h_par)]
     return Decomposition(h_par=h_par, h_perp=h_perp)
-
-
-def predict(x_sparse: list[tuple[int, float]], params: ModelParams) -> int:
-    """Predicted class index; ties break toward the lowest class index."""
-    z = logits(encode(x_sparse, params), params)
-    best, arg = z[0].value, 0
-    for k in range(1, len(z)):
-        if z[k].value > best:
-            best, arg = z[k].value, k
-    return arg
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,15 @@ All parameters live in one float64 vector, which Adam or SGD updates with
 array operations. The list-based ``adam_step`` and ``sgd_step`` update scalar
 graph leaves and serve, with ``combined_loss`` and ``autodiff.grad``, as the
 reference that the tests check this path against. Given (seed, config, data),
-every logged number is reproducible bit-for-bit.
+every logged number is reproducible bit-for-bit. The checkpoint is always
+the epoch with the best train accuracy, the earliest on ties.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,13 +46,7 @@ class TrainConfig:
     epochs: int = 100
     seed: int = 0
     optimizer: str = "adam"        # "adam" | "sgd"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    checkpoint_rule: str = "best_train_accuracy"   # | "best_val_accuracy" | "final"
-    stop_grad_on_W_for_ocd: bool = False
     env_mode: str = "disjoint"     # | "overlap": e_cad additionally holds the originals
-    lp_mode: str = "union"         # | "env_mean": average the per-environment mean losses
     n_classes: int = 2
     embed_dim: int = 8
     use_hidden: bool = False
@@ -67,12 +62,8 @@ class TrainConfig:
             raise ValueError("alpha and beta must be non-negative")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.checkpoint_rule not in ("best_train_accuracy", "best_val_accuracy", "final"):
-            raise ValueError(f"unknown checkpoint rule {self.checkpoint_rule!r}")
         if self.env_mode not in ("disjoint", "overlap"):
             raise ValueError(f"unknown env_mode {self.env_mode!r}")
-        if self.lp_mode not in ("union", "env_mean"):
-            raise ValueError(f"unknown lp_mode {self.lp_mode!r}")
         if self.n_classes < 1 or self.embed_dim < 1:
             raise ValueError("n_classes and embed_dim must be >= 1")
 
@@ -86,16 +77,6 @@ class TrainConfig:
         if unknown:
             raise ValueError(f"unknown train config keys: {sorted(unknown)}")
         return cls(**d)
-
-
-# Constants from the two training regimes the method was tuned under. The
-# pretrained presets exist for documentation parity; their batch sizes are
-# rounded down to whole pairs (8 -> 4 pairs, 5 -> 2 pairs).
-PRESETS = {
-    "shallow": TrainConfig(alpha=1.6, beta=0.1, learning_rate=1e-3, batch_pairs=16, epochs=100),
-    "pretrained_sa": TrainConfig(alpha=0.1, beta=0.1, learning_rate=1e-5, batch_pairs=4, epochs=10),
-    "pretrained_nli": TrainConfig(alpha=0.1, beta=0.1, learning_rate=1e-5, batch_pairs=2, epochs=10),
-}
 
 
 @dataclass
@@ -135,8 +116,6 @@ class Checkpoint:
     snapshot: Snapshot
     epoch: int
     train_accuracy: float
-    log: TrainingLog
-    val_accuracy: float | None = None
 
 
 def make_batches(pairs: list[PairedExample], batch_pairs: int, seed: int,
@@ -208,14 +187,14 @@ def _check_finite(step: int, component: str, values: np.ndarray) -> None:
         raise NonFiniteLossError(step, component, float(bad[0]))
 
 
-def batch_rows(batch: list[PairedExample], need_envs: bool, alpha: float,
+def batch_rows(batch: list[PairedExample], alpha: float,
                env_mode: str) -> tuple[list, list[np.ndarray], np.ndarray]:
     """A batch's examples, the positions of each environment's members (in
     sorted environment-name order, from partition_environments) and the
     (original, counterfactual) positions of each pair."""
     examples = [m for unit in batch for m in unit.members()]
     position = {id(ex): j for j, ex in enumerate(examples)}
-    envs = partition_environments(examples, alpha, env_mode) if need_envs else {}
+    envs = partition_environments(examples, alpha, env_mode) if alpha > 0.0 else {}
     env_rows = [np.array([position[id(ex)] for ex in envs[name]], dtype=np.intp)
                 for name in sorted(envs)]
     pair_rows = np.array([(position[id(u.original)], position[id(u.counterfactual)])
@@ -225,13 +204,12 @@ def batch_rows(batch: list[PairedExample], need_envs: bool, alpha: float,
 
 
 def train(config: TrainConfig, pairs: list[PairedExample],
-          vocab: Vocab | None = None,
-          val_pairs: list[PairedExample] | None = None) -> tuple[Checkpoint, TrainingLog]:
-    """Run the full training loop and return the selected checkpoint.
+          vocab: Vocab | None = None) -> tuple[Checkpoint, TrainingLog]:
+    """Run the full training loop and return the checkpoint of the epoch with
+    the best train accuracy (the earliest on ties), with the log.
 
     The vocabulary is built from the training split unless one is supplied
     (runners share a vocab across arms so checkpoints stay comparable).
-    val_pairs back the optional best-validation-accuracy checkpoint rule.
     """
     if not pairs:
         raise ValueError("training requires at least one pair")
@@ -244,18 +222,12 @@ def train(config: TrainConfig, pairs: list[PairedExample],
     if config.alpha > 0.0:
         # raises EmptyEnvironmentError when an environment would be empty
         partition_environments(all_examples, config.alpha, config.env_mode)
-    if config.checkpoint_rule == "best_val_accuracy" and not val_pairs:
-        raise ValueError('checkpoint rule "best_val_accuracy" requires val_pairs')
 
     if vocab is None:
         vocab = Vocab.from_examples(all_examples)
     features = featurize_matrix(all_examples, vocab)
     labels = np.array([ex.label for ex in all_examples], dtype=np.intp)
     row_of = {id(ex): i for i, ex in enumerate(all_examples)}
-    if val_pairs:
-        val_examples = [m for unit in val_pairs for m in unit.members()]
-        val_features = featurize_matrix(val_examples, vocab)
-        val_labels = np.array([ex.label for ex in val_examples], dtype=np.intp)
 
     model_cfg = ModelConfig(vocab_size=vocab.size, n_classes=config.n_classes,
                             embed_dim=config.embed_dim, use_hidden=config.use_hidden)
@@ -265,7 +237,6 @@ def train(config: TrainConfig, pairs: list[PairedExample],
     grads = Snapshot.from_flat(model_cfg, gradient)
     adam = (AdamState(m=np.zeros_like(theta), v=np.zeros_like(theta))
             if config.optimizer == "adam" else None)
-    need_envs = config.alpha > 0.0 or config.lp_mode == "env_mean"
 
     log = TrainingLog()
     best: Checkpoint | None = None
@@ -273,23 +244,19 @@ def train(config: TrainConfig, pairs: list[PairedExample],
     for epoch in range(config.epochs):
         epoch_breakdowns = []
         for batch in make_batches(pairs, config.batch_pairs, config.seed, epoch):
-            batch_examples, env_rows, pair_rows = batch_rows(
-                batch, need_envs, config.alpha, config.env_mode)
+            batch_examples, env_rows, pair_rows = batch_rows(batch, config.alpha, config.env_mode)
             rows = [row_of[id(ex)] for ex in batch_examples]
             with np.errstate(over="ignore", invalid="ignore"):
                 breakdown = objective_and_grad(
                     params, grads, features[rows], labels[rows], env_rows, pair_rows,
-                    config.alpha, config.beta,
-                    stop_grad_on_classifier=config.stop_grad_on_W_for_ocd,
-                    lp_mode=config.lp_mode)
+                    config.alpha, config.beta)
                 for component, value in (("l_p", breakdown.l_p), ("l_irm", breakdown.l_irm),
                                          ("l_ocd", breakdown.l_ocd), ("total", breakdown.total)):
                     if not math.isfinite(value):
                         raise NonFiniteLossError(step, component, value)
                 _check_finite(step, "grad", gradient)
                 if adam is not None:
-                    adam_step_vector(theta, gradient, adam, config.learning_rate,
-                                     config.adam_beta1, config.adam_beta2, config.adam_eps)
+                    adam_step_vector(theta, gradient, adam, config.learning_rate)
                 else:
                     theta -= config.learning_rate * gradient
                 _check_finite(step, "params", theta)
@@ -299,7 +266,6 @@ def train(config: TrainConfig, pairs: list[PairedExample],
 
         snap = Snapshot.from_flat(model_cfg, theta.copy())
         acc = train_accuracy(snap, features, labels)
-        val_acc = train_accuracy(snap, val_features, val_labels) if val_pairs else None
         n = len(epoch_breakdowns)
         log.epochs.append(EpochSummary(
             epoch=epoch,
@@ -309,25 +275,7 @@ def train(config: TrainConfig, pairs: list[PairedExample],
             mean_l_ocd=sum(b.l_ocd for b in epoch_breakdowns) / n,
             mean_total=sum(b.total for b in epoch_breakdowns) / n,
         ))
-        if config.checkpoint_rule == "best_val_accuracy":
-            selector = val_acc
-            incumbent = best.val_accuracy if best is not None else None
-        else:
-            selector = acc
-            incumbent = best.train_accuracy if best is not None else None
         # strict > keeps the earliest epoch on ties
-        if config.checkpoint_rule == "final" or best is None or selector > incumbent:
-            best = Checkpoint(snapshot=snap, epoch=epoch, train_accuracy=acc,
-                              log=log, val_accuracy=val_acc)
+        if best is None or acc > best.train_accuracy:
+            best = Checkpoint(snapshot=snap, epoch=epoch, train_accuracy=acc)
     return best, log
-
-
-def ablated(config: TrainConfig, alpha: float | None = None,
-            beta: float | None = None) -> TrainConfig:
-    """Copy of the config with one or both loss weights replaced."""
-    changes = {}
-    if alpha is not None:
-        changes["alpha"] = alpha
-    if beta is not None:
-        changes["beta"] = beta
-    return replace(config, **changes)

@@ -125,6 +125,62 @@ def test_train_empty_model_dimension_exit_1(small_data, capsys, flag, config):
     assert "bad train config" in capsys.readouterr().err
 
 
+def test_removed_train_config_keys_exit_1(small_data, capsys):
+    """A config file that sets an option TrainConfig no longer has is rejected."""
+    tmp_path, data_dir = small_data
+    cfg = tmp_path / "train.json"
+    for key, value in (("lp_mode", "union"), ("stop_grad_on_W_for_ocd", False),
+                       ("checkpoint_rule", "best_train_accuracy"), ("adam_beta1", 0.9),
+                       ("adam_beta2", 0.999), ("adam_eps", 1e-8)):
+        _write_json(cfg, {"epochs": 1, key: value})
+        rc = main(["train", "--config", str(cfg), "--data", str(data_dir),
+                   "--out", str(tmp_path / "o"), "--seed", "1"])
+        assert rc == 1
+        assert f"unknown train config keys: ['{key}']" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+# (file in the data directory, its new content or None to delete it, message)
+BROKEN_DATA_FILES = [
+    pytest.param("generator_config.json", None, "generator_config.json: file not found",
+                 id="generator_config-missing"),
+    pytest.param("generator_config.json", "{not json", "generator_config.json: invalid JSON",
+                 id="generator_config-invalid_json"),
+    pytest.param("generator_config.json", "[]", "generator_config.json: expected a JSON object",
+                 id="generator_config-not_object"),
+    pytest.param("generator_config.json", '{"n_pairs": 0}',
+                 "generator_config.json: n_pairs must be >= 1", id="generator_config-bad_value"),
+    pytest.param("groups.json", None, "groups.json: file not found", id="groups-missing"),
+    pytest.param("groups.json", "{not json", "groups.json: invalid JSON",
+                 id="groups-invalid_json"),
+    pytest.param("groups.json", '{"noise": []}', "groups.json: feature groups lack",
+                 id="groups-lacks_group"),
+]
+
+DATA_COMMANDS = {
+    "train": ["--seed", "1"],
+    "ablate": ["--seeds", "0,1"],
+    "data-efficiency": ["--sizes", "4", "--seeds", "0"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(DATA_COMMANDS))
+@pytest.mark.parametrize("name, content, message", BROKEN_DATA_FILES)
+def test_broken_dataset_file_exit_1(small_data, capsys, command, name, content, message):
+    tmp_path, data_dir = small_data
+    if content is None:
+        (data_dir / name).unlink()
+    else:
+        (data_dir / name).write_text(content)
+    out = tmp_path / "out"
+    rc = main([command, "--data", str(data_dir), "--out", str(out), "--epochs", "1",
+               *DATA_COMMANDS[command]])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 def test_eval_bad_checkpoint_exit_1(small_data, capsys):
     tmp_path, data_dir = small_data
     bad = tmp_path / "bad.json"

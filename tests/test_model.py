@@ -4,12 +4,11 @@ import random
 import numpy as np
 import pytest
 
-from cadlab.autodiff import const, grad, finite_diff_check, nsum
+from cadlab.autodiff import const, finite_diff_check, grad, nsum
 from cadlab.data import GeneratorConfig, Vocab, featurize_matrix, featurize_sparse, generate_cad
 from cadlab.model import (
     DegenerateLabelVector, ModelConfig, ModelParams,
-    cross_entropy, decompose, encode, load_checkpoint, log_softmax, logits,
-    predict, predict_proba, save_checkpoint,
+    cross_entropy, decompose, encode, load_checkpoint, logits, save_checkpoint,
 )
 
 
@@ -66,57 +65,17 @@ def test_encode_gradient_matches_finite_differences():
     assert finite_diff_check(build, point, 1e-4) < 1e-6
 
 
-def test_predict_proba_uniform_when_rows_identical():
-    params = _params(embed_dim=2)
-    _set_matrix(params.classifier, [[0.4, -0.3], [0.4, -0.3]])
-    _set_vector(params.out_bias, [0.0, 0.0])
-    h = [const(0.7), const(-0.1)]
-    p = predict_proba(h, params)
-    assert [n.value for n in p] == pytest.approx([0.5, 0.5], abs=1e-15)
-
-
-def test_predict_proba_known_logits():
-    # logits (ln 2, 0) -> probabilities (2/3, 1/3)
-    params = _params(embed_dim=1)
-    _set_matrix(params.classifier, [[math.log(2.0)], [0.0]])
-    _set_vector(params.out_bias, [0.0, 0.0])
-    h = [const(1.0)]
-    p = predict_proba(h, params)
-    assert p[0].value == pytest.approx(2 / 3, abs=1e-12)
-    assert p[1].value == pytest.approx(1 / 3, abs=1e-12)
-
-
-def test_predict_proba_single_class():
-    params = _params(n_classes=1, embed_dim=2)
-    h = [const(0.3), const(0.9)]
-    p = predict_proba(h, params)
-    assert len(p) == 1
-    assert p[0].value == pytest.approx(1.0, abs=1e-15)
-
-
-def test_proba_normalization_random():
-    rng = random.Random(3)
-    for _ in range(1000):
-        d = rng.randrange(1, 6)
-        n = rng.randrange(2, 5)
-        params = _params(n_classes=n, embed_dim=d, seed=rng.randrange(10**6))
-        _set_matrix(params.classifier,
-                    [[rng.uniform(-3, 3) for _ in range(d)] for _ in range(n)])
-        _set_vector(params.out_bias, [rng.uniform(-2, 2) for _ in range(n)])
-        h = [const(rng.uniform(-3, 3)) for _ in range(d)]
-        p = predict_proba(h, params)
-        assert abs(sum(n.value for n in p) - 1.0) < 1e-9
-
-
 def test_softmax_shift_invariance():
+    # cross_entropy is -log softmax_y through a max-subtracted log-sum-exp,
+    # so shifting every logit by c leaves it unchanged
     rng = random.Random(4)
     for _ in range(200):
         z = [rng.uniform(-5, 5) for _ in range(3)]
         c = rng.uniform(-50, 50)
-        lp1 = log_softmax([const(v) for v in z])
-        lp2 = log_softmax([const(v + c) for v in z])
-        for a, b in zip(lp1, lp2):
-            assert abs(math.exp(a.value) - math.exp(b.value)) < 1e-12
+        for y in range(3):
+            ce1 = cross_entropy([const(v) for v in z], y)
+            ce2 = cross_entropy([const(v + c) for v in z], y)
+            assert abs(math.exp(-ce1.value) - math.exp(-ce2.value)) < 1e-12
 
 
 def test_decompose_axis_aligned():
@@ -193,30 +152,30 @@ def test_decompose_shift_invariance():
             assert abs(a.value - b.value) < 1e-9
 
 
-def test_decompose_stop_grad_on_classifier():
+def test_decompose_gradient_reaches_classifier():
     params = _params(embed_dim=2)
     _set_matrix(params.classifier, [[1.0, 1.0], [0.2, 0.1]])
     h = [const(1.0), const(2.0)]
-    dec = decompose(h, 0, params, stop_grad_on_classifier=True)
+    dec = decompose(h, 0, params)
     out = nsum([n * n for n in dec.h_perp])
     g = grad(out, params.classifier[0])
-    assert g == [0.0, 0.0]
-    dec2 = decompose(h, 0, params, stop_grad_on_classifier=False)
-    out2 = nsum([n * n for n in dec2.h_perp])
-    g2 = grad(out2, params.classifier[0])
-    assert any(v != 0.0 for v in g2)
+    assert any(v != 0.0 for v in g)
 
 
 def test_predict_tie_break_and_argmax():
-    params = _params(embed_dim=2)
-    _set_matrix(params.classifier, [[0.0, 0.0], [0.0, 0.0]])
-    _set_vector(params.out_bias, [0.0, 0.0])
-    assert predict([(0, 1.0)], params) == 0  # uniform -> lowest index
-
-    _set_vector(params.out_bias, [1.0, 0.0])
-    assert predict([(0, 1.0)], params) == 0
-    _set_vector(params.out_bias, [0.0, 1.0])
-    assert predict([(0, 1.0)], params) == 1
+    # a zero classifier makes the logits equal the output bias in every row
+    features = np.array([[1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.5, 0.0]])
+    for out_bias, expected in (
+            ([0.0, 0.0], 0),             # uniform -> lowest index
+            ([1.0, 0.0], 0),
+            ([0.0, 1.0], 1),
+            ([0.0, 1.0, 1.0], 1),        # tie between the top two -> the lower of them
+            ([2.0, 0.5, 2.0], 0),
+            ([-1.0, 0.0, 0.0], 1)):
+        snap = _params(n_classes=len(out_bias), embed_dim=2).snapshot()
+        snap.classifier[...] = 0.0
+        snap.out_bias[...] = out_bias
+        assert snap.predict_matrix(features).tolist() == [expected, expected], out_bias
 
 
 def test_cross_entropy_values():
@@ -271,11 +230,3 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     path.write_text('{"format_version": 99}')
     with pytest.raises(ValueError):
         load_checkpoint(path)
-
-
-def test_params_finite_check():
-    params = _params()
-    params.assert_finite()
-    params.out_bias[0].value = float("nan")
-    with pytest.raises(FloatingPointError):
-        params.assert_finite()

@@ -17,8 +17,8 @@ from cadlab.losses import combined_loss, objective_and_grad
 from cadlab.model import ModelConfig, ModelParams, Snapshot, cross_entropy, encode, logits
 from cadlab.data import featurize_sparse
 from cadlab.training import (
-    AdamState, Checkpoint, NonFiniteLossError, PRESETS, TrainConfig, ablated,
-    adam_step, batch_rows, make_batches, sgd_step, train,
+    AdamState, Checkpoint, NonFiniteLossError, TrainConfig, adam_step, batch_rows,
+    make_batches, sgd_step, train,
 )
 
 # closed form vs scalar autodiff: |difference| <= TOL * max(1, |reference|)
@@ -114,17 +114,6 @@ def test_train_config_validation():
     assert cfg.alpha == 0.3
 
 
-def test_presets_carry_published_regimes():
-    assert PRESETS["shallow"].alpha == 1.6
-    assert PRESETS["shallow"].beta == 0.1
-    assert PRESETS["shallow"].learning_rate == 1e-3
-    assert PRESETS["shallow"].batch_pairs * 2 == 32
-    assert PRESETS["shallow"].epochs == 100
-    assert PRESETS["pretrained_sa"].alpha == 0.1
-    assert PRESETS["pretrained_sa"].learning_rate == 1e-5
-    assert PRESETS["pretrained_sa"].epochs == 10
-
-
 def test_training_is_deterministic():
     ds = _dataset(n_pairs=16)
     cfg = TrainConfig(alpha=0.5, beta=0.1, epochs=2, batch_pairs=4, seed=11, embed_dim=4)
@@ -167,8 +156,7 @@ def test_erm_reduction_small():
             loss = scale(nsum(ces), 1.0 / len(ces))
             ref_losses.append(loss.value)
             grads = grad(loss, flat)
-            adam_step(flat, grads, state, cfg.learning_rate,
-                      cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+            adam_step(flat, grads, state, cfg.learning_rate)
     assert len(ref_losses) == len(log.steps)
     for ref, got in zip(ref_losses, log.steps):
         assert abs(ref - got.total) <= 1e-12
@@ -181,14 +169,6 @@ def test_checkpoint_rule_prefers_best_then_earliest():
     accs = [e.train_accuracy for e in log.epochs]
     assert ck.train_accuracy == max(accs)
     assert ck.epoch == accs.index(max(accs))  # earliest among ties
-
-
-def test_checkpoint_rule_final():
-    ds = _dataset(n_pairs=8, seed=6)
-    cfg = TrainConfig(alpha=0.0, beta=0.0, epochs=3, batch_pairs=4, seed=2,
-                      embed_dim=4, checkpoint_rule="final")
-    ck, log = train(cfg, ds.train_pairs)
-    assert ck.epoch == 2
 
 
 def test_train_requires_pairs_for_beta():
@@ -223,55 +203,6 @@ def test_non_finite_abort_diagnostic():
     assert exc.value.step >= 0
 
 
-def test_ablated_helper():
-    cfg = TrainConfig(alpha=1.6, beta=0.1)
-    assert ablated(cfg, alpha=0.0).alpha == 0.0
-    assert ablated(cfg, alpha=0.0).beta == 0.1
-    assert ablated(cfg, beta=0.0).alpha == 1.6
-    assert ablated(cfg).to_dict() == cfg.to_dict()
-
-
-def test_lp_mode_env_mean_matches_union_on_balanced_pairs():
-    # with disjoint environments and whole pairs, the per-environment means
-    # average to exactly the union mean
-    ds = _dataset(n_pairs=12, seed=3)
-    base = dict(alpha=0.3, beta=0.0, epochs=1, batch_pairs=4, seed=7, embed_dim=4)
-    _, log_u = train(TrainConfig(**base, lp_mode="union"), ds.train_pairs)
-    _, log_e = train(TrainConfig(**base, lp_mode="env_mean"), ds.train_pairs)
-    for bu, be in zip(log_u.steps, log_e.steps):
-        assert be.l_p == pytest.approx(bu.l_p, abs=1e-12)
-
-    # in overlap mode the environments have different sizes, so they differ
-    over = dict(base, alpha=0.3)
-    _, log_u2 = train(TrainConfig(**over, env_mode="overlap", lp_mode="union"), ds.train_pairs)
-    _, log_e2 = train(TrainConfig(**over, env_mode="overlap", lp_mode="env_mean"), ds.train_pairs)
-    assert any(abs(a.l_p - b.l_p) > 1e-9 for a, b in zip(log_u2.steps, log_e2.steps))
-
-
-def test_checkpoint_rule_best_val_accuracy():
-    ds = _dataset(n_pairs=20, seed=12)
-    train_part = ds.train_pairs[:16]
-    val_part = ds.train_pairs[16:]
-    cfg = TrainConfig(alpha=0.0, beta=0.0, epochs=4, batch_pairs=4, seed=2,
-                      embed_dim=4, checkpoint_rule="best_val_accuracy")
-    ck, log = train(cfg, train_part, val_pairs=val_part)
-    assert ck.val_accuracy is not None
-    with pytest.raises(ValueError):
-        train(cfg, train_part)  # no val data supplied
-
-
-def test_stop_grad_flag_changes_training():
-    ds = _dataset(n_pairs=10, seed=8)
-    base = TrainConfig(alpha=0.0, beta=0.5, epochs=1, batch_pairs=5, seed=3, embed_dim=4)
-    ck1, _ = train(base, ds.train_pairs)
-    ck2, _ = train(ablated(base), ds.train_pairs)  # identical config -> identical result
-    assert ck1.snapshot.classifier.tolist() == ck2.snapshot.classifier.tolist()
-    flagged = TrainConfig(alpha=0.0, beta=0.5, epochs=1, batch_pairs=5, seed=3,
-                          embed_dim=4, stop_grad_on_W_for_ocd=True)
-    ck3, _ = train(flagged, ds.train_pairs)
-    assert ck1.snapshot.classifier.tolist() != ck3.snapshot.classifier.tolist()
-
-
 # ---------------------------------------------------------------------------
 # the closed-form step against the scalar autodiff reference
 
@@ -285,22 +216,20 @@ def _assert_breakdowns_match(got, ref):
     assert got.n_pairs_used == ref.n_pairs_used
 
 
-def _step_both_ways(units, params, vocab, alpha, beta, env_mode, lp_mode, stop_grad):
+def _step_both_ways(units, params, vocab, alpha, beta, env_mode):
     """One step's loss breakdown and gradient from combined_loss plus
     autodiff.grad, and from objective_and_grad on the same batch."""
-    need_envs = alpha > 0.0 or lp_mode == "env_mean"
-    batch, env_rows, pair_rows = batch_rows(units, need_envs, alpha, env_mode)
-    envs = partition_environments(batch, alpha, env_mode) if need_envs else {}
+    batch, env_rows, pair_rows = batch_rows(units, alpha, env_mode)
+    envs = partition_environments(batch, alpha, env_mode) if alpha > 0.0 else {}
     pairs = [(u.original, u.counterfactual) for u in units if u.counterfactual is not None]
-    total, ref = combined_loss(batch, pairs, envs, params, vocab, alpha, beta,
-                               stop_grad_on_classifier=stop_grad, lp_mode=lp_mode)
+    total, ref = combined_loss(batch, pairs, envs, params, vocab, alpha, beta)
     ref_grad = np.array(grad(total, params.flat()))
     theta = np.array([p.value for p in params.flat()])
     got_grad = np.zeros_like(theta)
     got = objective_and_grad(
         Snapshot.from_flat(params.config, theta), Snapshot.from_flat(params.config, got_grad),
         featurize_matrix(batch, vocab), np.array([ex.label for ex in batch]),
-        env_rows, pair_rows, alpha, beta, stop_grad_on_classifier=stop_grad, lp_mode=lp_mode)
+        env_rows, pair_rows, alpha, beta)
     return ref, ref_grad, got, got_grad
 
 
@@ -312,13 +241,11 @@ def _assert_grads_match(got_grad, ref_grad):
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2 ** 20), n_classes=st.sampled_from([2, 3]),
        use_hidden=st.booleans(), env_mode=st.sampled_from(["disjoint", "overlap"]),
-       lp_mode=st.sampled_from(["union", "env_mean"]), stop_grad=st.booleans(),
        alpha=st.sampled_from([0.0, 0.4, 1.6]), beta=st.sampled_from([0.0, 0.1, 2.0]),
        n_paired=st.integers(1, 4), n_unpaired=st.integers(0, 3),
        spread=st.floats(0.05, 1.5), degenerate_class=st.sampled_from([None, 0, 1]))
-def test_closed_form_step_matches_autodiff(seed, n_classes, use_hidden, env_mode, lp_mode,
-                                           stop_grad, alpha, beta, n_paired, n_unpaired,
-                                           spread, degenerate_class):
+def test_closed_form_step_matches_autodiff(seed, n_classes, use_hidden, env_mode, alpha, beta,
+                                           n_paired, n_unpaired, spread, degenerate_class):
     rng = random.Random(seed)
     ds = generate_cad(GeneratorConfig(n_pairs=8, n_ood=2, n_classes=n_classes,
                                       sentence_length=7, seed=seed))
@@ -335,7 +262,7 @@ def test_closed_form_step_matches_autodiff(seed, n_classes, use_hidden, env_mode
             p.value = 0.0
 
     ref, ref_grad, got, got_grad = _step_both_ways(
-        units, params, vocab, alpha, beta, env_mode, lp_mode, stop_grad)
+        units, params, vocab, alpha, beta, env_mode)
     _assert_breakdowns_match(got, ref)
     _assert_grads_match(got_grad, ref_grad)
 
@@ -348,7 +275,7 @@ def test_closed_form_step_skips_degenerate_pairs_like_reference(caplog):
         p.value = 0.0               # every pair has one class-1 member
     with caplog.at_level(logging.WARNING, logger="cadlab.losses"):
         ref, ref_grad, got, got_grad = _step_both_ways(
-            ds.train_pairs, params, vocab, 1.6, 0.1, "disjoint", "union", False)
+            ds.train_pairs, params, vocab, 1.6, 0.1, "disjoint")
     assert ref.n_pairs_used == got.n_pairs_used == 0
     assert ref.l_ocd == got.l_ocd == 0.0
     _assert_breakdowns_match(got, ref)
@@ -366,21 +293,18 @@ def _reference_train(cfg, pairs):
                          seed=cfg.seed)
     flat = params.flat()
     state = AdamState.zeros(len(flat))
-    need_envs = cfg.alpha > 0.0 or cfg.lp_mode == "env_mean"
     steps, snapshots = [], []
     for epoch in range(cfg.epochs):
         for batch in make_batches(pairs, cfg.batch_pairs, cfg.seed, epoch):
             members = [m for u in batch for m in u.members()]
-            envs = partition_environments(members, cfg.alpha, cfg.env_mode) if need_envs else {}
+            envs = partition_environments(members, cfg.alpha, cfg.env_mode) if cfg.alpha > 0.0 else {}
             step_pairs = [(u.original, u.counterfactual) for u in batch
                           if u.counterfactual is not None]
             total, breakdown = combined_loss(
-                members, step_pairs, envs, params, vocab, cfg.alpha, cfg.beta,
-                stop_grad_on_classifier=cfg.stop_grad_on_W_for_ocd, lp_mode=cfg.lp_mode)
+                members, step_pairs, envs, params, vocab, cfg.alpha, cfg.beta)
             grads = grad(total, flat)
             if cfg.optimizer == "adam":
-                adam_step(flat, grads, state, cfg.learning_rate,
-                          cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+                adam_step(flat, grads, state, cfg.learning_rate)
             else:
                 sgd_step(flat, grads, cfg.learning_rate)
             steps.append(breakdown)
@@ -399,34 +323,27 @@ def _snapshot_vector(snap):
     {"optimizer": "sgd", "learning_rate": 0.5},
     {"use_hidden": True},
     {"env_mode": "overlap"},
-    {"env_mode": "overlap", "lp_mode": "env_mean"},
-    {"stop_grad_on_W_for_ocd": True, "beta": 2.0},
+    {"beta": 2.0},
     {"n_classes": 3},
-    {"checkpoint_rule": "best_val_accuracy"},
 ], ids=lambda c: ",".join(f"{k}={v}" for k, v in c.items()) or "default")
 def test_train_matches_scalar_reference_loop(changes):
     """train() on the closed-form path follows the scalar reference step for
     step on the full objective, and keeps the same checkpoint."""
     n_classes = changes.get("n_classes", 2)
     ds = generate_cad(GeneratorConfig(n_pairs=14, n_ood=2, n_classes=n_classes, seed=21))
-    train_part, val_part = ds.train_pairs[:10], ds.train_pairs[10:]
+    train_part = ds.train_pairs[:10]
     cfg = TrainConfig(**{"alpha": 1.6, "beta": 0.1, "learning_rate": 0.05, "epochs": 3,
                          "batch_pairs": 4, "seed": 4, "embed_dim": 4, **changes})
-    ck, log = train(cfg, train_part, val_pairs=val_part)
+    ck, log = train(cfg, train_part)
 
     vocab, ref_steps, ref_snaps = _reference_train(cfg, train_part)
     assert len(log.steps) == len(ref_steps)
     for got, ref in zip(log.steps, ref_steps):
         _assert_breakdowns_match(got, ref)
     train_examples = [m for u in train_part for m in u.members()]
-    val_examples = [m for u in val_part for m in u.members()]
     for summary, snap in zip(log.epochs, ref_snaps):
         assert summary.train_accuracy == evaluate(snap, train_examples, vocab).accuracy
-    if cfg.checkpoint_rule == "best_val_accuracy":
-        accs = [evaluate(snap, val_examples, vocab).accuracy for snap in ref_snaps]
-        assert ck.val_accuracy == max(accs)
-    else:
-        accs = [e.train_accuracy for e in log.epochs]
+    accs = [e.train_accuracy for e in log.epochs]
     assert ck.epoch == accs.index(max(accs))
     got_vec = _snapshot_vector(ck.snapshot)
     ref_vec = _snapshot_vector(ref_snaps[ck.epoch])
