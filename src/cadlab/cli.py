@@ -199,6 +199,10 @@ def cmd_data_efficiency(args) -> int:
     return 0
 
 
+WORKERS_HELP = ("forked worker processes that share out the runs (default 1: serial); "
+                "the reports are the same at any count")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cadlab",
@@ -236,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--seeds", required=True, help="comma-separated, e.g. 0,1,2")
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("data-efficiency", help="train-size sweep across three arms")
@@ -245,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", required=True, help="comma-separated example counts")
     p.add_argument("--seeds", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.set_defaults(func=cmd_data_efficiency)
     return parser
 

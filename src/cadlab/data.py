@@ -353,6 +353,8 @@ class GeneratorConfig:
             raise DataError("rho_ood must be in [0, 1]")
         if not 0.0 < self.edit_scope < 1.0:
             raise DataError("edit_scope must be in (0, 1)")
+        if not isinstance(self.tokens_per_group, dict):
+            raise DataError("tokens_per_group must be an object of per-group token counts")
         for key in ("edited", "nonedited", "correlated", "noise"):
             if self.tokens_per_group.get(key, 0) < 1:
                 raise DataError(f"tokens_per_group[{key!r}] must be >= 1")

@@ -10,19 +10,28 @@ its stress variant with edited-causal tokens removed), so reliance on
 non-edited features is visible even when edited features would otherwise
 dominate.
 
-The runners look up the token ids of that union once per call, before the
-worker pool forks; each run featurizes its eval matrices (row slices of the
-union) and its probe matrices from those ids, so only the training rows are
-looked up per run.
+Accuracy reports and probes score an ``EvalSet``: examples featurized once
+under one vocabulary. A runner builds the EvalSet of that OOD union once per
+call and vocabulary, before it forks, so a run costs its own training plus
+four predictions: the unmasked union, which gives both split accuracies and
+the probe baseline, and one masked matrix per probe group. The runs go to at
+most ``workers`` forked child processes, which claim them one at a time, and
+the rows come back in job order. OpenBLAS is held at one thread for the
+whole runner call, serial or forked, so parallel runs do not oversubscribe
+the cores.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+import pickle
+import traceback
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -49,6 +58,51 @@ def config_fingerprint(payload: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
+@dataclass(frozen=True)
+class EvalSet:
+    """Examples featurized once under one vocabulary, to score any number of
+    snapshots on: their labels, the unmasked feature matrix and, when built
+    with groups, one matrix per probe group with that group's tokens removed
+    before counting (the examples themselves are never mutated)."""
+    examples: list
+    labels: np.ndarray
+    features: np.ndarray
+    masked: dict[str, np.ndarray]
+
+    @classmethod
+    def build(cls, examples, vocab: Vocab, groups: FeatureGroups | None = None,
+              ids: TokenIds | None = None) -> "EvalSet":
+        """ids, when given, are the examples' TokenIds."""
+        if groups is not None:
+            for ex in examples:
+                if ex.groups is None:
+                    raise ValueError(f"example {ex.id!r} lacks group annotations")
+        if ids is None:
+            ids = TokenIds.from_examples(examples)
+        labels = np.array([ex.label for ex in examples], dtype=np.intp)
+        features = featurize_matrix(ids, vocab)
+        masked = {} if groups is None else {
+            name: featurize_matrix(ids, vocab, mask_tokens=groups.by_name(name))
+            for name in PROBE_GROUPS}
+        return cls(list(examples), labels, features, masked)
+
+    def correct(self, snapshot: Snapshot, masked: str | None = None) -> np.ndarray:
+        """Per example, whether the snapshot predicts its label: from the
+        unmasked matrix, or from the one with probe group ``masked`` removed."""
+        n_classes = snapshot.config.n_classes
+        outside = np.flatnonzero((self.labels < 0) | (self.labels >= n_classes))
+        if outside.size:
+            ex = self.examples[outside[0]]
+            raise DataError(f"example {ex.id!r} has label {ex.label}, outside the "
+                            f"model's {n_classes} classes")
+        features = self.features if masked is None else self.masked[masked]
+        return snapshot.predict_matrix(features) == self.labels
+
+
+def _accuracy(correct: np.ndarray) -> float:
+    return int(correct.sum()) / len(correct)
+
+
 @dataclass
 class EvalReport:
     split: str
@@ -70,29 +124,19 @@ class EvalReport:
 
 
 def evaluate(snapshot: Snapshot, examples, vocab: Vocab, split: str = "",
-             fingerprint: str = "", seed: int = 0,
-             mask_tokens=None, ids: TokenIds | None = None) -> EvalReport:
-    """Accuracy of a parameter snapshot on a list of examples (pure, read-only).
-
-    ids, when given, are the examples' TokenIds, so callers that score the
-    same examples again do not look their tokens up again.
-    """
+             fingerprint: str = "", seed: int = 0) -> EvalReport:
+    """Accuracy of a parameter snapshot on a list of examples (pure, read-only)."""
     if not examples:
         raise ValueError("evaluate needs a non-empty example list")
+    scored = EvalSet.build(examples, vocab)
+    correct = scored.correct(snapshot)
+    labels = scored.labels
     n_classes = snapshot.config.n_classes
-    labels = np.array([ex.label for ex in examples], dtype=np.intp)
-    outside = np.flatnonzero((labels < 0) | (labels >= n_classes))
-    if outside.size:
-        ex = examples[outside[0]]
-        raise DataError(f"example {ex.id!r} has label {ex.label}, outside the "
-                        f"model's {n_classes} classes")
-    features = featurize_matrix(examples if ids is None else ids, vocab, mask_tokens=mask_tokens)
-    correct = snapshot.predict_matrix(features) == labels
     n_per_class = np.bincount(labels, minlength=n_classes)
     correct_per_class = np.bincount(labels[correct], minlength=n_classes)
     per_class = {int(c): int(correct_per_class[c]) / int(n_per_class[c])
                  for c in np.flatnonzero(n_per_class)}
-    return EvalReport(split=split, accuracy=int(correct.sum()) / len(examples), n=len(examples),
+    return EvalReport(split=split, accuracy=_accuracy(correct), n=len(examples),
                       per_class_accuracy=per_class, fingerprint=fingerprint, seed=seed)
 
 
@@ -101,6 +145,8 @@ class RelianceProbe:
     baseline_accuracy: float
     drops: dict[str, float]      # group name -> baseline - masked accuracy
     n: int
+    # per example, whether the unmasked baseline predicted it right
+    correct: np.ndarray = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {"baseline_accuracy": self.baseline_accuracy,
@@ -108,27 +154,24 @@ class RelianceProbe:
 
 
 def myopia_probe(snapshot: Snapshot, examples, groups: FeatureGroups,
-                 vocab: Vocab, ids: TokenIds | None = None) -> RelianceProbe:
+                 vocab: Vocab) -> RelianceProbe:
     """Per-group accuracy drop when that group's tokens are masked.
 
-    Masking happens at featurization time; the examples are never mutated and
-    the unmasked baseline stays recomputable afterwards. The tokens are looked
-    up once (or taken from ids) and serve the baseline and every mask.
+    examples is a list of examples or an EvalSet built from them with these
+    groups and this vocabulary, which a caller that probes many snapshots on
+    the same examples builds once. Masking happens at featurization time; the
+    examples are never mutated. Each matrix is predicted once.
     """
-    if not examples:
-        raise ValueError("probe needs a non-empty example list")
-    for ex in examples:
-        if ex.groups is None:
-            raise ValueError(f"example {ex.id!r} lacks group annotations")
-    if ids is None:
-        ids = TokenIds.from_examples(examples)
-    baseline = evaluate(snapshot, examples, vocab, split="probe_baseline", ids=ids)
-    drops = {}
-    for name in PROBE_GROUPS:
-        masked = evaluate(snapshot, examples, vocab, split=f"probe_mask_{name}",
-                          mask_tokens=groups.by_name(name), ids=ids)
-        drops[name] = baseline.accuracy - masked.accuracy
-    return RelianceProbe(baseline_accuracy=baseline.accuracy, drops=drops, n=len(examples))
+    if not isinstance(examples, EvalSet):
+        if not examples:
+            raise ValueError("probe needs a non-empty example list")
+        examples = EvalSet.build(examples, vocab, groups)
+    correct = examples.correct(snapshot)
+    baseline = _accuracy(correct)
+    drops = {name: baseline - _accuracy(examples.correct(snapshot, name))
+             for name in PROBE_GROUPS}
+    return RelianceProbe(baseline_accuracy=baseline, drops=drops, n=len(correct),
+                         correct=correct)
 
 
 def sign_test_p(wins: int, losses: int) -> float:
@@ -143,32 +186,34 @@ def sign_test_p(wins: int, losses: int) -> float:
 # ---------------------------------------------------------------------------
 # shared single-run machinery
 
-def ood_token_ids(dataset: GeneratedDataset) -> TokenIds:
-    """TokenIds of the union ood + ood_stress, the rows run_single scores."""
-    return TokenIds.from_examples(dataset.ood + dataset.ood_stress)
+def ood_eval_set(dataset: GeneratedDataset, vocab: Vocab,
+                 ids: TokenIds | None = None) -> EvalSet:
+    """The union ood + ood_stress under vocab, with the probe's masked
+    matrices: what run_single scores. ids are the union's TokenIds, for a
+    caller that builds it under several vocabularies."""
+    if not dataset.ood or not dataset.ood_stress:
+        raise ValueError("a run needs non-empty ood and ood_stress splits")
+    return EvalSet.build(dataset.ood + dataset.ood_stress, vocab, dataset.groups, ids)
 
 
 def run_single(config: TrainConfig, dataset: GeneratedDataset,
-               vocab: Vocab | None = None, ood_ids: TokenIds | None = None) -> dict:
+               vocab: Vocab | None = None, ood: EvalSet | None = None) -> dict:
     """Train one model, evaluate the checkpoint on both OOD variants, and run
     the reliance probe over their union. Returns one flat result row.
 
-    ood_ids are ood_token_ids(dataset), which runners look up once for all
-    their runs; each OOD split is a row slice of them.
+    ood is ood_eval_set(dataset, vocab), which runners build once for all
+    their runs. The probe predicts the union once; its first len(dataset.ood)
+    rows give acc_ood and the rest acc_ood_stress.
     """
     if vocab is None:
         vocab = Vocab.from_examples(dataset.train_examples())
-    if ood_ids is None:
-        ood_ids = ood_token_ids(dataset)
+    if ood is None:
+        ood = ood_eval_set(dataset, vocab)
     checkpoint, _ = train(config, dataset.train_pairs, vocab=vocab)
-    snap = checkpoint.snapshot
+    probe = myopia_probe(checkpoint.snapshot, ood, dataset.groups, vocab)
     n_ood = len(dataset.ood)
-    acc_ood = evaluate(snap, dataset.ood, vocab, split="ood",
-                       ids=ood_ids.rows(0, n_ood)).accuracy
-    acc_stress = evaluate(snap, dataset.ood_stress, vocab, split="ood_stress",
-                          ids=ood_ids.rows(n_ood, len(ood_ids))).accuracy
-    probe = myopia_probe(snap, dataset.ood + dataset.ood_stress, dataset.groups, vocab,
-                         ids=ood_ids)
+    acc_ood = _accuracy(probe.correct[:n_ood])
+    acc_stress = _accuracy(probe.correct[n_ood:])
     return {
         "seed": config.seed,
         "alpha": config.alpha,
@@ -184,83 +229,161 @@ def run_single(config: TrainConfig, dataset: GeneratedDataset,
     }
 
 
-_WORKER_DATASET: GeneratedDataset | None = None
-_WORKER_VOCAB: Vocab | None = None
-_WORKER_OOD_IDS: TokenIds | None = None
+def _tagged_run(config: TrainConfig, dataset: GeneratedDataset, vocab: Vocab,
+                ood: EvalSet, tags: dict) -> dict:
+    row = run_single(config, dataset, vocab, ood)
+    row.update(tags)
+    return row
 
 
-def _one_blas_thread() -> None:
-    """Limit the BLAS that numpy links to one thread, if it is an OpenBLAS
-    whose thread setter is found; otherwise do nothing."""
+def _openblas_thread_calls():
+    """(get, set) of the thread count of the OpenBLAS that numpy links, or
+    None if those symbols are not found."""
     import ctypes
     try:
         from numpy._core import _multiarray_umath
         lib = ctypes.CDLL(_multiarray_umath.__file__)
     except (ImportError, OSError):
+        return None
+    for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                           ("openblas", "64_"), ("openblas", "")):
+        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+        set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+        if get is not None and set_ is not None:
+            get.restype, get.argtypes = ctypes.c_int, []
+            set_.restype, set_.argtypes = None, [ctypes.c_int]
+            return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread for the body and restore the caller's
+    count afterwards; do nothing if its thread calls are not found."""
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
         return
-    for symbol in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-                   "openblas_set_num_threads64_", "openblas_set_num_threads"):
-        setter = getattr(lib, symbol, None)
-        if setter is not None:
-            setter(1)
-            return
+    get, set_ = calls
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
-def _worker_init(dataset: GeneratedDataset, vocab: Vocab, ood_ids: TokenIds,
-                 pool_worker: bool = False) -> None:
-    global _WORKER_DATASET, _WORKER_VOCAB, _WORKER_OOD_IDS
-    _WORKER_DATASET = dataset
-    _WORKER_VOCAB = vocab
-    _WORKER_OOD_IDS = ood_ids
-    if pool_worker:
-        # one BLAS thread per worker, so nproc workers do not oversubscribe the cores
-        _one_blas_thread()
+def _run_jobs(runs: list, workers: int) -> list[dict]:
+    """Call every run (a function of no arguments that returns a row) and
+    return the rows in run order, so the reports do not depend on scheduling.
 
-
-def _worker_run(job: dict) -> dict:
-    config = TrainConfig.from_dict(job["config"])
-    subset = job.get("subset")
-    if subset is None:
-        dataset, vocab = _WORKER_DATASET, _WORKER_VOCAB
-    else:
-        # data-efficiency jobs slice their own training subset and build the
-        # vocabulary from that subset alone
-        kind, k = subset
-        base = _WORKER_DATASET
-        if kind == "pairs":
-            pairs = base.train_pairs[:k]
-        else:
-            pairs = [PairedExample(u.original, None) for u in base.train_pairs[:k]]
-        dataset = GeneratedDataset(train_pairs=pairs, ood=base.ood,
-                                   ood_stress=base.ood_stress, groups=base.groups,
-                                   config=base.config)
-        vocab = Vocab.from_examples(dataset.train_examples())
-    row = run_single(config, dataset, vocab, _WORKER_OOD_IDS)
-    row.update(job["tags"])
-    if subset is not None:
-        members = [m for u in dataset.train_pairs for m in u.members()]
-        row["n_train_examples"] = len(members)
-        row["n_counterfactuals"] = sum(1 for m in members if m.variant == "counterfactual")
-    return row
-
-
-def _run_jobs(jobs: list[dict], dataset: GeneratedDataset, vocab: Vocab,
-              workers: int = 1) -> list[dict]:
-    """Run (config, tags) jobs in deterministic order, optionally in parallel.
-
-    Each run owns its parameters; results are collected in job order so the
-    emitted reports do not depend on scheduling. The OOD token ids are looked
-    up once, before the pool forks, and every run featurizes from them.
+    With workers > 1 the runs go to min(workers, len(runs)) forked children.
+    OpenBLAS is set to one thread here, before any fork, and the children
+    inherit that: each child is one busy core.
     """
-    ood_ids = ood_token_ids(dataset)
-    if workers <= 1 or len(jobs) <= 1:
-        _worker_init(dataset, vocab, ood_ids)
-        return [_worker_run(job) for job in jobs]
-    import multiprocessing as mp
-    ctx = mp.get_context("fork")
-    with ctx.Pool(processes=workers, initializer=_worker_init,
-                  initargs=(dataset, vocab, ood_ids, True)) as pool:
-        return pool.map(_worker_run, jobs)
+    with _one_blas_thread():
+        if workers <= 1 or len(runs) <= 1:
+            return [run() for run in runs]
+        return _fork_join(runs, min(workers, len(runs)))
+
+
+def _take_baton(baton_r: int) -> int:
+    return int.from_bytes(os.read(baton_r, 8), "little")
+
+
+def _pass_baton(baton_w: int, index: int) -> None:
+    os.write(baton_w, index.to_bytes(8, "little"))
+
+
+def _fork_join(runs: list, n_children: int) -> list[dict]:
+    """Call the runs in n_children forked child processes and return their
+    rows in run order.
+
+    The children inherit everything the runs refer to. They claim runs one at
+    a time through a baton: a pipe that holds exactly one 8-byte message, the
+    index of the next unclaimed run, so a child that has read it holds the
+    claim until it writes the following index back. A child whose run raises
+    passes on len(runs), so every child stops after its current run, as the
+    serial loop stops at the first failure. Each child pickles its rows and
+    its exception, if any, to its own pipe and always ends in os._exit.
+
+    The parent waits for every child. It raises RuntimeError if a child ended
+    without sending its result, and otherwise the exception of the earliest
+    failed run, as itself.
+    """
+    n = len(runs)
+    baton_r, baton_w = os.pipe()
+    _pass_baton(baton_w, 0)
+    children = []           # (pid, read end of the child's result pipe)
+    exit_codes = {}
+    try:
+        for _ in range(n_children):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _child(runs, [fd for _, fd in children] + [r], baton_r, baton_w, w)
+            os.close(w)
+            children.append((pid, r))
+        payloads = []
+        for _, r in children:
+            with os.fdopen(r, "rb", closefd=False) as fh:
+                payloads.append(fh.read())
+    finally:
+        for pid, r in children:
+            os.close(r)
+            exit_codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        os.close(baton_r)
+        os.close(baton_w)
+
+    rows = [None] * n
+    failures = []
+    for (pid, _), payload in zip(children, payloads):
+        if exit_codes[pid] != 0:
+            raise RuntimeError(f"worker process {pid} exited with code {exit_codes[pid]} "
+                               "without sending its result")
+        done, failure = pickle.loads(payload)
+        for i, row in done:
+            rows[i] = row
+        if failure is not None:
+            failures.append(failure)
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return rows
+
+
+def _child(runs: list, inherited: list[int], baton_r: int, baton_w: int, out: int):
+    """The body of a forked child of _fork_join; it never returns."""
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        n = len(runs)
+        done, failure = [], None
+        while True:
+            i = _take_baton(baton_r)
+            _pass_baton(baton_w, min(i + 1, n))
+            if i == n:
+                break
+            try:
+                done.append((i, runs[i]()))
+            except Exception as e:
+                failure = (i, e)
+                _take_baton(baton_r)
+                _pass_baton(baton_w, n)
+                break
+        with os.fdopen(out, "wb") as fh:
+            fh.write(pickle.dumps((done, failure)))
+        code = 0
+    except BaseException:
+        traceback.print_exc()    # the parent can only report the exit code
+        raise
+    finally:
+        os._exit(code)
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +400,11 @@ def run_ablation(base_config: TrainConfig, dataset: GeneratedDataset,
     if len(seeds) < 2:
         raise ValueError("ablation needs at least 2 seeds")
     vocab = Vocab.from_examples(dataset.train_examples())
-    jobs = []
-    for seed in seeds:
-        for arm, changes in ABLATION_ARMS:
-            cfg = replace(base_config, **changes, seed=seed)
-            jobs.append({"config": cfg.to_dict(), "tags": {"arm": arm}})
-    rows = _run_jobs(jobs, dataset, vocab, workers)
+    ood = ood_eval_set(dataset, vocab)
+    runs = [partial(_tagged_run, replace(base_config, **changes, seed=seed), dataset, vocab,
+                    ood, {"arm": arm})
+            for seed in seeds for arm, changes in ABLATION_ARMS]
+    rows = _run_jobs(runs, workers)
     fingerprint = config_fingerprint({
         "protocol": "ablation",
         "config": base_config.to_dict(),
@@ -329,15 +451,28 @@ def run_data_efficiency(base_config: TrainConfig, dataset: GeneratedDataset,
     if not seeds:
         raise ValueError("seeds must be non-empty")
 
-    jobs = []
+    # each training subset has its own vocabulary; the OOD union is looked up
+    # once and featurized once per distinct vocabulary
+    ood_ids = TokenIds.from_examples(dataset.ood + dataset.ood_stress)
+    ood_sets: dict[tuple[str, ...], EvalSet] = {}
+    runs = []
     for s in sizes:
         for arm, changes, kind in DATA_EFFICIENCY_ARMS:
-            subset = (kind, s // 2 if kind == "pairs" else s)
-            for seed in seeds:
-                cfg = replace(base_config, **changes, seed=seed)
-                jobs.append({"config": cfg.to_dict(), "subset": subset,
-                             "tags": {"arm": arm, "size": s}})
-    rows = _run_jobs(jobs, dataset, None, workers)
+            if kind == "pairs":
+                pairs = dataset.train_pairs[:s // 2]
+            else:
+                pairs = [PairedExample(u.original, None) for u in dataset.train_pairs[:s]]
+            subset = replace(dataset, train_pairs=pairs)
+            vocab = Vocab.from_examples(subset.train_examples())
+            if vocab.tokens not in ood_sets:
+                ood_sets[vocab.tokens] = ood_eval_set(dataset, vocab, ood_ids)
+            members = [m for u in pairs for m in u.members()]
+            tags = {"arm": arm, "size": s, "n_train_examples": len(members),
+                    "n_counterfactuals": sum(1 for m in members if m.variant == "counterfactual")}
+            runs += [partial(_tagged_run, replace(base_config, **changes, seed=seed), subset,
+                             vocab, ood_sets[vocab.tokens], tags)
+                     for seed in seeds]
+    rows = _run_jobs(runs, workers)
 
     fingerprint = config_fingerprint({
         "protocol": "data_efficiency",

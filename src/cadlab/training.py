@@ -35,6 +35,12 @@ class NonFiniteLossError(RuntimeError):
         super().__init__(f"step {step}: {component} became non-finite ({value!r})")
         self.step = step
         self.component = component
+        self.value = value
+
+    def __reduce__(self):
+        # args holds only the message, so rebuild from the fields: a runner's
+        # worker process sends the error to the parent pickled
+        return type(self), (self.step, self.component, self.value)
 
 
 @dataclass

@@ -1,7 +1,13 @@
 import json
+import os
+import pathlib
+import re
+import subprocess
+import sys
 
 import pytest
 
+import cadlab
 from cadlab.cli import main
 
 
@@ -37,9 +43,12 @@ def test_generate_determinism(tmp_path):
 
 def test_generate_bad_config_exit_1(tmp_path, capsys):
     cfg = tmp_path / "gen.json"
-    _write_json(cfg, {"n_pairs": 0})
-    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
-    assert "error:" in capsys.readouterr().err
+    for payload, message in (({"n_pairs": 0}, "n_pairs must be >= 1"),
+                             ({"tokens_per_group": []}, "tokens_per_group must be an object")):
+        _write_json(cfg, payload)
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        assert f"error: bad generator config: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_train_eval_probe_pipeline(small_data, capsys):
@@ -150,6 +159,9 @@ BROKEN_DATA_FILES = [
                  id="generator_config-not_object"),
     pytest.param("generator_config.json", '{"n_pairs": 0}',
                  "generator_config.json: n_pairs must be >= 1", id="generator_config-bad_value"),
+    pytest.param("generator_config.json", '{"tokens_per_group": []}',
+                 "generator_config.json: tokens_per_group must be an object",
+                 id="generator_config-tokens_per_group_not_object"),
     pytest.param("groups.json", None, "groups.json: file not found", id="groups-missing"),
     pytest.param("groups.json", "{not json", "groups.json: invalid JSON",
                  id="groups-invalid_json"),
@@ -326,6 +338,37 @@ def test_data_efficiency_cli(small_data, capsys):
     rc = main(["data-efficiency", "--data", str(data_dir), "--sizes", "7",
                "--seeds", "0", "--out", str(tmp_path / "de2")])
     assert rc == 1
+
+
+# a learning rate that makes the first steps non-finite, and the runs to try it on
+DIVERGING = ["--lr", "1e300", "--epochs", "3", "--batch-pairs", "4"]
+RUNNER_ARGS = {
+    "ablate": ["--seeds", "0,1"],
+    "data-efficiency": ["--sizes", "8,16", "--seeds", "0,1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(RUNNER_ARGS))
+def test_diverging_run_exits_2_at_any_worker_count(small_data, command):
+    """A non-finite loss ends a runner with exit 2 and the message of its
+    first failing run, forked or not. In a subprocess, so a hang fails."""
+    tmp_path, data_dir = small_data
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cadlab.__file__).parents[1])}
+    failures = {}
+    for workers in (1, 2):
+        out = tmp_path / f"out{workers}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "cadlab.cli", command, "--data", str(data_dir),
+             "--out", str(out), "--workers", str(workers), *DIVERGING, *RUNNER_ARGS[command]],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        failures[workers] = [line for line in proc.stderr.splitlines()
+                             if line.startswith("runtime failure: ")]
+        assert not out.exists()
+    assert len(failures[1]) == 1
+    assert re.fullmatch(r"runtime failure: step \d+: \w+ became non-finite \(.*\)",
+                        failures[1][0])
+    assert failures[2] == failures[1]
 
 
 def test_bad_seed_list_exit_1(small_data, capsys):

@@ -1,10 +1,16 @@
 import json
+import os
+import pathlib
+import re
+import subprocess
+import sys
 
 import pytest
 
+from cadlab import evaluation
 from cadlab.data import DataError, GeneratorConfig, Vocab, generate_cad
 from cadlab.evaluation import (
-    config_fingerprint, evaluate, myopia_probe, ood_token_ids, rows_to_csv, run_ablation,
+    config_fingerprint, evaluate, myopia_probe, ood_eval_set, rows_to_csv, run_ablation,
     run_data_efficiency, run_single, sign_test_p, write_report,
 )
 from cadlab.model import ModelConfig, ModelParams
@@ -188,25 +194,92 @@ def test_run_ablation_structure_and_reduction():
 def test_run_ablation_parallel_matches_serial():
     ds = _dataset(n_pairs=12, n_ood=16)
     serial = run_ablation(_fast_config(epochs=1), ds, seeds=[0, 1], workers=1)
-    parallel = run_ablation(_fast_config(epochs=1), ds, seeds=[0, 1], workers=2)
-    assert serial == parallel
+    # 8 runs: two children, an uneven split, and more workers than runs
+    for workers in (2, 3, 9):
+        parallel = run_ablation(_fast_config(epochs=1), ds, seeds=[0, 1], workers=workers)
+        assert serial == parallel, workers
 
 
 def test_run_data_efficiency_parallel_matches_serial():
     ds = _dataset(n_pairs=12, n_ood=16)
     serial = run_data_efficiency(_fast_config(epochs=1), ds, sizes=[4, 8], seeds=[0, 1],
                                  workers=1)
-    parallel = run_data_efficiency(_fast_config(epochs=1), ds, sizes=[4, 8], seeds=[0, 1],
-                                   workers=2)
-    assert serial == parallel
-    assert json.dumps(serial, sort_keys=True) == json.dumps(parallel, sort_keys=True)
+    # 12 runs: two children, three, and more workers than runs
+    for workers in (2, 3, 13):
+        parallel = run_data_efficiency(_fast_config(epochs=1), ds, sizes=[4, 8], seeds=[0, 1],
+                                       workers=workers)
+        assert serial == parallel, workers
+        assert json.dumps(serial, sort_keys=True) == json.dumps(parallel, sort_keys=True)
+
+
+# in a subprocess, so a parent that waits forever fails the test instead of hanging it
+CHILD_DIES = """
+import os
+from cadlab import evaluation
+from cadlab.data import GeneratorConfig, generate_cad
+from cadlab.training import TrainConfig
+
+train_and_score = evaluation.run_single
+
+def dies_on_seed_1(config, *args):
+    if config.seed == 1:
+        os._exit(3)
+    return train_and_score(config, *args)
+
+evaluation.run_single = dies_on_seed_1
+ds = generate_cad(GeneratorConfig(n_pairs=12, n_ood=16, seed=1))
+try:
+    evaluation.run_ablation(TrainConfig(epochs=1, batch_pairs=8, embed_dim=4), ds, [0, 1],
+                            workers=2)
+except RuntimeError as e:
+    print("RuntimeError:", e)
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+"""
+
+
+def test_parallel_runner_fails_when_a_child_dies_without_a_result():
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(evaluation.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", CHILD_DIES], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert re.fullmatch(r"RuntimeError: worker process \d+ exited with code 3 without "
+                        r"sending its result", lines[0]), proc.stdout
+    assert lines[1:] == ["no child left"]
+
+
+def test_runners_hold_one_blas_thread_and_restore_the_count(monkeypatch):
+    calls = evaluation._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("no OpenBLAS thread getter and setter found")
+    get_threads, _ = calls
+    train_and_score = evaluation.run_single
+
+    def recording(*args):
+        row = train_and_score(*args)
+        row["blas_threads"] = get_threads()
+        return row
+
+    monkeypatch.setattr(evaluation, "run_single", recording)
+    ds = _dataset(n_pairs=12, n_ood=16)
+    before = get_threads()
+    for workers in (1, 2):
+        ablation = run_ablation(_fast_config(), ds, seeds=[0, 1], workers=workers)
+        assert get_threads() == before
+        sweep = run_data_efficiency(_fast_config(), ds, sizes=[4], seeds=[0, 1],
+                                    workers=workers)
+        assert get_threads() == before
+        assert {row["blas_threads"] for row in ablation["rows"] + sweep["rows"]} == {1}
 
 
 def test_run_single_scores_each_split_from_the_shared_ood_ids():
     ds = _dataset(n_pairs=12, n_ood=16)
     vocab = Vocab.from_examples(ds.train_examples())
     config = _fast_config(epochs=3, learning_rate=0.05)
-    row = run_single(config, ds, vocab, ood_token_ids(ds))
+    row = run_single(config, ds, vocab, ood_eval_set(ds, vocab))
     assert row["acc_ood"] != row["acc_ood_stress"]   # so a swapped slice would show
     snap = train(config, ds.train_pairs, vocab=vocab)[0].snapshot
     assert row["acc_ood"] == evaluate(snap, ds.ood, vocab).accuracy

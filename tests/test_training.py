@@ -1,5 +1,6 @@
 import logging
 import math
+import pickle
 import random
 
 import numpy as np
@@ -201,6 +202,11 @@ def test_non_finite_abort_diagnostic():
         train(cfg, ds.train_pairs)
     assert exc.value.component in ("l_p", "l_irm", "l_ocd", "total")
     assert exc.value.step >= 0
+    # a runner's worker process sends the error to its parent pickled
+    again = pickle.loads(pickle.dumps(exc.value))
+    assert type(again) is NonFiniteLossError and str(again) == str(exc.value)
+    assert (again.step, again.component, again.value) == (
+        exc.value.step, exc.value.component, exc.value.value)
 
 
 # ---------------------------------------------------------------------------
