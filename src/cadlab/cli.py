@@ -31,11 +31,14 @@ class CliError(Exception):
 def _load_json(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            payload = json.load(fh)
     except FileNotFoundError:
         raise CliError(f"config file not found: {path}")
     except json.JSONDecodeError as e:
         raise CliError(f"invalid JSON in {path}: {e}")
+    if not isinstance(payload, dict):
+        raise CliError(f"config file {path} does not hold a JSON object")
+    return payload
 
 
 def _train_config(args) -> TrainConfig:

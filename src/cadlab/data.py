@@ -57,7 +57,6 @@ class Example:
     label: int
     pair_id: str
     variant: str           # "original" | "counterfactual"
-    groups: dict | None = None
 
     @property
     def env(self) -> str:
@@ -119,7 +118,8 @@ def load_jsonl(path, require_pairs: bool = True) -> list[Example]:
     With require_pairs=True every pair_id must resolve to exactly one
     original/counterfactual pair with flipped labels. With require_pairs=False
     standalone originals are accepted (evaluation splits), but a counterfactual
-    without its original is still an error.
+    without its original is still an error. Other keys are ignored, such as
+    the per-line "groups" that older files carry.
     """
     examples: list[Example] = []
     with open(path, encoding="utf-8") as fh:
@@ -146,7 +146,6 @@ def load_jsonl(path, require_pairs: bool = True) -> list[Example]:
                 label=obj["label"],
                 pair_id=str(obj["pair_id"]),
                 variant=obj["variant"],
-                groups=obj.get("groups"),
             ))
     validate_pairing(examples, require_pairs=require_pairs)
     return examples
@@ -182,8 +181,6 @@ def dump_jsonl(examples: list[Example], path) -> None:
                 "pair_id": ex.pair_id,
                 "variant": ex.variant,
             }
-            if ex.groups is not None:
-                obj["groups"] = ex.groups
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
@@ -256,12 +253,6 @@ class TokenIds:
 
     def __len__(self) -> int:
         return len(self.lengths)
-
-    def rows(self, start: int, stop: int) -> "TokenIds":
-        """Rows start..stop-1, sharing this table."""
-        offsets = np.concatenate(([0], np.cumsum(self.lengths)))
-        return TokenIds(self.table, self.ids[offsets[start]:offsets[stop]],
-                        self.lengths[start:stop])
 
 
 def featurize_matrix(examples, vocab: Vocab, mask_tokens: frozenset | set | None = None) -> np.ndarray:
@@ -423,14 +414,6 @@ def _build_group_tokens(cfg: GeneratorConfig):
     return edited, nonedited, correlated, noise, groups
 
 
-def _line_groups(tokens, groups: FeatureGroups) -> dict:
-    return {
-        "edited": [t for t in tokens if t in groups.edited_causal],
-        "nonedited": [t for t in tokens if t in groups.nonedited_causal],
-        "correlated": [t for t in tokens if t in groups.correlated],
-    }
-
-
 def _make_sentence(cfg, rng, label, rho, edited, nonedited, correlated, noise):
     k_e = cfg.edited_per_sentence
     k_u = cfg.causal_per_sentence - k_e
@@ -471,9 +454,9 @@ def generate_cad(cfg: GeneratorConfig) -> GeneratedDataset:
         cf_toks = [rng.choice(edited[y_star]) if t in groups.edited_causal else t for t in toks]
         pid = f"p{i:06d}"
         ori = Example(id=f"{pid}o", tokens=tuple(toks), label=y, pair_id=pid,
-                      variant=VARIANT_ORIGINAL, groups=_line_groups(toks, groups))
+                      variant=VARIANT_ORIGINAL)
         cf = Example(id=f"{pid}c", tokens=tuple(cf_toks), label=y_star, pair_id=pid,
-                     variant=VARIANT_COUNTERFACTUAL, groups=_line_groups(cf_toks, groups))
+                     variant=VARIANT_COUNTERFACTUAL)
         pairs.append(PairedExample(ori, cf))
 
     ood = []
@@ -483,16 +466,16 @@ def generate_cad(cfg: GeneratorConfig) -> GeneratedDataset:
         toks = _make_sentence(cfg, rng, y, cfg.rho_ood, edited, nonedited, correlated, noise)
         pid = f"q{i:06d}"
         ood.append(Example(id=f"{pid}o", tokens=tuple(toks), label=y, pair_id=pid,
-                           variant=VARIANT_ORIGINAL, groups=_line_groups(toks, groups)))
+                           variant=VARIANT_ORIGINAL))
         stress_toks = tuple(t for t in toks if t not in groups.edited_causal)
         ood_stress.append(Example(id=f"{pid}s", tokens=stress_toks, label=y, pair_id=f"{pid}s",
-                                  variant=VARIANT_ORIGINAL,
-                                  groups=_line_groups(stress_toks, groups)))
+                                  variant=VARIANT_ORIGINAL))
     return GeneratedDataset(pairs, ood, ood_stress, groups, cfg)
 
 
 def write_dataset(dataset: GeneratedDataset, out_dir) -> dict:
-    """Write train/ood/ood_stress JSONL files plus the group annotation file."""
+    """Write train/ood/ood_stress JSONL files, the token-group partition
+    (groups.json) and the generator config."""
     import os
     os.makedirs(out_dir, exist_ok=True)
     paths = {

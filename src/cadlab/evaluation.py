@@ -73,10 +73,6 @@ class EvalSet:
     def build(cls, examples, vocab: Vocab, groups: FeatureGroups | None = None,
               ids: TokenIds | None = None) -> "EvalSet":
         """ids, when given, are the examples' TokenIds."""
-        if groups is not None:
-            for ex in examples:
-                if ex.groups is None:
-                    raise ValueError(f"example {ex.id!r} lacks group annotations")
         if ids is None:
             ids = TokenIds.from_examples(examples)
         labels = np.array([ex.label for ex in examples], dtype=np.intp)

@@ -172,6 +172,51 @@ def test_second_order_symmetry_on_random_polynomials():
         assert abs(dxy - dyx) < 1e-9
 
 
+def _second_differences(build, point, h):
+    """Hessian of build's output by central differences of its value alone,
+    so no backward rule enters the numeric side."""
+    def at(i, si, j, sj):
+        xs = list(point)
+        xs[i] += si * h
+        xs[j] += sj * h
+        return build([const(x) for x in xs]).value
+
+    n = len(point)
+    return [[(at(i, 1, j, 1) - at(i, 1, j, -1) - at(i, -1, j, 1) + at(i, -1, j, -1))
+             / (4.0 * h * h) for j in range(n)] for i in range(n)]
+
+
+# one graph per op whose differentiable backward rule the other tests leave
+# unrun; each op's parents depend on the leaves nonlinearly, so every term
+# of the rule reaches the Hessian
+SECOND_ORDER_CASES = {
+    "tanh": lambda ps: tanh(mul(ps[0], ps[1])),
+    "wsum": lambda ps: wsum([mul(ps[0], ps[1]), mul(ps[1], ps[2]), mul(ps[0], ps[0])],
+                            [0.7, -1.3, 2.1]),
+    "dot": lambda ps: dot([mul(ps[0], ps[1]), ps[2]], [ps[1], mul(ps[0], ps[2])]),
+    "neg": lambda ps: neg(mul(mul(ps[0], ps[0]), ps[1])),
+    "div": lambda ps: div(mul(ps[0], ps[1]), mul(ps[2], ps[2])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SECOND_ORDER_CASES))
+def test_gradient_of_differentiable_gradient_matches_second_differences(name):
+    """d/dx_j of the differentiable gradient's i-th entry matches the central
+    second difference within 1e-6 (relative, floored at 1)."""
+    build = SECOND_ORDER_CASES[name]
+    rng = random.Random(12)
+    for _ in range(20):
+        # leaves away from 0, so the divisor z*z stays away from 0
+        point = [rng.uniform(0.5, 1.5) * rng.choice([-1.0, 1.0]) for _ in range(3)]
+        leaves = [const(x) for x in point]
+        first = grad(build(leaves), leaves, differentiable=True)
+        numeric = _second_differences(build, point, 1e-4)
+        for i, g in enumerate(first):
+            for j, analytic in enumerate(grad(g, leaves)):
+                err = abs(analytic - numeric[i][j]) / max(abs(analytic), abs(numeric[i][j]), 1.0)
+                assert err < 1e-6, f"{name} at {point}: H[{i}][{j}] err={err}"
+
+
 def test_evaluation_is_bitwise_deterministic():
     def build():
         xs = [const(0.1 * i - 0.35) for i in range(8)]

@@ -51,6 +51,54 @@ def test_generate_bad_config_exit_1(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_generate_seed_overrides_config_seed(tmp_path):
+    cfg = tmp_path / "gen.json"
+    _write_json(cfg, {"n_pairs": 10, "n_ood": 6, "seed": 42})
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "a"),
+                 "--seed", "7"]) == 0
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
+    _write_json(cfg, {"n_pairs": 10, "n_ood": 6, "seed": 7})
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+    assert json.loads((tmp_path / "a" / "generator_config.json").read_text())["seed"] == 7
+    for name in ("train.jsonl", "ood.jsonl", "ood_stress.jsonl", "generator_config.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    config_seed = (tmp_path / "c" / "train.jsonl").read_bytes()
+    assert (tmp_path / "a" / "train.jsonl").read_bytes() != config_seed
+
+
+# the commands that read --config, and the other arguments each needs
+CONFIG_COMMANDS = {
+    "generate": ["--seed", "1"],
+    "train": ["--seed", "1"],
+    "ablate": ["--seeds", "0,1", "--epochs", "1"],
+    "data-efficiency": ["--sizes", "4", "--seeds", "0", "--epochs", "1"],
+}
+# (config file content or None for no file, message)
+BAD_CONFIG_FILES = [
+    pytest.param(None, "config file not found: ", id="missing"),
+    pytest.param("{not json", "invalid JSON in ", id="invalid_json"),
+    pytest.param("[]", "does not hold a JSON object", id="list"),
+    pytest.param('"alpha"', "does not hold a JSON object", id="string"),
+]
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_COMMANDS))
+@pytest.mark.parametrize("content, message", BAD_CONFIG_FILES)
+def test_bad_config_file_exit_1(small_data, capsys, command, content, message):
+    tmp_path, data_dir = small_data
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    data = [] if command == "generate" else ["--data", str(data_dir)]
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(cfg), "--out", str(out), *data,
+               *CONFIG_COMMANDS[command]])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert err.startswith("error: ") and message in err and str(cfg) in err, err
+    assert not out.exists()
+
+
 def test_train_eval_probe_pipeline(small_data, capsys):
     tmp_path, data_dir = small_data
     train_cfg = tmp_path / "train.json"
@@ -305,6 +353,48 @@ def test_label_outside_model_classes_exit_1(trained, capsys, command):
     err = capsys.readouterr().err
     assert rc == 1, err
     assert f"example {row['id']!r} has label 7, outside the model's 2 classes" in err, err
+
+
+@pytest.mark.parametrize("command", ["eval", "probe"])
+def test_out_file_holds_the_printed_report(trained, capsys, command):
+    tmp_path, data_dir, ckpt = trained
+    out = tmp_path / f"{command}.json"
+    capsys.readouterr()
+    rc = main([command, "--checkpoint", str(ckpt), "--data", str(data_dir / "ood.jsonl"),
+               "--out", str(out)])
+    assert rc == 0
+    assert out.read_text() == capsys.readouterr().out
+
+
+def test_probe_takes_groups_from_groups_json_alone(trained, capsys):
+    """Lines without a "groups" key probe; an older file whose lines carry the
+    per-line annotation evaluates and probes byte-identically."""
+    tmp_path, data_dir, ckpt = trained
+    groups_path = data_dir / "groups.json"
+    groups = json.loads(groups_path.read_text())
+    rows = [json.loads(line) for line in (data_dir / "ood.jsonl").read_text().splitlines()]
+    plain = [{k: v for k, v in row.items() if k != "groups"} for row in rows]
+
+    def annotated(row):  # the annotation older generators wrote into every line
+        tokens = row["text"].split()
+        return {**row, "groups": {
+            key: [t for t in tokens if t in groups[name]] for key, name in
+            (("edited", "edited_causal"), ("nonedited", "nonedited_causal"),
+             ("correlated", "correlated"))}}
+
+    reports = {}
+    for name, lines in (("plain", plain), ("legacy", [annotated(row) for row in plain])):
+        (tmp_path / name).mkdir()
+        data = tmp_path / name / "ood.jsonl"
+        data.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in lines))
+        for command, extra in (("eval", []), ("probe", ["--groups", str(groups_path)])):
+            out = tmp_path / name / f"{command}.json"
+            rc = main([command, "--checkpoint", str(ckpt), "--data", str(data),
+                       "--out", str(out), *extra])
+            assert rc == 0, capsys.readouterr().err
+            reports[name, command] = out.read_bytes()
+    assert reports["plain", "eval"] == reports["legacy", "eval"]
+    assert reports["plain", "probe"] == reports["legacy", "probe"]
 
 
 def test_ablate_cli_and_determinism(small_data, capsys):

@@ -106,6 +106,12 @@ def test_roundtrip_identity(tmp_path):
     dump_jsonl(ds.train_examples(), p)
     loaded = load_jsonl(p)
     assert loaded == ds.train_examples()
+    lines = [json.loads(line) for line in p.read_text().splitlines()]
+    assert all(sorted(row) == ["id", "label", "pair_id", "text", "variant"] for row in lines)
+    # older files carry a per-line "groups" key, which loading ignores
+    legacy = tmp_path / "legacy.jsonl"
+    _write_lines(legacy, [{**row, "groups": {"edited": row["text"].split()[:1]}} for row in lines])
+    assert load_jsonl(legacy) == loaded
 
 
 def test_featurize_counts_and_oov():
@@ -318,10 +324,8 @@ _UNKNOWN = ["x", "y", "z"]
 @settings(max_examples=200, deadline=None)
 @given(vocab_tokens=st.lists(st.sampled_from(_KNOWN), max_size=5),
        rows=st.lists(st.lists(st.sampled_from(_KNOWN + _UNKNOWN), max_size=12), max_size=8),
-       mask=st.none() | st.frozensets(st.sampled_from(_KNOWN + _UNKNOWN + ["w"]), max_size=5),
-       start=st.integers(0, 8), stop=st.integers(0, 8))
-def test_featurize_matrix_is_bit_identical_to_the_per_example_loop(vocab_tokens, rows, mask,
-                                                                   start, stop):
+       mask=st.none() | st.frozensets(st.sampled_from(_KNOWN + _UNKNOWN + ["w"]), max_size=5))
+def test_featurize_matrix_is_bit_identical_to_the_per_example_loop(vocab_tokens, rows, mask):
     # repeated tokens, empty rows, rows whose tokens are all masked, masked
     # tokens outside the vocabulary and in no row ("w"), and unknown tokens
     vocab = Vocab(vocab_tokens)
@@ -333,9 +337,6 @@ def test_featurize_matrix_is_bit_identical_to_the_per_example_loop(vocab_tokens,
     assert np.array_equal(_bits(got), _bits(expected))
     ids = TokenIds.from_examples(examples)
     assert np.array_equal(_bits(featurize_matrix(ids, vocab, mask_tokens=mask)), _bits(expected))
-    start, stop = sorted((min(start, len(rows)), min(stop, len(rows))))
-    sliced = featurize_matrix(ids.rows(start, stop), vocab, mask_tokens=mask)
-    assert np.array_equal(_bits(sliced), _bits(expected[start:stop]))
     plain = _reference_featurize_matrix(examples, vocab)
     for toks, row in zip(rows, plain):
         assert np.array_equal(_bits(featurize(toks, vocab)), _bits(row))

@@ -55,7 +55,7 @@ def test_evaluate_trivial_cases():
     assert set(report.per_class_accuracy) == {0, 1}
 
     flipped = [type(ex)(id=ex.id, tokens=ex.tokens, label=1 - ex.label,
-                        pair_id=ex.pair_id, variant=ex.variant, groups=ex.groups)
+                        pair_id=ex.pair_id, variant=ex.variant)
                for ex in ds.ood]
     assert evaluate(snap, flipped, vocab).accuracy == 0.0
 
@@ -125,17 +125,6 @@ def test_probe_does_not_mutate_dataset():
     myopia_probe(snap, ds.ood, ds.groups, vocab)
     assert [ex.tokens for ex in ds.ood] == before
     assert evaluate(snap, ds.ood, vocab).accuracy == baseline1
-
-
-def test_probe_requires_group_annotations():
-    ds = _dataset()
-    vocab = Vocab.from_examples(ds.train_examples())
-    snap = _zero_params(vocab).snapshot()
-    stripped = [type(ex)(id=ex.id, tokens=ex.tokens, label=ex.label,
-                         pair_id=ex.pair_id, variant=ex.variant, groups=None)
-                for ex in ds.ood]
-    with pytest.raises(ValueError):
-        myopia_probe(snap, stripped, ds.groups, vocab)
 
 
 def test_sign_test_values():
