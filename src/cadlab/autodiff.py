@@ -1,9 +1,9 @@
 """Reverse-mode automatic differentiation over scalar graph nodes.
 
 Everything is built from scalar Nodes so that second-order derivatives need no
-special machinery: running a backward pass in differentiable mode builds the
-adjoints out of ordinary Nodes, and those can be differentiated again by a
-second backward pass.
+special machinery: a backward pass builds the adjoints out of ordinary Nodes,
+and in differentiable mode those are returned, so a second backward pass can
+differentiate them again.
 
 Fused n-ary ops (nsum, dot, wsum) keep graph sizes small. Training takes its
 gradient in closed form (``losses.objective_and_grad``); this engine is the
@@ -176,63 +176,14 @@ def wsum(xs: Sequence[Node], coeffs: Sequence[float]) -> Node:
 # ---------------------------------------------------------------------------
 # backward rules
 #
-# Float rules push plain-float adjoint contributions into an accumulator dict;
-# graph rules build the same contributions out of Nodes so the result of a
-# differentiable backward pass can itself be differentiated.
-
-def _acc(accum: dict, node: Node, contrib: float) -> None:
-    prev = accum.get(node)
-    accum[node] = contrib if prev is None else prev + contrib
-
+# One set of rules for both orders: each rule builds its adjoint contributions
+# out of Nodes, so the result of a backward pass can itself be differentiated.
+# Every op computes its value with plain float arithmetic as it builds the
+# node, so a first-order pass just returns the .value of each adjoint.
 
 def _acc_node(accum: dict, node: Node, contrib: Node) -> None:
     prev = accum.get(node)
     accum[node] = contrib if prev is None else add(prev, contrib)
-
-
-def _bw_float(node: Node, adj: float, accum: dict) -> None:
-    op = node.op
-    p = node.parents
-    if op == "add":
-        _acc(accum, p[0], adj)
-        _acc(accum, p[1], adj)
-    elif op == "mul":
-        _acc(accum, p[0], adj * p[1].value)
-        _acc(accum, p[1], adj * p[0].value)
-    elif op == "tanh":
-        _acc(accum, p[0], adj * (1.0 - node.value * node.value))
-    elif op == "wsum":
-        coeffs = node.aux
-        for i, parent in enumerate(p):
-            _acc(accum, parent, adj * coeffs[i])
-    elif op == "dot":
-        k = node.aux
-        for i in range(k):
-            _acc(accum, p[i], adj * p[k + i].value)
-            _acc(accum, p[k + i], adj * p[i].value)
-    elif op == "nsum":
-        for parent in p:
-            _acc(accum, parent, adj)
-    elif op == "sub":
-        _acc(accum, p[0], adj)
-        _acc(accum, p[1], -adj)
-    elif op == "neg":
-        _acc(accum, p[0], -adj)
-    elif op == "scale":
-        _acc(accum, p[0], adj * node.aux)
-    elif op == "exp":
-        _acc(accum, p[0], adj * node.value)
-    elif op == "log":
-        _acc(accum, p[0], adj / p[0].value)
-    elif op == "div":
-        _acc(accum, p[0], adj / p[1].value)
-        _acc(accum, p[1], -adj * node.value / p[1].value)
-    elif op == "nmax":
-        _acc(accum, p[node.aux], adj)
-    elif op == "leaf":
-        pass
-    else:  # pragma: no cover - every op above is exhaustive
-        raise AssertionError(f"no backward rule for op {op!r}")
 
 
 def _bw_graph(node: Node, adj: Node, accum: dict) -> None:
@@ -330,9 +281,7 @@ class GradientTape:
                 if id(parent) in active:
                     active.add(nid)
                     break
-        adjoint: dict[Node, object] = {}
-        adjoint[self.output] = const(1.0) if differentiable else 1.0
-        bw = _bw_graph if differentiable else _bw_float
+        adjoint: dict[Node, Node] = {self.output: const(1.0)}
         out_id = id(self.output)
         for node in reversed(self.nodes):
             nid = id(node)
@@ -341,9 +290,10 @@ class GradientTape:
             adj = adjoint.get(node)
             if adj is None or not node.parents:
                 continue
-            bw(node, adj, adjoint)
-        zero = const(0.0) if differentiable else 0.0
-        return [adjoint.get(w, zero) for w in wrt]
+            _bw_graph(node, adj, adjoint)
+        zero = const(0.0)
+        grads = [adjoint.get(w, zero) for w in wrt]
+        return grads if differentiable else [g.value for g in grads]
 
 
 def grad(output: Node, wrt: Sequence[Node], differentiable: bool = False) -> list:
@@ -351,7 +301,7 @@ def grad(output: Node, wrt: Sequence[Node], differentiable: bool = False) -> lis
 
     With differentiable=True the returned gradients are Nodes built from
     ordinary graph ops, so they can be fed back into further graph
-    construction and differentiated again.
+    construction and differentiated again; otherwise they are their floats.
     """
     if not isinstance(output, Node):
         raise TypeError("grad requires a scalar Node output")

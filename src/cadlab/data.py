@@ -106,6 +106,11 @@ class FeatureGroups:
         return cls(**{name: frozenset(d[name]) for name in GROUP_NAMES})
 
 
+def is_int(value) -> bool:
+    # bool is an int subclass: `"label": true` must not load as class 1
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 # ---------------------------------------------------------------------------
 # JSONL I/O
 
@@ -136,9 +141,7 @@ def load_jsonl(path, require_pairs: bool = True) -> list[Example]:
                     raise ParseError(path, line_no, f"missing field {f!r}")
             if obj["variant"] not in (VARIANT_ORIGINAL, VARIANT_COUNTERFACTUAL):
                 raise ParseError(path, line_no, f"bad variant {obj['variant']!r}")
-            # bool is an int subclass: `"label": true` must not load as class 1
-            if (isinstance(obj["label"], bool) or not isinstance(obj["label"], int)
-                    or obj["label"] < 0):
+            if not is_int(obj["label"]) or obj["label"] < 0:
                 raise ParseError(path, line_no, f"label must be a non-negative int, got {obj['label']!r}")
             examples.append(Example(
                 id=str(obj["id"]),
@@ -332,8 +335,14 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_pairs", "n_classes", "sentence_length", "causal_per_sentence",
+                     "correlated_per_sentence", "n_ood", "seed"):
+            if not is_int(getattr(self, name)):
+                raise DataError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.n_pairs < 1:
             raise DataError("n_pairs must be >= 1")
+        if self.n_ood < 0 or self.correlated_per_sentence < 0:
+            raise DataError("n_ood and correlated_per_sentence must be >= 0")
         if self.n_classes < 2:
             raise DataError("n_classes must be >= 2")
         if not 0.0 <= self.rho_train <= 1.0:
@@ -347,8 +356,9 @@ class GeneratorConfig:
         if not isinstance(self.tokens_per_group, dict):
             raise DataError("tokens_per_group must be an object of per-group token counts")
         for key in ("edited", "nonedited", "correlated", "noise"):
-            if self.tokens_per_group.get(key, 0) < 1:
-                raise DataError(f"tokens_per_group[{key!r}] must be >= 1")
+            count = self.tokens_per_group.get(key, 0)
+            if not is_int(count) or count < 1:
+                raise DataError(f"tokens_per_group[{key!r}] must be an int >= 1")
         if self.causal_per_sentence < 2:
             raise DataError("causal_per_sentence must be >= 2 (edited and non-edited slots)")
         min_len = self.causal_per_sentence + self.correlated_per_sentence

@@ -277,8 +277,10 @@ def _run_jobs(runs: list, workers: int) -> list[dict]:
     OpenBLAS is set to one thread here, before any fork, and the children
     inherit that: each child is one busy core.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     with _one_blas_thread():
-        if workers <= 1 or len(runs) <= 1:
+        if workers == 1 or len(runs) <= 1:
             return [run() for run in runs]
         return _fork_join(runs, min(workers, len(runs)))
 

@@ -2,14 +2,15 @@
 
 Both members of a counterfactual pair always land in the same step, so the
 pairwise alignment term is computable and every step sees both environments.
-The training data are featurized once; each step slices its rows and takes
-the loss values and gradient in closed form (``losses.objective_and_grad``).
-All parameters live in one float64 vector, which Adam or SGD updates with
-array operations. The list-based ``adam_step`` and ``sgd_step`` update scalar
-graph leaves and serve, with ``combined_loss`` and ``autodiff.grad``, as the
-reference that the tests check this path against. Given (seed, config, data),
-every logged number is reproducible bit-for-bit. The checkpoint is always
-the epoch with the best train accuracy, the earliest on ties.
+The training data are featurized and partitioned into environments once; a
+batch is a list of unit indices, from which each step gathers its rows and
+takes the loss values and gradient in closed form (``losses.objective_and_grad``).
+All parameters live in one float64 vector, which Adam updates with array
+operations. The list-based ``adam_step`` updates scalar graph leaves and
+serves, with ``combined_loss`` and ``autodiff.grad``, as the reference that
+the tests check this path against. Given (seed, config, data), every logged
+number is reproducible bit-for-bit. The checkpoint is always the epoch with
+the best train accuracy, the earliest on ties.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import numpy as np
 
 # perfbench/spans.py wraps cadlab.training.grad and .combined_loss by name
 from .autodiff import grad  # noqa: F401
-from .data import PairedExample, Vocab, featurize_matrix, partition_environments
+from .data import (EmptyEnvironmentError, PairedExample, Vocab, featurize_matrix, is_int,
+                   partition_environments)
 from .losses import LossBreakdown, combined_loss, objective_and_grad  # noqa: F401
 from .model import ModelConfig, Snapshot, initial_values
 
@@ -51,13 +53,22 @@ class TrainConfig:
     batch_pairs: int = 16          # each pair contributes 2 examples
     epochs: int = 100
     seed: int = 0
-    optimizer: str = "adam"        # "adam" | "sgd"
+    optimizer: str = "adam"        # the only optimizer; kept so saved configs name it
     env_mode: str = "disjoint"     # | "overlap": e_cad additionally holds the originals
     n_classes: int = 2
     embed_dim: int = 8
     use_hidden: bool = False
 
     def __post_init__(self):
+        for name in ("batch_pairs", "epochs", "seed", "n_classes", "embed_dim"):
+            if not is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
+        if not isinstance(self.use_hidden, bool):
+            raise ValueError(f"use_hidden must be a bool, got {self.use_hidden!r}")
+        for name in ("alpha", "beta", "learning_rate"):
+            value = getattr(self, name)
+            if not (is_int(value) or isinstance(value, float) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 1:
@@ -66,8 +77,8 @@ class TrainConfig:
             raise ValueError("batch_pairs must be >= 1")
         if self.alpha < 0.0 or self.beta < 0.0:
             raise ValueError("alpha and beta must be non-negative")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.optimizer != "adam":
+            raise ValueError(f"unknown optimizer {self.optimizer!r} (only 'adam')")
         if self.env_mode not in ("disjoint", "overlap"):
             raise ValueError(f"unknown env_mode {self.env_mode!r}")
         if self.n_classes < 1 or self.embed_dim < 1:
@@ -124,15 +135,14 @@ class Checkpoint:
     train_accuracy: float
 
 
-def make_batches(pairs: list[PairedExample], batch_pairs: int, seed: int,
-                 epoch: int) -> list[list[PairedExample]]:
-    """Whole-pair batches in a deterministic per-epoch shuffle order.
-
-    The final short batch is kept. Batches contain PairedExample units, so
-    each batch's originals and counterfactuals form the two environment
-    sub-batches by construction.
+def make_batches(units, batch_pairs: int, seed: int, epoch: int) -> list[list]:
+    """Batches of whole units (PairedExamples or their indices) in a
+    deterministic per-epoch shuffle order; the order depends only on
+    len(units), seed and epoch. The final short batch is kept. A unit holds
+    an original and its counterfactual, so each batch's originals and
+    counterfactuals form the two environment sub-batches by construction.
     """
-    order = list(pairs)
+    order = list(units)
     # integer mixing only: string hashing is salted per process
     rng = random.Random(seed * 1_000_003 + epoch)
     rng.shuffle(order)
@@ -165,11 +175,6 @@ def adam_step(flat_params, grads, state: AdamState, lr: float,
         p.value -= lr * (m[i] / bc1) / (math.sqrt(v[i] / bc2) + eps)
 
 
-def sgd_step(flat_params, grads, lr: float) -> None:
-    for p, g in zip(flat_params, grads):
-        p.value -= lr * g
-
-
 def adam_step_vector(theta: np.ndarray, g: np.ndarray, state: AdamState, lr: float,
                      beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
     """adam_step on one parameter vector, in place, rounding as adam_step does."""
@@ -193,20 +198,40 @@ def _check_finite(step: int, component: str, values: np.ndarray) -> None:
         raise NonFiniteLossError(step, component, float(bad[0]))
 
 
-def batch_rows(batch: list[PairedExample], alpha: float,
-               env_mode: str) -> tuple[list, list[np.ndarray], np.ndarray]:
-    """A batch's examples, the positions of each environment's members (in
-    sorted environment-name order, from partition_environments) and the
-    (original, counterfactual) positions of each pair."""
-    examples = [m for unit in batch for m in unit.members()]
-    position = {id(ex): j for j, ex in enumerate(examples)}
+def unit_rows(units: list[PairedExample]) -> np.ndarray:
+    """(original row, counterfactual row or -1) of each unit in the feature
+    matrix of all units' members, unit after unit."""
+    paired = np.array([u.counterfactual is not None for u in units], dtype=np.intp)
+    first = np.cumsum(1 + paired) - 1 - paired
+    return np.stack([first, np.where(paired, first + 1, -1)], axis=1)
+
+
+def environment_masks(examples: list, alpha: float, env_mode: str) -> dict[str, np.ndarray]:
+    """A row mask over examples for each environment of partition_environments,
+    in sorted name order; none when alpha == 0."""
     envs = partition_environments(examples, alpha, env_mode) if alpha > 0.0 else {}
-    env_rows = [np.array([position[id(ex)] for ex in envs[name]], dtype=np.intp)
-                for name in sorted(envs)]
-    pair_rows = np.array([(position[id(u.original)], position[id(u.counterfactual)])
-                          for u in batch if u.counterfactual is not None],
-                         dtype=np.intp).reshape(-1, 2)
-    return examples, env_rows, pair_rows
+    masks = {}
+    for name in sorted(envs):
+        members = {id(ex) for ex in envs[name]}
+        masks[name] = np.array([id(ex) in members for ex in examples], dtype=bool)
+    return masks
+
+
+def batch_index(units: np.ndarray, env_masks: dict[str, np.ndarray],
+                batch: list[int]) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """A batch's feature rows (each unit's original, then its counterfactual),
+    the positions of each environment's members among them and the
+    (original, counterfactual) positions of each pair."""
+    members = units[batch]
+    present = members >= 0
+    rows = members[present]
+    pair_rows = (np.cumsum(present) - 1).reshape(present.shape)[present[:, 1]]
+    env_rows = [np.flatnonzero(mask[rows]) for mask in env_masks.values()]
+    for name, at in zip(env_masks, env_rows):
+        if not at.size:
+            raise EmptyEnvironmentError(f"environment {name!r} has no member in a batch, "
+                                        "but the invariance penalty needs both in every batch")
+    return rows, env_rows, pair_rows
 
 
 def train(config: TrainConfig, pairs: list[PairedExample],
@@ -220,20 +245,18 @@ def train(config: TrainConfig, pairs: list[PairedExample],
     if not pairs:
         raise ValueError("training requires at least one pair")
     all_examples = [m for unit in pairs for m in unit.members()]
-    for ex in all_examples:
-        if ex.label >= config.n_classes:
-            raise ValueError(f"label {ex.label} out of range for n_classes={config.n_classes}")
-    if config.beta > 0.0 and not any(u.counterfactual is not None for u in pairs):
+    labels = np.array([ex.label for ex in all_examples], dtype=np.intp)
+    if labels.max() >= config.n_classes:
+        raise ValueError(f"label {labels.max()} out of range for n_classes={config.n_classes}")
+    units = unit_rows(pairs)
+    if config.beta > 0.0 and not (units[:, 1] >= 0).any():
         raise ValueError("beta > 0 requires counterfactual pairs in the training data")
-    if config.alpha > 0.0:
-        # raises EmptyEnvironmentError when an environment would be empty
-        partition_environments(all_examples, config.alpha, config.env_mode)
+    # raises EmptyEnvironmentError when an environment would be empty
+    env_masks = environment_masks(all_examples, config.alpha, config.env_mode)
 
     if vocab is None:
         vocab = Vocab.from_examples(all_examples)
     features = featurize_matrix(all_examples, vocab)
-    labels = np.array([ex.label for ex in all_examples], dtype=np.intp)
-    row_of = {id(ex): i for i, ex in enumerate(all_examples)}
 
     model_cfg = ModelConfig(vocab_size=vocab.size, n_classes=config.n_classes,
                             embed_dim=config.embed_dim, use_hidden=config.use_hidden)
@@ -241,17 +264,15 @@ def train(config: TrainConfig, pairs: list[PairedExample],
     gradient = np.zeros_like(theta)
     params = Snapshot.from_flat(model_cfg, theta)
     grads = Snapshot.from_flat(model_cfg, gradient)
-    adam = (AdamState(m=np.zeros_like(theta), v=np.zeros_like(theta))
-            if config.optimizer == "adam" else None)
+    adam = AdamState(m=np.zeros_like(theta), v=np.zeros_like(theta))
 
     log = TrainingLog()
     best: Checkpoint | None = None
     step = 0
     for epoch in range(config.epochs):
         epoch_breakdowns = []
-        for batch in make_batches(pairs, config.batch_pairs, config.seed, epoch):
-            batch_examples, env_rows, pair_rows = batch_rows(batch, config.alpha, config.env_mode)
-            rows = [row_of[id(ex)] for ex in batch_examples]
+        for batch in make_batches(range(len(pairs)), config.batch_pairs, config.seed, epoch):
+            rows, env_rows, pair_rows = batch_index(units, env_masks, batch)
             with np.errstate(over="ignore", invalid="ignore"):
                 breakdown = objective_and_grad(
                     params, grads, features[rows], labels[rows], env_rows, pair_rows,
@@ -261,10 +282,7 @@ def train(config: TrainConfig, pairs: list[PairedExample],
                     if not math.isfinite(value):
                         raise NonFiniteLossError(step, component, value)
                 _check_finite(step, "grad", gradient)
-                if adam is not None:
-                    adam_step_vector(theta, gradient, adam, config.learning_rate)
-                else:
-                    theta -= config.learning_rate * gradient
+                adam_step_vector(theta, gradient, adam, config.learning_rate)
                 _check_finite(step, "params", theta)
             log.steps.append(breakdown)
             epoch_breakdowns.append(breakdown)

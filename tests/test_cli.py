@@ -44,7 +44,12 @@ def test_generate_determinism(tmp_path):
 def test_generate_bad_config_exit_1(tmp_path, capsys):
     cfg = tmp_path / "gen.json"
     for payload, message in (({"n_pairs": 0}, "n_pairs must be >= 1"),
-                             ({"tokens_per_group": []}, "tokens_per_group must be an object")):
+                             ({"tokens_per_group": []}, "tokens_per_group must be an object"),
+                             ({"n_pairs": 10.5}, "n_pairs must be an int, got 10.5"),
+                             ({"n_pairs": 4, "n_ood": -1},
+                              "n_ood and correlated_per_sentence must be >= 0"),
+                             ({"n_pairs": 4, "correlated_per_sentence": -3},
+                              "n_ood and correlated_per_sentence must be >= 0")):
         _write_json(cfg, payload)
         assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
         assert f"error: bad generator config: {message}" in capsys.readouterr().err
@@ -171,6 +176,11 @@ def test_train_runtime_failure_exit_2(small_data, capsys):
 @pytest.mark.parametrize("flag, config", [
     (["--embed-dim", "0"], {}),
     ([], {"n_classes": 0}),
+    (["--alpha", "nan"], {}),
+    (["--lr", "nan"], {}),
+    (["--beta", "inf"], {}),
+    ([], {"batch_pairs": 2.5}),
+    ([], {"use_hidden": "yes"}),
 ])
 def test_train_empty_model_dimension_exit_1(small_data, capsys, flag, config):
     tmp_path, data_dir = small_data
@@ -210,6 +220,14 @@ BROKEN_DATA_FILES = [
     pytest.param("generator_config.json", '{"tokens_per_group": []}',
                  "generator_config.json: tokens_per_group must be an object",
                  id="generator_config-tokens_per_group_not_object"),
+    pytest.param("generator_config.json", '{"n_pairs": 10.5}',
+                 "generator_config.json: n_pairs must be an int", id="generator_config-float_count"),
+    pytest.param("generator_config.json", '{"n_ood": -1}',
+                 "generator_config.json: n_ood and correlated_per_sentence must be >= 0",
+                 id="generator_config-negative_n_ood"),
+    pytest.param("generator_config.json", '{"correlated_per_sentence": -3}',
+                 "generator_config.json: n_ood and correlated_per_sentence must be >= 0",
+                 id="generator_config-negative_correlated"),
     pytest.param("groups.json", None, "groups.json: file not found", id="groups-missing"),
     pytest.param("groups.json", "{not json", "groups.json: invalid JSON",
                  id="groups-invalid_json"),
@@ -459,6 +477,18 @@ def test_diverging_run_exits_2_at_any_worker_count(small_data, command):
     assert re.fullmatch(r"runtime failure: step \d+: \w+ became non-finite \(.*\)",
                         failures[1][0])
     assert failures[2] == failures[1]
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+@pytest.mark.parametrize("command", sorted(RUNNER_ARGS))
+def test_workers_below_one_exit_1(small_data, capsys, command, workers):
+    tmp_path, data_dir = small_data
+    out = tmp_path / "out"
+    rc = main([command, "--data", str(data_dir), "--out", str(out), "--epochs", "1",
+               "--workers", workers, *RUNNER_ARGS[command]])
+    assert rc == 1
+    assert f"error: workers must be >= 1, got {workers}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_seed_list_exit_1(small_data, capsys):

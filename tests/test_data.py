@@ -277,6 +277,11 @@ def test_generator_config_validation():
         GeneratorConfig(sentence_length=4)
     with pytest.raises(DataError):
         GeneratorConfig.from_dict({"n_pairs": 10, "bogus_key": 1})
+    for bad in ({"n_pairs": 10.5}, {"n_ood": -1}, {"correlated_per_sentence": -3},
+                {"seed": True}, {"tokens_per_group": {"edited": 2.5, "nonedited": 4,
+                                                      "correlated": 4, "noise": 8}}):
+        with pytest.raises(DataError):
+            GeneratorConfig.from_dict(bad)
     cfg = GeneratorConfig(rho_train=0.8)
     assert cfg.rho_ood == pytest.approx(0.2)
 

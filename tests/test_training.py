@@ -18,8 +18,8 @@ from cadlab.losses import combined_loss, objective_and_grad
 from cadlab.model import ModelConfig, ModelParams, Snapshot, cross_entropy, encode, logits
 from cadlab.data import featurize_sparse
 from cadlab.training import (
-    AdamState, Checkpoint, NonFiniteLossError, TrainConfig, adam_step, batch_rows,
-    make_batches, sgd_step, train,
+    AdamState, Checkpoint, NonFiniteLossError, TrainConfig, adam_step, batch_index,
+    environment_masks, make_batches, train, unit_rows,
 )
 
 # closed form vs scalar autodiff: |difference| <= TOL * max(1, |reference|)
@@ -90,19 +90,14 @@ def test_adam_state_dimension_check():
         adam_step([const(0.0)], [1.0, 2.0], AdamState.zeros(1), lr=0.1)
 
 
-def test_sgd_step():
-    p = [const(1.0)]
-    sgd_step(p, [0.5], lr=0.2)
-    assert p[0].value == pytest.approx(0.9, abs=1e-15)
-
-
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
-    with pytest.raises(ValueError):
-        TrainConfig(optimizer="rmsprop")
+    for optimizer in ("rmsprop", "sgd"):
+        with pytest.raises(ValueError):
+            TrainConfig(optimizer=optimizer)
     with pytest.raises(ValueError):
         TrainConfig(env_mode="both")
     with pytest.raises(ValueError):
@@ -111,6 +106,10 @@ def test_train_config_validation():
         TrainConfig(n_classes=0)
     with pytest.raises(ValueError):
         TrainConfig.from_dict({"alpha": 0.1, "bogus": 2})
+    for bad in ({"alpha": math.nan}, {"beta": math.inf}, {"learning_rate": math.nan},
+                {"batch_pairs": 2.5}, {"epochs": True}, {"seed": "1"}, {"use_hidden": "yes"}):
+        with pytest.raises(ValueError, match="must be an int|must be a bool|must be a finite"):
+            TrainConfig.from_dict(bad)
     cfg = TrainConfig.from_dict(TrainConfig(alpha=0.3).to_dict())
     assert cfg.alpha == 0.3
 
@@ -192,6 +191,19 @@ def test_train_requires_both_envs_for_alpha():
     assert isinstance(ck, Checkpoint)
 
 
+def test_batch_without_counterfactual_raises_under_alpha():
+    """Both environments exist in the data, but with one unit per batch an
+    unpaired unit's batch has no member of e_cad in disjoint mode."""
+    ds = _dataset(n_pairs=6)
+    units = ds.train_pairs[:1] + [PairedExample(u.original, None) for u in ds.train_pairs[1:]]
+    cfg = TrainConfig(alpha=0.5, beta=0.0, epochs=1, batch_pairs=1, seed=1, embed_dim=4)
+    with pytest.raises(EmptyEnvironmentError, match="'e_cad' has no member in a batch"):
+        train(cfg, units)
+    # in overlap mode e_cad also holds the originals, so every batch has both
+    ck, _ = train(TrainConfig(**{**cfg.to_dict(), "env_mode": "overlap"}), units)
+    assert isinstance(ck, Checkpoint)
+
+
 def test_non_finite_abort_diagnostic():
     ds = _dataset(n_pairs=8)
     # Adam's first bias-corrected step jumps to ~lr, so an absurd rate pushes
@@ -222,19 +234,26 @@ def _assert_breakdowns_match(got, ref):
     assert got.n_pairs_used == ref.n_pairs_used
 
 
-def _step_both_ways(units, params, vocab, alpha, beta, env_mode):
-    """One step's loss breakdown and gradient from combined_loss plus
-    autodiff.grad, and from objective_and_grad on the same batch."""
-    batch, env_rows, pair_rows = batch_rows(units, alpha, env_mode)
-    envs = partition_environments(batch, alpha, env_mode) if alpha > 0.0 else {}
-    pairs = [(u.original, u.counterfactual) for u in units if u.counterfactual is not None]
-    total, ref = combined_loss(batch, pairs, envs, params, vocab, alpha, beta)
+def _step_both_ways(units, batch, params, vocab, alpha, beta, env_mode):
+    """One step on the units at the indices in batch: the loss breakdown and
+    gradient from partition_environments of the batch's examples, combined_loss
+    and autodiff.grad, and from objective_and_grad on the rows, environment
+    positions and pair positions that train gathers with batch_index."""
+    chosen = [units[i] for i in batch]
+    members = [m for u in chosen for m in u.members()]
+    envs = partition_environments(members, alpha, env_mode) if alpha > 0.0 else {}
+    pairs = [(u.original, u.counterfactual) for u in chosen if u.counterfactual is not None]
+    total, ref = combined_loss(members, pairs, envs, params, vocab, alpha, beta)
     ref_grad = np.array(grad(total, params.flat()))
+
+    examples = [m for u in units for m in u.members()]
+    rows, env_rows, pair_rows = batch_index(
+        unit_rows(units), environment_masks(examples, alpha, env_mode), batch)
     theta = np.array([p.value for p in params.flat()])
     got_grad = np.zeros_like(theta)
     got = objective_and_grad(
         Snapshot.from_flat(params.config, theta), Snapshot.from_flat(params.config, got_grad),
-        featurize_matrix(batch, vocab), np.array([ex.label for ex in batch]),
+        featurize_matrix(examples, vocab)[rows], np.array([ex.label for ex in examples])[rows],
         env_rows, pair_rows, alpha, beta)
     return ref, ref_grad, got, got_grad
 
@@ -255,9 +274,13 @@ def test_closed_form_step_matches_autodiff(seed, n_classes, use_hidden, env_mode
     rng = random.Random(seed)
     ds = generate_cad(GeneratorConfig(n_pairs=8, n_ood=2, n_classes=n_classes,
                                       sentence_length=7, seed=seed))
-    chosen = rng.sample(ds.train_pairs, n_paired + n_unpaired)
-    units = chosen[:n_paired] + [PairedExample(u.original, None) for u in chosen[n_paired:]]
-    rng.shuffle(units)
+    # the batch: n_paired paired and n_unpaired unpaired units, shuffled, out
+    # of a training set whose other units are paired or not at random
+    batch = rng.sample(range(8), n_paired + n_unpaired)
+    unpaired = set(batch[n_paired:]) | {i for i in range(8) if i not in batch and rng.random() < 0.5}
+    units = [PairedExample(u.original, None) if i in unpaired else u
+             for i, u in enumerate(ds.train_pairs)]
+    rng.shuffle(batch)
     vocab = Vocab.from_examples([m for u in ds.train_pairs for m in u.members()])
     params = ModelParams(ModelConfig(vocab_size=vocab.size, n_classes=n_classes,
                                      embed_dim=3, use_hidden=use_hidden), seed=seed)
@@ -268,7 +291,7 @@ def test_closed_form_step_matches_autodiff(seed, n_classes, use_hidden, env_mode
             p.value = 0.0
 
     ref, ref_grad, got, got_grad = _step_both_ways(
-        units, params, vocab, alpha, beta, env_mode)
+        units, batch, params, vocab, alpha, beta, env_mode)
     _assert_breakdowns_match(got, ref)
     _assert_grads_match(got_grad, ref_grad)
 
@@ -281,7 +304,7 @@ def test_closed_form_step_skips_degenerate_pairs_like_reference(caplog):
         p.value = 0.0               # every pair has one class-1 member
     with caplog.at_level(logging.WARNING, logger="cadlab.losses"):
         ref, ref_grad, got, got_grad = _step_both_ways(
-            ds.train_pairs, params, vocab, 1.6, 0.1, "disjoint")
+            ds.train_pairs, [4, 1, 3, 0, 5, 2], params, vocab, 1.6, 0.1, "disjoint")
     assert ref.n_pairs_used == got.n_pairs_used == 0
     assert ref.l_ocd == got.l_ocd == 0.0
     _assert_breakdowns_match(got, ref)
@@ -292,7 +315,7 @@ def test_closed_form_step_skips_degenerate_pairs_like_reference(caplog):
 
 def _reference_train(cfg, pairs):
     """The scalar reference loop: combined_loss, autodiff.grad and the
-    list-based optimizer steps, with a snapshot after every epoch."""
+    list-based Adam step, with a snapshot after every epoch."""
     vocab = Vocab.from_examples([m for u in pairs for m in u.members()])
     params = ModelParams(ModelConfig(vocab_size=vocab.size, n_classes=cfg.n_classes,
                                      embed_dim=cfg.embed_dim, use_hidden=cfg.use_hidden),
@@ -309,10 +332,7 @@ def _reference_train(cfg, pairs):
             total, breakdown = combined_loss(
                 members, step_pairs, envs, params, vocab, cfg.alpha, cfg.beta)
             grads = grad(total, flat)
-            if cfg.optimizer == "adam":
-                adam_step(flat, grads, state, cfg.learning_rate)
-            else:
-                sgd_step(flat, grads, cfg.learning_rate)
+            adam_step(flat, grads, state, cfg.learning_rate)
             steps.append(breakdown)
         snapshots.append(params.snapshot())
     return vocab, steps, snapshots
@@ -326,7 +346,6 @@ def _snapshot_vector(snap):
 
 @pytest.mark.parametrize("changes", [
     {},
-    {"optimizer": "sgd", "learning_rate": 0.5},
     {"use_hidden": True},
     {"env_mode": "overlap"},
     {"beta": 2.0},
@@ -356,11 +375,12 @@ def test_train_matches_scalar_reference_loop(changes):
     assert np.abs(got_vec - ref_vec).max() <= TOL * max(1.0, np.abs(ref_vec).max())
 
 
-@pytest.mark.parametrize("component, poison, optimizer, lr", [
-    ("grad", float("nan"), "adam", 1e-3),
-    ("params", 1e300, "sgd", 1e10),    # a finite gradient whose update overflows
+@pytest.mark.parametrize("component, poison, lr", [
+    ("grad", float("nan"), 1e-3),
+    # a finite gradient whose Adam update overflows: lr * m_hat = 1e350
+    ("params", 1e150, 1e200),
 ])
-def test_non_finite_grad_or_params_abort(monkeypatch, component, poison, optimizer, lr):
+def test_non_finite_grad_or_params_abort(monkeypatch, component, poison, lr):
     real = training.objective_and_grad
 
     def poisoned(params, grads, *args, **kwargs):
@@ -371,7 +391,7 @@ def test_non_finite_grad_or_params_abort(monkeypatch, component, poison, optimiz
     monkeypatch.setattr(training, "objective_and_grad", poisoned)
     ds = _dataset(n_pairs=8)
     cfg = TrainConfig(alpha=1.6, beta=0.1, epochs=1, batch_pairs=4, seed=1, embed_dim=4,
-                      optimizer=optimizer, learning_rate=lr)
+                      learning_rate=lr)
     with pytest.raises(NonFiniteLossError) as exc:
         train(cfg, ds.train_pairs)
     assert exc.value.component == component
