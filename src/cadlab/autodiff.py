@@ -40,53 +40,9 @@ class Node:
     def __repr__(self):
         return f"Node({self.value!r}, op={self.op!r})"
 
-    # Operator sugar; internal hot paths call the module-level ops directly.
-    def __add__(self, other):
-        return add(self, as_node(other))
-
-    def __radd__(self, other):
-        return add(as_node(other), self)
-
-    def __sub__(self, other):
-        return sub(self, as_node(other))
-
-    def __rsub__(self, other):
-        return sub(as_node(other), self)
-
-    def __mul__(self, other):
-        return mul(self, as_node(other))
-
-    def __rmul__(self, other):
-        return mul(as_node(other), self)
-
-    def __truediv__(self, other):
-        return div(self, as_node(other))
-
-    def __rtruediv__(self, other):
-        return div(as_node(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise TypeError("only non-negative integer powers are supported")
-        out = const(1.0)
-        for _ in range(n):
-            out = mul(out, self)
-        return out
-
 
 def const(x: float) -> Node:
     return Node(float(x))
-
-
-def as_node(x) -> Node:
-    if isinstance(x, Node):
-        return x
-    if isinstance(x, (int, float)):
-        return Node(float(x))
-    raise TypeError(f"cannot use {type(x).__name__} as a graph value")
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ import os
 import sys
 
 from .data import (
-    DataError, GeneratorConfig, Vocab, generate_cad, load_jsonl, read_dataset, read_groups,
-    write_dataset,
+    NOT_A_FILE, DataError, GeneratorConfig, Vocab, generate_cad, load_jsonl, read_dataset,
+    read_groups, read_json_file, write_dataset,
 )
 from .evaluation import (
     config_fingerprint, evaluate, myopia_probe, run_ablation, run_data_efficiency,
@@ -28,21 +28,8 @@ class CliError(Exception):
     """Validation failure surfaced as exit code 1."""
 
 
-def _load_json(path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except FileNotFoundError:
-        raise CliError(f"config file not found: {path}")
-    except json.JSONDecodeError as e:
-        raise CliError(f"invalid JSON in {path}: {e}")
-    if not isinstance(payload, dict):
-        raise CliError(f"config file {path} does not hold a JSON object")
-    return payload
-
-
 def _train_config(args) -> TrainConfig:
-    payload = _load_json(args.config) if args.config else {}
+    payload = read_json_file(args.config, dict) if args.config else {}
     overrides = {
         "alpha": args.alpha, "beta": args.beta, "learning_rate": args.lr,
         "epochs": args.epochs, "batch_pairs": args.batch_pairs,
@@ -73,7 +60,7 @@ def _add_train_overrides(parser, with_seed: bool) -> None:
 
 
 def cmd_generate(args) -> int:
-    payload = _load_json(args.config) if args.config else {}
+    payload = read_json_file(args.config, dict) if args.config else {}
     if args.seed is not None:
         payload["seed"] = args.seed
     try:
@@ -91,7 +78,7 @@ def cmd_train(args) -> int:
     config = _train_config(args)
     try:
         dataset = read_dataset(args.data)
-    except (DataError, FileNotFoundError) as e:
+    except (DataError, *NOT_A_FILE) as e:
         raise CliError(f"bad data directory {args.data}: {e}")
     vocab = Vocab.from_examples(dataset.train_examples())
     checkpoint, log = train(config, dataset.train_pairs, vocab=vocab)
@@ -118,33 +105,39 @@ def cmd_train(args) -> int:
 def _load_eval_examples(path):
     try:
         return load_jsonl(path, require_pairs=False)
-    except (DataError, FileNotFoundError) as e:
+    except (DataError, *NOT_A_FILE) as e:
         raise CliError(f"bad data file {path}: {e}")
 
 
-def cmd_eval(args) -> int:
+def _load_checkpoint(path):
     try:
-        snapshot, vocab, extra = load_checkpoint(args.checkpoint)
-    except (ValueError, FileNotFoundError, KeyError) as e:
-        raise CliError(f"bad checkpoint {args.checkpoint}: {e}")
+        return load_checkpoint(path)
+    except (ValueError, KeyError, *NOT_A_FILE) as e:
+        raise CliError(f"bad checkpoint {path}: {e}")
+
+
+def _report(payload: dict, out_path) -> int:
+    """Print the JSON report and, with --out, write the same text there."""
+    out = json.dumps(payload, indent=2, sort_keys=True)
+    print(out)
+    if out_path:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(out + "\n")
+    return 0
+
+
+def cmd_eval(args) -> int:
+    snapshot, vocab, extra = _load_checkpoint(args.checkpoint)
     examples = _load_eval_examples(args.data)
     if not examples:
         raise CliError(f"no examples in {args.data}")
     report = evaluate(snapshot, examples, vocab, split=os.path.basename(args.data),
                       fingerprint=extra.get("fingerprint", ""))
-    out = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-    print(out)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out + "\n")
-    return 0
+    return _report(report.to_dict(), args.out)
 
 
 def cmd_probe(args) -> int:
-    try:
-        snapshot, vocab, extra = load_checkpoint(args.checkpoint)
-    except (ValueError, FileNotFoundError, KeyError) as e:
-        raise CliError(f"bad checkpoint {args.checkpoint}: {e}")
+    snapshot, vocab, extra = _load_checkpoint(args.checkpoint)
     examples = _load_eval_examples(args.data)
     groups_path = args.groups or os.path.join(os.path.dirname(args.data), "groups.json")
     try:
@@ -157,12 +150,7 @@ def cmd_probe(args) -> int:
         raise CliError(str(e))
     payload = probe.to_dict()
     payload["fingerprint"] = extra.get("fingerprint", "")
-    out = json.dumps(payload, indent=2, sort_keys=True)
-    print(out)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out + "\n")
-    return 0
+    return _report(payload, args.out)
 
 
 def _parse_int_list(text, what) -> list[int]:
@@ -181,7 +169,7 @@ def cmd_ablate(args) -> int:
     try:
         dataset = read_dataset(args.data)
         result = run_ablation(config, dataset, seeds, workers=args.workers)
-    except (DataError, FileNotFoundError, ValueError) as e:
+    except (ValueError, *NOT_A_FILE) as e:
         raise CliError(str(e))
     paths = write_report(result, args.out, "ablation")
     print(json.dumps({"report": paths, "summary": result["summary"]}, sort_keys=True))
@@ -195,7 +183,7 @@ def cmd_data_efficiency(args) -> int:
     try:
         dataset = read_dataset(args.data)
         result = run_data_efficiency(config, dataset, sizes, seeds, workers=args.workers)
-    except (DataError, FileNotFoundError, ValueError) as e:
+    except (ValueError, *NOT_A_FILE) as e:
         raise CliError(str(e))
     paths = write_report(result, args.out, "data_efficiency")
     print(json.dumps({"report": paths, "rows": len(result["rows"])}, sort_keys=True))
@@ -262,10 +250,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except DataError as e:
+    except (CliError, DataError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except NonFiniteLossError as e:

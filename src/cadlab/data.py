@@ -50,6 +50,10 @@ class EmptyEnvironmentError(DataError):
     pass
 
 
+# the OSErrors of a path that names no readable file: bad input, not a runtime failure
+NOT_A_FILE = (FileNotFoundError, IsADirectoryError, NotADirectoryError)
+
+
 @dataclass(frozen=True)
 class Example:
     id: str
@@ -57,10 +61,6 @@ class Example:
     label: int
     pair_id: str
     variant: str           # "original" | "counterfactual"
-
-    @property
-    def env(self) -> str:
-        return ENV_ORIGINAL if self.variant == VARIANT_ORIGINAL else ENV_COUNTERFACTUAL
 
 
 @dataclass(frozen=True)
@@ -124,18 +124,25 @@ def load_jsonl(path, require_pairs: bool = True) -> list[Example]:
     original/counterfactual pair with flipped labels. With require_pairs=False
     standalone originals are accepted (evaluation splits), but a counterfactual
     without its original is still an error. Other keys are ignored, such as
-    the per-line "groups" that older files carry.
+    the per-line "groups" that older files carry. A line that is not UTF-8
+    text or not a JSON object is a ParseError.
     """
     examples: list[Example] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+    # bytes, so that a decoding error names its line
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as e:
+                raise ParseError(path, line_no, f"not UTF-8 text: {e.reason}") from e
             if not line:
                 continue
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ParseError(path, line_no, f"invalid JSON: {e.msg}") from e
+            if not isinstance(obj, dict):
+                raise ParseError(path, line_no, "expected a JSON object")
             for f in _REQUIRED_FIELDS:
                 if f not in obj:
                     raise ParseError(path, line_no, f"missing field {f!r}")
@@ -507,15 +514,19 @@ def write_dataset(dataset: GeneratedDataset, out_dir) -> dict:
     return paths
 
 
-def _read_json_file(path, parse):
-    """parse(the JSON object in a file). A missing file, invalid JSON, another
-    JSON value, or a DataError or TypeError from parse is a DataError that
-    names the file."""
+def read_json_file(path, parse):
+    """parse(the JSON object in a file). A path that names no file, bytes
+    that are not UTF-8, invalid JSON, another JSON value, or a DataError or
+    TypeError from parse is a DataError that names the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
     except FileNotFoundError as e:
         raise DataError(f"{path}: file not found") from e
+    except NOT_A_FILE as e:
+        raise DataError(f"{path}: {e.strerror}") from e
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text: {e.reason}") from e
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: invalid JSON: {e}") from e
     if not isinstance(payload, dict):
@@ -528,7 +539,7 @@ def _read_json_file(path, parse):
 
 def read_groups(path) -> FeatureGroups:
     """Load a groups.json file written by write_dataset()."""
-    return _read_json_file(path, FeatureGroups.from_dict)
+    return read_json_file(path, FeatureGroups.from_dict)
 
 
 def read_dataset(data_dir) -> GeneratedDataset:
@@ -541,6 +552,6 @@ def read_dataset(data_dir) -> GeneratedDataset:
     stress_path = os.path.join(data_dir, "ood_stress.jsonl")
     ood_stress = load_jsonl(stress_path, require_pairs=False) if os.path.exists(stress_path) else []
     groups = read_groups(os.path.join(data_dir, "groups.json"))
-    cfg = _read_json_file(os.path.join(data_dir, "generator_config.json"),
+    cfg = read_json_file(os.path.join(data_dir, "generator_config.json"),
                             GeneratorConfig.from_dict)
     return GeneratedDataset(pair_examples(train), ood, ood_stress, groups, cfg)

@@ -192,8 +192,8 @@ def ood_eval_set(dataset: GeneratedDataset, vocab: Vocab,
     return EvalSet.build(dataset.ood + dataset.ood_stress, vocab, dataset.groups, ids)
 
 
-def run_single(config: TrainConfig, dataset: GeneratedDataset,
-               vocab: Vocab | None = None, ood: EvalSet | None = None) -> dict:
+def run_single(config: TrainConfig, dataset: GeneratedDataset, vocab: Vocab,
+               ood: EvalSet) -> dict:
     """Train one model, evaluate the checkpoint on both OOD variants, and run
     the reliance probe over their union. Returns one flat result row.
 
@@ -201,10 +201,6 @@ def run_single(config: TrainConfig, dataset: GeneratedDataset,
     their runs. The probe predicts the union once; its first len(dataset.ood)
     rows give acc_ood and the rest acc_ood_stress.
     """
-    if vocab is None:
-        vocab = Vocab.from_examples(dataset.train_examples())
-    if ood is None:
-        ood = ood_eval_set(dataset, vocab)
     checkpoint, _ = train(config, dataset.train_pairs, vocab=vocab)
     probe = myopia_probe(checkpoint.snapshot, ood, dataset.groups, vocab)
     n_ood = len(dataset.ood)

@@ -62,8 +62,6 @@ class LossBreakdown:
     l_irm: float
     l_ocd: float
     total: float
-    alpha: float
-    beta: float
     n_pairs_used: int
 
     CSV_HEADER = "step,l_p,l_irm,l_ocd,total,n_pairs_used"
@@ -97,15 +95,14 @@ def env_risk_omega_grad(fwds: list[ForwardExample], omega: Node | None = None) -
 
 
 def irm_penalty(env_fwds: dict[str, list[ForwardExample]]) -> Node:
-    """Sum over environments of the squared omega-gradient of the risk."""
-    if not env_fwds:
-        raise ValueError("invariance penalty needs at least one environment")
+    """Sum over environments of the squared omega-gradient of the risk. An
+    environment without members adds nothing."""
     omega = const(1.0)
     squares = []
     for name in sorted(env_fwds):
         members = env_fwds[name]
         if not members:
-            raise ValueError(f"environment {name!r} is empty")
+            continue
         g = env_risk_omega_grad(members, omega)
         squares.append(mul(g, g))
     return nsum(squares)
@@ -148,7 +145,8 @@ def combined_loss(batch: list[Example],
     The prediction loss is a uniform mean over the whole batch. env_batches
     is consulted only when alpha > 0, pairs only when beta > 0; all example
     lists must reference the same Example objects as ``batch`` so the
-    forward graph is shared.
+    forward graph is shared. An environment absent from the batch adds
+    nothing to L_IRM, and a batch without pairs has L_OCD = 0.
     """
     if alpha < 0.0 or beta < 0.0:
         raise ValueError("alpha and beta must be non-negative")
@@ -168,16 +166,12 @@ def combined_loss(batch: list[Example],
     l_ocd_value = 0.0
     n_pairs_used = 0
     if alpha > 0.0:
-        if not env_batches:
-            raise ValueError("alpha > 0 requires environment batches")
         env_fwds = {name: [fwds[id(ex)] for ex in members]
                     for name, members in env_batches.items()}
         l_irm = irm_penalty(env_fwds)
         l_irm_value = l_irm.value
         total = add(total, scale(l_irm, alpha))
     if beta > 0.0:
-        if not pairs:
-            raise ValueError("beta > 0 requires counterfactual pairs")
         pair_fwds = [(fwds[id(a)], fwds[id(b)]) for a, b in pairs]
         l_ocd, n_pairs_used = ocd_loss(pair_fwds, params)
         l_ocd_value = l_ocd.value
@@ -188,8 +182,6 @@ def combined_loss(batch: list[Example],
         l_irm=l_irm_value,
         l_ocd=l_ocd_value,
         total=total.value,
-        alpha=alpha,
-        beta=beta,
         n_pairs_used=n_pairs_used,
     )
     return total, breakdown
@@ -206,8 +198,9 @@ def objective_and_grad(params: Snapshot, grads: Snapshot, x: np.ndarray, y: np.n
     x holds the step's feature rows and y their labels. envs lists, in sorted
     environment-name order, the row positions of each environment; pairs is
     an (m, 2) array of the row positions of each (original, counterfactual)
-    pair. The gradient is written into ``grads``, whose arrays are views into
-    the gradient vector. Values and requirements are those of combined_loss.
+    pair. The model has no hidden layer. The gradient is written into
+    ``grads``, whose arrays are views into the gradient vector. Values and
+    requirements are those of combined_loss.
     """
     if alpha < 0.0 or beta < 0.0:
         raise ValueError("alpha and beta must be non-negative")
@@ -216,8 +209,7 @@ def objective_and_grad(params: Snapshot, grads: Snapshot, x: np.ndarray, y: np.n
         raise ValueError("prediction loss over an empty batch")
     rows = np.arange(n)
     w = params.classifier
-    h1 = np.tanh(x @ params.embedding + params.enc_bias)
-    h = h1 if params.hidden is None else np.tanh(h1 @ params.hidden.T + params.hidden_bias)
+    h = np.tanh(x @ params.embedding + params.enc_bias)
     z = h @ w.T + params.out_bias
     z_max = z.max(axis=1, keepdims=True)
     e = np.exp(z - z_max)
@@ -234,8 +226,6 @@ def objective_and_grad(params: Snapshot, grads: Snapshot, x: np.ndarray, y: np.n
 
     l_irm = 0.0
     if alpha > 0.0:
-        if not envs:
-            raise ValueError("alpha > 0 requires environment batches")
         # g_e = mean_i(sum_k p_ik z_ik - z_iy), the omega-gradient of the risk at 1
         z_bar = (p * z).sum(axis=1)
         per_example = z_bar - z[rows, y]
@@ -243,6 +233,8 @@ def objective_and_grad(params: Snapshot, grads: Snapshot, x: np.ndarray, y: np.n
         dg[rows, y] -= 1.0
         squares = []
         for idx in envs:
+            if not len(idx):
+                continue
             g = per_example[idx].sum() * (1.0 / len(idx))
             squares.append(g * g)
             np.add.at(dz, idx, dg[idx] * (alpha * 2.0 * g / len(idx)))
@@ -253,14 +245,13 @@ def objective_and_grad(params: Snapshot, grads: Snapshot, x: np.ndarray, y: np.n
     grads.classifier[...] = dz.T @ h
     l_ocd, n_pairs_used = 0.0, 0
     if beta > 0.0:
-        if len(pairs) == 0:
-            raise ValueError("beta > 0 requires counterfactual pairs")
         usable = (w * w).sum(axis=1) > DEGENERATE_NORM_EPS ** 2
         used = pairs[usable[y[pairs[:, 0]]] & usable[y[pairs[:, 1]]]]
         n_pairs_used = len(used)
         if n_pairs_used == 0:
-            log.warning("all %d pairs skipped in the pair-alignment term (degenerate label vectors)",
-                        len(pairs))
+            if len(pairs):
+                log.warning("all %d pairs skipped in the pair-alignment term "
+                            "(degenerate label vectors)", len(pairs))
         else:
             sides = []
             for idx in (used[:, 0], used[:, 1]):
@@ -282,14 +273,8 @@ def objective_and_grad(params: Snapshot, grads: Snapshot, x: np.ndarray, y: np.n
                 np.add.at(grads.classifier, y[idx], dw)
 
     grads.out_bias[...] = dz.sum(axis=0)
-    if params.hidden is not None:
-        da = dh * (1.0 - h * h)
-        grads.hidden[...] = da.T @ h1
-        grads.hidden_bias[...] = da.sum(axis=0)
-        dh = da @ params.hidden
-    da = dh * (1.0 - h1 * h1)
+    da = dh * (1.0 - h * h)
     grads.embedding[...] = x.T @ da
     grads.enc_bias[...] = da.sum(axis=0)
     return LossBreakdown(l_p=float(l_p), l_irm=float(l_irm), l_ocd=float(l_ocd),
-                         total=float(total), alpha=alpha, beta=beta,
-                         n_pairs_used=n_pairs_used)
+                         total=float(total), n_pairs_used=n_pairs_used)

@@ -247,8 +247,11 @@ def save_checkpoint(path, snap: Snapshot, vocab: Vocab, extra: dict | None = Non
 def load_checkpoint(path) -> tuple[Snapshot, Vocab, dict]:
     """Load a checkpoint, checking every parameter array's shape against the
     model config and that every value is finite (ValueError otherwise)."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except UnicodeDecodeError as e:
+        raise ValueError(f"not UTF-8 text: {e.reason}") from e
     if not isinstance(payload, dict) or not isinstance(payload.get("params"), dict):
         raise ValueError("a checkpoint is a JSON object with a \"params\" object")
     version = payload.get("format_version")

@@ -1,7 +1,10 @@
 """Deterministic mini-batch training loop with pair-preserving batching.
 
 Both members of a counterfactual pair always land in the same step, so the
-pairwise alignment term is computable and every step sees both environments.
+pairwise alignment term is computable. On partly augmented data a batch may
+hold no counterfactual: an environment with no member in the batch adds
+nothing to the invariance penalty, and a batch without a pair has a zero
+alignment term.
 The training data are featurized and partitioned into environments once; a
 batch is a list of unit indices, from which each step gathers its rows and
 takes the loss values and gradient in closed form (``losses.objective_and_grad``).
@@ -23,8 +26,7 @@ import numpy as np
 
 # perfbench/spans.py wraps cadlab.training.grad and .combined_loss by name
 from .autodiff import grad  # noqa: F401
-from .data import (EmptyEnvironmentError, PairedExample, Vocab, featurize_matrix, is_int,
-                   partition_environments)
+from .data import PairedExample, Vocab, featurize_matrix, is_int, partition_environments
 from .losses import LossBreakdown, combined_loss, objective_and_grad  # noqa: F401
 from .model import ModelConfig, Snapshot, initial_values
 
@@ -57,14 +59,11 @@ class TrainConfig:
     env_mode: str = "disjoint"     # | "overlap": e_cad additionally holds the originals
     n_classes: int = 2
     embed_dim: int = 8
-    use_hidden: bool = False
 
     def __post_init__(self):
         for name in ("batch_pairs", "epochs", "seed", "n_classes", "embed_dim"):
             if not is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
-        if not isinstance(self.use_hidden, bool):
-            raise ValueError(f"use_hidden must be a bool, got {self.use_hidden!r}")
         for name in ("alpha", "beta", "learning_rate"):
             value = getattr(self, name)
             if not (is_int(value) or isinstance(value, float) and math.isfinite(value)):
@@ -220,17 +219,14 @@ def environment_masks(examples: list, alpha: float, env_mode: str) -> dict[str, 
 def batch_index(units: np.ndarray, env_masks: dict[str, np.ndarray],
                 batch: list[int]) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """A batch's feature rows (each unit's original, then its counterfactual),
-    the positions of each environment's members among them and the
-    (original, counterfactual) positions of each pair."""
+    the positions of each environment's members among them (empty for an
+    environment absent from the batch) and the (original, counterfactual)
+    positions of each pair."""
     members = units[batch]
     present = members >= 0
     rows = members[present]
     pair_rows = (np.cumsum(present) - 1).reshape(present.shape)[present[:, 1]]
     env_rows = [np.flatnonzero(mask[rows]) for mask in env_masks.values()]
-    for name, at in zip(env_masks, env_rows):
-        if not at.size:
-            raise EmptyEnvironmentError(f"environment {name!r} has no member in a batch, "
-                                        "but the invariance penalty needs both in every batch")
     return rows, env_rows, pair_rows
 
 
@@ -259,7 +255,7 @@ def train(config: TrainConfig, pairs: list[PairedExample],
     features = featurize_matrix(all_examples, vocab)
 
     model_cfg = ModelConfig(vocab_size=vocab.size, n_classes=config.n_classes,
-                            embed_dim=config.embed_dim, use_hidden=config.use_hidden)
+                            embed_dim=config.embed_dim)
     theta = np.array(initial_values(model_cfg, config.seed))
     gradient = np.zeros_like(theta)
     params = Snapshot.from_flat(model_cfg, theta)

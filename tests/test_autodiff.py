@@ -32,19 +32,6 @@ def test_log_domain_error():
         log(const(-1.0))
 
 
-def test_operator_sugar():
-    x = const(2.0)
-    y = const(5.0)
-    assert (x + y).value == 7.0
-    assert (x * y).value == 10.0
-    assert (x - y).value == -3.0
-    assert (-x).value == -2.0
-    assert (x / y).value == 0.4
-    assert (x + 1.0).value == 3.0
-    assert (3.0 * x).value == 6.0
-    assert (x ** 3).value == 8.0
-
-
 def test_grad_square():
     x = const(3.0)
     f = mul(x, x)

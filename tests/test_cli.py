@@ -2,6 +2,7 @@ import json
 import os
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
 
@@ -14,6 +15,24 @@ from cadlab.cli import main
 def _write_json(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
+
+
+DIRECTORY = object()   # _put content: an empty directory in place of a file
+
+
+def _put(path, content):
+    """Replace what is at path: None leaves nothing, DIRECTORY an empty
+    directory, and bytes or text a file that holds them."""
+    if path.is_dir():
+        shutil.rmtree(path)
+    elif path.exists():
+        path.unlink()
+    if content is DIRECTORY:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
 
 
 @pytest.fixture()
@@ -78,12 +97,14 @@ CONFIG_COMMANDS = {
     "ablate": ["--seeds", "0,1", "--epochs", "1"],
     "data-efficiency": ["--sizes", "4", "--seeds", "0", "--epochs", "1"],
 }
-# (config file content or None for no file, message)
+# (what _put leaves at the config path, message)
 BAD_CONFIG_FILES = [
-    pytest.param(None, "config file not found: ", id="missing"),
-    pytest.param("{not json", "invalid JSON in ", id="invalid_json"),
-    pytest.param("[]", "does not hold a JSON object", id="list"),
-    pytest.param('"alpha"', "does not hold a JSON object", id="string"),
+    pytest.param(None, "cfg.json: file not found", id="missing"),
+    pytest.param("{not json", "cfg.json: invalid JSON", id="invalid_json"),
+    pytest.param("[]", "cfg.json: expected a JSON object", id="list"),
+    pytest.param('"alpha"', "cfg.json: expected a JSON object", id="string"),
+    pytest.param(b'{"alpha": "\xff"}', "cfg.json: not UTF-8 text", id="not_utf8"),
+    pytest.param(DIRECTORY, "cfg.json: Is a directory", id="directory"),
 ]
 
 
@@ -92,8 +113,7 @@ BAD_CONFIG_FILES = [
 def test_bad_config_file_exit_1(small_data, capsys, command, content, message):
     tmp_path, data_dir = small_data
     cfg = tmp_path / "cfg.json"
-    if content is not None:
-        cfg.write_text(content)
+    _put(cfg, content)
     data = [] if command == "generate" else ["--data", str(data_dir)]
     out = tmp_path / "out"
     rc = main([command, "--config", str(cfg), "--out", str(out), *data,
@@ -180,7 +200,7 @@ def test_train_runtime_failure_exit_2(small_data, capsys):
     (["--lr", "nan"], {}),
     (["--beta", "inf"], {}),
     ([], {"batch_pairs": 2.5}),
-    ([], {"use_hidden": "yes"}),
+    ([], {"epochs": True}),
 ])
 def test_train_empty_model_dimension_exit_1(small_data, capsys, flag, config):
     tmp_path, data_dir = small_data
@@ -198,7 +218,7 @@ def test_removed_train_config_keys_exit_1(small_data, capsys):
     cfg = tmp_path / "train.json"
     for key, value in (("lp_mode", "union"), ("stop_grad_on_W_for_ocd", False),
                        ("checkpoint_rule", "best_train_accuracy"), ("adam_beta1", 0.9),
-                       ("adam_beta2", 0.999), ("adam_eps", 1e-8)):
+                       ("adam_beta2", 0.999), ("adam_eps", 1e-8), ("use_hidden", False)):
         _write_json(cfg, {"epochs": 1, key: value})
         rc = main(["train", "--config", str(cfg), "--data", str(data_dir),
                    "--out", str(tmp_path / "o"), "--seed", "1"])
@@ -207,7 +227,7 @@ def test_removed_train_config_keys_exit_1(small_data, capsys):
     assert not (tmp_path / "o").exists()
 
 
-# (file in the data directory, its new content or None to delete it, message)
+# (file in the data directory, what _put leaves there, message)
 BROKEN_DATA_FILES = [
     pytest.param("generator_config.json", None, "generator_config.json: file not found",
                  id="generator_config-missing"),
@@ -233,6 +253,14 @@ BROKEN_DATA_FILES = [
                  id="groups-invalid_json"),
     pytest.param("groups.json", '{"noise": []}', "groups.json: feature groups lack",
                  id="groups-lacks_group"),
+    pytest.param("generator_config.json", b'{"seed": 1}\xff',
+                 "generator_config.json: not UTF-8 text", id="generator_config-not_utf8"),
+    pytest.param("groups.json", DIRECTORY, "groups.json: Is a directory", id="groups-directory"),
+    pytest.param("train.jsonl", "5\n", "train.jsonl:1: expected a JSON object",
+                 id="train-not_object_line"),
+    pytest.param("train.jsonl", b'{"id": "\xff"}\n', "train.jsonl:1: not UTF-8 text",
+                 id="train-not_utf8"),
+    pytest.param("", "", "Not a directory", id="data_directory-a_file"),
 ]
 
 DATA_COMMANDS = {
@@ -246,10 +274,7 @@ DATA_COMMANDS = {
 @pytest.mark.parametrize("name, content, message", BROKEN_DATA_FILES)
 def test_broken_dataset_file_exit_1(small_data, capsys, command, name, content, message):
     tmp_path, data_dir = small_data
-    if content is None:
-        (data_dir / name).unlink()
-    else:
-        (data_dir / name).write_text(content)
+    _put(data_dir / name, content)     # name "" is the data directory itself
     out = tmp_path / "out"
     rc = main([command, "--data", str(data_dir), "--out", str(out), "--epochs", "1",
                *DATA_COMMANDS[command]])
@@ -340,6 +365,8 @@ MALFORMED_CHECKPOINTS = [
      "checkpoint vocab does not match model vocab_size"),
     ("format version", _set(("format_version",), 2), 1,
      "unsupported checkpoint format version 2"),
+    ("not UTF-8", lambda payload: json.dumps(payload).encode() + b"\xff", 1, "not UTF-8 text"),
+    ("a directory", lambda payload: DIRECTORY, 1, "Is a directory"),
 ]
 
 
@@ -349,7 +376,8 @@ MALFORMED_CHECKPOINTS = [
 def test_malformed_checkpoint_exit_code(trained, capsys, command, name, edit, code, message):
     tmp_path, data_dir, ckpt = trained
     bad = tmp_path / "bad.json"
-    _write_json(bad, edit(json.loads(ckpt.read_text())))
+    edited = edit(json.loads(ckpt.read_text()))
+    _put(bad, edited if edited is DIRECTORY or isinstance(edited, bytes) else json.dumps(edited))
     capsys.readouterr()
     rc = main([command, "--checkpoint", str(bad), "--data", str(data_dir / "ood.jsonl")])
     err = capsys.readouterr().err
@@ -371,6 +399,33 @@ def test_label_outside_model_classes_exit_1(trained, capsys, command):
     err = capsys.readouterr().err
     assert rc == 1, err
     assert f"example {row['id']!r} has label 7, outside the model's 2 classes" in err, err
+
+
+# (command, the argument given a bad path, what is there, message)
+BAD_EVAL_INPUTS = [
+    pytest.param(command, "--data", content, message, id=f"{command}-data-{case}")
+    for command in ("eval", "probe")
+    for case, content, message in (
+        ("int_line", '{"id": "a", "text": "x", "label": 0, "pair_id": "a", '
+                     '"variant": "original"}\n5\n', "bad.jsonl:2: expected a JSON object"),
+        ("null_line", "null\n", "bad.jsonl:1: expected a JSON object"),
+        ("not_utf8", b"\xff\n", "bad.jsonl:1: not UTF-8 text"),
+        ("directory", DIRECTORY, "Is a directory"))
+] + [pytest.param("probe", "--groups", DIRECTORY, "Is a directory", id="probe-groups-directory")]
+
+
+@pytest.mark.parametrize("command, arg, content, message", BAD_EVAL_INPUTS)
+def test_bad_eval_input_exit_1(trained, capsys, command, arg, content, message):
+    tmp_path, data_dir, ckpt = trained
+    paths = {"--data": data_dir / "ood.jsonl", "--groups": data_dir / "groups.json"}
+    paths[arg] = tmp_path / "bad.jsonl"
+    _put(paths[arg], content)
+    groups = ["--groups", str(paths["--groups"])] if command == "probe" else []
+    capsys.readouterr()
+    rc = main([command, "--checkpoint", str(ckpt), "--data", str(paths["--data"]), *groups])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert err.startswith("error: ") and message in err and str(paths[arg]) in err, err
 
 
 @pytest.mark.parametrize("command", ["eval", "probe"])

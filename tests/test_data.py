@@ -35,8 +35,6 @@ def test_load_valid_pair(tmp_path):
     assert len(pairs) == 1
     assert pairs[0].original.label == 0
     assert pairs[0].counterfactual.label == 1
-    assert examples[0].env == "e_ori"
-    assert examples[1].env == "e_cad"
 
 
 def test_load_same_label_pair_is_error(tmp_path):
@@ -210,24 +208,25 @@ def test_generator_kept_tokens_carry_no_label_signal():
     """The data property that C6 in test_acceptance.py fails for, on its
     acceptance config: every kept (non-edited, correlated, noise) token occurs
     equally often under both labels, and a class-c non-edited token carries
-    label c in e_ori and the other label in e_cad. The training set then
+    label c in the originals and the other label in the counterfactuals
+    (the environments e_ori and e_cad in disjoint mode). The training set then
     cannot tell a non-edited causal token from a rho=1 spurious one."""
     cfg = GeneratorConfig(n_pairs=2000, rho_train=0.9, edit_scope=0.5, n_ood=1000, seed=2024)
     ds = generate_cad(cfg)
     kept = ds.groups.nonedited_causal | ds.groups.correlated | ds.groups.noise
     counts = {c: collections.Counter() for c in range(cfg.n_classes)}
-    labels_by_env = collections.defaultdict(set)
+    labels_by_variant = collections.defaultdict(set)
     for ex in ds.train_examples():
         counts[ex.label].update(t for t in ex.tokens if t in kept)
         for t in ex.tokens:
             if t in ds.groups.nonedited_causal:
-                labels_by_env[t, ex.env].add(ex.label)
+                labels_by_variant[t, ex.variant].add(ex.label)
     assert set(counts[0]) == kept
     assert counts[0] == counts[1]
     for c in range(cfg.n_classes):
         for i in range(cfg.tokens_per_group["nonedited"]):
-            assert labels_by_env[f"non{c}_{i}", "e_ori"] == {c}
-            assert labels_by_env[f"non{c}_{i}", "e_cad"] == {1 - c}
+            assert labels_by_variant[f"non{c}_{i}", "original"] == {c}
+            assert labels_by_variant[f"non{c}_{i}", "counterfactual"] == {1 - c}
 
 
 def test_generator_determinism(tmp_path):

@@ -151,7 +151,8 @@ def _fast_config(**kw):
 
 def test_run_single_row_shape():
     ds = _dataset(n_pairs=16, n_ood=20)
-    row = run_single(_fast_config(), ds)
+    vocab = Vocab.from_examples(ds.train_examples())
+    row = run_single(_fast_config(), ds, vocab, ood_eval_set(ds, vocab))
     for key in ("seed", "alpha", "beta", "acc_ood", "acc_ood_stress", "mean_ood",
                 "drop_edited_causal", "drop_nonedited_causal", "drop_correlated"):
         assert key in row
@@ -167,8 +168,8 @@ def test_run_ablation_structure_and_reduction():
     assert set(result["summary"]) == arms
     # the neither arm reproduces a standalone plain run bit-for-bit
     neither = [r for r in result["rows"] if r["arm"] == "neither" and r["seed"] == 0][0]
-    standalone = run_single(_fast_config(alpha=0.0, beta=0.0),
-                            ds, Vocab.from_examples(ds.train_examples()))
+    vocab = Vocab.from_examples(ds.train_examples())
+    standalone = run_single(_fast_config(alpha=0.0, beta=0.0), ds, vocab, ood_eval_set(ds, vocab))
     for key in ("acc_ood", "acc_ood_stress", "train_accuracy", "drop_edited_causal"):
         assert neither[key] == standalone[key]
     # each arm zeroes its own weights and keeps the other one

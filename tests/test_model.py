@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from cadlab.autodiff import const, finite_diff_check, grad, nsum
+from cadlab.autodiff import const, finite_diff_check, grad, mul, nsum
 from cadlab.data import GeneratorConfig, Vocab, featurize_matrix, featurize_sparse, generate_cad
 from cadlab.model import (
     DegenerateLabelVector, ModelConfig, ModelParams,
@@ -157,7 +157,7 @@ def test_decompose_gradient_reaches_classifier():
     _set_matrix(params.classifier, [[1.0, 1.0], [0.2, 0.1]])
     h = [const(1.0), const(2.0)]
     dec = decompose(h, 0, params)
-    out = nsum([n * n for n in dec.h_perp])
+    out = nsum([mul(n, n) for n in dec.h_perp])
     g = grad(out, params.classifier[0])
     assert any(v != 0.0 for v in g)
 

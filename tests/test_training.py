@@ -5,13 +5,13 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cadlab import training
 from cadlab.autodiff import const, grad, nsum, scale
 from cadlab.data import (
-    EmptyEnvironmentError, GeneratorConfig, PairedExample, Vocab, featurize_matrix,
-    generate_cad, partition_environments,
+    ENV_COUNTERFACTUAL, ENV_ORIGINAL, EmptyEnvironmentError, GeneratorConfig, PairedExample,
+    Vocab, featurize_matrix, generate_cad, partition_environments,
 )
 from cadlab.evaluation import evaluate
 from cadlab.losses import combined_loss, objective_and_grad
@@ -107,8 +107,8 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig.from_dict({"alpha": 0.1, "bogus": 2})
     for bad in ({"alpha": math.nan}, {"beta": math.inf}, {"learning_rate": math.nan},
-                {"batch_pairs": 2.5}, {"epochs": True}, {"seed": "1"}, {"use_hidden": "yes"}):
-        with pytest.raises(ValueError, match="must be an int|must be a bool|must be a finite"):
+                {"batch_pairs": 2.5}, {"epochs": True}, {"seed": "1"}):
+        with pytest.raises(ValueError, match="must be an int|must be a finite"):
             TrainConfig.from_dict(bad)
     cfg = TrainConfig.from_dict(TrainConfig(alpha=0.3).to_dict())
     assert cfg.alpha == 0.3
@@ -191,19 +191,6 @@ def test_train_requires_both_envs_for_alpha():
     assert isinstance(ck, Checkpoint)
 
 
-def test_batch_without_counterfactual_raises_under_alpha():
-    """Both environments exist in the data, but with one unit per batch an
-    unpaired unit's batch has no member of e_cad in disjoint mode."""
-    ds = _dataset(n_pairs=6)
-    units = ds.train_pairs[:1] + [PairedExample(u.original, None) for u in ds.train_pairs[1:]]
-    cfg = TrainConfig(alpha=0.5, beta=0.0, epochs=1, batch_pairs=1, seed=1, embed_dim=4)
-    with pytest.raises(EmptyEnvironmentError, match="'e_cad' has no member in a batch"):
-        train(cfg, units)
-    # in overlap mode e_cad also holds the originals, so every batch has both
-    ck, _ = train(TrainConfig(**{**cfg.to_dict(), "env_mode": "overlap"}), units)
-    assert isinstance(ck, Checkpoint)
-
-
 def test_non_finite_abort_diagnostic():
     ds = _dataset(n_pairs=8)
     # Adam's first bias-corrected step jumps to ~lr, so an absurd rate pushes
@@ -234,14 +221,24 @@ def _assert_breakdowns_match(got, ref):
     assert got.n_pairs_used == ref.n_pairs_used
 
 
+def _batch_environments(members, alpha, env_mode):
+    """The environments of a batch's examples as partition_environments forms
+    them, with an environment absent from the batch left empty; none when
+    alpha == 0."""
+    if alpha == 0.0:
+        return {}
+    envs = partition_environments(members, 0.0, env_mode)
+    return {name: envs.get(name, []) for name in (ENV_ORIGINAL, ENV_COUNTERFACTUAL)}
+
+
 def _step_both_ways(units, batch, params, vocab, alpha, beta, env_mode):
     """One step on the units at the indices in batch: the loss breakdown and
-    gradient from partition_environments of the batch's examples, combined_loss
-    and autodiff.grad, and from objective_and_grad on the rows, environment
-    positions and pair positions that train gathers with batch_index."""
+    gradient from the batch's environments, combined_loss and autodiff.grad,
+    and from objective_and_grad on the rows, environment positions and pair
+    positions that train gathers with batch_index."""
     chosen = [units[i] for i in batch]
     members = [m for u in chosen for m in u.members()]
-    envs = partition_environments(members, alpha, env_mode) if alpha > 0.0 else {}
+    envs = _batch_environments(members, alpha, env_mode)
     pairs = [(u.original, u.counterfactual) for u in chosen if u.counterfactual is not None]
     total, ref = combined_loss(members, pairs, envs, params, vocab, alpha, beta)
     ref_grad = np.array(grad(total, params.flat()))
@@ -265,25 +262,28 @@ def _assert_grads_match(got_grad, ref_grad):
 
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2 ** 20), n_classes=st.sampled_from([2, 3]),
-       use_hidden=st.booleans(), env_mode=st.sampled_from(["disjoint", "overlap"]),
+       env_mode=st.sampled_from(["disjoint", "overlap"]),
        alpha=st.sampled_from([0.0, 0.4, 1.6]), beta=st.sampled_from([0.0, 0.1, 2.0]),
-       n_paired=st.integers(1, 4), n_unpaired=st.integers(0, 3),
+       n_paired=st.integers(0, 4), n_unpaired=st.integers(0, 3),
        spread=st.floats(0.05, 1.5), degenerate_class=st.sampled_from([None, 0, 1]))
-def test_closed_form_step_matches_autodiff(seed, n_classes, use_hidden, env_mode, alpha, beta,
+def test_closed_form_step_matches_autodiff(seed, n_classes, env_mode, alpha, beta,
                                            n_paired, n_unpaired, spread, degenerate_class):
+    assume(n_paired + n_unpaired > 0)
     rng = random.Random(seed)
     ds = generate_cad(GeneratorConfig(n_pairs=8, n_ood=2, n_classes=n_classes,
                                       sentence_length=7, seed=seed))
     # the batch: n_paired paired and n_unpaired unpaired units, shuffled, out
-    # of a training set whose other units are paired or not at random
+    # of a training set whose other units are paired or not at random, except
+    # the first of them, which stays paired so that the set has both environments
     batch = rng.sample(range(8), n_paired + n_unpaired)
-    unpaired = set(batch[n_paired:]) | {i for i in range(8) if i not in batch and rng.random() < 0.5}
+    others = [i for i in range(8) if i not in batch]
+    unpaired = set(batch[n_paired:]) | {i for i in others[1:] if rng.random() < 0.5}
     units = [PairedExample(u.original, None) if i in unpaired else u
              for i, u in enumerate(ds.train_pairs)]
     rng.shuffle(batch)
     vocab = Vocab.from_examples([m for u in ds.train_pairs for m in u.members()])
-    params = ModelParams(ModelConfig(vocab_size=vocab.size, n_classes=n_classes,
-                                     embed_dim=3, use_hidden=use_hidden), seed=seed)
+    params = ModelParams(ModelConfig(vocab_size=vocab.size, n_classes=n_classes, embed_dim=3),
+                         seed=seed)
     for p in params.flat():
         p.value = rng.uniform(-spread, spread)
     if degenerate_class is not None:
@@ -318,15 +318,14 @@ def _reference_train(cfg, pairs):
     list-based Adam step, with a snapshot after every epoch."""
     vocab = Vocab.from_examples([m for u in pairs for m in u.members()])
     params = ModelParams(ModelConfig(vocab_size=vocab.size, n_classes=cfg.n_classes,
-                                     embed_dim=cfg.embed_dim, use_hidden=cfg.use_hidden),
-                         seed=cfg.seed)
+                                     embed_dim=cfg.embed_dim), seed=cfg.seed)
     flat = params.flat()
     state = AdamState.zeros(len(flat))
     steps, snapshots = [], []
     for epoch in range(cfg.epochs):
         for batch in make_batches(pairs, cfg.batch_pairs, cfg.seed, epoch):
             members = [m for u in batch for m in u.members()]
-            envs = partition_environments(members, cfg.alpha, cfg.env_mode) if cfg.alpha > 0.0 else {}
+            envs = _batch_environments(members, cfg.alpha, cfg.env_mode)
             step_pairs = [(u.original, u.counterfactual) for u in batch
                           if u.counterfactual is not None]
             total, breakdown = combined_loss(
@@ -339,14 +338,12 @@ def _reference_train(cfg, pairs):
 
 
 def _snapshot_vector(snap):
-    parts = [snap.embedding, snap.enc_bias, snap.hidden, snap.hidden_bias,
-             snap.classifier, snap.out_bias]
-    return np.concatenate([a.ravel() for a in parts if a is not None])
+    parts = [snap.embedding, snap.enc_bias, snap.classifier, snap.out_bias]
+    return np.concatenate([a.ravel() for a in parts])
 
 
 @pytest.mark.parametrize("changes", [
     {},
-    {"use_hidden": True},
     {"env_mode": "overlap"},
     {"beta": 2.0},
     {"n_classes": 3},
@@ -373,6 +370,57 @@ def test_train_matches_scalar_reference_loop(changes):
     got_vec = _snapshot_vector(ck.snapshot)
     ref_vec = _snapshot_vector(ref_snaps[ck.epoch])
     assert np.abs(got_vec - ref_vec).max() <= TOL * max(1.0, np.abs(ref_vec).max())
+
+
+def test_batch_without_counterfactual_matches_reference(caplog):
+    """On partly augmented data a batch may hold no counterfactual. Then e_cad
+    adds nothing to L_IRM in disjoint mode, and L_OCD is 0 with no pair used
+    and no warning. The closed form follows the reference on such batches,
+    and train follows the reference loop with one unit per batch."""
+    ds = _dataset(n_pairs=6)
+    units = ds.train_pairs[:2] + [PairedExample(u.original, None) for u in ds.train_pairs[2:]]
+    vocab = Vocab.from_examples([m for u in units for m in u.members()])
+    params = ModelParams(ModelConfig(vocab_size=vocab.size, embed_dim=4), seed=3)
+    with caplog.at_level(logging.WARNING, logger="cadlab.losses"):
+        for env_mode in ("disjoint", "overlap"):
+            for batch in ([3], [5, 2], [4, 0, 3], [1, 0]):
+                ref, ref_grad, got, got_grad = _step_both_ways(
+                    units, batch, params, vocab, 1.6, 0.1, env_mode)
+                _assert_breakdowns_match(got, ref)
+                _assert_grads_match(got_grad, ref_grad)
+                if min(batch) >= 2:
+                    assert got.l_ocd == 0.0 and got.n_pairs_used == 0
+    assert not caplog.records
+
+    # the e_ori term alone: what the reference gives without an e_cad entry
+    originals = [units[i].original for i in (5, 2)]
+    _, alone = combined_loss(originals, [], {ENV_ORIGINAL: originals}, params, vocab, 1.6, 0.0)
+    ref, _, got, _ = _step_both_ways(units, [5, 2], params, vocab, 1.6, 0.0, "disjoint")
+    assert ref.l_irm == alone.l_irm > 0.0 and _close(got.l_irm, alone.l_irm)
+
+    cfg = TrainConfig(alpha=1.6, beta=0.1, learning_rate=0.05, epochs=2, batch_pairs=1,
+                      seed=1, embed_dim=4)
+    _, log = train(cfg, units)
+    _, ref_steps, _ = _reference_train(cfg, units)
+    assert len(log.steps) == len(ref_steps) == 12
+    for got, ref in zip(log.steps, ref_steps):
+        _assert_breakdowns_match(got, ref)
+    assert sum(b.n_pairs_used == 0 for b in log.steps) == 8
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.6, 0.0), (0.0, 0.1), (1.6, 0.1)])
+def test_train_completes_on_partly_augmented_data(alpha, beta):
+    """One unit in five keeps its counterfactual, so some batches hold none."""
+    ds = _dataset(n_pairs=200)
+    units = [u if i % 5 == 0 else PairedExample(u.original, None)
+             for i, u in enumerate(ds.train_pairs)]
+    without_pair = 0
+    for seed in range(5):
+        _, log = train(TrainConfig(alpha=alpha, beta=beta, epochs=4, seed=seed), units)
+        assert len(log.steps) == 4 * 13
+        if beta > 0.0:
+            without_pair += sum(b.n_pairs_used == 0 for b in log.steps)
+    assert without_pair > 0 or beta == 0.0
 
 
 @pytest.mark.parametrize("component, poison, lr", [
