@@ -59,7 +59,30 @@ def _add_train_overrides(parser, with_seed: bool) -> None:
                             help="training seed (required for reproducible runs)")
 
 
+def _check_out_dir(path) -> None:
+    """--out of a command that writes a directory: the path, or else its
+    nearest existing ancestor, must be a directory. Checked before any work."""
+    ancestor = os.path.abspath(path)
+    while not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not os.path.isdir(ancestor):
+        raise CliError(f"--out {path}: {ancestor} exists and is not a directory")
+
+
+def _check_out_file(path) -> None:
+    """--out of eval and probe, when given: not a directory, and in an
+    existing directory. Checked before any work."""
+    if path is None:
+        return
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise CliError(f"--out {path} is a directory")
+    if not os.path.isdir(parent):
+        raise CliError(f"--out {path}: no such directory {parent}")
+
+
 def cmd_generate(args) -> int:
+    _check_out_dir(args.out)
     payload = read_json_file(args.config, dict) if args.config else {}
     if args.seed is not None:
         payload["seed"] = args.seed
@@ -75,6 +98,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_out_dir(args.out)
     config = _train_config(args)
     try:
         dataset = read_dataset(args.data)
@@ -127,6 +151,7 @@ def _report(payload: dict, out_path) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_out_file(args.out)
     snapshot, vocab, extra = _load_checkpoint(args.checkpoint)
     examples = _load_eval_examples(args.data)
     if not examples:
@@ -137,6 +162,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    _check_out_file(args.out)
     snapshot, vocab, extra = _load_checkpoint(args.checkpoint)
     examples = _load_eval_examples(args.data)
     groups_path = args.groups or os.path.join(os.path.dirname(args.data), "groups.json")
@@ -164,6 +190,7 @@ def _parse_int_list(text, what) -> list[int]:
 
 
 def cmd_ablate(args) -> int:
+    _check_out_dir(args.out)
     config = _train_config(args)
     seeds = _parse_int_list(args.seeds, "seeds")
     try:
@@ -177,6 +204,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_data_efficiency(args) -> int:
+    _check_out_dir(args.out)
     config = _train_config(args)
     sizes = _parse_int_list(args.sizes, "sizes")
     seeds = _parse_int_list(args.seeds, "seeds")

@@ -14,11 +14,12 @@ Accuracy reports and probes score an ``EvalSet``: examples featurized once
 under one vocabulary. A runner builds the EvalSet of that OOD union once per
 call and vocabulary, before it forks, so a run costs its own training plus
 four predictions: the unmasked union, which gives both split accuracies and
-the probe baseline, and one masked matrix per probe group. The runs go to at
-most ``workers`` forked child processes, which claim them one at a time, and
-the rows come back in job order. OpenBLAS is held at one thread for the
-whole runner call, serial or forked, so parallel runs do not oversubscribe
-the cores.
+the probe baseline, and one masked matrix per probe group. A job is one
+call of ``run_single``: an ablation seed's four arms, trained as one stack,
+or one data-efficiency run. The jobs go to at most ``workers`` forked child
+processes, which claim them one at a time, and the rows come back in job
+order. OpenBLAS is held at one thread for the whole runner call, serial or
+forked, so parallel runs do not oversubscribe the cores.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from .data import (
     featurize_matrix,
 )
 from .model import Snapshot
-from .training import TrainConfig, train
+# perfbench/spans.py wraps cadlab.evaluation.train by name
+from .training import TrainConfig, train, train_arms  # noqa: F401
 
 PROBE_GROUPS = ("edited_causal", "nonedited_causal", "correlated")
 
@@ -180,7 +182,7 @@ def sign_test_p(wins: int, losses: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# shared single-run machinery
+# shared per-job machinery
 
 def ood_eval_set(dataset: GeneratedDataset, vocab: Vocab,
                  ids: TokenIds | None = None) -> EvalSet:
@@ -192,40 +194,46 @@ def ood_eval_set(dataset: GeneratedDataset, vocab: Vocab,
     return EvalSet.build(dataset.ood + dataset.ood_stress, vocab, dataset.groups, ids)
 
 
-def run_single(config: TrainConfig, dataset: GeneratedDataset, vocab: Vocab,
-               ood: EvalSet) -> dict:
-    """Train one model, evaluate the checkpoint on both OOD variants, and run
-    the reliance probe over their union. Returns one flat result row.
+def run_single(configs: list[TrainConfig], dataset: GeneratedDataset, vocab: Vocab,
+               ood: EvalSet) -> list[dict]:
+    """Train the configs as one stack (``train_arms``: they differ only in
+    alpha and beta), evaluate each checkpoint on both OOD variants, and run
+    the reliance probe over their union. Returns one flat result row per
+    config, in config order.
 
     ood is ood_eval_set(dataset, vocab), which runners build once for all
     their runs. The probe predicts the union once; its first len(dataset.ood)
     rows give acc_ood and the rest acc_ood_stress.
     """
-    checkpoint, _ = train(config, dataset.train_pairs, vocab=vocab)
-    probe = myopia_probe(checkpoint.snapshot, ood, dataset.groups, vocab)
+    rows = []
     n_ood = len(dataset.ood)
-    acc_ood = _accuracy(probe.correct[:n_ood])
-    acc_stress = _accuracy(probe.correct[n_ood:])
-    return {
-        "seed": config.seed,
-        "alpha": config.alpha,
-        "beta": config.beta,
-        "train_accuracy": checkpoint.train_accuracy,
-        "checkpoint_epoch": checkpoint.epoch,
-        "acc_ood": acc_ood,
-        "acc_ood_stress": acc_stress,
-        "mean_ood": (acc_ood + acc_stress) / 2.0,
-        "drop_edited_causal": probe.drops["edited_causal"],
-        "drop_nonedited_causal": probe.drops["nonedited_causal"],
-        "drop_correlated": probe.drops["correlated"],
-    }
+    for config, (checkpoint, _) in zip(configs, train_arms(configs, dataset.train_pairs,
+                                                           vocab=vocab)):
+        probe = myopia_probe(checkpoint.snapshot, ood, dataset.groups, vocab)
+        acc_ood = _accuracy(probe.correct[:n_ood])
+        acc_stress = _accuracy(probe.correct[n_ood:])
+        rows.append({
+            "seed": config.seed,
+            "alpha": config.alpha,
+            "beta": config.beta,
+            "train_accuracy": checkpoint.train_accuracy,
+            "checkpoint_epoch": checkpoint.epoch,
+            "acc_ood": acc_ood,
+            "acc_ood_stress": acc_stress,
+            "mean_ood": (acc_ood + acc_stress) / 2.0,
+            "drop_edited_causal": probe.drops["edited_causal"],
+            "drop_nonedited_causal": probe.drops["nonedited_causal"],
+            "drop_correlated": probe.drops["correlated"],
+        })
+    return rows
 
 
-def _tagged_run(config: TrainConfig, dataset: GeneratedDataset, vocab: Vocab,
-                ood: EvalSet, tags: dict) -> dict:
-    row = run_single(config, dataset, vocab, ood)
-    row.update(tags)
-    return row
+def _tagged_runs(configs: list[TrainConfig], dataset: GeneratedDataset, vocab: Vocab,
+                 ood: EvalSet, tags: list[dict]) -> list[dict]:
+    rows = run_single(configs, dataset, vocab, ood)
+    for row, tag in zip(rows, tags):
+        row.update(tag)
+    return rows
 
 
 def _openblas_thread_calls():
@@ -266,8 +274,9 @@ def _one_blas_thread():
 
 
 def _run_jobs(runs: list, workers: int) -> list[dict]:
-    """Call every run (a function of no arguments that returns a row) and
-    return the rows in run order, so the reports do not depend on scheduling.
+    """Call every run (a function of no arguments that returns a list of
+    rows) and return the rows in run order, so the reports do not depend on
+    scheduling.
 
     With workers > 1 the runs go to min(workers, len(runs)) forked children.
     OpenBLAS is set to one thread here, before any fork, and the children
@@ -277,8 +286,10 @@ def _run_jobs(runs: list, workers: int) -> list[dict]:
         raise ValueError(f"workers must be >= 1, got {workers}")
     with _one_blas_thread():
         if workers == 1 or len(runs) <= 1:
-            return [run() for run in runs]
-        return _fork_join(runs, min(workers, len(runs)))
+            results = [run() for run in runs]
+        else:
+            results = _fork_join(runs, min(workers, len(runs)))
+    return [row for rows in results for row in rows]
 
 
 def _take_baton(baton_r: int) -> int:
@@ -289,17 +300,17 @@ def _pass_baton(baton_w: int, index: int) -> None:
     os.write(baton_w, index.to_bytes(8, "little"))
 
 
-def _fork_join(runs: list, n_children: int) -> list[dict]:
+def _fork_join(runs: list, n_children: int) -> list:
     """Call the runs in n_children forked child processes and return their
-    rows in run order.
+    results in run order.
 
     The children inherit everything the runs refer to. They claim runs one at
     a time through a baton: a pipe that holds exactly one 8-byte message, the
     index of the next unclaimed run, so a child that has read it holds the
     claim until it writes the following index back. A child whose run raises
     passes on len(runs), so every child stops after its current run, as the
-    serial loop stops at the first failure. Each child pickles its rows and
-    its exception, if any, to its own pipe and always ends in os._exit.
+    serial loop stops at the first failure. Each child pickles its results
+    and its exception, if any, to its own pipe and always ends in os._exit.
 
     The parent waits for every child. It raises RuntimeError if a child ended
     without sending its result, and otherwise the exception of the earliest
@@ -334,20 +345,20 @@ def _fork_join(runs: list, n_children: int) -> list[dict]:
         os.close(baton_r)
         os.close(baton_w)
 
-    rows = [None] * n
+    results = [None] * n
     failures = []
     for (pid, _), payload in zip(children, payloads):
         if exit_codes[pid] != 0:
             raise RuntimeError(f"worker process {pid} exited with code {exit_codes[pid]} "
                                "without sending its result")
         done, failure = pickle.loads(payload)
-        for i, row in done:
-            rows[i] = row
+        for i, result in done:
+            results[i] = result
         if failure is not None:
             failures.append(failure)
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
-    return rows
+    return results
 
 
 def _child(runs: list, inherited: list[int], baton_r: int, baton_w: int, out: int):
@@ -388,16 +399,18 @@ def run_ablation(base_config: TrainConfig, dataset: GeneratedDataset,
     """Four-arm ablation (full, no_irm, no_ocd, neither) over a seed list.
 
     Every arm trains on the same data with the same per-seed initialization;
-    only the loss weights differ. Per-seed rows are always emitted alongside
-    the per-arm means.
+    only the loss weights differ, so each seed is one job that trains its
+    four arms as one stack. Per-seed rows, in ABLATION_ARMS order within a
+    seed, are always emitted alongside the per-arm means.
     """
     if len(seeds) < 2:
         raise ValueError("ablation needs at least 2 seeds")
     vocab = Vocab.from_examples(dataset.train_examples())
     ood = ood_eval_set(dataset, vocab)
-    runs = [partial(_tagged_run, replace(base_config, **changes, seed=seed), dataset, vocab,
-                    ood, {"arm": arm})
-            for seed in seeds for arm, changes in ABLATION_ARMS]
+    runs = [partial(_tagged_runs,
+                    [replace(base_config, **changes, seed=seed) for _, changes in ABLATION_ARMS],
+                    dataset, vocab, ood, [{"arm": arm} for arm, _ in ABLATION_ARMS])
+            for seed in seeds]
     rows = _run_jobs(runs, workers)
     fingerprint = config_fingerprint({
         "protocol": "ablation",
@@ -463,8 +476,8 @@ def run_data_efficiency(base_config: TrainConfig, dataset: GeneratedDataset,
             members = [m for u in pairs for m in u.members()]
             tags = {"arm": arm, "size": s, "n_train_examples": len(members),
                     "n_counterfactuals": sum(1 for m in members if m.variant == "counterfactual")}
-            runs += [partial(_tagged_run, replace(base_config, **changes, seed=seed), subset,
-                             vocab, ood_sets[vocab.tokens], tags)
+            runs += [partial(_tagged_runs, [replace(base_config, **changes, seed=seed)], subset,
+                             vocab, ood_sets[vocab.tokens], [tags])
                      for seed in seeds]
     rows = _run_jobs(runs, workers)
 

@@ -190,91 +190,144 @@ def combined_loss(batch: list[Example],
 # ---------------------------------------------------------------------------
 # closed form
 
+_SIDE_SIGNS = np.array([1.0, -1.0])   # the sign of each side's share of u
+
+
 def objective_and_grad(params: Snapshot, grads: Snapshot, x: np.ndarray, y: np.ndarray,
                        envs: list[np.ndarray], pairs: np.ndarray,
-                       alpha: float, beta: float) -> LossBreakdown:
-    """combined_loss and its gradient in closed form, for one step.
+                       alpha: np.ndarray, beta: np.ndarray) -> list[LossBreakdown]:
+    """combined_loss and its gradient in closed form, for one step of R runs.
 
-    x holds the step's feature rows and y their labels. envs lists, in sorted
-    environment-name order, the row positions of each environment; pairs is
-    an (m, 2) array of the row positions of each (original, counterfactual)
-    pair. The model has no hidden layer. The gradient is written into
-    ``grads``, whose arrays are views into the gradient vector. Values and
-    requirements are those of combined_loss.
+    params and grads hold the R runs' arrays along a leading run axis (views
+    into the rows of (R, n_params) matrices); the gradient is written into
+    grads. alpha and beta hold each run's non-negative weights. The runs
+    share the step's data: x holds the feature rows and y their labels, envs
+    lists, in sorted environment-name order, the row positions of each
+    environment, and pairs is an (m, 2) array of the row positions of each
+    (original, counterfactual) pair. The model has no hidden layer. A run
+    whose weight is 0 gets exactly 0 for that term and no share of its
+    gradient, even where the term is not finite. Returns one LossBreakdown
+    per run; the values are those of combined_loss.
+
+    Every run's arithmetic is that of the run alone, in the same order: each
+    sum runs over a C-ordered array (gathers along a later axis use take,
+    whose result is C-ordered, where fancy indexing would not be), so it
+    adds as it does on the one run's arrays.
     """
-    if alpha < 0.0 or beta < 0.0:
-        raise ValueError("alpha and beta must be non-negative")
     n = len(y)
     if n == 0:
         raise ValueError("prediction loss over an empty batch")
-    rows = np.arange(n)
     w = params.classifier
-    h = np.tanh(x @ params.embedding + params.enc_bias)
-    z = h @ w.T + params.out_bias
-    z_max = z.max(axis=1, keepdims=True)
+    # subtracting the one-hot labels changes only the gold entries, exactly
+    one_hot = np.eye(w.shape[1])[y]
+    h = np.tanh(x @ params.embedding + params.enc_bias[:, None])
+    z = h @ w.transpose(0, 2, 1) + params.out_bias[:, None]
+    z_max = z.max(axis=2, keepdims=True)
     e = np.exp(z - z_max)
-    e_sum = e.sum(axis=1, keepdims=True)
+    e_sum = e.sum(axis=2, keepdims=True)
     p = e / e_sum
-    ce = (z_max + np.log(e_sum))[:, 0] - z[rows, y]
-    l_p = ce.sum() * (1.0 / n)
-    total = l_p
+    z_y = z[:, np.arange(n), y]
+    ce = np.subtract((z_max + np.log(e_sum))[:, :, 0], z_y, order="C")
+    l_p = ce.sum(axis=1) * (1.0 / n)
 
     # dz: gradient of the total with respect to the logits
-    dz = p.copy()
-    dz[rows, y] -= 1.0
-    dz *= 1.0 / n
+    dz = (p - one_hot) * (1.0 / n)
 
-    l_irm = 0.0
-    if alpha > 0.0:
-        # g_e = mean_i(sum_k p_ik z_ik - z_iy), the omega-gradient of the risk at 1
-        z_bar = (p * z).sum(axis=1)
-        per_example = z_bar - z[rows, y]
-        dg = p * (1.0 + z - z_bar[:, None])
-        dg[rows, y] -= 1.0
+    total = l_p
+    l_irm = np.zeros(len(alpha))
+    weights = alpha.tolist()
+    if any(weights):
+        # g_e = mean_i(sum_k p_ik z_ik - z_iy), the omega-gradient of the risk
+        # at 1, for every run; dz holds no -0.0, so adding 0.0 where a run
+        # has alpha == 0 leaves it as it was
+        masked = None if all(weights) else (alpha > 0.0)[:, None, None]
+        z_bar = (p * z).sum(axis=2)
+        per_example = z_bar - z_y
+        dg = p * (1.0 + z - z_bar[:, :, None]) - one_hot
+        alpha2 = alpha * 2.0
         squares = []
         for idx in envs:
             if not len(idx):
                 continue
-            g = per_example[idx].sum() * (1.0 / len(idx))
+            g = per_example.take(idx, axis=1).sum(axis=1) * (1.0 / len(idx))
             squares.append(g * g)
-            np.add.at(dz, idx, dg[idx] * (alpha * 2.0 * g / len(idx)))
-        l_irm = sum(squares)
+            step = dg[:, idx] * (alpha2 * g / len(idx))[:, None, None]
+            if masked is not None:
+                step = np.where(masked, step, 0.0)
+            np.add.at(dz, (slice(None), idx), step)
+        l_irm = sum(squares, l_irm)
+        if masked is not None:
+            l_irm = np.where(masked[:, 0, 0], l_irm, 0.0)
+        # l_p is never -0.0, so adding a term of weight 0 leaves it as it was
         total = total + alpha * l_irm
 
     dh = dz @ w
-    grads.classifier[...] = dz.T @ h
-    l_ocd, n_pairs_used = 0.0, 0
-    if beta > 0.0:
-        usable = (w * w).sum(axis=1) > DEGENERATE_NORM_EPS ** 2
-        used = pairs[usable[y[pairs[:, 0]]] & usable[y[pairs[:, 1]]]]
-        n_pairs_used = len(used)
-        if n_pairs_used == 0:
+    grads.classifier[...] = dz.transpose(0, 2, 1) @ h
+    l_ocd = np.zeros(len(beta))
+    n_pairs_used = [0] * len(beta)
+    groups = _ocd_groups(w, y, pairs, beta)
+    for runs, used, q_k in groups:
+        m = len(used)
+        n_pairs_used[runs] = [m] * (runs.stop - runs.start)
+        if m == 0:
             if len(pairs):
                 log.warning("all %d pairs skipped in the pair-alignment term "
                             "(degenerate label vectors)", len(pairs))
-        else:
-            sides = []
-            for idx in (used[:, 0], used[:, 1]):
-                w_y = w[y[idx]]
-                q = (w_y * w_y).sum(axis=1)
-                s = (h[idx] * w_y).sum(axis=1)
-                sides.append((idx, w_y, q, s))
-            h_perp = [h[idx] - (s / q)[:, None] * w_y for idx, w_y, q, s in sides]
-            diff = h_perp[0] - h_perp[1]
-            l_ocd = (diff * diff).sum() * (1.0 / n_pairs_used)
-            total = total + beta * l_ocd
-            # u = dL/dh_perp; back through h_perp = h - (h.w / w.w) w
-            u_a = diff * (beta * 2.0 / n_pairs_used)
-            for (idx, w_y, q, s), u in zip(sides, (u_a, -u_a)):
-                t = (u * w_y).sum(axis=1)
-                np.add.at(dh, idx, u - (t / q)[:, None] * w_y)
-                dw = ((2.0 * s * t / (q * q))[:, None] * w_y
-                      - (t[:, None] * h[idx] + s[:, None] * u) / q[:, None])
-                np.add.at(grads.classifier, y[idx], dw)
+            continue
+        # both sides at once along axis 1: the originals' rows, then the
+        # counterfactuals'; each is decomposed against its own label vector
+        sides = used.T
+        labels = y[sides]
+        w_y = w[runs].take(labels, axis=1)
+        h_s = h[runs].take(sides, axis=1)
+        q = q_k.take(labels, axis=1)
+        s = (h_s * w_y).sum(axis=3)
+        h_perp = h_s - (s / q)[..., None] * w_y
+        diff = h_perp[:, 0] - h_perp[:, 1]
+        l_ocd[runs] = (diff * diff).sum(axis=(1, 2)) * (1.0 / m)
+        # u = dL/dh_perp of each side (+ for the originals, - for the
+        # counterfactuals); back through h_perp = h - (h.w / w.w) w
+        signed = np.multiply.outer(beta[runs] * 2.0 / m, _SIDE_SIGNS)
+        u = diff[:, None] * signed[..., None, None]
+        t = (u * w_y).sum(axis=3)
+        dh[runs][:, sides] += u - (t / q)[..., None] * w_y
+        dw = ((2.0 * s * t / (q * q))[..., None] * w_y
+              - (t[..., None] * h_s + s[..., None] * u) / q[..., None])
+        np.add.at(grads.classifier[runs], (slice(None), labels), dw)
 
-    grads.out_bias[...] = dz.sum(axis=0)
+    if groups:
+        total = total + beta * l_ocd
+    grads.out_bias[...] = dz.sum(axis=1)
     da = dh * (1.0 - h * h)
     grads.embedding[...] = x.T @ da
-    grads.enc_bias[...] = da.sum(axis=0)
-    return LossBreakdown(l_p=float(l_p), l_irm=float(l_irm), l_ocd=float(l_ocd),
-                         total=float(total), n_pairs_used=n_pairs_used)
+    grads.enc_bias[...] = da.sum(axis=1)
+    return [LossBreakdown(*values) for values in zip(
+        l_p.tolist(), l_irm.tolist(), l_ocd.tolist(), total.tolist(), n_pairs_used)]
+
+
+def _ocd_groups(w: np.ndarray, y: np.ndarray, pairs: np.ndarray,
+                beta: np.ndarray) -> list[tuple[slice, np.ndarray, np.ndarray]]:
+    """(runs, the pairs they use, w_k . w_k of each class) for the
+    pair-alignment term. Each run with beta > 0 uses the pairs whose two
+    label vectors are both above the degenerate norm; neighbouring runs that
+    use every pair share a group."""
+    weights = beta.tolist()
+    if not any(weights):
+        return []
+    q_k = (w * w).sum(axis=2)
+    usable = q_k > DEGENERATE_NORM_EPS ** 2
+    if usable.all():
+        ok, every = None, [True] * len(weights)
+    else:
+        ok = usable[:, y[pairs]].all(axis=2)
+        every = ok.all(axis=1).tolist()
+    groups = []
+    for r, weight in enumerate(weights):
+        if weight <= 0.0:
+            continue
+        if groups and groups[-1][0].stop == r and every[r] and every[r - 1]:
+            start = groups[-1][0].start
+            groups[-1] = (slice(start, r + 1), pairs, q_k[start:r + 1])
+        else:
+            groups.append((slice(r, r + 1), pairs if every[r] else pairs[ok[r]], q_k[r:r + 1]))
+    return groups

@@ -6,11 +6,12 @@ with the label vectors. The parallel/orthogonal decomposition of the sentence
 representation against its gold label vector feeds the pair-alignment loss.
 
 Parameters have two forms. Training and evaluation use a Snapshot: numpy
-arrays that can be views into one flat float64 vector (``Snapshot.from_flat``),
-so an optimizer updates the vector in place, and every prediction is
-``Snapshot.predict_matrix``. ModelParams holds the same values as scalar graph
-Nodes for the autodiff reference, which checks the closed-form training
-gradient. Both start from ``initial_values``.
+arrays that can be views into one flat float64 vector, or into the rows of a
+matrix that stacks several runs (``Snapshot.from_flat``), so an optimizer
+updates them in place, and every prediction is ``Snapshot.predict_matrix``.
+ModelParams holds the same values as scalar graph Nodes for the autodiff
+reference, which checks the closed-form training gradient; only it has the
+optional hidden layer. Both start from ``initial_values``.
 """
 
 from __future__ import annotations
@@ -110,49 +111,40 @@ class ModelParams:
         return len(self.flat())
 
     def snapshot(self) -> "Snapshot":
-        return Snapshot(
-            config=self.config,
-            embedding=np.array([[p.value for p in row] for row in self.embedding]),
-            enc_bias=np.array([p.value for p in self.enc_bias]),
-            hidden=(np.array([[p.value for p in row] for row in self.hidden])
-                    if self.hidden is not None else None),
-            hidden_bias=(np.array([p.value for p in self.hidden_bias])
-                         if self.hidden_bias is not None else None),
-            classifier=np.array([[p.value for p in row] for row in self.classifier]),
-            out_bias=np.array([p.value for p in self.out_bias]),
-        )
+        """The values as a Snapshot; ValueError for a model with a hidden layer."""
+        return Snapshot.from_flat(self.config, np.array([p.value for p in self.flat()]))
 
 
 @dataclass
 class Snapshot:
-    """Detached f64 copy of the parameters, used for evaluation and checkpoints."""
+    """Detached f64 copy of the parameters of a model without a hidden layer,
+    used for training, evaluation and checkpoints. Each array may carry a
+    leading run axis: a stack of runs keeps run r's parameters at index r."""
     config: ModelConfig
     embedding: np.ndarray
     enc_bias: np.ndarray
-    hidden: np.ndarray | None
-    hidden_bias: np.ndarray | None
     classifier: np.ndarray
     out_bias: np.ndarray
 
     @classmethod
     def from_flat(cls, config: ModelConfig, vector: np.ndarray) -> "Snapshot":
-        """Arrays as views into one flat vector in ModelParams.flat() order, so
-        writes to the vector show through and vice versa."""
-        if vector.shape != (config.n_params(),):
+        """Arrays as views into a flat vector in ModelParams.flat() order, or
+        into each row of an (R, n_params) matrix of R runs, so writes to the
+        vector show through and vice versa."""
+        if config.use_hidden:
+            raise ValueError("a Snapshot holds no hidden layer")
+        if vector.shape[-1:] != (config.n_params(),) or vector.ndim > 2:
             raise ValueError(f"expected {config.n_params()} parameters, got shape {vector.shape}")
-        parts = {"hidden": None, "hidden_bias": None}
+        parts = {}
         start = 0
         for name, shape in config.param_shapes().items():
             size = math.prod(shape)
-            parts[name] = vector[start:start + size].reshape(shape)
+            parts[name] = vector[..., start:start + size].reshape(vector.shape[:-1] + shape)
             start += size
         return cls(config=config, **parts)
 
     def encode_matrix(self, features: np.ndarray) -> np.ndarray:
-        h = np.tanh(features @ self.embedding + self.enc_bias)
-        if self.hidden is not None:
-            h = np.tanh(h @ self.hidden.T + self.hidden_bias)
-        return h
+        return np.tanh(features @ self.embedding + self.enc_bias)
 
     def logits_matrix(self, features: np.ndarray) -> np.ndarray:
         return self.encode_matrix(features) @ self.classifier.T + self.out_bias
@@ -231,8 +223,9 @@ def save_checkpoint(path, snap: Snapshot, vocab: Vocab, extra: dict | None = Non
         "params": {
             "embedding": snap.embedding.tolist(),
             "enc_bias": snap.enc_bias.tolist(),
-            "hidden": snap.hidden.tolist() if snap.hidden is not None else None,
-            "hidden_bias": snap.hidden_bias.tolist() if snap.hidden_bias is not None else None,
+            # format version 1 names the hidden layer, which no Snapshot holds
+            "hidden": None,
+            "hidden_bias": None,
             "classifier": snap.classifier.tolist(),
             "out_bias": snap.out_bias.tolist(),
         },
@@ -261,13 +254,14 @@ def load_checkpoint(path) -> tuple[Snapshot, Vocab, dict]:
         config = ModelConfig.from_dict(payload["model"])
     except TypeError as e:
         raise ValueError(f"bad model config: {e}") from e
+    if config.use_hidden:
+        raise ValueError("the model has a hidden layer, which checkpoints no longer hold")
     p = payload["params"]
-    shapes = config.param_shapes()
     for name in ("hidden", "hidden_bias"):
-        if name not in shapes and p.get(name) is not None:
+        if p.get(name) is not None:
             raise ValueError(f"{name} is given but the model has no hidden layer")
-    arrays = {"hidden": None, "hidden_bias": None}
-    for name, shape in shapes.items():
+    arrays = {}
+    for name, shape in config.param_shapes().items():
         try:
             values = np.array(p[name], dtype=np.float64)
         except (TypeError, ValueError) as e:

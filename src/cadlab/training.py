@@ -8,10 +8,13 @@ alignment term.
 The training data are featurized and partitioned into environments once; a
 batch is a list of unit indices, from which each step gathers its rows and
 takes the loss values and gradient in closed form (``losses.objective_and_grad``).
-All parameters live in one float64 vector, which Adam updates with array
-operations. The list-based ``adam_step`` updates scalar graph leaves and
-serves, with ``combined_loss`` and ``autodiff.grad``, as the reference that
-the tests check this path against. Given (seed, config, data), every logged
+Runs that differ only in alpha and beta (the arms of an ablation seed) train
+as one stack (``train_arms``): they share that preparation and the batches,
+and each step advances all of them with one set of array calls. A run's
+parameters are one float64 vector, a row of the stack's matrix, which Adam
+updates with array operations. The list-based ``adam_step`` updates scalar
+graph leaves and serves, with ``combined_loss`` and ``autodiff.grad``, as the
+reference that the tests check this path against. Given (seed, config, data), every logged
 number is reproducible bit-for-bit. The checkpoint is always the epoch with
 the best train accuracy, the earliest on ties.
 """
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -176,7 +179,8 @@ def adam_step(flat_params, grads, state: AdamState, lr: float,
 
 def adam_step_vector(theta: np.ndarray, g: np.ndarray, state: AdamState, lr: float,
                      beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """adam_step on one parameter vector, in place, rounding as adam_step does."""
+    """adam_step on a parameter vector, or on every row of a stack of them,
+    in place, rounding as adam_step does."""
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
@@ -189,12 +193,6 @@ def adam_step_vector(theta: np.ndarray, g: np.ndarray, state: AdamState, lr: flo
 
 def train_accuracy(snapshot: Snapshot, features: np.ndarray, labels: np.ndarray) -> float:
     return int((snapshot.predict_matrix(features) == labels).sum()) / len(labels)
-
-
-def _check_finite(step: int, component: str, values: np.ndarray) -> None:
-    bad = values[~np.isfinite(values)]
-    if bad.size:
-        raise NonFiniteLossError(step, component, float(bad[0]))
 
 
 def unit_rows(units: list[PairedExample]) -> np.ndarray:
@@ -230,6 +228,23 @@ def batch_index(units: np.ndarray, env_masks: dict[str, np.ndarray],
     return rows, env_rows, pair_rows
 
 
+def _raise_if_non_finite(step: int, breakdowns: list[LossBreakdown], gradient: np.ndarray,
+                         theta: np.ndarray) -> None:
+    """NonFiniteLossError for the lowest run of the stack with a non-finite
+    loss component, gradient or updated parameter, checked in that order."""
+    grad_ok = np.isfinite(gradient).all(axis=1).tolist()
+    params_ok = np.isfinite(theta).all(axis=1).tolist()
+    for r, b in enumerate(breakdowns):
+        for component, value in (("l_p", b.l_p), ("l_irm", b.l_irm),
+                                 ("l_ocd", b.l_ocd), ("total", b.total)):
+            if not math.isfinite(value):
+                raise NonFiniteLossError(step, component, value)
+        for component, ok, values in (("grad", grad_ok, gradient), ("params", params_ok, theta)):
+            if not ok[r]:
+                bad = values[r][~np.isfinite(values[r])]
+                raise NonFiniteLossError(step, component, float(bad[0]))
+
+
 def train(config: TrainConfig, pairs: list[PairedExample],
           vocab: Vocab | None = None) -> tuple[Checkpoint, TrainingLog]:
     """Run the full training loop and return the checkpoint of the epoch with
@@ -238,6 +253,26 @@ def train(config: TrainConfig, pairs: list[PairedExample],
     The vocabulary is built from the training split unless one is supplied
     (runners share a vocab across arms so checkpoints stay comparable).
     """
+    return train_arms([config], pairs, vocab)[0]
+
+
+def train_arms(configs: list[TrainConfig], pairs: list[PairedExample],
+               vocab: Vocab | None = None) -> list[tuple[Checkpoint, TrainingLog]]:
+    """Train one run per config as one stack: the configs agree on every
+    field but alpha and beta, so the runs share their rows, batches and
+    initial values, and each step advances them all with one set of array
+    calls. Each run keeps its own parameters, Adam state, log and checkpoint,
+    and they are bit for bit those of the config trained alone.
+
+    A step with a non-finite value in any run stops the stack and raises the
+    NonFiniteLossError of the lowest such run.
+    """
+    if not configs:
+        raise ValueError("training requires at least one config")
+    config = configs[0]
+    unweighted = replace(config, alpha=0.0, beta=0.0)
+    if any(replace(run, alpha=0.0, beta=0.0) != unweighted for run in configs):
+        raise ValueError("stacked configs may differ only in alpha and beta")
     if not pairs:
         raise ValueError("training requires at least one pair")
     all_examples = [m for unit in pairs for m in unit.members()]
@@ -245,10 +280,13 @@ def train(config: TrainConfig, pairs: list[PairedExample],
     if labels.max() >= config.n_classes:
         raise ValueError(f"label {labels.max()} out of range for n_classes={config.n_classes}")
     units = unit_rows(pairs)
-    if config.beta > 0.0 and not (units[:, 1] >= 0).any():
-        raise ValueError("beta > 0 requires counterfactual pairs in the training data")
-    # raises EmptyEnvironmentError when an environment would be empty
-    env_masks = environment_masks(all_examples, config.alpha, config.env_mode)
+    env_masks = {}
+    for run in configs:
+        if run.beta > 0.0 and not (units[:, 1] >= 0).any():
+            raise ValueError("beta > 0 requires counterfactual pairs in the training data")
+        if run.alpha > 0.0 and not env_masks:
+            # raises EmptyEnvironmentError when an environment would be empty
+            env_masks = environment_masks(all_examples, run.alpha, run.env_mode)
 
     if vocab is None:
         vocab = Vocab.from_examples(all_examples)
@@ -256,46 +294,46 @@ def train(config: TrainConfig, pairs: list[PairedExample],
 
     model_cfg = ModelConfig(vocab_size=vocab.size, n_classes=config.n_classes,
                             embed_dim=config.embed_dim)
-    theta = np.array(initial_values(model_cfg, config.seed))
+    theta = np.tile(initial_values(model_cfg, config.seed), (len(configs), 1))
     gradient = np.zeros_like(theta)
     params = Snapshot.from_flat(model_cfg, theta)
     grads = Snapshot.from_flat(model_cfg, gradient)
     adam = AdamState(m=np.zeros_like(theta), v=np.zeros_like(theta))
+    alpha = np.array([run.alpha for run in configs], dtype=np.float64)
+    beta = np.array([run.beta for run in configs], dtype=np.float64)
 
-    log = TrainingLog()
-    best: Checkpoint | None = None
+    logs = [TrainingLog() for _ in configs]
+    best: list[Checkpoint | None] = [None] * len(configs)
     step = 0
     for epoch in range(config.epochs):
-        epoch_breakdowns = []
+        first_step = step
         for batch in make_batches(range(len(pairs)), config.batch_pairs, config.seed, epoch):
             rows, env_rows, pair_rows = batch_index(units, env_masks, batch)
             with np.errstate(over="ignore", invalid="ignore"):
-                breakdown = objective_and_grad(
+                breakdowns = objective_and_grad(
                     params, grads, features[rows], labels[rows], env_rows, pair_rows,
-                    config.alpha, config.beta)
-                for component, value in (("l_p", breakdown.l_p), ("l_irm", breakdown.l_irm),
-                                         ("l_ocd", breakdown.l_ocd), ("total", breakdown.total)):
-                    if not math.isfinite(value):
-                        raise NonFiniteLossError(step, component, value)
-                _check_finite(step, "grad", gradient)
+                    alpha, beta)
+                # a non-finite step raises below, so its update is never used
                 adam_step_vector(theta, gradient, adam, config.learning_rate)
-                _check_finite(step, "params", theta)
-            log.steps.append(breakdown)
-            epoch_breakdowns.append(breakdown)
+            _raise_if_non_finite(step, breakdowns, gradient, theta)
+            for log, breakdown in zip(logs, breakdowns):
+                log.steps.append(breakdown)
             step += 1
 
-        snap = Snapshot.from_flat(model_cfg, theta.copy())
-        acc = train_accuracy(snap, features, labels)
-        n = len(epoch_breakdowns)
-        log.epochs.append(EpochSummary(
-            epoch=epoch,
-            train_accuracy=acc,
-            mean_l_p=sum(b.l_p for b in epoch_breakdowns) / n,
-            mean_l_irm=sum(b.l_irm for b in epoch_breakdowns) / n,
-            mean_l_ocd=sum(b.l_ocd for b in epoch_breakdowns) / n,
-            mean_total=sum(b.total for b in epoch_breakdowns) / n,
-        ))
-        # strict > keeps the earliest epoch on ties
-        if best is None or acc > best.train_accuracy:
-            best = Checkpoint(snapshot=snap, epoch=epoch, train_accuracy=acc)
-    return best, log
+        for r, log in enumerate(logs):
+            snap = Snapshot.from_flat(model_cfg, theta[r].copy())
+            acc = train_accuracy(snap, features, labels)
+            epoch_breakdowns = log.steps[first_step:]
+            n = len(epoch_breakdowns)
+            log.epochs.append(EpochSummary(
+                epoch=epoch,
+                train_accuracy=acc,
+                mean_l_p=sum(b.l_p for b in epoch_breakdowns) / n,
+                mean_l_irm=sum(b.l_irm for b in epoch_breakdowns) / n,
+                mean_l_ocd=sum(b.l_ocd for b in epoch_breakdowns) / n,
+                mean_total=sum(b.total for b in epoch_breakdowns) / n,
+            ))
+            # strict > keeps the earliest epoch on ties
+            if best[r] is None or acc > best[r].train_accuracy:
+                best[r] = Checkpoint(snapshot=snap, epoch=epoch, train_accuracy=acc)
+    return list(zip(best, logs))

@@ -4,6 +4,7 @@ deletion under src/ fails here instead of breaking the traced benchmark run."""
 
 import importlib.util
 import pathlib
+from dataclasses import replace
 
 import pytest
 
@@ -79,6 +80,9 @@ def test_shimmed_calls_record_spans(shims):
     config = TrainConfig(epochs=1, batch_pairs=2, embed_dim=3)
     result = evaluation.run_ablation(config, ds, [0, 1], workers=1)
     assert len(result["rows"]) == 8
+    # the ablation trains each seed's arms as one stack, not through train
+    for _, changes in evaluation.ABLATION_ARMS:
+        training.train(replace(config, **changes), ds.train_pairs, vocab)
 
     by_name = {}
     for span in tracer.spans:

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import cadlab
+from cadlab import cli
 from cadlab.cli import main
 
 
@@ -325,6 +326,14 @@ def _drop(*path):
     return edit
 
 
+def _with_hidden_layer(payload):
+    """A checkpoint of a hidden-layer model, as earlier versions wrote them."""
+    d = payload["model"]["embed_dim"]
+    payload["model"]["use_hidden"] = True
+    payload["params"].update(hidden=[[0.0] * d] * d, hidden_bias=[0.0] * d)
+    return payload
+
+
 def _nan_at(row, col):
     def value(matrix):
         matrix[row][col] = float("nan")
@@ -359,7 +368,9 @@ MALFORMED_CHECKPOINTS = [
     ("hidden layer the model lacks", _set(("params", "hidden"), [[0.0] * 4] * 4), 1,
      "hidden is given but the model has no hidden layer"),
     ("hidden layer missing", _set(("model", "use_hidden"), True), 1,
-     "hidden has shape (), expected (4, 4)"),
+     "the model has a hidden layer, which checkpoints no longer hold"),
+    ("hidden-layer model", _with_hidden_layer, 1,
+     "the model has a hidden layer, which checkpoints no longer hold"),
     ("unknown model key", _set(("model", "depth"), 3), 1, "bad model config"),
     ("vocab mismatch", _set(("vocab",), lambda v: v[:-1]), 1,
      "checkpoint vocab does not match model vocab_size"),
@@ -437,6 +448,44 @@ def test_out_file_holds_the_printed_report(trained, capsys, command):
                "--out", str(out)])
     assert rc == 0
     assert out.read_text() == capsys.readouterr().out
+
+
+# (command, its other arguments, what --out names)
+BAD_OUT = [
+    pytest.param(command, args, bad, id=f"{command}-{bad}")
+    for command, args, bads in (
+        ("generate", [], ("existing_file", "under_a_file")),
+        ("train", ["--data", "DATA", "--seed", "0"], ("existing_file", "under_a_file")),
+        ("ablate", ["--data", "DATA", "--seeds", "0,1"], ("existing_file",)),
+        ("data-efficiency", ["--data", "DATA", "--sizes", "8", "--seeds", "0"],
+         ("existing_file",)),
+        ("eval", ["--checkpoint", "CKPT", "--data", "OOD"], ("directory", "missing_parent")),
+        ("probe", ["--checkpoint", "CKPT", "--data", "OOD"], ("directory", "missing_parent")))
+    for bad in bads
+]
+
+
+@pytest.mark.parametrize("command, args, bad", BAD_OUT)
+def test_bad_out_exit_1_before_any_work(trained, capsys, monkeypatch, command, args, bad):
+    """A --out that cannot be written ends the command with exit 1 and the
+    path in the message, before it trains, prints or creates anything."""
+    tmp_path, data_dir, ckpt = trained
+    (tmp_path / "a_file").write_text("kept\n")
+    out = {"existing_file": tmp_path / "a_file", "under_a_file": tmp_path / "a_file" / "out",
+           "directory": data_dir, "missing_parent": tmp_path / "missing" / "report.json"}[bad]
+    for name in ("generate_cad", "train", "evaluate", "myopia_probe", "run_ablation",
+                 "run_data_efficiency"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("work began"))
+    paths = {"DATA": str(data_dir), "CKPT": str(ckpt), "OOD": str(data_dir / "ood.jsonl")}
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    rc = main([command, *[paths.get(a, a) for a in args], "--out", str(out)])
+    printed = capsys.readouterr()
+    assert rc == 1, printed.err
+    assert printed.err.startswith("error: ") and str(out) in printed.err, printed.err
+    assert printed.out == ""
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "a_file").read_text() == "kept\n"
 
 
 def test_probe_takes_groups_from_groups_json_alone(trained, capsys):
@@ -532,6 +581,56 @@ def test_diverging_run_exits_2_at_any_worker_count(small_data, command):
     assert re.fullmatch(r"runtime failure: step \d+: \w+ became non-finite \(.*\)",
                         failures[1][0])
     assert failures[2] == failures[1]
+
+
+# the runs an ablation seed trains as one stack go non-finite at planned
+# steps: (seed, step) -> {arm index: component}
+STACK_FAILS = """
+import sys
+from cadlab import cli, evaluation, training
+
+PLAN = {(0, 1): {2: "l_irm", 3: "grad"}, (1, 0): {0: "l_p"}}
+train_arms, step_of = evaluation.train_arms, training.objective_and_grad
+now = {}
+
+def planned_arms(configs, *args, **kwargs):
+    now.update(seed=configs[0].seed, step=0)
+    return train_arms(configs, *args, **kwargs)
+
+def planned_step(params, grads, *args):
+    breakdowns = step_of(params, grads, *args)
+    for run, component in PLAN.get((now["seed"], now["step"]), {}).items():
+        if component == "grad":
+            grads.enc_bias[run, 0] = float("nan")
+        else:
+            setattr(breakdowns[run], component, float("nan"))
+    now["step"] += 1
+    return breakdowns
+
+evaluation.train_arms, training.objective_and_grad = planned_arms, planned_step
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_stacked_arms_report_the_first_step_and_lowest_arm_at_any_worker_count(small_data):
+    """Seed 0's stack has no_ocd's l_irm and neither's gradient go non-finite
+    at step 1, and seed 1's stack full's l_p at step 0. The ablation reports
+    seed 0, its first job, and in that step the lowest arm, at any worker
+    count. In a subprocess, so a hang fails."""
+    tmp_path, data_dir = small_data
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cadlab.__file__).parents[1])}
+    for workers in (1, 2):
+        out = tmp_path / f"out{workers}"
+        proc = subprocess.run(
+            [sys.executable, "-c", STACK_FAILS, "ablate", "--data", str(data_dir),
+             "--out", str(out), "--workers", str(workers), "--epochs", "1",
+             "--batch-pairs", "4", "--seeds", "0,1"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert [line for line in proc.stderr.splitlines()
+                if line.startswith("runtime failure: ")] == [
+            "runtime failure: step 1: l_irm became non-finite (nan)"], proc.stderr
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"])

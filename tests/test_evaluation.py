@@ -152,7 +152,7 @@ def _fast_config(**kw):
 def test_run_single_row_shape():
     ds = _dataset(n_pairs=16, n_ood=20)
     vocab = Vocab.from_examples(ds.train_examples())
-    row = run_single(_fast_config(), ds, vocab, ood_eval_set(ds, vocab))
+    [row] = run_single([_fast_config()], ds, vocab, ood_eval_set(ds, vocab))
     for key in ("seed", "alpha", "beta", "acc_ood", "acc_ood_stress", "mean_ood",
                 "drop_edited_causal", "drop_nonedited_causal", "drop_correlated"):
         assert key in row
@@ -169,7 +169,8 @@ def test_run_ablation_structure_and_reduction():
     # the neither arm reproduces a standalone plain run bit-for-bit
     neither = [r for r in result["rows"] if r["arm"] == "neither" and r["seed"] == 0][0]
     vocab = Vocab.from_examples(ds.train_examples())
-    standalone = run_single(_fast_config(alpha=0.0, beta=0.0), ds, vocab, ood_eval_set(ds, vocab))
+    [standalone] = run_single([_fast_config(alpha=0.0, beta=0.0)], ds, vocab,
+                              ood_eval_set(ds, vocab))
     for key in ("acc_ood", "acc_ood_stress", "train_accuracy", "drop_edited_causal"):
         assert neither[key] == standalone[key]
     # each arm zeroes its own weights and keeps the other one
@@ -211,10 +212,10 @@ from cadlab.training import TrainConfig
 
 train_and_score = evaluation.run_single
 
-def dies_on_seed_1(config, *args):
-    if config.seed == 1:
+def dies_on_seed_1(configs, *args):
+    if configs[0].seed == 1:
         os._exit(3)
-    return train_and_score(config, *args)
+    return train_and_score(configs, *args)
 
 evaluation.run_single = dies_on_seed_1
 ds = generate_cad(GeneratorConfig(n_pairs=12, n_ood=16, seed=1))
@@ -249,9 +250,10 @@ def test_runners_hold_one_blas_thread_and_restore_the_count(monkeypatch):
     train_and_score = evaluation.run_single
 
     def recording(*args):
-        row = train_and_score(*args)
-        row["blas_threads"] = get_threads()
-        return row
+        rows = train_and_score(*args)
+        for row in rows:
+            row["blas_threads"] = get_threads()
+        return rows
 
     monkeypatch.setattr(evaluation, "run_single", recording)
     ds = _dataset(n_pairs=12, n_ood=16)
@@ -269,7 +271,7 @@ def test_run_single_scores_each_split_from_the_shared_ood_ids():
     ds = _dataset(n_pairs=12, n_ood=16)
     vocab = Vocab.from_examples(ds.train_examples())
     config = _fast_config(epochs=3, learning_rate=0.05)
-    row = run_single(config, ds, vocab, ood_eval_set(ds, vocab))
+    [row] = run_single([config], ds, vocab, ood_eval_set(ds, vocab))
     assert row["acc_ood"] != row["acc_ood_stress"]   # so a swapped slice would show
     snap = train(config, ds.train_pairs, vocab=vocab)[0].snapshot
     assert row["acc_ood"] == evaluate(snap, ds.ood, vocab).accuracy

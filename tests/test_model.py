@@ -188,41 +188,38 @@ def test_cross_entropy_values():
 def test_snapshot_matches_graph_forward():
     ds = generate_cad(GeneratorConfig(n_pairs=20, n_ood=10, seed=8))
     vocab = Vocab.from_examples(ds.train_examples())
-    for use_hidden in (False, True):
-        params = ModelParams(ModelConfig(vocab_size=vocab.size, embed_dim=6,
-                                         use_hidden=use_hidden), seed=3)
-        snap = params.snapshot()
-        X = featurize_matrix(ds.ood, vocab)
-        z_np = snap.logits_matrix(X)
-        for i, ex in enumerate(ds.ood):
-            h = encode(featurize_sparse(ex.tokens, vocab), params)
-            z = logits(h, params)
-            for k in range(2):
-                assert z[k].value == pytest.approx(z_np[i, k], abs=1e-12)
+    params = ModelParams(ModelConfig(vocab_size=vocab.size, embed_dim=6), seed=3)
+    snap = params.snapshot()
+    X = featurize_matrix(ds.ood, vocab)
+    z_np = snap.logits_matrix(X)
+    for i, ex in enumerate(ds.ood):
+        h = encode(featurize_sparse(ex.tokens, vocab), params)
+        z = logits(h, params)
+        for k in range(2):
+            assert z[k].value == pytest.approx(z_np[i, k], abs=1e-12)
+    # the hidden layer lives only in the scalar reference
+    hidden = ModelParams(ModelConfig(vocab_size=vocab.size, embed_dim=6, use_hidden=True), seed=3)
+    with pytest.raises(ValueError, match="no hidden layer"):
+        hidden.snapshot()
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     rng = random.Random(9)
-    for use_hidden in (False, True):
-        params = ModelParams(ModelConfig(vocab_size=7, embed_dim=4, use_hidden=use_hidden),
-                             seed=rng.randrange(10**6))
-        # scramble values so they are not just the init distribution
-        for p in params.flat():
-            p.value = rng.uniform(-3, 3) * math.pi
-        snap = params.snapshot()
-        vocab = Vocab([f"t{i}" for i in range(6)])
-        path = tmp_path / f"ckpt_{use_hidden}.json"
-        save_checkpoint(path, snap, vocab, extra={"epoch": 3})
-        loaded, loaded_vocab, extra = load_checkpoint(path)
-        assert np.array_equal(loaded.embedding, snap.embedding)
-        assert np.array_equal(loaded.enc_bias, snap.enc_bias)
-        assert np.array_equal(loaded.classifier, snap.classifier)
-        assert np.array_equal(loaded.out_bias, snap.out_bias)
-        if use_hidden:
-            assert np.array_equal(loaded.hidden, snap.hidden)
-            assert np.array_equal(loaded.hidden_bias, snap.hidden_bias)
-        assert loaded_vocab.tokens == vocab.tokens
-        assert extra == {"epoch": 3}
+    params = ModelParams(ModelConfig(vocab_size=7, embed_dim=4), seed=rng.randrange(10**6))
+    # scramble values so they are not just the init distribution
+    for p in params.flat():
+        p.value = rng.uniform(-3, 3) * math.pi
+    snap = params.snapshot()
+    vocab = Vocab([f"t{i}" for i in range(6)])
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, snap, vocab, extra={"epoch": 3})
+    loaded, loaded_vocab, extra = load_checkpoint(path)
+    assert np.array_equal(loaded.embedding, snap.embedding)
+    assert np.array_equal(loaded.enc_bias, snap.enc_bias)
+    assert np.array_equal(loaded.classifier, snap.classifier)
+    assert np.array_equal(loaded.out_bias, snap.out_bias)
+    assert loaded_vocab.tokens == vocab.tokens
+    assert extra == {"epoch": 3}
 
 
 def test_checkpoint_rejects_unknown_version(tmp_path):

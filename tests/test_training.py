@@ -2,6 +2,7 @@ import logging
 import math
 import pickle
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,11 +16,13 @@ from cadlab.data import (
 )
 from cadlab.evaluation import evaluate
 from cadlab.losses import combined_loss, objective_and_grad
-from cadlab.model import ModelConfig, ModelParams, Snapshot, cross_entropy, encode, logits
+from cadlab.model import (
+    ModelConfig, ModelParams, Snapshot, cross_entropy, encode, initial_values, logits,
+)
 from cadlab.data import featurize_sparse
 from cadlab.training import (
     AdamState, Checkpoint, NonFiniteLossError, TrainConfig, adam_step, batch_index,
-    environment_masks, make_batches, train, unit_rows,
+    environment_masks, make_batches, train, train_arms, unit_rows,
 )
 
 # closed form vs scalar autodiff: |difference| <= TOL * max(1, |reference|)
@@ -246,13 +249,13 @@ def _step_both_ways(units, batch, params, vocab, alpha, beta, env_mode):
     examples = [m for u in units for m in u.members()]
     rows, env_rows, pair_rows = batch_index(
         unit_rows(units), environment_masks(examples, alpha, env_mode), batch)
-    theta = np.array([p.value for p in params.flat()])
+    theta = np.array([[p.value for p in params.flat()]])
     got_grad = np.zeros_like(theta)
-    got = objective_and_grad(
+    [got] = objective_and_grad(
         Snapshot.from_flat(params.config, theta), Snapshot.from_flat(params.config, got_grad),
         featurize_matrix(examples, vocab)[rows], np.array([ex.label for ex in examples])[rows],
-        env_rows, pair_rows, alpha, beta)
-    return ref, ref_grad, got, got_grad
+        env_rows, pair_rows, np.array([alpha]), np.array([beta]))
+    return ref, ref_grad, got, got_grad[0]
 
 
 def _assert_grads_match(got_grad, ref_grad):
@@ -444,3 +447,167 @@ def test_non_finite_grad_or_params_abort(monkeypatch, component, poison, lr):
         train(cfg, ds.train_pairs)
     assert exc.value.component == component
     assert exc.value.step == 0
+
+
+# ---------------------------------------------------------------------------
+# a seed's arms trained as one stack
+
+ARMS = ({}, {"alpha": 0.0}, {"beta": 0.0}, {"alpha": 0.0, "beta": 0.0})
+
+
+@pytest.mark.parametrize("env_mode", ["disjoint", "overlap"])
+@pytest.mark.parametrize("paired", ["all", "every_fifth"])
+def test_each_run_of_a_stack_is_the_run_trained_alone(env_mode, paired):
+    """Bit for bit: the step and epoch logs, the checkpoint epoch and the
+    bytes of the checkpoint's parameters."""
+    ds = _dataset(n_pairs=60, seed=4)
+    units = ds.train_pairs if paired == "all" else [
+        u if i % 5 == 0 else PairedExample(u.original, None) for i, u in enumerate(ds.train_pairs)]
+    base = TrainConfig(epochs=3, batch_pairs=8, seed=2, embed_dim=4, learning_rate=0.02,
+                       env_mode=env_mode)
+    configs = [replace(base, **changes) for changes in ARMS]
+    stacked = train_arms(configs, units)
+    assert len(stacked) == len(configs)
+    for config, (checkpoint, log) in zip(configs, stacked):
+        alone, alone_log = train(config, units)
+        assert log.step_csv() == alone_log.step_csv()
+        assert log.epoch_csv() == alone_log.epoch_csv()
+        assert checkpoint.epoch == alone.epoch
+        assert _snapshot_vector(checkpoint.snapshot).tobytes() == \
+            _snapshot_vector(alone.snapshot).tobytes()
+
+
+def test_stacked_configs_differ_only_in_the_weights():
+    ds = _dataset(n_pairs=8)
+    base = TrainConfig(epochs=1, batch_pairs=4, embed_dim=4)
+    for changes in ({"seed": 1}, {"learning_rate": 0.01}, {"env_mode": "overlap"}):
+        with pytest.raises(ValueError, match="differ only in alpha and beta"):
+            train_arms([base, replace(base, **changes)], ds.train_pairs)
+    with pytest.raises(ValueError):
+        train_arms([], ds.train_pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 20), n_classes=st.sampled_from([2, 3]),
+       env_mode=st.sampled_from(["disjoint", "overlap"]),
+       runs=st.lists(st.tuples(st.sampled_from([0.0, 0.4, 1.6]),
+                               st.sampled_from([0.0, 0.1, 2.0]),
+                               st.sampled_from([None, 0, 1])), min_size=1, max_size=4),
+       n_paired=st.integers(0, 4), n_unpaired=st.integers(0, 3))
+def test_stacked_step_matches_autodiff_for_each_run(seed, n_classes, env_mode, runs,
+                                                    n_paired, n_unpaired):
+    """One step of R runs with their own parameters and weights, zeros and a
+    degenerate label vector included: each run's loss values and gradient
+    are those of combined_loss and autodiff.grad on that run alone."""
+    assume(n_paired + n_unpaired > 0)
+    rng = random.Random(seed)
+    ds = generate_cad(GeneratorConfig(n_pairs=8, n_ood=2, n_classes=n_classes,
+                                      sentence_length=7, seed=seed))
+    batch = rng.sample(range(8), n_paired + n_unpaired)
+    others = [i for i in range(8) if i not in batch]
+    unpaired = set(batch[n_paired:]) | {i for i in others[1:] if rng.random() < 0.5}
+    units = [PairedExample(u.original, None) if i in unpaired else u
+             for i, u in enumerate(ds.train_pairs)]
+    vocab = Vocab.from_examples([m for u in ds.train_pairs for m in u.members()])
+    config = ModelConfig(vocab_size=vocab.size, n_classes=n_classes, embed_dim=3)
+
+    all_params, references = [], []
+    for alpha, beta, degenerate_class in runs:
+        params = ModelParams(config, seed=rng.randrange(2 ** 20))
+        for p in params.flat():
+            p.value = rng.uniform(-1.0, 1.0)
+        if degenerate_class is not None:
+            for p in params.classifier[degenerate_class]:
+                p.value = 0.0
+        ref, ref_grad, _, _ = _step_both_ways(units, batch, params, vocab, alpha, beta, env_mode)
+        all_params.append(params)
+        references.append((ref, ref_grad))
+
+    examples = [m for u in units for m in u.members()]
+    weights = max(alpha for alpha, _, _ in runs)
+    rows, env_rows, pair_rows = batch_index(
+        unit_rows(units), environment_masks(examples, weights, env_mode), batch)
+    theta = np.array([[p.value for p in params.flat()] for params in all_params])
+    gradient = np.zeros_like(theta)
+    got = objective_and_grad(
+        Snapshot.from_flat(config, theta), Snapshot.from_flat(config, gradient),
+        featurize_matrix(examples, vocab)[rows], np.array([ex.label for ex in examples])[rows],
+        env_rows, pair_rows, np.array([r[0] for r in runs]), np.array([r[1] for r in runs]))
+    assert len(got) == len(runs)
+    for r, (ref, ref_grad) in enumerate(references):
+        _assert_breakdowns_match(got[r], ref)
+        _assert_grads_match(gradient[r], ref_grad)
+        if runs[r][0] == 0.0:
+            assert got[r].l_irm == 0.0
+        if runs[r][1] == 0.0:
+            assert got[r].l_ocd == 0.0 and got[r].n_pairs_used == 0
+
+
+def test_a_non_finite_term_of_weight_zero_leaves_its_run_untouched():
+    """A run whose class-2 logit is -inf has a finite prediction loss on a
+    batch without class 2, but a NaN invariance penalty. With alpha == 0 in a
+    stack beside a run with alpha > 0, its step is the one it takes alone."""
+    ds = _dataset(n_pairs=6, seed=1)
+    examples = ds.train_examples()
+    vocab = Vocab.from_examples(examples)
+    config = ModelConfig(vocab_size=vocab.size, n_classes=3, embed_dim=4)
+    rows, env_rows, pair_rows = batch_index(
+        unit_rows(ds.train_pairs), environment_masks(examples, 1.6, "disjoint"), [0, 1, 2])
+    x, y = featurize_matrix(examples, vocab)[rows], np.array([ex.label for ex in examples])[rows]
+    assert set(y.tolist()) == {0, 1}
+    theta = np.array([initial_values(config, seed) for seed in (0, 1)])
+    Snapshot.from_flat(config, theta[1]).out_bias[2] = -np.inf
+
+    def step(thetas, alpha, beta):
+        gradient = np.zeros_like(thetas)
+        with np.errstate(invalid="ignore"):
+            breakdowns = objective_and_grad(
+                Snapshot.from_flat(config, thetas), Snapshot.from_flat(config, gradient),
+                x, y, env_rows, pair_rows, np.array(alpha), np.array(beta))
+        return breakdowns, gradient
+
+    [poisoned], _ = step(theta[1:], [1.6], [0.1])
+    assert math.isfinite(poisoned.l_p) and math.isnan(poisoned.l_irm)
+    stacked, stacked_grad = step(theta, [1.6, 0.0], [0.1, 0.1])
+    [alone], alone_grad = step(theta[1:], [0.0], [0.1])
+    assert stacked[1] == alone and stacked[1].l_irm == 0.0
+    assert math.isfinite(alone.total) and np.isfinite(alone_grad).all()
+    assert stacked_grad[1].tobytes() == alone_grad[0].tobytes()
+    [first], first_grad = step(theta[:1], [1.6], [0.1])
+    assert stacked[0] == first and stacked_grad[0].tobytes() == first_grad[0].tobytes()
+
+
+@pytest.mark.parametrize("plan, expected", [
+    # the lowest run of the step, whatever its component
+    ({1: {3: "grad", 2: "l_ocd"}}, (1, "l_ocd")),
+    ({1: {2: "l_p", 1: "params"}}, (1, "params")),
+    # within a run, the components in order
+    ({0: {2: "grad", 3: "l_p"}, 2: {0: "l_p"}}, (0, "grad")),
+    ({1: {1: "total"}}, (1, "total")),
+    # the first step at which any run goes non-finite
+    ({2: {0: "l_irm"}, 1: {3: "l_irm"}}, (1, "l_irm")),
+])
+def test_a_stack_stops_at_the_first_non_finite_step_and_reports_its_lowest_run(
+        monkeypatch, plan, expected):
+    real = training.objective_and_grad
+    steps = []
+
+    def planned(params, grads, *args):
+        breakdowns = real(params, grads, *args)
+        for run, component in plan.get(len(steps), {}).items():
+            if component == "grad":
+                grads.enc_bias[run, 0] = float("nan")
+            elif component == "params":
+                params.enc_bias[run, 0] = float("inf")
+            else:
+                setattr(breakdowns[run], component, float("nan"))
+        steps.append(len(steps))
+        return breakdowns
+
+    monkeypatch.setattr(training, "objective_and_grad", planned)
+    ds = _dataset(n_pairs=16)
+    base = TrainConfig(epochs=1, batch_pairs=4, seed=1, embed_dim=4)
+    with pytest.raises(NonFiniteLossError) as exc:
+        train_arms([replace(base, **changes) for changes in ARMS], ds.train_pairs)
+    assert (exc.value.step, exc.value.component) == expected
+    assert len(steps) == expected[0] + 1
