@@ -28,21 +28,24 @@ class CliError(Exception):
     """Validation failure surfaced as exit code 1."""
 
 
-def _train_config(args) -> TrainConfig:
+def _config(cls, args, overrides: dict):
+    """A config of class cls from the --config file, if any, with each
+    override that is not None on top; CliError if it is bad."""
     payload = read_json_file(args.config, dict) if args.config else {}
-    overrides = {
+    payload.update((key, value) for key, value in overrides.items() if value is not None)
+    try:
+        return cls.from_dict(payload)
+    except (ValueError, TypeError) as e:
+        raise CliError(f"bad {cls.KIND} config: {e}")
+
+
+def _train_config(args) -> TrainConfig:
+    return _config(TrainConfig, args, {
         "alpha": args.alpha, "beta": args.beta, "learning_rate": args.lr,
         "epochs": args.epochs, "batch_pairs": args.batch_pairs,
         "env_mode": args.env_mode, "embed_dim": args.embed_dim,
         "seed": getattr(args, "seed", None),
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            payload[key] = value
-    try:
-        return TrainConfig.from_dict(payload)
-    except (ValueError, TypeError) as e:
-        raise CliError(f"bad train config: {e}")
+    })
 
 
 def _add_train_overrides(parser, with_seed: bool) -> None:
@@ -83,13 +86,7 @@ def _check_out_file(path) -> None:
 
 def cmd_generate(args) -> int:
     _check_out_dir(args.out)
-    payload = read_json_file(args.config, dict) if args.config else {}
-    if args.seed is not None:
-        payload["seed"] = args.seed
-    try:
-        cfg = GeneratorConfig.from_dict(payload)
-    except (DataError, TypeError) as e:
-        raise CliError(f"bad generator config: {e}")
+    cfg = _config(GeneratorConfig, args, {"seed": args.seed})
     dataset = generate_cad(cfg)
     paths = write_dataset(dataset, args.out)
     print(json.dumps({"out": args.out, "n_pairs": len(dataset.train_pairs),

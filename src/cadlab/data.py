@@ -1,6 +1,10 @@
 """Counterfactual-pair data model, JSONL I/O, featurization, environment
 partitioning, and the synthetic pair generator.
 
+Loading checks the pairing as it groups the examples into training units
+(pair_examples). Each config class takes its dict form from its fields
+(DictConfig).
+
 Featurization has one implementation, featurize_matrix: the tokens of a list
 of examples are looked up once as integer ids (TokenIds), a mask removes ids
 with np.isin, and the L1-normalized counts are one np.bincount divided by the
@@ -15,9 +19,10 @@ controlled per split, and label-free noise tokens.
 
 from __future__ import annotations
 
+import copy
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -111,6 +116,24 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+class DictConfig:
+    """The dict form of a dataclass config, one key per field and each value
+    a copy, and its inverse, which rejects any other key with ERROR naming
+    the KIND of config."""
+    KIND = ""
+    ERROR = ValueError
+
+    def to_dict(self) -> dict:
+        return {f.name: copy.copy(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise cls.ERROR(f"unknown {cls.KIND} config keys: {sorted(unknown)}")
+        return cls(**d)
+
+
 # ---------------------------------------------------------------------------
 # JSONL I/O
 
@@ -157,28 +180,37 @@ def load_jsonl(path, require_pairs: bool = True) -> list[Example]:
                 pair_id=str(obj["pair_id"]),
                 variant=obj["variant"],
             ))
-    validate_pairing(examples, require_pairs=require_pairs)
+    pair_examples(examples, require_pairs=require_pairs)
     return examples
 
 
-def validate_pairing(examples: list[Example], require_pairs: bool = True) -> None:
+def pair_examples(examples: list[Example], require_pairs: bool = True) -> list[PairedExample]:
+    """Group examples into training units by pair_id, in file order, checking
+    each unit: an original and a counterfactual with another label, or with
+    require_pairs=False an original alone (PairingError otherwise)."""
     by_pair: dict[str, list[Example]] = {}
     for ex in examples:
         by_pair.setdefault(ex.pair_id, []).append(ex)
+    units = []
     for pair_id, members in by_pair.items():
         if len(members) == 1:
             if members[0].variant == VARIANT_COUNTERFACTUAL:
                 raise PairingError(pair_id, "counterfactual without its original")
             if require_pairs:
                 raise PairingError(pair_id, "orphan pair_id (missing counterfactual)")
+            units.append(PairedExample(members[0]))
         elif len(members) == 2:
             variants = {m.variant for m in members}
             if variants != {VARIANT_ORIGINAL, VARIANT_COUNTERFACTUAL}:
                 raise PairingError(pair_id, f"expected one original and one counterfactual, got {sorted(variants)}")
             if members[0].label == members[1].label:
                 raise PairingError(pair_id, f"paired labels must differ, both are {members[0].label}")
+            if members[0].variant == VARIANT_COUNTERFACTUAL:
+                members.reverse()
+            units.append(PairedExample(*members))
         else:
             raise PairingError(pair_id, f"{len(members)} examples share this pair_id")
+    return units
 
 
 def dump_jsonl(examples: list[Example], path) -> None:
@@ -192,25 +224,6 @@ def dump_jsonl(examples: list[Example], path) -> None:
                 "variant": ex.variant,
             }
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
-
-
-def pair_examples(examples: list[Example]) -> list[PairedExample]:
-    """Group validated examples into training units, preserving file order."""
-    by_pair: dict[str, dict[str, Example]] = {}
-    order: list[str] = []
-    for ex in examples:
-        if ex.pair_id not in by_pair:
-            by_pair[ex.pair_id] = {}
-            order.append(ex.pair_id)
-        by_pair[ex.pair_id][ex.variant] = ex
-    pairs = []
-    for pid in order:
-        members = by_pair[pid]
-        pairs.append(PairedExample(
-            original=members[VARIANT_ORIGINAL],
-            counterfactual=members.get(VARIANT_COUNTERFACTUAL),
-        ))
-    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +340,10 @@ def partition_environments(examples, alpha: float, mode: str = "disjoint") -> di
 # synthetic generator
 
 @dataclass
-class GeneratorConfig:
+class GeneratorConfig(DictConfig):
+    KIND = "generator"
+    ERROR = DataError
+
     n_pairs: int = 2000
     n_classes: int = 2
     tokens_per_group: dict = field(default_factory=lambda: {
@@ -376,29 +392,6 @@ class GeneratorConfig:
     def edited_per_sentence(self) -> int:
         k = round(self.edit_scope * self.causal_per_sentence)
         return min(max(k, 1), self.causal_per_sentence - 1)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_pairs": self.n_pairs,
-            "n_classes": self.n_classes,
-            "tokens_per_group": dict(self.tokens_per_group),
-            "rho_train": self.rho_train,
-            "rho_ood": self.rho_ood,
-            "edit_scope": self.edit_scope,
-            "sentence_length": self.sentence_length,
-            "causal_per_sentence": self.causal_per_sentence,
-            "correlated_per_sentence": self.correlated_per_sentence,
-            "n_ood": self.n_ood,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GeneratorConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise DataError(f"unknown generator config keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 @dataclass

@@ -54,6 +54,10 @@ ABLATION_ARMS = (
     ("neither", {"alpha": 0.0, "beta": 0.0}),    # plain prediction loss
 )
 
+# row keys averaged per arm in an ablation summary, as "mean_<key>" (mean_ood as is)
+SUMMARY_KEYS = ("mean_ood", "acc_ood", "acc_ood_stress", "drop_edited_causal",
+                "drop_nonedited_causal", "drop_correlated")
+
 
 def config_fingerprint(payload: dict) -> str:
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -394,6 +398,12 @@ def _child(runs: list, inherited: list[int], baton_r: int, baton_w: int, out: in
 # ---------------------------------------------------------------------------
 # protocol runners
 
+def _check_distinct(values: list[int], what: str) -> None:
+    """A repeated seed or size would count its runs twice in every mean."""
+    if len(set(values)) != len(values):
+        raise ValueError(f"{what} must be distinct, got {list(values)}")
+
+
 def run_ablation(base_config: TrainConfig, dataset: GeneratedDataset,
                  seeds: list[int], workers: int = 1) -> dict:
     """Four-arm ablation (full, no_irm, no_ocd, neither) over a seed list.
@@ -403,6 +413,7 @@ def run_ablation(base_config: TrainConfig, dataset: GeneratedDataset,
     four arms as one stack. Per-seed rows, in ABLATION_ARMS order within a
     seed, are always emitted alongside the per-arm means.
     """
+    _check_distinct(seeds, "seeds")
     if len(seeds) < 2:
         raise ValueError("ablation needs at least 2 seeds")
     vocab = Vocab.from_examples(dataset.train_examples())
@@ -421,14 +432,8 @@ def run_ablation(base_config: TrainConfig, dataset: GeneratedDataset,
     summary = {}
     for arm, _ in ABLATION_ARMS:
         arm_rows = [r for r in rows if r["arm"] == arm]
-        summary[arm] = {
-            "mean_ood": sum(r["mean_ood"] for r in arm_rows) / len(arm_rows),
-            "mean_acc_ood": sum(r["acc_ood"] for r in arm_rows) / len(arm_rows),
-            "mean_acc_ood_stress": sum(r["acc_ood_stress"] for r in arm_rows) / len(arm_rows),
-            "mean_drop_edited_causal": sum(r["drop_edited_causal"] for r in arm_rows) / len(arm_rows),
-            "mean_drop_nonedited_causal": sum(r["drop_nonedited_causal"] for r in arm_rows) / len(arm_rows),
-            "mean_drop_correlated": sum(r["drop_correlated"] for r in arm_rows) / len(arm_rows),
-        }
+        summary[arm] = {key if key == "mean_ood" else f"mean_{key}":
+                        sum(r[key] for r in arm_rows) / len(arm_rows) for key in SUMMARY_KEYS}
     return {"fingerprint": fingerprint, "seeds": list(seeds), "rows": rows, "summary": summary}
 
 
@@ -457,6 +462,8 @@ def run_data_efficiency(base_config: TrainConfig, dataset: GeneratedDataset,
                              "(the unaugmented arm draws one original per pair)")
     if not seeds:
         raise ValueError("seeds must be non-empty")
+    _check_distinct(sizes, "sizes")
+    _check_distinct(seeds, "seeds")
 
     # each training subset has its own vocabulary; the OOD union is looked up
     # once and featurized once per distinct vocabulary

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Node, add, const, div, dot, exp, log, mul, nmax, nsum, sub, tanh, wsum
-from .data import Vocab
+from .data import DictConfig, Vocab
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -36,7 +36,9 @@ class DegenerateLabelVector(ValueError):
 
 
 @dataclass
-class ModelConfig:
+class ModelConfig(DictConfig):
+    KIND = "model"
+
     vocab_size: int            # including the OOV bucket
     n_classes: int = 2
     embed_dim: int = 8
@@ -57,14 +59,6 @@ class ModelConfig:
             shapes.update(hidden=(d, d), hidden_bias=(d,))
         shapes.update(classifier=(K, d), out_bias=(K,))
         return shapes
-
-    def to_dict(self) -> dict:
-        return {"vocab_size": self.vocab_size, "n_classes": self.n_classes,
-                "embed_dim": self.embed_dim, "use_hidden": self.use_hidden}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 def initial_values(config: ModelConfig, seed: int) -> list[float]:
@@ -252,7 +246,7 @@ def load_checkpoint(path) -> tuple[Snapshot, Vocab, dict]:
         raise ValueError(f"unsupported checkpoint format version {version!r}")
     try:
         config = ModelConfig.from_dict(payload["model"])
-    except TypeError as e:
+    except (TypeError, ValueError) as e:
         raise ValueError(f"bad model config: {e}") from e
     if config.use_hidden:
         raise ValueError("the model has a hidden layer, which checkpoints no longer hold")

@@ -5,9 +5,10 @@ pairwise alignment term is computable. On partly augmented data a batch may
 hold no counterfactual: an environment with no member in the batch adds
 nothing to the invariance penalty, and a batch without a pair has a zero
 alignment term.
-The training data are featurized and partitioned into environments once; a
-batch is a list of unit indices, from which each step gathers its rows and
-takes the loss values and gradient in closed form (``losses.objective_and_grad``).
+The training data are featurized and partitioned into environments once, and
+their labels size the model: classes 0 to the largest label. A batch is a
+list of unit indices, from which each step gathers its rows and takes the
+loss values and gradient in closed form (``losses.objective_and_grad``).
 Runs that differ only in alpha and beta (the arms of an ablation seed) train
 as one stack (``train_arms``): they share that preparation and the batches,
 and each step advances all of them with one set of array calls. A run's
@@ -29,7 +30,7 @@ import numpy as np
 
 # perfbench/spans.py wraps cadlab.training.grad and .combined_loss by name
 from .autodiff import grad  # noqa: F401
-from .data import PairedExample, Vocab, featurize_matrix, is_int, partition_environments
+from .data import DictConfig, PairedExample, Vocab, featurize_matrix, is_int, partition_environments
 from .losses import LossBreakdown, combined_loss, objective_and_grad  # noqa: F401
 from .model import ModelConfig, Snapshot, initial_values
 
@@ -51,7 +52,9 @@ class NonFiniteLossError(RuntimeError):
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(DictConfig):
+    KIND = "train"
+
     alpha: float = 1.6
     beta: float = 0.1
     learning_rate: float = 1e-3
@@ -60,11 +63,10 @@ class TrainConfig:
     seed: int = 0
     optimizer: str = "adam"        # the only optimizer; kept so saved configs name it
     env_mode: str = "disjoint"     # | "overlap": e_cad additionally holds the originals
-    n_classes: int = 2
     embed_dim: int = 8
 
     def __post_init__(self):
-        for name in ("batch_pairs", "epochs", "seed", "n_classes", "embed_dim"):
+        for name in ("batch_pairs", "epochs", "seed", "embed_dim"):
             if not is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         for name in ("alpha", "beta", "learning_rate"):
@@ -73,29 +75,15 @@ class TrainConfig:
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_pairs < 1:
-            raise ValueError("batch_pairs must be >= 1")
+        for name in ("epochs", "batch_pairs", "embed_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.alpha < 0.0 or self.beta < 0.0:
             raise ValueError("alpha and beta must be non-negative")
         if self.optimizer != "adam":
             raise ValueError(f"unknown optimizer {self.optimizer!r} (only 'adam')")
         if self.env_mode not in ("disjoint", "overlap"):
             raise ValueError(f"unknown env_mode {self.env_mode!r}")
-        if self.n_classes < 1 or self.embed_dim < 1:
-            raise ValueError("n_classes and embed_dim must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {f: getattr(self, f) for f in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown train config keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 @dataclass
@@ -262,7 +250,8 @@ def train_arms(configs: list[TrainConfig], pairs: list[PairedExample],
     field but alpha and beta, so the runs share their rows, batches and
     initial values, and each step advances them all with one set of array
     calls. Each run keeps its own parameters, Adam state, log and checkpoint,
-    and they are bit for bit those of the config trained alone.
+    and they are bit for bit those of the config trained alone. The model has
+    one class per label value up to the largest training label.
 
     A step with a non-finite value in any run stops the stack and raises the
     NonFiniteLossError of the lowest such run.
@@ -277,8 +266,6 @@ def train_arms(configs: list[TrainConfig], pairs: list[PairedExample],
         raise ValueError("training requires at least one pair")
     all_examples = [m for unit in pairs for m in unit.members()]
     labels = np.array([ex.label for ex in all_examples], dtype=np.intp)
-    if labels.max() >= config.n_classes:
-        raise ValueError(f"label {labels.max()} out of range for n_classes={config.n_classes}")
     units = unit_rows(pairs)
     env_masks = {}
     for run in configs:
@@ -292,7 +279,7 @@ def train_arms(configs: list[TrainConfig], pairs: list[PairedExample],
         vocab = Vocab.from_examples(all_examples)
     features = featurize_matrix(all_examples, vocab)
 
-    model_cfg = ModelConfig(vocab_size=vocab.size, n_classes=config.n_classes,
+    model_cfg = ModelConfig(vocab_size=vocab.size, n_classes=int(labels.max()) + 1,
                             embed_dim=config.embed_dim)
     theta = np.tile(initial_values(model_cfg, config.seed), (len(configs), 1))
     gradient = np.zeros_like(theta)

@@ -153,6 +153,28 @@ def test_train_eval_probe_pipeline(small_data, capsys):
     assert set(probe["drops"]) == {"edited_causal", "nonedited_causal", "correlated"}
 
 
+def test_three_class_data_runs_without_a_train_config(tmp_path, capsys):
+    """The class count comes from the training labels, so a three-class
+    dataset needs no train config."""
+    gen_cfg = tmp_path / "gen.json"
+    _write_json(gen_cfg, {"n_pairs": 18, "n_ood": 12, "n_classes": 3, "seed": 5})
+    data_dir = tmp_path / "data"
+    assert main(["generate", "--config", str(gen_cfg), "--out", str(data_dir)]) == 0
+    out_dir = tmp_path / "run"
+    rc = main(["train", "--data", str(data_dir), "--out", str(out_dir), "--seed", "3",
+               "--epochs", "1"])
+    assert rc == 0, capsys.readouterr().err
+    checkpoint = json.loads((out_dir / "checkpoint.json").read_text())
+    assert checkpoint["model"]["n_classes"] == 3
+    assert "n_classes" not in checkpoint["extra"]["train_config"]
+    capsys.readouterr()
+    ckpt = str(out_dir / "checkpoint.json")
+    assert main(["eval", "--checkpoint", ckpt, "--data", str(data_dir / "ood.jsonl")]) == 0
+    assert set(json.loads(capsys.readouterr().out)["per_class_accuracy"]) == {"0", "1", "2"}
+    assert main(["probe", "--checkpoint", ckpt, "--data", str(data_dir / "ood.jsonl")]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 12
+
+
 def test_train_is_byte_deterministic(small_data):
     tmp_path, data_dir = small_data
     train_cfg = tmp_path / "train.json"
@@ -219,7 +241,8 @@ def test_removed_train_config_keys_exit_1(small_data, capsys):
     cfg = tmp_path / "train.json"
     for key, value in (("lp_mode", "union"), ("stop_grad_on_W_for_ocd", False),
                        ("checkpoint_rule", "best_train_accuracy"), ("adam_beta1", 0.9),
-                       ("adam_beta2", 0.999), ("adam_eps", 1e-8), ("use_hidden", False)):
+                       ("adam_beta2", 0.999), ("adam_eps", 1e-8), ("use_hidden", False),
+                       ("n_classes", 3)):
         _write_json(cfg, {"epochs": 1, key: value})
         rc = main(["train", "--config", str(cfg), "--data", str(data_dir),
                    "--out", str(tmp_path / "o"), "--seed", "1"])
@@ -642,6 +665,21 @@ def test_workers_below_one_exit_1(small_data, capsys, command, workers):
                "--workers", workers, *RUNNER_ARGS[command]])
     assert rc == 1
     assert f"error: workers must be >= 1, got {workers}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, args, message", [
+    ("ablate", ["--seeds", "0,0"], "seeds must be distinct, got [0, 0]"),
+    ("data-efficiency", ["--sizes", "8,8", "--seeds", "0"], "sizes must be distinct, got [8, 8]"),
+    ("data-efficiency", ["--sizes", "8", "--seeds", "1,1"], "seeds must be distinct, got [1, 1]"),
+], ids=["ablate-seeds", "data-efficiency-sizes", "data-efficiency-seeds"])
+def test_repeated_seed_or_size_exit_1(small_data, capsys, command, args, message):
+    """A repeated seed or size would count its runs twice in every mean."""
+    tmp_path, data_dir = small_data
+    out = tmp_path / "out"
+    rc = main([command, "--data", str(data_dir), "--out", str(out), "--epochs", "1", *args])
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

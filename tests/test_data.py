@@ -1,5 +1,6 @@
 import collections
 import json
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from cadlab.data import (
     dump_jsonl, featurize, featurize_matrix, featurize_sparse, generate_cad,
     load_jsonl, pair_examples, partition_environments, read_dataset, write_dataset,
 )
+from cadlab.model import ModelConfig
+from cadlab.training import TrainConfig
 
 
 def _write_lines(path, rows):
@@ -283,6 +286,37 @@ def test_generator_config_validation():
             GeneratorConfig.from_dict(bad)
     cfg = GeneratorConfig(rho_train=0.8)
     assert cfg.rho_ood == pytest.approx(0.2)
+
+
+# every field set to a value other than its default (optimizer has no other)
+NON_DEFAULT_CONFIGS = [
+    GeneratorConfig(n_pairs=7, n_classes=3, tokens_per_group={
+                        "edited": 2, "nonedited": 3, "correlated": 5, "noise": 6},
+                    rho_train=0.8, rho_ood=0.3, edit_scope=0.25, sentence_length=12,
+                    causal_per_sentence=5, correlated_per_sentence=2, n_ood=9, seed=4),
+    ModelConfig(vocab_size=11, n_classes=3, embed_dim=5, use_hidden=True),
+    TrainConfig(alpha=0.7, beta=0.3, learning_rate=0.01, batch_pairs=5, epochs=3, seed=8,
+                env_mode="overlap", embed_dim=6),
+]
+
+
+@pytest.mark.parametrize("config", NON_DEFAULT_CONFIGS, ids=lambda c: type(c).__name__)
+def test_config_dict_round_trips_every_field(config):
+    cls = type(config)
+    for f in fields(cls):
+        default = f.default_factory() if f.default_factory is not MISSING else f.default
+        assert f.name == "optimizer" or getattr(config, f.name) != default, f.name
+    d = config.to_dict()
+    assert list(d) == [f.name for f in fields(cls)]
+    restored = cls.from_dict(json.loads(json.dumps(d)))
+    assert restored == config
+    # the dict holds copies: emptying its dicts leaves the config as it was
+    for value in d.values():
+        if isinstance(value, dict):
+            value.clear()
+    assert config == restored
+    with pytest.raises(ValueError, match=r"unknown \w+ config keys: \['bogus'\]"):
+        cls.from_dict({**config.to_dict(), "bogus": 1})
 
 
 def test_dataset_directory_roundtrip(tmp_path):

@@ -105,10 +105,11 @@ def test_train_config_validation():
         TrainConfig(env_mode="both")
     with pytest.raises(ValueError):
         TrainConfig(embed_dim=0)
-    with pytest.raises(ValueError):
-        TrainConfig(n_classes=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"unknown train config keys: \['bogus'\]"):
         TrainConfig.from_dict({"alpha": 0.1, "bogus": 2})
+    # the class count comes from the training labels
+    with pytest.raises(ValueError, match=r"unknown train config keys: \['n_classes'\]"):
+        TrainConfig.from_dict({"n_classes": 3})
     for bad in ({"alpha": math.nan}, {"beta": math.inf}, {"learning_rate": math.nan},
                 {"batch_pairs": 2.5}, {"epochs": True}, {"seed": "1"}):
         with pytest.raises(ValueError, match="must be an int|must be a finite"):
@@ -318,9 +319,12 @@ def test_closed_form_step_skips_degenerate_pairs_like_reference(caplog):
 
 def _reference_train(cfg, pairs):
     """The scalar reference loop: combined_loss, autodiff.grad and the
-    list-based Adam step, with a snapshot after every epoch."""
-    vocab = Vocab.from_examples([m for u in pairs for m in u.members()])
-    params = ModelParams(ModelConfig(vocab_size=vocab.size, n_classes=cfg.n_classes,
+    list-based Adam step, with a snapshot after every epoch. The model has
+    one class per label value up to the largest training label."""
+    examples = [m for u in pairs for m in u.members()]
+    vocab = Vocab.from_examples(examples)
+    n_classes = max(ex.label for ex in examples) + 1
+    params = ModelParams(ModelConfig(vocab_size=vocab.size, n_classes=n_classes,
                                      embed_dim=cfg.embed_dim), seed=cfg.seed)
     flat = params.flat()
     state = AdamState.zeros(len(flat))
@@ -353,13 +357,16 @@ def _snapshot_vector(snap):
 ], ids=lambda c: ",".join(f"{k}={v}" for k, v in c.items()) or "default")
 def test_train_matches_scalar_reference_loop(changes):
     """train() on the closed-form path follows the scalar reference step for
-    step on the full objective, and keeps the same checkpoint."""
-    n_classes = changes.get("n_classes", 2)
+    step on the full objective, and keeps the same checkpoint. n_classes is
+    the generator's; train takes the class count from the labels."""
+    changes = dict(changes)
+    n_classes = changes.pop("n_classes", 2)
     ds = generate_cad(GeneratorConfig(n_pairs=14, n_ood=2, n_classes=n_classes, seed=21))
     train_part = ds.train_pairs[:10]
     cfg = TrainConfig(**{"alpha": 1.6, "beta": 0.1, "learning_rate": 0.05, "epochs": 3,
                          "batch_pairs": 4, "seed": 4, "embed_dim": 4, **changes})
     ck, log = train(cfg, train_part)
+    assert ck.snapshot.config.n_classes == n_classes
 
     vocab, ref_steps, ref_snaps = _reference_train(cfg, train_part)
     assert len(log.steps) == len(ref_steps)
