@@ -150,6 +150,12 @@ def load_jsonl(path, require_pairs: bool = True) -> list[Example]:
     the per-line "groups" that older files carry. A line that is not UTF-8
     text or not a JSON object is a ParseError.
     """
+    return _read_jsonl(path, require_pairs)[0]
+
+
+def _read_jsonl(path, require_pairs: bool) -> tuple[list[Example], list[PairedExample]]:
+    """load_jsonl's examples, in file order, and the units that
+    pair_examples groups them into."""
     examples: list[Example] = []
     # bytes, so that a decoding error names its line
     with open(path, "rb") as fh:
@@ -180,8 +186,7 @@ def load_jsonl(path, require_pairs: bool = True) -> list[Example]:
                 pair_id=str(obj["pair_id"]),
                 variant=obj["variant"],
             ))
-    pair_examples(examples, require_pairs=require_pairs)
-    return examples
+    return examples, pair_examples(examples, require_pairs=require_pairs)
 
 
 def pair_examples(examples: list[Example], require_pairs: bool = True) -> list[PairedExample]:
@@ -540,11 +545,11 @@ def read_dataset(data_dir) -> GeneratedDataset:
     ood_stress.jsonl must be there; the generator config is the one that
     made the data, since fingerprints are computed from it."""
     import os
-    train = load_jsonl(os.path.join(data_dir, "train.jsonl"), require_pairs=True)
+    _, train = _read_jsonl(os.path.join(data_dir, "train.jsonl"), require_pairs=True)
     ood = load_jsonl(os.path.join(data_dir, "ood.jsonl"), require_pairs=False)
     stress_path = os.path.join(data_dir, "ood_stress.jsonl")
     ood_stress = load_jsonl(stress_path, require_pairs=False) if os.path.exists(stress_path) else []
     groups = read_groups(os.path.join(data_dir, "groups.json"))
     cfg = read_json_file(os.path.join(data_dir, "generator_config.json"),
                             GeneratorConfig.from_dict)
-    return GeneratedDataset(pair_examples(train), ood, ood_stress, groups, cfg)
+    return GeneratedDataset(train, ood, ood_stress, groups, cfg)

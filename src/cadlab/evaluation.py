@@ -15,11 +15,14 @@ under one vocabulary. A runner builds the EvalSet of that OOD union once per
 call and vocabulary, before it forks, so a run costs its own training plus
 four predictions: the unmasked union, which gives both split accuracies and
 the probe baseline, and one masked matrix per probe group. A job is one
-call of ``run_single``: an ablation seed's four arms, trained as one stack,
-or one data-efficiency run. The jobs go to at most ``workers`` forked child
-processes, which claim them one at a time, and the rows come back in job
-order. OpenBLAS is held at one thread for the whole runner call, serial or
-forked, so parallel runs do not oversubscribe the cores.
+call of ``run_single``, which trains one stack: the four ablation arms of
+the next SEEDS_PER_JOB seeds of the list, or a data-efficiency size's arms
+of one training subset over those seeds. So the job list depends on the
+seed list alone, and a two-seed ablation is a single job, which runs in
+process. Several jobs go to at most ``workers`` forked child processes,
+which claim them one at a time, and the rows come back in job order.
+OpenBLAS is held at one thread for the whole runner call, serial or forked,
+so parallel runs do not oversubscribe the cores.
 """
 
 from __future__ import annotations
@@ -57,6 +60,11 @@ ABLATION_ARMS = (
 # row keys averaged per arm in an ablation summary, as "mean_<key>" (mean_ood as is)
 SUMMARY_KEYS = ("mean_ood", "acc_ood", "acc_ood_stress", "drop_edited_causal",
                 "drop_nonedited_causal", "drop_correlated")
+
+# seeds per runner job, whose runs train as one stack; it depends on nothing
+# but the seed list, so the jobs and the failure report do not depend on the
+# worker count
+SEEDS_PER_JOB = 5
 
 
 def config_fingerprint(payload: dict) -> str:
@@ -404,14 +412,21 @@ def _check_distinct(values: list[int], what: str) -> None:
         raise ValueError(f"{what} must be distinct, got {list(values)}")
 
 
+def _seed_chunks(seeds: list[int]) -> list[list[int]]:
+    """The seed list, in order, in chunks of SEEDS_PER_JOB: the seeds of
+    each job."""
+    return [seeds[i:i + SEEDS_PER_JOB] for i in range(0, len(seeds), SEEDS_PER_JOB)]
+
+
 def run_ablation(base_config: TrainConfig, dataset: GeneratedDataset,
                  seeds: list[int], workers: int = 1) -> dict:
     """Four-arm ablation (full, no_irm, no_ocd, neither) over a seed list.
 
     Every arm trains on the same data with the same per-seed initialization;
-    only the loss weights differ, so each seed is one job that trains its
-    four arms as one stack. Per-seed rows, in ABLATION_ARMS order within a
-    seed, are always emitted alongside the per-arm means.
+    only the loss weights differ. Each job takes the next SEEDS_PER_JOB seeds
+    of the list and trains their arms as one stack. Per-seed rows, in
+    ABLATION_ARMS order within a seed, are always emitted alongside the
+    per-arm means.
     """
     _check_distinct(seeds, "seeds")
     if len(seeds) < 2:
@@ -419,9 +434,10 @@ def run_ablation(base_config: TrainConfig, dataset: GeneratedDataset,
     vocab = Vocab.from_examples(dataset.train_examples())
     ood = ood_eval_set(dataset, vocab)
     runs = [partial(_tagged_runs,
-                    [replace(base_config, **changes, seed=seed) for _, changes in ABLATION_ARMS],
-                    dataset, vocab, ood, [{"arm": arm} for arm, _ in ABLATION_ARMS])
-            for seed in seeds]
+                    [replace(base_config, **changes, seed=seed)
+                     for seed in chunk for _, changes in ABLATION_ARMS],
+                    dataset, vocab, ood, [{"arm": arm} for _ in chunk for arm, _ in ABLATION_ARMS])
+            for chunk in _seed_chunks(seeds)]
     rows = _run_jobs(runs, workers)
     fingerprint = config_fingerprint({
         "protocol": "ablation",
@@ -450,7 +466,9 @@ def run_data_efficiency(base_config: TrainConfig, dataset: GeneratedDataset,
     """Train-size sweep: at every size s, (a) s/2 pairs with the full
     objective, (b) s/2 pairs with the prediction loss only, and (c) s
     unaugmented originals with the prediction loss only, so every arm sees
-    exactly s training examples."""
+    exactly s training examples. The arms of one kind of subset train on the
+    same units, so each job trains them as one stack over the next
+    SEEDS_PER_JOB seeds. Rows come size by size, arm by arm, seed by seed."""
     if not sizes:
         raise ValueError("sizes must be non-empty")
     n_pairs = len(dataset.train_pairs)
@@ -471,7 +489,7 @@ def run_data_efficiency(base_config: TrainConfig, dataset: GeneratedDataset,
     ood_sets: dict[tuple[str, ...], EvalSet] = {}
     runs = []
     for s in sizes:
-        for arm, changes, kind in DATA_EFFICIENCY_ARMS:
+        for kind in ("pairs", "unaugmented"):
             if kind == "pairs":
                 pairs = dataset.train_pairs[:s // 2]
             else:
@@ -481,12 +499,20 @@ def run_data_efficiency(base_config: TrainConfig, dataset: GeneratedDataset,
             if vocab.tokens not in ood_sets:
                 ood_sets[vocab.tokens] = ood_eval_set(dataset, vocab, ood_ids)
             members = [m for u in pairs for m in u.members()]
-            tags = {"arm": arm, "size": s, "n_train_examples": len(members),
-                    "n_counterfactuals": sum(1 for m in members if m.variant == "counterfactual")}
-            runs += [partial(_tagged_runs, [replace(base_config, **changes, seed=seed)], subset,
-                             vocab, ood_sets[vocab.tokens], [tags])
-                     for seed in seeds]
-    rows = _run_jobs(runs, workers)
+            arms = [(arm, changes) for arm, changes, of in DATA_EFFICIENCY_ARMS if of == kind]
+            tags = [{"arm": arm, "size": s, "n_train_examples": len(members),
+                     "n_counterfactuals": sum(1 for m in members
+                                              if m.variant == "counterfactual")}
+                    for arm, _ in arms]
+            runs += [partial(_tagged_runs,
+                             [replace(base_config, **changes, seed=seed)
+                              for _, changes in arms for seed in chunk],
+                             subset, vocab, ood_sets[vocab.tokens],
+                             [tag for tag in tags for _ in chunk])
+                     for chunk in _seed_chunks(seeds)]
+    arm_order = [arm for arm, _, _ in DATA_EFFICIENCY_ARMS]
+    rows = sorted(_run_jobs(runs, workers), key=lambda row: (
+        sizes.index(row["size"]), arm_order.index(row["arm"]), seeds.index(row["seed"])))
 
     fingerprint = config_fingerprint({
         "protocol": "data_efficiency",

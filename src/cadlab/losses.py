@@ -196,37 +196,48 @@ _SIDE_SIGNS = np.array([1.0, -1.0])   # the sign of each side's share of u
 def objective_and_grad(params: Snapshot, grads: Snapshot, x: np.ndarray, y: np.ndarray,
                        envs: list[np.ndarray], pairs: np.ndarray,
                        alpha: np.ndarray, beta: np.ndarray) -> list[LossBreakdown]:
-    """combined_loss and its gradient in closed form, for one step of R runs.
+    """combined_loss and its gradient in closed form, for one step of R runs
+    over the batches of S seeds.
 
     params and grads hold the R runs' arrays along a leading run axis (views
     into the rows of (R, n_params) matrices); the gradient is written into
-    grads. alpha and beta hold each run's non-negative weights. The runs
-    share the step's data: x holds the feature rows and y their labels, envs
-    lists, in sorted environment-name order, the row positions of each
-    environment, and pairs is an (m, 2) array of the row positions of each
-    (original, counterfactual) pair. The model has no hidden layer. A run
-    whose weight is 0 gets exactly 0 for that term and no share of its
-    gradient, even where the term is not finite. Returns one LossBreakdown
-    per run; the values are those of combined_loss.
+    grads. alpha and beta hold each run's non-negative weights. The runs come
+    seed by seed, R / S of them per seed, and each trains on its seed's rows:
+    x holds the (S, n, V) feature rows and y their (S, n) labels. The seeds'
+    batches agree in structure, so envs lists, in sorted environment-name
+    order, the row positions of each environment in every seed's rows, and
+    pairs is an (m, 2) array of the row positions of each (original,
+    counterfactual) pair. The model has no hidden layer. A run whose weight
+    is 0 gets exactly 0 for that term and no share of its gradient, even
+    where the term is not finite. Returns one LossBreakdown per run; the
+    values are those of combined_loss.
 
     Every run's arithmetic is that of the run alone, in the same order: each
-    sum runs over a C-ordered array (gathers along a later axis use take,
-    whose result is C-ordered, where fancy indexing would not be), so it
+    matmul is one (seed, run) slice, and each sum runs over a C-ordered array
+    (gathers along a later axis use take or index every axis, whose result
+    is C-ordered, where a slice before a fancy index would not be), so it
     adds as it does on the one run's arrays.
     """
-    n = len(y)
+    n_seeds, n = y.shape
     if n == 0:
         raise ValueError("prediction loss over an empty batch")
+    runs = len(alpha)
     w = params.classifier
-    # subtracting the one-hot labels changes only the gold entries, exactly
-    one_hot = np.eye(w.shape[1])[y]
-    h = np.tanh(x @ params.embedding + params.enc_bias[:, None])
+    # each run's labels, and the (seed, run of the seed) view of the run axis
+    by_seed = (n_seeds, runs // n_seeds)
+    if runs > n_seeds:
+        y = np.repeat(y, by_seed[1], axis=0)
+    # subtracting the one-hot labels (True counts as 1.0) changes only the
+    # gold entries, exactly
+    one_hot = y[:, :, None] == np.arange(w.shape[1])
+    xe = x[:, None] @ params.embedding.reshape(by_seed + params.embedding.shape[1:])
+    h = np.tanh(xe.reshape(runs, n, -1) + params.enc_bias[:, None])
     z = h @ w.transpose(0, 2, 1) + params.out_bias[:, None]
     z_max = z.max(axis=2, keepdims=True)
     e = np.exp(z - z_max)
     e_sum = e.sum(axis=2, keepdims=True)
     p = e / e_sum
-    z_y = z[:, np.arange(n), y]
+    z_y = z[np.arange(runs)[:, None], np.arange(n), y]
     ce = np.subtract((z_max + np.log(e_sum))[:, :, 0], z_y, order="C")
     l_p = ce.sum(axis=1) * (1.0 / n)
 
@@ -234,7 +245,7 @@ def objective_and_grad(params: Snapshot, grads: Snapshot, x: np.ndarray, y: np.n
     dz = (p - one_hot) * (1.0 / n)
 
     total = l_p
-    l_irm = np.zeros(len(alpha))
+    l_irm = np.zeros(runs)
     weights = alpha.tolist()
     if any(weights):
         # g_e = mean_i(sum_k p_ik z_ik - z_iy), the omega-gradient of the risk
@@ -263,12 +274,13 @@ def objective_and_grad(params: Snapshot, grads: Snapshot, x: np.ndarray, y: np.n
 
     dh = dz @ w
     grads.classifier[...] = dz.transpose(0, 2, 1) @ h
-    l_ocd = np.zeros(len(beta))
-    n_pairs_used = [0] * len(beta)
-    groups = _ocd_groups(w, y, pairs, beta)
-    for runs, used, q_k in groups:
+    l_ocd = np.zeros(runs)
+    n_pairs_used = [0] * runs
+    groups, q_k = _ocd_groups(w, y, pairs, beta)
+    for group, used in groups:
         m = len(used)
-        n_pairs_used[runs] = [m] * (runs.stop - runs.start)
+        for r in group.tolist():
+            n_pairs_used[r] = m
         if m == 0:
             if len(pairs):
                 log.warning("all %d pairs skipped in the pair-alignment term "
@@ -276,58 +288,53 @@ def objective_and_grad(params: Snapshot, grads: Snapshot, x: np.ndarray, y: np.n
             continue
         # both sides at once along axis 1: the originals' rows, then the
         # counterfactuals'; each is decomposed against its own label vector
-        sides = used.T
-        labels = y[sides]
-        w_y = w[runs].take(labels, axis=1)
-        h_s = h[runs].take(sides, axis=1)
-        q = q_k.take(labels, axis=1)
+        at, sides = group[:, None, None], used.T
+        labels = y[at, sides]
+        w_y = w[at, labels]
+        h_s = h[at, sides]
+        q = q_k[at, labels]
         s = (h_s * w_y).sum(axis=3)
         h_perp = h_s - (s / q)[..., None] * w_y
         diff = h_perp[:, 0] - h_perp[:, 1]
-        l_ocd[runs] = (diff * diff).sum(axis=(1, 2)) * (1.0 / m)
+        l_ocd[group] = (diff * diff).sum(axis=(1, 2)) * (1.0 / m)
         # u = dL/dh_perp of each side (+ for the originals, - for the
         # counterfactuals); back through h_perp = h - (h.w / w.w) w
-        signed = np.multiply.outer(beta[runs] * 2.0 / m, _SIDE_SIGNS)
+        signed = np.multiply.outer(beta[group] * 2.0 / m, _SIDE_SIGNS)
         u = diff[:, None] * signed[..., None, None]
         t = (u * w_y).sum(axis=3)
-        dh[runs][:, sides] += u - (t / q)[..., None] * w_y
+        dh[at, sides] += u - (t / q)[..., None] * w_y
         dw = ((2.0 * s * t / (q * q))[..., None] * w_y
               - (t[..., None] * h_s + s[..., None] * u) / q[..., None])
-        np.add.at(grads.classifier[runs], (slice(None), labels), dw)
+        np.add.at(grads.classifier, (at, labels), dw)
 
     if groups:
         total = total + beta * l_ocd
     grads.out_bias[...] = dz.sum(axis=1)
     da = dh * (1.0 - h * h)
-    grads.embedding[...] = x.T @ da
+    grads.embedding[...] = (x.transpose(0, 2, 1)[:, None]
+                            @ da.reshape(by_seed + da.shape[1:])).reshape(grads.embedding.shape)
     grads.enc_bias[...] = da.sum(axis=1)
     return [LossBreakdown(*values) for values in zip(
         l_p.tolist(), l_irm.tolist(), l_ocd.tolist(), total.tolist(), n_pairs_used)]
 
 
 def _ocd_groups(w: np.ndarray, y: np.ndarray, pairs: np.ndarray,
-                beta: np.ndarray) -> list[tuple[slice, np.ndarray, np.ndarray]]:
-    """(runs, the pairs they use, w_k . w_k of each class) for the
-    pair-alignment term. Each run with beta > 0 uses the pairs whose two
-    label vectors are both above the degenerate norm; neighbouring runs that
-    use every pair share a group."""
-    weights = beta.tolist()
-    if not any(weights):
-        return []
+                beta: np.ndarray) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """(runs, the pairs they use) for the pair-alignment term, and w_k . w_k
+    of each run's classes. y holds each run's labels. Each run with beta > 0
+    uses the pairs whose two label vectors are both above the degenerate
+    norm; the runs that use every pair form one group, and each other run a
+    group of its own."""
+    # the weights are never negative
+    weighted = beta.nonzero()[0]
+    if not len(weighted):
+        return [], None
     q_k = (w * w).sum(axis=2)
     usable = q_k > DEGENERATE_NORM_EPS ** 2
     if usable.all():
-        ok, every = None, [True] * len(weights)
-    else:
-        ok = usable[:, y[pairs]].all(axis=2)
-        every = ok.all(axis=1).tolist()
-    groups = []
-    for r, weight in enumerate(weights):
-        if weight <= 0.0:
-            continue
-        if groups and groups[-1][0].stop == r and every[r] and every[r - 1]:
-            start = groups[-1][0].start
-            groups[-1] = (slice(start, r + 1), pairs, q_k[start:r + 1])
-        else:
-            groups.append((slice(r, r + 1), pairs if every[r] else pairs[ok[r]], q_k[r:r + 1]))
-    return groups
+        return [(weighted, pairs)], q_k
+    ok = usable[np.arange(len(beta))[:, None, None], y[:, pairs]].all(axis=2)
+    every = ok.all(axis=1)[weighted]
+    groups = [(weighted[every], pairs)] if every.any() else []
+    groups += [(np.array([r]), pairs[ok[r]]) for r in weighted[~every].tolist()]
+    return groups, q_k

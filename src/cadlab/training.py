@@ -9,11 +9,14 @@ The training data are featurized and partitioned into environments once, and
 their labels size the model: classes 0 to the largest label. A batch is a
 list of unit indices, from which each step gathers its rows and takes the
 loss values and gradient in closed form (``losses.objective_and_grad``).
-Runs that differ only in alpha and beta (the arms of an ablation seed) train
-as one stack (``train_arms``): they share that preparation and the batches,
-and each step advances all of them with one set of array calls. A run's
-parameters are one float64 vector, a row of the stack's matrix, which Adam
-updates with array operations. The list-based ``adam_step`` updates scalar
+Runs that differ only in seed, alpha and beta (an ablation's arms over its
+seeds) train as one stack (``train_arms``): they share that preparation, the
+runs of a seed share its batches and initial values, and each step gathers
+every seed's rows and advances all the runs with one set of array calls. On
+partly augmented data the seeds' batches differ in which units are paired,
+and each seed is a stack of its own. A run's parameters are one float64
+vector, a row of the stack's matrix, which Adam updates with array
+operations. The list-based ``adam_step`` updates scalar
 graph leaves and serves, with ``combined_loss`` and ``autodiff.grad``, as the
 reference that the tests check this path against. Given (seed, config, data), every logged
 number is reproducible bit-for-bit. The checkpoint is always the epoch with
@@ -202,24 +205,35 @@ def environment_masks(examples: list, alpha: float, env_mode: str) -> dict[str, 
     return masks
 
 
-def batch_index(units: np.ndarray, env_masks: dict[str, np.ndarray],
-                batch: list[int]) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-    """A batch's feature rows (each unit's original, then its counterfactual),
-    the positions of each environment's members among them (empty for an
-    environment absent from the batch) and the (original, counterfactual)
-    positions of each pair."""
-    members = units[batch]
+def batch_index(units: np.ndarray, env_masks: dict[str, np.ndarray], batches: np.ndarray
+                ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray] | None:
+    """One step of S seeds, each with its batch of unit indices (an (S, b)
+    array): the (S, rows) feature rows of each seed's batch (each unit's
+    original, then its counterfactual), the positions of each environment's
+    members among them (empty for an environment absent from the batch) and
+    the (original, counterfactual) positions of each pair. An environment
+    holds originals or counterfactuals by variant, so the positions depend
+    only on which of a batch's units are paired: the seeds share them, and
+    the result is None if their batches differ in that."""
+    members = units[batches]
     present = members >= 0
-    rows = members[present]
-    pair_rows = (np.cumsum(present) - 1).reshape(present.shape)[present[:, 1]]
-    env_rows = [np.flatnonzero(mask[rows]) for mask in env_masks.values()]
-    return rows, env_rows, pair_rows
+    pattern = present[0]
+    if len(members) > 1 and not (present == pattern).all():
+        return None
+    rows = members[:, pattern]
+    pair_rows = (np.cumsum(pattern) - 1).reshape(pattern.shape)[pattern[:, 1]]
+    return rows, [np.flatnonzero(mask[rows[0]]) for mask in env_masks.values()], pair_rows
 
 
 def _raise_if_non_finite(step: int, breakdowns: list[LossBreakdown], gradient: np.ndarray,
                          theta: np.ndarray) -> None:
     """NonFiniteLossError for the lowest run of the stack with a non-finite
     loss component, gradient or updated parameter, checked in that order."""
+    # a sum is finite only if every term is; one that overflows falls
+    # through to the checks, which find nothing
+    if math.isfinite(sum(b.l_p + b.l_irm + b.l_ocd + b.total for b in breakdowns)
+                     + gradient.sum() + theta.sum()):
+        return
     grad_ok = np.isfinite(gradient).all(axis=1).tolist()
     params_ok = np.isfinite(theta).all(axis=1).tolist()
     for r, b in enumerate(breakdowns):
@@ -246,22 +260,29 @@ def train(config: TrainConfig, pairs: list[PairedExample],
 
 def train_arms(configs: list[TrainConfig], pairs: list[PairedExample],
                vocab: Vocab | None = None) -> list[tuple[Checkpoint, TrainingLog]]:
-    """Train one run per config as one stack: the configs agree on every
-    field but alpha and beta, so the runs share their rows, batches and
-    initial values, and each step advances them all with one set of array
-    calls. Each run keeps its own parameters, Adam state, log and checkpoint,
-    and they are bit for bit those of the config trained alone. The model has
-    one class per label value up to the largest training label.
+    """Train one run per config, in stacks, and return their results in
+    config order. The configs agree on every field but seed, alpha and beta.
+    A seed's runs share its batches and initial values; the seeds share the
+    featurization and the environments, and train as one stack when each has
+    as many runs and their batches agree in structure at every step (always
+    on fully paired or fully unpaired data), else one seed at a time. Each step advances a
+    stack's runs with one set of array calls. Each run keeps its own
+    parameters, Adam state, log and checkpoint, and they are bit for bit
+    those of the config trained alone. The model has one class per label
+    value up to the largest training label.
 
-    A step with a non-finite value in any run stops the stack and raises the
-    NonFiniteLossError of the lowest such run.
+    A non-finite value in any run stops training. The NonFiniteLossError
+    raised is the one of the first seed, in config order, that fails when
+    trained alone: its first non-finite step and, in that step, its lowest
+    run. A failing stack of several seeds finds it by training them again
+    one at a time.
     """
     if not configs:
         raise ValueError("training requires at least one config")
     config = configs[0]
-    unweighted = replace(config, alpha=0.0, beta=0.0)
-    if any(replace(run, alpha=0.0, beta=0.0) != unweighted for run in configs):
-        raise ValueError("stacked configs may differ only in alpha and beta")
+    shared = replace(config, seed=0, alpha=0.0, beta=0.0)
+    if any(replace(run, seed=0, alpha=0.0, beta=0.0) != shared for run in configs):
+        raise ValueError("stacked configs may differ only in seed, alpha and beta")
     if not pairs:
         raise ValueError("training requires at least one pair")
     all_examples = [m for unit in pairs for m in unit.members()]
@@ -281,27 +302,77 @@ def train_arms(configs: list[TrainConfig], pairs: list[PairedExample],
 
     model_cfg = ModelConfig(vocab_size=vocab.size, n_classes=int(labels.max()) + 1,
                             embed_dim=config.embed_dim)
-    theta = np.tile(initial_values(model_cfg, config.seed), (len(configs), 1))
+    by_seed: dict[int, list[int]] = {}
+    for i, run in enumerate(configs):
+        by_seed.setdefault(run.seed, []).append(i)
+    stacks = [list(by_seed)]
+    even = len({len(runs) for runs in by_seed.values()}) == 1
+    plans = [_step_plan(units, env_masks, config, stacks[0]) if even else None]
+    if plans[0] is None:
+        stacks = [[seed] for seed in by_seed]
+        plans = [_step_plan(units, env_masks, config, stack) for stack in stacks]
+    results = [None] * len(configs)
+    try:
+        for seeds, plan in zip(stacks, plans):
+            order = [i for seed in seeds for i in by_seed[seed]]
+            trained = _train_stack([configs[i] for i in order], len(seeds), plan,
+                                   features, labels, model_cfg)
+            for i, result in zip(order, trained):
+                results[i] = result
+    except NonFiniteLossError:
+        if len(stacks) == 1 and len(by_seed) > 1:
+            for runs in by_seed.values():
+                train_arms([configs[i] for i in runs], pairs, vocab)
+        raise
+    return results
+
+
+def _step_plan(units: np.ndarray, env_masks: dict[str, np.ndarray], config: TrainConfig,
+               seeds: list[int]) -> list[list[tuple]] | None:
+    """Per epoch, the batch_index of each step of the seeds' batches; None if
+    their batches differ in structure at some step."""
+    plan = []
+    for epoch in range(config.epochs):
+        steps = []
+        for batches in zip(*(make_batches(range(len(units)), config.batch_pairs, seed, epoch)
+                             for seed in seeds)):
+            index = batch_index(units, env_masks, np.array(batches))
+            if index is None:
+                return None
+            steps.append(index)
+        plan.append(steps)
+    return plan
+
+
+def _train_stack(runs: list[TrainConfig], n_seeds: int, plan: list[list[tuple]],
+                 features: np.ndarray, labels: np.ndarray,
+                 model_cfg: ModelConfig) -> list[tuple[Checkpoint, TrainingLog]]:
+    """Train the runs, seed by seed with as many runs per seed, on the steps
+    of plan; raises the NonFiniteLossError of the first step at which a run
+    goes non-finite, for the lowest such run."""
+    per_seed = len(runs) // n_seeds
+    theta = np.repeat(np.array([initial_values(model_cfg, run.seed)
+                                for run in runs[::per_seed]]), per_seed, axis=0)
     gradient = np.zeros_like(theta)
     params = Snapshot.from_flat(model_cfg, theta)
     grads = Snapshot.from_flat(model_cfg, gradient)
     adam = AdamState(m=np.zeros_like(theta), v=np.zeros_like(theta))
-    alpha = np.array([run.alpha for run in configs], dtype=np.float64)
-    beta = np.array([run.beta for run in configs], dtype=np.float64)
+    alpha = np.array([run.alpha for run in runs], dtype=np.float64)
+    beta = np.array([run.beta for run in runs], dtype=np.float64)
+    learning_rate = runs[0].learning_rate
 
-    logs = [TrainingLog() for _ in configs]
-    best: list[Checkpoint | None] = [None] * len(configs)
+    logs = [TrainingLog() for _ in runs]
+    best: list[Checkpoint | None] = [None] * len(runs)
     step = 0
-    for epoch in range(config.epochs):
+    for epoch, steps in enumerate(plan):
         first_step = step
-        for batch in make_batches(range(len(pairs)), config.batch_pairs, config.seed, epoch):
-            rows, env_rows, pair_rows = batch_index(units, env_masks, batch)
+        for rows, env_rows, pair_rows in steps:
             with np.errstate(over="ignore", invalid="ignore"):
                 breakdowns = objective_and_grad(
                     params, grads, features[rows], labels[rows], env_rows, pair_rows,
                     alpha, beta)
                 # a non-finite step raises below, so its update is never used
-                adam_step_vector(theta, gradient, adam, config.learning_rate)
+                adam_step_vector(theta, gradient, adam, learning_rate)
             _raise_if_non_finite(step, breakdowns, gradient, theta)
             for log, breakdown in zip(logs, breakdowns):
                 log.steps.append(breakdown)

@@ -577,9 +577,11 @@ def test_data_efficiency_cli(small_data, capsys):
 
 # a learning rate that makes the first steps non-finite, and the runs to try it on
 DIVERGING = ["--lr", "1e300", "--epochs", "3", "--batch-pairs", "4"]
+# two jobs per kind of run, the second with one seed
+JOB_SEEDS = ",".join(str(seed) for seed in range(cadlab.evaluation.SEEDS_PER_JOB + 1))
 RUNNER_ARGS = {
-    "ablate": ["--seeds", "0,1"],
-    "data-efficiency": ["--sizes", "8,16", "--seeds", "0,1"],
+    "ablate": ["--seeds", JOB_SEEDS],
+    "data-efficiency": ["--sizes", "8,16", "--seeds", JOB_SEEDS],
 }
 
 
@@ -606,40 +608,43 @@ def test_diverging_run_exits_2_at_any_worker_count(small_data, command):
     assert failures[2] == failures[1]
 
 
-# the runs an ablation seed trains as one stack go non-finite at planned
-# steps: (seed, step) -> {arm index: component}
+# runs of an ablation go non-finite at planned steps of their stack:
+# (seed, arm) -> {step: component}
 STACK_FAILS = """
 import sys
-from cadlab import cli, evaluation, training
+from cadlab import cli, training
 
-PLAN = {(0, 1): {2: "l_irm", 3: "grad"}, (1, 0): {0: "l_p"}}
-train_arms, step_of = evaluation.train_arms, training.objective_and_grad
+PLAN = {(0, "no_ocd"): {1: "l_irm"}, (0, "neither"): {1: "grad"}, (1, "full"): {0: "l_p"}}
+ARMS = {(1.6, 0.1): "full", (0.0, 0.1): "no_irm", (1.6, 0.0): "no_ocd", (0.0, 0.0): "neither"}
+train_stack, step_of = training._train_stack, training.objective_and_grad
 now = {}
 
-def planned_arms(configs, *args, **kwargs):
-    now.update(seed=configs[0].seed, step=0)
-    return train_arms(configs, *args, **kwargs)
+def planned_stack(runs, *args):
+    now.update(runs=[(c.seed, ARMS[c.alpha, c.beta]) for c in runs], step=0)
+    return train_stack(runs, *args)
 
 def planned_step(params, grads, *args):
     breakdowns = step_of(params, grads, *args)
-    for run, component in PLAN.get((now["seed"], now["step"]), {}).items():
+    for r, run in enumerate(now["runs"]):
+        component = PLAN.get(run, {}).get(now["step"])
         if component == "grad":
-            grads.enc_bias[run, 0] = float("nan")
-        else:
-            setattr(breakdowns[run], component, float("nan"))
+            grads.enc_bias[r, 0] = float("nan")
+        elif component is not None:
+            setattr(breakdowns[r], component, float("nan"))
     now["step"] += 1
     return breakdowns
 
-evaluation.train_arms, training.objective_and_grad = planned_arms, planned_step
+training._train_stack, training.objective_and_grad = planned_stack, planned_step
 sys.exit(cli.main(sys.argv[1:]))
 """
 
 
 def test_stacked_arms_report_the_first_step_and_lowest_arm_at_any_worker_count(small_data):
-    """Seed 0's stack has no_ocd's l_irm and neither's gradient go non-finite
-    at step 1, and seed 1's stack full's l_p at step 0. The ablation reports
-    seed 0, its first job, and in that step the lowest arm, at any worker
-    count. In a subprocess, so a hang fails."""
+    """Seed 0's no_ocd l_irm and neither gradient go non-finite at step 1,
+    and seed 1's full l_p at step 0, all in one stack. The ablation reports
+    the lowest failing seed, 0, at its first failing step, and in that step
+    its lowest arm, at any worker count: as if each seed had trained alone.
+    In a subprocess, so a hang fails."""
     tmp_path, data_dir = small_data
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cadlab.__file__).parents[1])}
     for workers in (1, 2):

@@ -12,6 +12,7 @@ from cadlab.data import (
     dump_jsonl, featurize, featurize_matrix, featurize_sparse, generate_cad,
     load_jsonl, pair_examples, partition_environments, read_dataset, write_dataset,
 )
+from cadlab import data
 from cadlab.model import ModelConfig
 from cadlab.training import TrainConfig
 
@@ -328,6 +329,21 @@ def test_dataset_directory_roundtrip(tmp_path):
     assert loaded.ood_stress == ds.ood_stress
     assert loaded.groups == ds.groups
     assert loaded.config.to_dict() == ds.config.to_dict()
+
+
+def test_read_dataset_groups_each_file_once(tmp_path, monkeypatch):
+    ds = generate_cad(GeneratorConfig(n_pairs=6, n_ood=4, seed=9))
+    write_dataset(ds, tmp_path / "data")
+    grouped = []
+
+    def counting(examples, require_pairs=True):
+        grouped.append(require_pairs)
+        return pair_examples(examples, require_pairs)
+
+    monkeypatch.setattr(data, "pair_examples", counting)
+    assert read_dataset(tmp_path / "data").train_pairs == ds.train_pairs
+    # train.jsonl, ood.jsonl and ood_stress.jsonl
+    assert grouped == [True, False, False]
 
 
 def test_feature_groups_disjointness_enforced():

@@ -184,20 +184,24 @@ def test_run_ablation_structure_and_reduction():
 
 def test_run_ablation_parallel_matches_serial():
     ds = _dataset(n_pairs=12, n_ood=16)
-    serial = run_ablation(_fast_config(epochs=1), ds, seeds=[0, 1], workers=1)
-    # 8 runs: two children, an uneven split, and more workers than runs
+    # three jobs, the last with one seed
+    seeds = list(range(2 * evaluation.SEEDS_PER_JOB + 1))
+    serial = run_ablation(_fast_config(epochs=1), ds, seeds=seeds, workers=1)
+    # two children and an uneven split, three, and more workers than jobs
     for workers in (2, 3, 9):
-        parallel = run_ablation(_fast_config(epochs=1), ds, seeds=[0, 1], workers=workers)
+        parallel = run_ablation(_fast_config(epochs=1), ds, seeds=seeds, workers=workers)
         assert serial == parallel, workers
 
 
 def test_run_data_efficiency_parallel_matches_serial():
     ds = _dataset(n_pairs=12, n_ood=16)
-    serial = run_data_efficiency(_fast_config(epochs=1), ds, sizes=[4, 8], seeds=[0, 1],
+    # per size, two jobs of each kind of subset, the second with one seed
+    seeds = list(range(evaluation.SEEDS_PER_JOB + 1))
+    serial = run_data_efficiency(_fast_config(epochs=1), ds, sizes=[4, 8], seeds=seeds,
                                  workers=1)
-    # 12 runs: two children, three, and more workers than runs
+    # 8 jobs: two children, three, and more workers than jobs
     for workers in (2, 3, 13):
-        parallel = run_data_efficiency(_fast_config(epochs=1), ds, sizes=[4, 8], seeds=[0, 1],
+        parallel = run_data_efficiency(_fast_config(epochs=1), ds, sizes=[4, 8], seeds=seeds,
                                        workers=workers)
         assert serial == parallel, workers
         assert json.dumps(serial, sort_keys=True) == json.dumps(parallel, sort_keys=True)
@@ -211,16 +215,18 @@ from cadlab.data import GeneratorConfig, generate_cad
 from cadlab.training import TrainConfig
 
 train_and_score = evaluation.run_single
+# two jobs, the second with one seed
+seeds = list(range(evaluation.SEEDS_PER_JOB + 1))
 
-def dies_on_seed_1(configs, *args):
-    if configs[0].seed == 1:
+def dies_on_the_last_seed(configs, *args):
+    if configs[0].seed == seeds[-1]:
         os._exit(3)
     return train_and_score(configs, *args)
 
-evaluation.run_single = dies_on_seed_1
+evaluation.run_single = dies_on_the_last_seed
 ds = generate_cad(GeneratorConfig(n_pairs=12, n_ood=16, seed=1))
 try:
-    evaluation.run_ablation(TrainConfig(epochs=1, batch_pairs=8, embed_dim=4), ds, [0, 1],
+    evaluation.run_ablation(TrainConfig(epochs=1, batch_pairs=8, embed_dim=4), ds, seeds,
                             workers=2)
 except RuntimeError as e:
     print("RuntimeError:", e)
@@ -302,6 +308,20 @@ def test_run_data_efficiency_structure():
         run_data_efficiency(_fast_config(), ds, sizes=[999], seeds=[0])
     with pytest.raises(ValueError):
         run_data_efficiency(_fast_config(), ds, sizes=[], seeds=[0])
+
+
+def test_runner_rows_follow_the_seed_list_across_jobs():
+    """Two jobs per kind of run (the seed list is one longer than a job), in
+    descending order: the rows keep the list's order."""
+    ds = _dataset(n_pairs=12, n_ood=16)
+    seeds = list(range(evaluation.SEEDS_PER_JOB, -1, -1))
+    ablation = run_ablation(_fast_config(epochs=1), ds, seeds=seeds)
+    assert [(r["seed"], r["arm"]) for r in ablation["rows"]] == [
+        (seed, arm) for seed in seeds for arm, _ in evaluation.ABLATION_ARMS]
+    sweep = run_data_efficiency(_fast_config(epochs=1), ds, sizes=[8, 4], seeds=seeds)
+    assert [(r["size"], r["arm"], r["seed"]) for r in sweep["rows"]] == [
+        (size, arm, seed) for size in (8, 4)
+        for arm, _, _ in evaluation.DATA_EFFICIENCY_ARMS for seed in seeds]
 
 
 def test_reports_are_deterministic(tmp_path):

@@ -249,7 +249,7 @@ def _step_both_ways(units, batch, params, vocab, alpha, beta, env_mode):
 
     examples = [m for u in units for m in u.members()]
     rows, env_rows, pair_rows = batch_index(
-        unit_rows(units), environment_masks(examples, alpha, env_mode), batch)
+        unit_rows(units), environment_masks(examples, alpha, env_mode), np.array([batch]))
     theta = np.array([[p.value for p in params.flat()]])
     got_grad = np.zeros_like(theta)
     [got] = objective_and_grad(
@@ -464,81 +464,118 @@ ARMS = ({}, {"alpha": 0.0}, {"beta": 0.0}, {"alpha": 0.0, "beta": 0.0})
 
 @pytest.mark.parametrize("env_mode", ["disjoint", "overlap"])
 @pytest.mark.parametrize("paired", ["all", "every_fifth"])
-def test_each_run_of_a_stack_is_the_run_trained_alone(env_mode, paired):
+def test_each_run_of_a_stack_is_the_run_trained_alone(monkeypatch, env_mode, paired):
     """Bit for bit: the step and epoch logs, the checkpoint epoch and the
-    bytes of the checkpoint's parameters."""
+    bytes of the checkpoint's parameters, for every arm of one to three
+    seeds. The configs come arm by arm, and the results in their order.
+    Fully paired data trains the seeds as one stack; on partly paired data
+    their batches differ in structure, and each seed is a stack of its own.
+    With alpha 0 there are no environments, so only the pairing tells the
+    seeds' batches apart."""
     ds = _dataset(n_pairs=60, seed=4)
     units = ds.train_pairs if paired == "all" else [
         u if i % 5 == 0 else PairedExample(u.original, None) for i, u in enumerate(ds.train_pairs)]
-    base = TrainConfig(epochs=3, batch_pairs=8, seed=2, embed_dim=4, learning_rate=0.02,
+    base = TrainConfig(epochs=3, batch_pairs=8, embed_dim=4, learning_rate=0.02,
                        env_mode=env_mode)
-    configs = [replace(base, **changes) for changes in ARMS]
-    stacked = train_arms(configs, units)
-    assert len(stacked) == len(configs)
-    for config, (checkpoint, log) in zip(configs, stacked):
-        alone, alone_log = train(config, units)
-        assert log.step_csv() == alone_log.step_csv()
-        assert log.epoch_csv() == alone_log.epoch_csv()
-        assert checkpoint.epoch == alone.epoch
-        assert _snapshot_vector(checkpoint.snapshot).tobytes() == \
-            _snapshot_vector(alone.snapshot).tobytes()
+    step, stacked_seeds = training.objective_and_grad, set()
+
+    def recording(params, grads, x, *args):
+        stacked_seeds.add(len(x))
+        return step(params, grads, x, *args)
+
+    for seeds in ((2,), (2, 0), (5, 1, 3)):
+        for arms in (ARMS, ARMS[1::2]):
+            configs = [replace(base, **changes, seed=seed) for changes in arms for seed in seeds]
+            stacked_seeds.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(training, "objective_and_grad", recording)
+                stacked = train_arms(configs, units)
+            assert stacked_seeds == {len(seeds) if paired == "all" else 1}
+            assert len(stacked) == len(configs)
+            for config, (checkpoint, log) in zip(configs, stacked):
+                alone, alone_log = train(config, units)
+                assert log.step_csv() == alone_log.step_csv()
+                assert log.epoch_csv() == alone_log.epoch_csv()
+                assert checkpoint.epoch == alone.epoch
+                assert _snapshot_vector(checkpoint.snapshot).tobytes() == \
+                    _snapshot_vector(alone.snapshot).tobytes()
 
 
 def test_stacked_configs_differ_only_in_the_weights():
     ds = _dataset(n_pairs=8)
     base = TrainConfig(epochs=1, batch_pairs=4, embed_dim=4)
-    for changes in ({"seed": 1}, {"learning_rate": 0.01}, {"env_mode": "overlap"}):
-        with pytest.raises(ValueError, match="differ only in alpha and beta"):
-            train_arms([base, replace(base, **changes)], ds.train_pairs)
+    # seeds with as many runs stack; with fewer, each seed is a stack of its own
+    for configs in ([base, replace(base, seed=1, alpha=0.0)],
+                    [base, replace(base, seed=1), replace(base, seed=1, beta=0.0)]):
+        for config, (checkpoint, log) in zip(configs, train_arms(configs, ds.train_pairs)):
+            assert log.step_csv() == train(config, ds.train_pairs)[1].step_csv()
+    for changes in ({"learning_rate": 0.01}, {"env_mode": "overlap"}, {"epochs": 2},
+                    {"batch_pairs": 2}, {"embed_dim": 3}):
+        with pytest.raises(ValueError, match="differ only in seed, alpha and beta"):
+            train_arms([base, replace(base, seed=1, **changes)], ds.train_pairs)
     with pytest.raises(ValueError):
         train_arms([], ds.train_pairs)
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 20), n_classes=st.sampled_from([2, 3]),
-       env_mode=st.sampled_from(["disjoint", "overlap"]),
-       runs=st.lists(st.tuples(st.sampled_from([0.0, 0.4, 1.6]),
+       env_mode=st.sampled_from(["disjoint", "overlap"]), n_seeds=st.integers(1, 3),
+       arms=st.lists(st.tuples(st.sampled_from([0.0, 0.4, 1.6]),
                                st.sampled_from([0.0, 0.1, 2.0]),
-                               st.sampled_from([None, 0, 1])), min_size=1, max_size=4),
+                               st.sampled_from([None, 0, 1])), min_size=1, max_size=3),
        n_paired=st.integers(0, 4), n_unpaired=st.integers(0, 3))
-def test_stacked_step_matches_autodiff_for_each_run(seed, n_classes, env_mode, runs,
+def test_stacked_step_matches_autodiff_for_each_run(seed, n_classes, env_mode, n_seeds, arms,
                                                     n_paired, n_unpaired):
-    """One step of R runs with their own parameters and weights, zeros and a
-    degenerate label vector included: each run's loss values and gradient
-    are those of combined_loss and autodiff.grad on that run alone."""
+    """One step of S seeds x A arms: each seed has its own batch (its own
+    rows and labels, with paired and unpaired units at the same positions),
+    and each run its own parameters and weights, zeros and a degenerate
+    label vector included. Each run's loss values and gradient are those of
+    combined_loss and autodiff.grad on that run and its seed's batch alone."""
     assume(n_paired + n_unpaired > 0)
     rng = random.Random(seed)
     ds = generate_cad(GeneratorConfig(n_pairs=8, n_ood=2, n_classes=n_classes,
                                       sentence_length=7, seed=seed))
-    batch = rng.sample(range(8), n_paired + n_unpaired)
-    others = [i for i in range(8) if i not in batch]
-    unpaired = set(batch[n_paired:]) | {i for i in others[1:] if rng.random() < 0.5}
+    # unit 0 stays paired, so that the set has both environments
+    n_alone = rng.randint(n_unpaired, 8 - max(n_paired, 1))
+    unpaired = set(rng.sample(range(1, 8), n_alone))
     units = [PairedExample(u.original, None) if i in unpaired else u
              for i, u in enumerate(ds.train_pairs)]
+    paired_at = [True] * n_paired + [False] * n_unpaired
+    rng.shuffle(paired_at)
+    batches = []
+    for _ in range(n_seeds):
+        paired = iter(rng.sample(sorted(set(range(8)) - unpaired), n_paired))
+        alone = iter(rng.sample(sorted(unpaired), n_unpaired))
+        batches.append([next(paired) if p else next(alone) for p in paired_at])
     vocab = Vocab.from_examples([m for u in ds.train_pairs for m in u.members()])
     config = ModelConfig(vocab_size=vocab.size, n_classes=n_classes, embed_dim=3)
 
-    all_params, references = [], []
-    for alpha, beta, degenerate_class in runs:
-        params = ModelParams(config, seed=rng.randrange(2 ** 20))
-        for p in params.flat():
-            p.value = rng.uniform(-1.0, 1.0)
-        if degenerate_class is not None:
-            for p in params.classifier[degenerate_class]:
-                p.value = 0.0
-        ref, ref_grad, _, _ = _step_both_ways(units, batch, params, vocab, alpha, beta, env_mode)
-        all_params.append(params)
-        references.append((ref, ref_grad))
+    runs, all_params, references = [], [], []
+    for batch in batches:
+        for alpha, beta, degenerate_class in arms:
+            params = ModelParams(config, seed=rng.randrange(2 ** 20))
+            for p in params.flat():
+                p.value = rng.uniform(-1.0, 1.0)
+            if degenerate_class is not None:
+                for p in params.classifier[degenerate_class]:
+                    p.value = 0.0
+            ref, ref_grad, _, _ = _step_both_ways(units, batch, params, vocab, alpha, beta,
+                                                  env_mode)
+            runs.append((alpha, beta))
+            all_params.append(params)
+            references.append((ref, ref_grad))
 
     examples = [m for u in units for m in u.members()]
-    weights = max(alpha for alpha, _, _ in runs)
+    weights = max(alpha for alpha, _, _ in arms)
     rows, env_rows, pair_rows = batch_index(
-        unit_rows(units), environment_masks(examples, weights, env_mode), batch)
+        unit_rows(units), environment_masks(examples, weights, env_mode), np.array(batches))
+    labels = np.array([ex.label for ex in examples])
+    assert rows.shape[0] == n_seeds
     theta = np.array([[p.value for p in params.flat()] for params in all_params])
     gradient = np.zeros_like(theta)
     got = objective_and_grad(
         Snapshot.from_flat(config, theta), Snapshot.from_flat(config, gradient),
-        featurize_matrix(examples, vocab)[rows], np.array([ex.label for ex in examples])[rows],
+        featurize_matrix(examples, vocab)[rows], labels[rows],
         env_rows, pair_rows, np.array([r[0] for r in runs]), np.array([r[1] for r in runs]))
     assert len(got) == len(runs)
     for r, (ref, ref_grad) in enumerate(references):
@@ -559,9 +596,10 @@ def test_a_non_finite_term_of_weight_zero_leaves_its_run_untouched():
     vocab = Vocab.from_examples(examples)
     config = ModelConfig(vocab_size=vocab.size, n_classes=3, embed_dim=4)
     rows, env_rows, pair_rows = batch_index(
-        unit_rows(ds.train_pairs), environment_masks(examples, 1.6, "disjoint"), [0, 1, 2])
+        unit_rows(ds.train_pairs), environment_masks(examples, 1.6, "disjoint"),
+        np.array([[0, 1, 2]]))
     x, y = featurize_matrix(examples, vocab)[rows], np.array([ex.label for ex in examples])[rows]
-    assert set(y.tolist()) == {0, 1}
+    assert set(y.ravel().tolist()) == {0, 1}
     theta = np.array([initial_values(config, seed) for seed in (0, 1)])
     Snapshot.from_flat(config, theta[1]).out_bias[2] = -np.inf
 
@@ -618,3 +656,48 @@ def test_a_stack_stops_at_the_first_non_finite_step_and_reports_its_lowest_run(
         train_arms([replace(base, **changes) for changes in ARMS], ds.train_pairs)
     assert (exc.value.step, exc.value.component) == expected
     assert len(steps) == expected[0] + 1
+
+
+# (alpha, beta) of each of the ARMS of a default config
+ARM_OF = {(1.6, 0.1): 0, (0.0, 0.1): 1, (1.6, 0.0): 2, (0.0, 0.0): 3}
+
+
+@pytest.mark.parametrize("paired", ["all", "every_fifth"])
+def test_a_cross_seed_stack_reports_the_first_seed_that_fails_alone(monkeypatch, paired):
+    """Seed 3 goes non-finite at step 0, and seed 1 at step 2 in arms 1 and
+    2. Whether the seeds train as one stack (fully paired) or one after
+    another (partly paired), the error is seed 1's: the first seed in config
+    order that fails, at its first non-finite step, in its lowest arm, as
+    when each seed trains alone."""
+    plan = {(3, 0): {0: "l_p"}, (1, 2): {2: "l_irm", 1: "grad"}}
+    train_stack, step_of = training._train_stack, training.objective_and_grad
+    now, stacks = {}, []
+
+    def planned_stack(runs, *args):
+        now.update(runs=[(run.seed, ARM_OF[run.alpha, run.beta]) for run in runs], step=0)
+        stacks.append(sorted({run.seed for run in runs}))
+        return train_stack(runs, *args)
+
+    def planned_step(params, grads, *args):
+        breakdowns = step_of(params, grads, *args)
+        for r, (seed, arm) in enumerate(now["runs"]):
+            component = plan.get((seed, now["step"]), {}).get(arm)
+            if component == "grad":
+                grads.enc_bias[r, 0] = float("nan")
+            elif component is not None:
+                setattr(breakdowns[r], component, float("nan"))
+        now["step"] += 1
+        return breakdowns
+
+    monkeypatch.setattr(training, "_train_stack", planned_stack)
+    monkeypatch.setattr(training, "objective_and_grad", planned_step)
+    ds = _dataset(n_pairs=40, seed=3)
+    units = ds.train_pairs if paired == "all" else [
+        u if i % 5 == 0 else PairedExample(u.original, None) for i, u in enumerate(ds.train_pairs)]
+    base = TrainConfig(epochs=1, batch_pairs=4, embed_dim=4)
+    with pytest.raises(NonFiniteLossError) as exc:
+        train_arms([replace(base, **changes, seed=seed) for seed in (1, 3) for changes in ARMS],
+                   units)
+    assert (exc.value.step, exc.value.component) == (2, "grad")
+    assert stacks == ([[1, 3], [1]] if paired == "all" else [[1]])
+
