@@ -45,7 +45,7 @@ from .data import (
 )
 from .model import Snapshot
 # perfbench/spans.py wraps cadlab.evaluation.train by name
-from .training import TrainConfig, train, train_arms  # noqa: F401
+from .training import NonFiniteLossError, TrainConfig, train, train_arms  # noqa: F401
 
 PROBE_GROUPS = ("edited_causal", "nonedited_causal", "correlated")
 
@@ -209,8 +209,8 @@ def ood_eval_set(dataset: GeneratedDataset, vocab: Vocab,
 def run_single(configs: list[TrainConfig], dataset: GeneratedDataset, vocab: Vocab,
                ood: EvalSet) -> list[dict]:
     """Train the configs as one stack (``train_arms``: they differ only in
-    alpha and beta), evaluate each checkpoint on both OOD variants, and run
-    the reliance probe over their union. Returns one flat result row per
+    seed, alpha and beta), evaluate each checkpoint on both OOD variants, and
+    run the reliance probe over their union. Returns one flat result row per
     config, in config order.
 
     ood is ood_eval_set(dataset, vocab), which runners build once for all
@@ -468,7 +468,10 @@ def run_data_efficiency(base_config: TrainConfig, dataset: GeneratedDataset,
     unaugmented originals with the prediction loss only, so every arm sees
     exactly s training examples. The arms of one kind of subset train on the
     same units, so each job trains them as one stack over the next
-    SEEDS_PER_JOB seeds. Rows come size by size, arm by arm, seed by seed."""
+    SEEDS_PER_JOB seeds. Rows come size by size, arm by arm, seed by seed.
+    A non-finite loss ends the sweep with the error of the first run, in row
+    order, that fails when it trains alone: after a failure the runs train
+    again one at a time, in that order, until one fails."""
     if not sizes:
         raise ValueError("sizes must be non-empty")
     n_pairs = len(dataset.train_pairs)
@@ -487,7 +490,7 @@ def run_data_efficiency(base_config: TrainConfig, dataset: GeneratedDataset,
     # once and featurized once per distinct vocabulary
     ood_ids = TokenIds.from_examples(dataset.ood + dataset.ood_stress)
     ood_sets: dict[tuple[str, ...], EvalSet] = {}
-    runs = []
+    runs, alone = [], []
     for s in sizes:
         for kind in ("pairs", "unaugmented"):
             if kind == "pairs":
@@ -510,8 +513,18 @@ def run_data_efficiency(base_config: TrainConfig, dataset: GeneratedDataset,
                              subset, vocab, ood_sets[vocab.tokens],
                              [tag for tag in tags for _ in chunk])
                      for chunk in _seed_chunks(seeds)]
+            alone += [partial(train_arms, [replace(base_config, **changes, seed=seed)], pairs,
+                              vocab)
+                      for _, changes in arms for seed in seeds]
+    try:
+        rows = _run_jobs(runs, workers)
+    except NonFiniteLossError:
+        # a stack reports its first failing seed; the sweep reports its
+        # first failing run in row order
+        _run_jobs(alone, 1)
+        raise
     arm_order = [arm for arm, _, _ in DATA_EFFICIENCY_ARMS]
-    rows = sorted(_run_jobs(runs, workers), key=lambda row: (
+    rows = sorted(rows, key=lambda row: (
         sizes.index(row["size"]), arm_order.index(row["arm"]), seeds.index(row["seed"])))
 
     fingerprint = config_fingerprint({

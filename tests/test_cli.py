@@ -608,13 +608,14 @@ def test_diverging_run_exits_2_at_any_worker_count(small_data, command):
     assert failures[2] == failures[1]
 
 
-# runs of an ablation go non-finite at planned steps of their stack:
-# (seed, arm) -> {step: component}
+# runs go non-finite at planned steps of their stack, by the plan in argv[1]:
+# (seed, arm) -> {step: component}, where an arm is named by its weights as in
+# the ablation ("full" is also ecf_pairs, "neither" also both erm arms)
 STACK_FAILS = """
-import sys
+import ast, sys
 from cadlab import cli, training
 
-PLAN = {(0, "no_ocd"): {1: "l_irm"}, (0, "neither"): {1: "grad"}, (1, "full"): {0: "l_p"}}
+PLAN = ast.literal_eval(sys.argv[1])
 ARMS = {(1.6, 0.1): "full", (0.0, 0.1): "no_irm", (1.6, 0.0): "no_ocd", (0.0, 0.0): "neither"}
 train_stack, step_of = training._train_stack, training.objective_and_grad
 now = {}
@@ -635,30 +636,57 @@ def planned_step(params, grads, *args):
     return breakdowns
 
 training._train_stack, training.objective_and_grad = planned_stack, planned_step
-sys.exit(cli.main(sys.argv[1:]))
+sys.exit(cli.main(sys.argv[2:]))
 """
+LAST_SEED = cadlab.evaluation.SEEDS_PER_JOB
 
 
-def test_stacked_arms_report_the_first_step_and_lowest_arm_at_any_worker_count(small_data):
-    """Seed 0's no_ocd l_irm and neither gradient go non-finite at step 1,
-    and seed 1's full l_p at step 0, all in one stack. The ablation reports
-    the lowest failing seed, 0, at its first failing step, and in that step
-    its lowest arm, at any worker count: as if each seed had trained alone.
-    In a subprocess, so a hang fails."""
+def _planned_failures(small_data, plan, command, *args) -> list[str]:
+    """The runtime failure line of the command, run under STACK_FAILS with
+    plan, at 1 and 2 workers, where it must exit 2 and write nothing."""
     tmp_path, data_dir = small_data
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cadlab.__file__).parents[1])}
+    failures = []
     for workers in (1, 2):
         out = tmp_path / f"out{workers}"
         proc = subprocess.run(
-            [sys.executable, "-c", STACK_FAILS, "ablate", "--data", str(data_dir),
-             "--out", str(out), "--workers", str(workers), "--epochs", "1",
-             "--batch-pairs", "4", "--seeds", "0,1"],
+            [sys.executable, "-c", STACK_FAILS, repr(plan), command, "--data", str(data_dir),
+             "--out", str(out), "--workers", str(workers), "--seeds", JOB_SEEDS, *args],
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2, proc.stderr
-        assert [line for line in proc.stderr.splitlines()
-                if line.startswith("runtime failure: ")] == [
-            "runtime failure: step 1: l_irm became non-finite (nan)"], proc.stderr
+        failures += [line for line in proc.stderr.splitlines()
+                     if line.startswith("runtime failure: ")]
         assert not out.exists()
+    return failures
+
+
+def test_stacked_arms_report_the_first_step_and_lowest_arm_at_any_worker_count(small_data):
+    """Seed 0's no_ocd l_irm and neither gradient go non-finite at step 1 in
+    the first job, and the last seed's full l_p at step 0, alone in the
+    second job, so with two workers the second job fails first. The ablation
+    reports the lowest failing seed, 0, at its first failing step, and in
+    that step its lowest arm, at any worker count: as if each seed had
+    trained alone. In a subprocess, so a hang fails."""
+    plan = {(0, "no_ocd"): {1: "l_irm"}, (0, "neither"): {1: "grad"},
+            (LAST_SEED, "full"): {0: "l_p"}}
+    assert _planned_failures(small_data, plan, "ablate", "--epochs", "1",
+                             "--batch-pairs", "4") == [
+        "runtime failure: step 1: l_irm became non-finite (nan)"] * 2
+
+
+@pytest.mark.parametrize("plan, failure", [
+    # seed 0's erm_pairs fails at step 0 and its ecf_pairs at step 2, in one stack
+    ({(0, "neither"): {0: "l_p"}, (0, "full"): {2: "l_ocd"}}, "step 2: l_ocd"),
+    # seed 0's erm_pairs fails in the first job, the last seed's ecf_pairs in the second
+    ({(0, "neither"): {0: "l_p"}, (LAST_SEED, "full"): {1: "l_irm"}}, "step 1: l_irm"),
+], ids=["one-job", "two-jobs"])
+def test_data_efficiency_reports_the_first_failing_run_in_row_order(small_data, plan, failure):
+    """Rows come arm by arm before seed by seed, so a failing ecf_pairs run is
+    reported before an erm_pairs run that fails earlier in a stack or in an
+    earlier job, at any worker count. In a subprocess, so a hang fails."""
+    assert _planned_failures(small_data, plan, "data-efficiency", "--sizes", "8",
+                             "--epochs", "2", "--batch-pairs", "2") == [
+        f"runtime failure: {failure} became non-finite (nan)"] * 2
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"])

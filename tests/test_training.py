@@ -522,7 +522,7 @@ def test_stacked_configs_differ_only_in_the_weights():
        env_mode=st.sampled_from(["disjoint", "overlap"]), n_seeds=st.integers(1, 3),
        arms=st.lists(st.tuples(st.sampled_from([0.0, 0.4, 1.6]),
                                st.sampled_from([0.0, 0.1, 2.0]),
-                               st.sampled_from([None, 0, 1])), min_size=1, max_size=3),
+                               st.sampled_from([None, 0, 1])), min_size=1, max_size=4),
        n_paired=st.integers(0, 4), n_unpaired=st.integers(0, 3))
 def test_stacked_step_matches_autodiff_for_each_run(seed, n_classes, env_mode, n_seeds, arms,
                                                     n_paired, n_unpaired):
