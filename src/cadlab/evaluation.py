@@ -84,11 +84,8 @@ class EvalSet:
     masked: dict[str, np.ndarray]
 
     @classmethod
-    def build(cls, examples, vocab: Vocab, groups: FeatureGroups | None = None,
-              ids: TokenIds | None = None) -> "EvalSet":
-        """ids, when given, are the examples' TokenIds."""
-        if ids is None:
-            ids = TokenIds.from_examples(examples)
+    def build(cls, examples, vocab: Vocab, groups: FeatureGroups | None = None) -> "EvalSet":
+        ids = TokenIds.from_examples(examples)
         labels = np.array([ex.label for ex in examples], dtype=np.intp)
         features = featurize_matrix(ids, vocab)
         masked = {} if groups is None else {
@@ -196,14 +193,12 @@ def sign_test_p(wins: int, losses: int) -> float:
 # ---------------------------------------------------------------------------
 # shared per-job machinery
 
-def ood_eval_set(dataset: GeneratedDataset, vocab: Vocab,
-                 ids: TokenIds | None = None) -> EvalSet:
+def ood_eval_set(dataset: GeneratedDataset, vocab: Vocab) -> EvalSet:
     """The union ood + ood_stress under vocab, with the probe's masked
-    matrices: what run_single scores. ids are the union's TokenIds, for a
-    caller that builds it under several vocabularies."""
+    matrices: what run_single scores."""
     if not dataset.ood or not dataset.ood_stress:
         raise ValueError("a run needs non-empty ood and ood_stress splits")
-    return EvalSet.build(dataset.ood + dataset.ood_stress, vocab, dataset.groups, ids)
+    return EvalSet.build(dataset.ood + dataset.ood_stress, vocab, dataset.groups)
 
 
 def run_single(configs: list[TrainConfig], dataset: GeneratedDataset, vocab: Vocab,
@@ -486,9 +481,8 @@ def run_data_efficiency(base_config: TrainConfig, dataset: GeneratedDataset,
     _check_distinct(sizes, "sizes")
     _check_distinct(seeds, "seeds")
 
-    # each training subset has its own vocabulary; the OOD union is looked up
-    # once and featurized once per distinct vocabulary
-    ood_ids = TokenIds.from_examples(dataset.ood + dataset.ood_stress)
+    # each training subset has its own vocabulary; the OOD union is
+    # featurized once per distinct vocabulary
     ood_sets: dict[tuple[str, ...], EvalSet] = {}
     runs, alone = [], []
     for s in sizes:
@@ -500,7 +494,7 @@ def run_data_efficiency(base_config: TrainConfig, dataset: GeneratedDataset,
             subset = replace(dataset, train_pairs=pairs)
             vocab = Vocab.from_examples(subset.train_examples())
             if vocab.tokens not in ood_sets:
-                ood_sets[vocab.tokens] = ood_eval_set(dataset, vocab, ood_ids)
+                ood_sets[vocab.tokens] = ood_eval_set(dataset, vocab)
             members = [m for u in pairs for m in u.members()]
             arms = [(arm, changes) for arm, changes, of in DATA_EFFICIENCY_ARMS if of == kind]
             tags = [{"arm": arm, "size": s, "n_train_examples": len(members),

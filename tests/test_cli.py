@@ -216,6 +216,24 @@ def test_train_runtime_failure_exit_2(small_data, capsys):
     assert "runtime failure" in capsys.readouterr().err
 
 
+def test_diverging_train_prints_only_the_failure_line(tmp_path):
+    """Sums that overflow while the non-finite check runs warn nothing: the
+    failure line is all a diverging train writes to stderr. In a subprocess,
+    so numpy's own warning output is what is checked."""
+    gen_cfg = tmp_path / "gen.json"
+    _write_json(gen_cfg, {"n_pairs": 40, "n_ood": 12, "seed": 5})
+    data_dir = tmp_path / "data"
+    assert main(["generate", "--config", str(gen_cfg), "--out", str(data_dir)]) == 0
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cadlab.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cadlab.cli", "train", "--data", str(data_dir),
+         "--out", str(tmp_path / "o"), "--seed", "1", "--alpha", "0", "--beta", "0",
+         "--lr", "1e307", "--epochs", "3"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == "runtime failure: step 1: l_p became non-finite (inf)\n"
+
+
 @pytest.mark.parametrize("flag, config", [
     (["--embed-dim", "0"], {}),
     ([], {"n_classes": 0}),

@@ -668,10 +668,12 @@ def test_a_cross_seed_stack_reports_the_first_seed_that_fails_alone(monkeypatch,
     2. Whether the seeds train as one stack (fully paired) or one after
     another (partly paired), the error is seed 1's: the first seed in config
     order that fails, at its first non-finite step, in its lowest arm, as
-    when each seed trains alone."""
+    when each seed trains alone. The seeds train again on the features
+    already made."""
     plan = {(3, 0): {0: "l_p"}, (1, 2): {2: "l_irm", 1: "grad"}}
     train_stack, step_of = training._train_stack, training.objective_and_grad
-    now, stacks = {}, []
+    featurize = training.featurize_matrix
+    now, stacks, featurized = {}, [], []
 
     def planned_stack(runs, *args):
         now.update(runs=[(run.seed, ARM_OF[run.alpha, run.beta]) for run in runs], step=0)
@@ -689,8 +691,13 @@ def test_a_cross_seed_stack_reports_the_first_seed_that_fails_alone(monkeypatch,
         now["step"] += 1
         return breakdowns
 
+    def counted(*args, **kwargs):
+        featurized.append(1)
+        return featurize(*args, **kwargs)
+
     monkeypatch.setattr(training, "_train_stack", planned_stack)
     monkeypatch.setattr(training, "objective_and_grad", planned_step)
+    monkeypatch.setattr(training, "featurize_matrix", counted)
     ds = _dataset(n_pairs=40, seed=3)
     units = ds.train_pairs if paired == "all" else [
         u if i % 5 == 0 else PairedExample(u.original, None) for i, u in enumerate(ds.train_pairs)]
@@ -700,4 +707,48 @@ def test_a_cross_seed_stack_reports_the_first_seed_that_fails_alone(monkeypatch,
                    units)
     assert (exc.value.step, exc.value.component) == (2, "grad")
     assert stacks == ([[1, 3], [1]] if paired == "all" else [[1]])
+    assert len(featurized) == 1
+
+
+def _paired_every(units, k):
+    """The units with only every k-th one keeping its counterfactual (none
+    when k is 0)."""
+    return [u if k and i % k == 0 else PairedExample(u.original, None)
+            for i, u in enumerate(units)]
+
+
+@pytest.mark.parametrize("every, arms, env_mode, runs_of_seed_5, stacks", [
+    (1, ARMS, "disjoint", 4, [[5, 1, 3]]),
+    # all unpaired: the erm_unaugmented shape, and alpha > 0 over the
+    # originals in both environments
+    (0, ({"alpha": 0.0, "beta": 0.0},), "disjoint", 1, [[5, 1, 3]]),
+    (0, ({"beta": 0.0}, {"alpha": 0.0, "beta": 0.0}), "overlap", 2, [[5, 1, 3]]),
+    (5, ARMS, "disjoint", 4, [[5], [1], [3]]),
+    # seed 5 has a run fewer than the others
+    (1, ARMS, "disjoint", 3, [[5], [1], [3]]),
+], ids=["all-paired", "unpaired-erm", "unpaired-overlap", "every-fifth", "unequal-runs"])
+def test_seeds_share_a_stack_when_their_data_is_all_paired_or_all_unpaired(
+        monkeypatch, every, arms, env_mode, runs_of_seed_5, stacks):
+    """Seeds with as many runs train as one stack on all-paired or
+    all-unpaired units, and one stack each otherwise; either way each run is
+    bit for bit the run trained alone."""
+    units = _paired_every(_dataset(n_pairs=30, seed=2).train_pairs, every)
+    base = TrainConfig(epochs=2, batch_pairs=4, embed_dim=4, env_mode=env_mode)
+    configs = [replace(base, **changes, seed=seed) for seed in (5, 1, 3)
+               for changes in arms[:runs_of_seed_5 if seed == 5 else len(arms)]]
+    train_stack, seen = training._train_stack, []
+
+    def spy(runs, *args):
+        seen.append(list(dict.fromkeys(run.seed for run in runs)))
+        return train_stack(runs, *args)
+
+    monkeypatch.setattr(training, "_train_stack", spy)
+    stacked = train_arms(configs, units)
+    assert seen == stacks
+    for config, (checkpoint, log) in zip(configs, stacked):
+        alone, alone_log = train(config, units)
+        assert log.step_csv() == alone_log.step_csv()
+        assert log.epoch_csv() == alone_log.epoch_csv()
+        assert _snapshot_vector(checkpoint.snapshot).tobytes() == \
+            _snapshot_vector(alone.snapshot).tobytes()
 
