@@ -1,9 +1,13 @@
 """Counterfactual-pair data model, JSONL I/O, featurization, environment
 partitioning, and the synthetic pair generator.
 
-Loading checks the pairing as it groups the examples into training units
-(pair_examples). Each config class takes its dict form from its fields
-(DictConfig).
+Examples and training units (Example, PairedExample) are NamedTuple records:
+immutable, hashable, equal field by field, and cheap to build by the
+thousand. Loading reads and decodes each JSONL file once, parses it line by
+line so that every error names its line, and checks the pairing as it groups
+the examples into training units (pair_examples). Writing encodes every line
+through one reused encoder. Each config class takes its dict form from its
+fields (DictConfig).
 
 Featurization has one implementation, featurize_matrix: the tokens of a list
 of examples are looked up once as integer ids (TokenIds), a mask removes ids
@@ -23,6 +27,7 @@ import copy
 import json
 import random
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,8 +64,7 @@ class EmptyEnvironmentError(DataError):
 NOT_A_FILE = (FileNotFoundError, IsADirectoryError, NotADirectoryError)
 
 
-@dataclass(frozen=True)
-class Example:
+class Example(NamedTuple):
     id: str
     tokens: tuple[str, ...]
     label: int
@@ -68,8 +72,7 @@ class Example:
     variant: str           # "original" | "counterfactual"
 
 
-@dataclass(frozen=True)
-class PairedExample:
+class PairedExample(NamedTuple):
     """A training unit: an original and (for augmented data) its counterfactual."""
     original: Example
     counterfactual: Example | None = None
@@ -156,36 +159,38 @@ def load_jsonl(path, require_pairs: bool = True) -> list[Example]:
 def _read_jsonl(path, require_pairs: bool) -> tuple[list[Example], list[PairedExample]]:
     """load_jsonl's examples, in file order, and the units that
     pair_examples groups them into."""
-    examples: list[Example] = []
-    # bytes, so that a decoding error names its line
     with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as e:
-                raise ParseError(path, line_no, f"not UTF-8 text: {e.reason}") from e
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(path, line_no, f"invalid JSON: {e.msg}") from e
-            if not isinstance(obj, dict):
-                raise ParseError(path, line_no, "expected a JSON object")
-            for f in _REQUIRED_FIELDS:
-                if f not in obj:
-                    raise ParseError(path, line_no, f"missing field {f!r}")
-            if obj["variant"] not in (VARIANT_ORIGINAL, VARIANT_COUNTERFACTUAL):
-                raise ParseError(path, line_no, f"bad variant {obj['variant']!r}")
-            if not is_int(obj["label"]) or obj["label"] < 0:
-                raise ParseError(path, line_no, f"label must be a non-negative int, got {obj['label']!r}")
-            examples.append(Example(
-                id=str(obj["id"]),
-                tokens=tuple(str(obj["text"]).split()),
-                label=obj["label"],
-                pair_id=str(obj["pair_id"]),
-                variant=obj["variant"],
-            ))
+        raw = fh.read()
+    try:
+        text, bad = raw.decode("utf-8"), None
+    except UnicodeDecodeError as e:
+        # the lines before the undecodable one are checked first, as a
+        # line-by-line read would; no UTF-8 sequence spans a newline, so
+        # e.reason is the one that decoding that line alone gives
+        text, bad = raw[:raw.rfind(b"\n", 0, e.start) + 1].decode("utf-8"), e
+    examples: list[Example] = []
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ParseError(path, line_no, f"invalid JSON: {e.msg}") from e
+        if not isinstance(obj, dict):
+            raise ParseError(path, line_no, "expected a JSON object")
+        for f in _REQUIRED_FIELDS:
+            if f not in obj:
+                raise ParseError(path, line_no, f"missing field {f!r}")
+        if obj["variant"] not in (VARIANT_ORIGINAL, VARIANT_COUNTERFACTUAL):
+            raise ParseError(path, line_no, f"bad variant {obj['variant']!r}")
+        if not is_int(obj["label"]) or obj["label"] < 0:
+            raise ParseError(path, line_no, f"label must be a non-negative int, got {obj['label']!r}")
+        examples.append(Example(str(obj["id"]), tuple(str(obj["text"]).split()), obj["label"],
+                                str(obj["pair_id"]), obj["variant"]))
+    if bad is not None:
+        raise ParseError(path, raw.count(b"\n", 0, bad.start) + 1,
+                         f"not UTF-8 text: {bad.reason}") from bad
     return examples, pair_examples(examples, require_pairs=require_pairs)
 
 
@@ -218,17 +223,16 @@ def pair_examples(examples: list[Example], require_pairs: bool = True) -> list[P
     return units
 
 
+# what json.dumps(obj, sort_keys=True) writes, without a new encoder per call
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def dump_jsonl(examples: list[Example], path) -> None:
+    encode = _ENCODER.encode
     with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            obj = {
-                "id": ex.id,
-                "text": " ".join(ex.tokens),
-                "label": ex.label,
-                "pair_id": ex.pair_id,
-                "variant": ex.variant,
-            }
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+        fh.writelines(encode({"id": ex.id, "text": " ".join(ex.tokens), "label": ex.label,
+                              "pair_id": ex.pair_id, "variant": ex.variant}) + "\n"
+                      for ex in examples)
 
 
 # ---------------------------------------------------------------------------
@@ -429,25 +433,6 @@ def _build_group_tokens(cfg: GeneratorConfig):
     return edited, nonedited, correlated, noise, groups
 
 
-def _make_sentence(cfg, rng, label, rho, edited, nonedited, correlated, noise):
-    k_e = cfg.edited_per_sentence
-    k_u = cfg.causal_per_sentence - k_e
-    k_r = cfg.correlated_per_sentence
-    k_n = cfg.sentence_length - cfg.causal_per_sentence - k_r
-    toks = [rng.choice(edited[label]) for _ in range(k_e)]
-    toks += [rng.choice(nonedited[label]) for _ in range(k_u)]
-    for _ in range(k_r):
-        if rng.random() < rho:
-            cls = label
-        else:
-            others = [c for c in range(cfg.n_classes) if c != label]
-            cls = others[rng.randrange(len(others))]
-        toks.append(rng.choice(correlated[cls]))
-    toks += [rng.choice(noise) for _ in range(k_n)]
-    rng.shuffle(toks)
-    return toks
-
-
 def generate_cad(cfg: GeneratorConfig) -> GeneratedDataset:
     """Generate paired training data plus two OOD evaluation splits.
 
@@ -459,32 +444,45 @@ def generate_cad(cfg: GeneratorConfig) -> GeneratedDataset:
     removes every edited-causal token. Deterministic given cfg.seed.
     """
     rng = random.Random(cfg.seed)
+    choice = rng.choice
     edited, nonedited, correlated, noise, groups = _build_group_tokens(cfg)
+    edited_causal = groups.edited_causal
+    k_e = cfg.edited_per_sentence
+    k_u = cfg.causal_per_sentence - k_e
+    k_r = cfg.correlated_per_sentence
+    k_n = cfg.sentence_length - cfg.causal_per_sentence - k_r
+    others = [[c for c in range(cfg.n_classes) if c != y] for y in range(cfg.n_classes)]
+
+    def sentence(label, rho):
+        toks = [choice(edited[label]) for _ in range(k_e)]
+        toks += [choice(nonedited[label]) for _ in range(k_u)]
+        for _ in range(k_r):
+            cls = label if rng.random() < rho else choice(others[label])
+            toks.append(choice(correlated[cls]))
+        toks += [choice(noise) for _ in range(k_n)]
+        rng.shuffle(toks)
+        return toks
 
     pairs = []
     for i in range(cfg.n_pairs):
         y = i % cfg.n_classes
         y_star = (y + 1) % cfg.n_classes
-        toks = _make_sentence(cfg, rng, y, cfg.rho_train, edited, nonedited, correlated, noise)
-        cf_toks = [rng.choice(edited[y_star]) if t in groups.edited_causal else t for t in toks]
+        toks = sentence(y, cfg.rho_train)
+        cf_toks = [choice(edited[y_star]) if t in edited_causal else t for t in toks]
         pid = f"p{i:06d}"
-        ori = Example(id=f"{pid}o", tokens=tuple(toks), label=y, pair_id=pid,
-                      variant=VARIANT_ORIGINAL)
-        cf = Example(id=f"{pid}c", tokens=tuple(cf_toks), label=y_star, pair_id=pid,
-                     variant=VARIANT_COUNTERFACTUAL)
-        pairs.append(PairedExample(ori, cf))
+        pairs.append(PairedExample(
+            Example(f"{pid}o", tuple(toks), y, pid, VARIANT_ORIGINAL),
+            Example(f"{pid}c", tuple(cf_toks), y_star, pid, VARIANT_COUNTERFACTUAL)))
 
     ood = []
     ood_stress = []
     for i in range(cfg.n_ood):
         y = i % cfg.n_classes
-        toks = _make_sentence(cfg, rng, y, cfg.rho_ood, edited, nonedited, correlated, noise)
+        toks = sentence(y, cfg.rho_ood)
         pid = f"q{i:06d}"
-        ood.append(Example(id=f"{pid}o", tokens=tuple(toks), label=y, pair_id=pid,
-                           variant=VARIANT_ORIGINAL))
-        stress_toks = tuple(t for t in toks if t not in groups.edited_causal)
-        ood_stress.append(Example(id=f"{pid}s", tokens=stress_toks, label=y, pair_id=f"{pid}s",
-                                  variant=VARIANT_ORIGINAL))
+        ood.append(Example(f"{pid}o", tuple(toks), y, pid, VARIANT_ORIGINAL))
+        ood_stress.append(Example(f"{pid}s", tuple([t for t in toks if t not in edited_causal]),
+                                  y, f"{pid}s", VARIANT_ORIGINAL))
     return GeneratedDataset(pairs, ood, ood_stress, groups, cfg)
 
 

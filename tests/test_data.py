@@ -1,5 +1,7 @@
 import collections
+import hashlib
 import json
+import pathlib
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from cadlab.data import (
     DataError, EmptyEnvironmentError, Example, FeatureGroups, GeneratorConfig,
-    PairingError, ParseError, TokenIds, Vocab,
+    PairedExample, PairingError, ParseError, TokenIds, Vocab,
     dump_jsonl, featurize, featurize_matrix, featurize_sparse, generate_cad,
     load_jsonl, pair_examples, partition_environments, read_dataset, write_dataset,
 )
@@ -100,6 +102,85 @@ def test_boolean_label_is_parse_error(tmp_path):
     _write_lines(p, [_row("a", "x", True, "p", "original")])
     with pytest.raises(ParseError, match="label"):
         load_jsonl(p, require_pairs=False)
+
+
+def _undecodable_reason(line: bytes) -> str:
+    """The reason that decoding this line on its own gives."""
+    with pytest.raises(UnicodeDecodeError) as exc:
+        line.decode("utf-8")
+    return exc.value.reason
+
+
+def _good_line(id="a") -> bytes:
+    return json.dumps(_row(id, "x y", 0, id, "original")).encode()
+
+
+def test_a_non_utf8_line_is_reported_at_its_own_line(tmp_path):
+    p = tmp_path / "d.jsonl"
+    bad = b'{"id": "caf\xe9 noir"}'
+    # a blank line and a CRLF line come before it
+    p.write_bytes(_good_line("a") + b"\n\n" + _good_line("b") + b"\r\n" + bad + b"\n" + _good_line("c"))
+    reason = _undecodable_reason(bad + b"\n")
+    assert reason == "invalid continuation byte"
+    with pytest.raises(ParseError) as exc:
+        load_jsonl(p, require_pairs=False)
+    assert exc.value.line_no == 4
+    assert str(exc.value) == f"{p}:4: not UTF-8 text: {reason}"
+
+
+def test_lines_before_a_non_utf8_line_are_checked_first(tmp_path):
+    p = tmp_path / "d.jsonl"
+    p.write_bytes(_good_line() + b"\nnot json\n\n\xff\n")
+    with pytest.raises(ParseError, match="invalid JSON") as exc:
+        load_jsonl(p, require_pairs=False)
+    assert exc.value.line_no == 2
+
+
+def test_a_sequence_cut_off_at_end_of_file_is_reported_on_the_last_line(tmp_path):
+    p = tmp_path / "d.jsonl"
+    tail = '{"id": "\u20ac'.encode()[:-1]          # the euro sign's last byte is gone
+    p.write_bytes(_good_line() + b"\n" + tail)
+    assert _undecodable_reason(tail) == "unexpected end of data"
+    with pytest.raises(ParseError) as exc:
+        load_jsonl(p, require_pairs=False)
+    assert str(exc.value) == f"{p}:2: not UTF-8 text: unexpected end of data"
+
+
+def test_a_line_with_a_utf8_bom_keeps_the_json_message(tmp_path):
+    p = tmp_path / "d.jsonl"
+    p.write_bytes(_good_line("a") + b"\n\xef\xbb\xbf" + _good_line("b") + b"\n")
+    with pytest.raises(ParseError) as exc:
+        load_jsonl(p, require_pairs=False)
+    assert str(exc.value) == f"{p}:2: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+
+
+def test_whitespace_only_lines_are_skipped_but_counted(tmp_path):
+    p = tmp_path / "d.jsonl"
+    lines = [_good_line("a"), b"   ", b"\t\x0c", _good_line("b"), b" \r"]
+    p.write_bytes(b"\n".join(lines) + b"\n")
+    assert [ex.id for ex in load_jsonl(p, require_pairs=False)] == ["a", "b"]
+    p.write_bytes(b"\n".join(lines + [b"[1]"]) + b"\n")
+    with pytest.raises(ParseError, match="expected a JSON object") as exc:
+        load_jsonl(p, require_pairs=False)
+    assert exc.value.line_no == 6
+
+
+def test_records_are_immutable_hashable_and_equal_field_by_field():
+    ex = Example(id="a", tokens=("x", "y"), label=0, pair_id="p", variant="original")
+    twin = Example(id="a", tokens=("x", "y"), label=0, pair_id="p", variant="original")
+    cf = Example(id="b", tokens=("z",), label=1, pair_id="p", variant="counterfactual")
+    assert ex == twin and ex is not twin and hash(ex) == hash(twin)
+    assert ex != Example(id="a", tokens=("x", "y"), label=1, pair_id="p", variant="original")
+    unit = PairedExample(ex, cf)
+    assert unit == PairedExample(twin, cf) and hash(unit) == hash(PairedExample(twin, cf))
+    assert len({unit, PairedExample(twin, cf), PairedExample(ex)}) == 2
+    for record, name in ((ex, "label"), (ex, "extra"), (unit, "counterfactual"), (unit, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    alone = PairedExample(ex)
+    assert alone.counterfactual is None
+    assert alone.members() == (ex,)
+    assert unit.members() == (ex, cf)
 
 
 def test_roundtrip_identity(tmp_path):
@@ -241,6 +322,37 @@ def test_generator_determinism(tmp_path):
     write_dataset(generate_cad(GeneratorConfig(**cfg)), d2)
     for name in ("train.jsonl", "ood.jsonl", "ood_stress.jsonl", "groups.json"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+# sha256 of each file write_dataset writes for two fixed configs: a
+# reordered, extra or missing random draw changes them, while
+# test_generator_determinism, which compares two runs of the same code,
+# would still pass
+GENERATOR_DIGESTS = {
+    2: {
+        "train": "8c99147da1cf84ae82ca66a6b8620fe89a460b06a84283eeb1572dd5d3aa47d0",
+        "ood": "f3c93f94591fe8cef85aa32b3aae1d1d1f815e8b80f1fac0ba46c8944a465370",
+        "ood_stress": "2d879e66c5a8e81be1511a01ac0855660793594aa2d28d7006e30d4a1ab38d09",
+        "groups": "b9178e77482729a0e8aa0e23974708e88b41bf631a0868af6e66133924167ef7",
+        "config": "ec2c793d6e40fb192a554c50997e76e7698400eac8a38d03c55603b394f89ff2",
+    },
+    3: {
+        "train": "4cc9b6dd8e6b85dcecc2f435859b2ff09b4c398e761b663e76d2cb15bd2575a3",
+        "ood": "4dd01d48fb72ebc1fd9ad5008eacd0ce0e085ca879317f9430d0e08a1d0efc86",
+        "ood_stress": "db18f3cd3b36fae14c49867be96f08c12bc283a37662d1cf9f9abeba15fe9ad3",
+        "groups": "2c74cbdcca208b476130f313c11cf273d7fcee9eca82958f3b9de76e34cd765a",
+        "config": "b23fa7427aeda19b21f31f312887bfbdc1949464050e83aa35214eb4b67e693d",
+    },
+}
+
+
+@pytest.mark.parametrize("n_classes", sorted(GENERATOR_DIGESTS))
+def test_generator_output_bytes_are_pinned(tmp_path, n_classes):
+    cfg = GeneratorConfig(n_pairs=40, n_ood=15, seed=42, n_classes=n_classes)
+    paths = write_dataset(generate_cad(cfg), tmp_path)
+    digests = {name: hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+               for name, path in paths.items()}
+    assert digests == GENERATOR_DIGESTS[n_classes]
 
 
 def test_generator_rho_statistics():

@@ -273,7 +273,7 @@ def test_runners_hold_one_blas_thread_and_restore_the_count(monkeypatch):
         assert {row["blas_threads"] for row in ablation["rows"] + sweep["rows"]} == {1}
 
 
-def test_run_single_scores_each_split_from_the_shared_ood_ids():
+def test_run_single_scores_each_split_from_one_ood_eval_set():
     ds = _dataset(n_pairs=12, n_ood=16)
     vocab = Vocab.from_examples(ds.train_examples())
     config = _fast_config(epochs=3, learning_rate=0.05)
