@@ -5,9 +5,11 @@ Examples and training units (Example, PairedExample) are NamedTuple records:
 immutable, hashable, equal field by field, and cheap to build by the
 thousand. Loading reads and decodes each JSONL file once, parses it line by
 line so that every error names its line, and checks the pairing as it groups
-the examples into training units (pair_examples). Writing encodes every line
-through one reused encoder. Each config class takes its dict form from its
-fields (DictConfig).
+the examples into training units (pair_examples). Each line is one call of
+json's C scanner; only a line that fails it goes through json.loads, whose
+message the error carries. Writing formats each line from json's own string
+escaper, byte for byte what json.dumps(sort_keys=True) writes. Each config
+class takes its dict form from its fields (DictConfig).
 
 Featurization has one implementation, featurize_matrix: the tokens of a list
 of examples are looked up once as integer ids (TokenIds), a mask removes ids
@@ -25,6 +27,8 @@ from __future__ import annotations
 
 import copy
 import json
+import json.encoder
+import json.scanner
 import random
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
@@ -141,6 +145,11 @@ class DictConfig:
 # JSONL I/O
 
 _REQUIRED_FIELDS = ("id", "text", "label", "pair_id", "variant")
+_FIELD_SET = frozenset(_REQUIRED_FIELDS)
+# what json.loads runs on a line that holds one value and nothing else
+_scan_once = json.scanner.make_scanner(json.JSONDecoder())
+# the string escaper of json.dumps (ensure_ascii=True)
+_escape = json.encoder.encode_basestring_ascii
 
 
 def load_jsonl(path, require_pairs: bool = True) -> list[Example]:
@@ -174,20 +183,28 @@ def _read_jsonl(path, require_pairs: bool) -> tuple[list[Example], list[PairedEx
         if not line:
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise ParseError(path, line_no, f"invalid JSON: {e.msg}") from e
+            obj, end = _scan_once(line, 0)
+        except (StopIteration, json.JSONDecodeError):
+            end = -1
+        if end != len(line):
+            # json.loads gives the message: a BOM, "Extra data" and the rest
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise ParseError(path, line_no, f"invalid JSON: {e.msg}") from e
         if not isinstance(obj, dict):
             raise ParseError(path, line_no, "expected a JSON object")
-        for f in _REQUIRED_FIELDS:
-            if f not in obj:
-                raise ParseError(path, line_no, f"missing field {f!r}")
-        if obj["variant"] not in (VARIANT_ORIGINAL, VARIANT_COUNTERFACTUAL):
-            raise ParseError(path, line_no, f"bad variant {obj['variant']!r}")
-        if not is_int(obj["label"]) or obj["label"] < 0:
-            raise ParseError(path, line_no, f"label must be a non-negative int, got {obj['label']!r}")
-        examples.append(Example(str(obj["id"]), tuple(str(obj["text"]).split()), obj["label"],
-                                str(obj["pair_id"]), obj["variant"]))
+        if not obj.keys() >= _FIELD_SET:
+            missing = next(f for f in _REQUIRED_FIELDS if f not in obj)
+            raise ParseError(path, line_no, f"missing field {missing!r}")
+        variant, label = obj["variant"], obj["label"]
+        if variant not in (VARIANT_ORIGINAL, VARIANT_COUNTERFACTUAL):
+            raise ParseError(path, line_no, f"bad variant {variant!r}")
+        # json decodes integers as exact ints, so this is is_int: true and false fail it
+        if type(label) is not int or label < 0:
+            raise ParseError(path, line_no, f"label must be a non-negative int, got {label!r}")
+        examples.append(Example(str(obj["id"]), tuple(str(obj["text"]).split()), label,
+                                str(obj["pair_id"]), variant))
     if bad is not None:
         raise ParseError(path, raw.count(b"\n", 0, bad.start) + 1,
                          f"not UTF-8 text: {bad.reason}") from bad
@@ -198,6 +215,10 @@ def pair_examples(examples: list[Example], require_pairs: bool = True) -> list[P
     """Group examples into training units by pair_id, in file order, checking
     each unit: an original and a counterfactual with another label, or with
     require_pairs=False an original alone (PairingError otherwise)."""
+    if (not require_pairs and VARIANT_COUNTERFACTUAL not in [ex.variant for ex in examples]
+            and len({ex.pair_id for ex in examples}) == len(examples)):
+        # an evaluation split of originals: each is a unit of its own
+        return list(map(PairedExample, examples))
     by_pair: dict[str, list[Example]] = {}
     for ex in examples:
         by_pair.setdefault(ex.pair_id, []).append(ex)
@@ -223,16 +244,25 @@ def pair_examples(examples: list[Example], require_pairs: bool = True) -> list[P
     return units
 
 
-# what json.dumps(obj, sort_keys=True) writes, without a new encoder per call
-_ENCODER = json.JSONEncoder(sort_keys=True)
-
-
 def dump_jsonl(examples: list[Example], path) -> None:
-    encode = _ENCODER.encode
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(encode({"id": ex.id, "text": " ".join(ex.tokens), "label": ex.label,
-                              "pair_id": ex.pair_id, "variant": ex.variant}) + "\n"
-                      for ex in examples)
+        fh.writelines(map(_jsonl_line, examples))
+
+
+def _jsonl_line(ex: Example) -> str:
+    """json.dumps(the record, sort_keys=True) and a newline. An int label
+    and str fields are formatted here with json's own escaper; any other
+    record goes through json.dumps, for its bytes or its exception."""
+    text = " ".join(ex.tokens)
+    if type(ex.label) is int:
+        try:
+            return (f'{{"id": {_escape(ex.id)}, "label": {int.__repr__(ex.label)}, '
+                    f'"pair_id": {_escape(ex.pair_id)}, "text": {_escape(text)}, '
+                    f'"variant": {_escape(ex.variant)}}}\n')
+        except TypeError:       # a field that is not a str
+            pass
+    return json.dumps({"id": ex.id, "text": text, "label": ex.label, "pair_id": ex.pair_id,
+                       "variant": ex.variant}, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,8 @@ import numpy as np
 
 # perfbench/spans.py wraps cadlab.training.grad and .combined_loss by name
 from .autodiff import grad  # noqa: F401
-from .data import DictConfig, PairedExample, Vocab, featurize_matrix, is_int, partition_environments
+from .data import (ENV_COUNTERFACTUAL, ENV_ORIGINAL, VARIANT_COUNTERFACTUAL, VARIANT_ORIGINAL,
+                   DictConfig, PairedExample, Vocab, featurize_matrix, is_int, partition_environments)
 from .losses import LossBreakdown, combined_loss, objective_and_grad  # noqa: F401
 from .model import ModelConfig, Snapshot, initial_values
 
@@ -196,13 +197,16 @@ def unit_rows(units: list[PairedExample]) -> np.ndarray:
 
 def environment_masks(examples: list, alpha: float, env_mode: str) -> dict[str, np.ndarray]:
     """A row mask over examples for each environment of partition_environments,
-    in sorted name order; none when alpha == 0."""
-    envs = partition_environments(examples, alpha, env_mode) if alpha > 0.0 else {}
-    masks = {}
-    for name in sorted(envs):
-        members = {id(ex) for ex in envs[name]}
-        masks[name] = np.array([id(ex) in members for ex in examples], dtype=bool)
-    return masks
+    in sorted name order; none when alpha == 0. Both environments take their
+    members by variant, so one pass over the variants gives both masks."""
+    if not alpha > 0.0:
+        return {}
+    # raises EmptyEnvironmentError when an environment would be empty
+    partition_environments(examples, alpha, env_mode)
+    variants = np.array([ex.variant for ex in examples], dtype=object)
+    counterfactual = (variants == VARIANT_COUNTERFACTUAL if env_mode == "disjoint"
+                      else np.ones(len(examples), dtype=bool))
+    return {ENV_COUNTERFACTUAL: counterfactual, ENV_ORIGINAL: variants == VARIANT_ORIGINAL}
 
 
 def batch_index(units: np.ndarray, env_masks: dict[str, np.ndarray], batches: np.ndarray

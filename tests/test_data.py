@@ -165,6 +165,65 @@ def test_whitespace_only_lines_are_skipped_but_counted(tmp_path):
     assert exc.value.line_no == 6
 
 
+@pytest.mark.parametrize("line, message", [
+    ('{"id": "a"} {"id": "b"}', None),          # two objects: "Extra data"
+    ('{"id": "a', None),                         # an unterminated string
+    ('{"id": "a", "text": "x",}', None),         # a trailing comma
+    ("}", None),
+    ("null", "expected a JSON object"),
+    ('"s"', "expected a JSON object"),
+    ("NaN", "expected a JSON object"),
+    # a missing field is reported before a bad variant
+    ('{"id": "a", "text": "x", "pair_id": "p", "variant": "edited"}', "missing field 'label'"),
+])
+def test_a_bad_line_reports_json_loads_message_at_its_line(tmp_path, line, message):
+    if message is None:
+        with pytest.raises(json.JSONDecodeError) as decode:
+            json.loads(line)
+        message = f"invalid JSON: {decode.value.msg}"
+    p = tmp_path / "d.jsonl"
+    p.write_bytes(_good_line("a") + b"\n" + line.encode() + b"\n" + _good_line("b") + b"\n")
+    with pytest.raises(ParseError) as exc:
+        load_jsonl(p, require_pairs=False)
+    assert exc.value.line_no == 2
+    assert str(exc.value) == f"{p}:2: {message}"
+
+
+_AWKWARD = ["caf\u00e9 \u20ac", 'say "hi"', "back\\slash", "ctl\x00\x1f\x7f\t\r", "sep\u2028\u2029",
+            "lone\ud800", "\U0001f600", ""]
+
+
+def test_dump_jsonl_writes_what_json_dumps_writes(tmp_path):
+    records = [Example(s, (s, "plain", s[::-1]), i, f"{s}/p", "original") for i, s in enumerate(_AWKWARD)]
+    # fields that are not str are written as json.dumps writes them
+    records += [Example(7, ("x",), 0, None, "original"), Example("a", (), 10 ** 30, "p", "counterfactual")]
+    p = tmp_path / "d.jsonl"
+    dump_jsonl(records, p)
+    lines = p.read_bytes().decode("utf-8").split("\n")
+    assert lines.pop() == ""
+    assert lines == [json.dumps({"id": ex.id, "text": " ".join(ex.tokens), "label": ex.label,
+                                 "pair_id": ex.pair_id, "variant": ex.variant}, sort_keys=True)
+                     for ex in records]
+    assert all(line.isascii() for line in lines)
+
+
+def test_dump_jsonl_keeps_the_behaviour_of_json_dumps_for_a_label_that_is_not_an_int(tmp_path):
+    p = tmp_path / "d.jsonl"
+    dump_jsonl([Example("a", ("x",), True, "p", "original")], p)
+    assert p.read_text() == '{"id": "a", "label": true, "pair_id": "p", "text": "x", "variant": "original"}\n'
+    with pytest.raises(TypeError, match="Object of type int64 is not JSON serializable"):
+        dump_jsonl([Example("a", ("x",), np.int64(1), "p", "original")], p)
+
+
+def test_pairing_an_evaluation_split_checks_it_as_grouping_does():
+    originals = [Example(f"{i}", ("x",), 0, f"p{i}", "original") for i in range(3)]
+    assert pair_examples(originals, require_pairs=False) == [PairedExample(ex) for ex in originals]
+    with pytest.raises(PairingError, match="'p1': expected one original and one counterfactual"):
+        pair_examples(originals + [originals[1]._replace(id="dup")], require_pairs=False)
+    with pytest.raises(PairingError, match="'p0': orphan pair_id"):
+        pair_examples(originals, require_pairs=True)
+
+
 def test_records_are_immutable_hashable_and_equal_field_by_field():
     ex = Example(id="a", tokens=("x", "y"), label=0, pair_id="p", variant="original")
     twin = Example(id="a", tokens=("x", "y"), label=0, pair_id="p", variant="original")
