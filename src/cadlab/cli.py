@@ -186,32 +186,23 @@ def _parse_int_list(text, what) -> list[int]:
     return values
 
 
-def cmd_ablate(args) -> int:
+def cmd_protocol(args) -> int:
+    """ablate and data-efficiency: run the protocol on the --data directory
+    and write its report to --out."""
     _check_out_dir(args.out)
     config = _train_config(args)
+    sweep = args.command == "data-efficiency"
+    sizes = {"sizes": _parse_int_list(args.sizes, "sizes")} if sweep else {}
     seeds = _parse_int_list(args.seeds, "seeds")
     try:
         dataset = read_dataset(args.data)
-        result = run_ablation(config, dataset, seeds, workers=args.workers)
+        result = (run_data_efficiency if sweep else run_ablation)(
+            config, dataset, seeds=seeds, workers=args.workers, **sizes)
     except (ValueError, *NOT_A_FILE) as e:
         raise CliError(str(e))
-    paths = write_report(result, args.out, "ablation")
-    print(json.dumps({"report": paths, "summary": result["summary"]}, sort_keys=True))
-    return 0
-
-
-def cmd_data_efficiency(args) -> int:
-    _check_out_dir(args.out)
-    config = _train_config(args)
-    sizes = _parse_int_list(args.sizes, "sizes")
-    seeds = _parse_int_list(args.seeds, "seeds")
-    try:
-        dataset = read_dataset(args.data)
-        result = run_data_efficiency(config, dataset, sizes, seeds, workers=args.workers)
-    except (ValueError, *NOT_A_FILE) as e:
-        raise CliError(str(e))
-    paths = write_report(result, args.out, "data_efficiency")
-    print(json.dumps({"report": paths, "rows": len(result["rows"])}, sort_keys=True))
+    paths = write_report(result, args.out, "data_efficiency" if sweep else "ablation")
+    shown = {"rows": len(result["rows"])} if sweep else {"summary": result["summary"]}
+    print(json.dumps({"report": paths, **shown}, sort_keys=True))
     return 0
 
 
@@ -257,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", required=True, help="comma-separated, e.g. 0,1,2")
     p.add_argument("--out", required=True)
     p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
-    p.set_defaults(func=cmd_ablate)
+    p.set_defaults(func=cmd_protocol)
 
     p = sub.add_parser("data-efficiency", help="train-size sweep across three arms")
     _add_train_overrides(p, with_seed=False)
@@ -266,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
-    p.set_defaults(func=cmd_data_efficiency)
+    p.set_defaults(func=cmd_protocol)
     return parser
 
 

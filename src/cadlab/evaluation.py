@@ -14,13 +14,16 @@ Accuracy reports and probes score an ``EvalSet``: examples featurized once
 under one vocabulary. A runner builds the EvalSet of that OOD union once per
 call and vocabulary, before it forks, so a run costs its own training plus
 four predictions: the unmasked union, which gives both split accuracies and
-the probe baseline, and one masked matrix per probe group. A job is one
-call of ``run_single``, which trains one stack: the four ablation arms of
-the next SEEDS_PER_JOB seeds of the list, or a data-efficiency size's arms
-of one training subset over those seeds. So the job list depends on the
-seed list alone, and a two-seed ablation is a single job, which runs in
-process. Several jobs go to at most ``workers`` forked child processes,
-which claim them one at a time, and the rows come back in job order.
+the probe baseline, and one masked matrix per probe group. Both runners
+build one job list (``_protocol_rows``) from cells: a cell is a training
+set, its arms and the tag its rows carry. An ablation is one cell, and a
+data-efficiency sweep one cell per size and kind of training subset. A job
+is one call of ``run_single``, which trains one stack: a cell's arms over
+the next SEEDS_PER_JOB seeds of the list. So the job list depends on the
+cells and the seed list alone, and a two-seed ablation is a single job,
+which runs in process. Several jobs go to at most ``workers`` forked child
+processes, which claim them one at a time, and the rows come back in job
+order.
 OpenBLAS is held at one thread for the whole runner call, serial or forked,
 so parallel runs do not oversubscribe the cores.
 """
@@ -45,7 +48,7 @@ from .data import (
 )
 from .model import Snapshot
 # perfbench/spans.py wraps cadlab.evaluation.train by name
-from .training import NonFiniteLossError, TrainConfig, train, train_arms  # noqa: F401
+from .training import NonFiniteLossError, TrainConfig, train, train_arms
 
 PROBE_GROUPS = ("edited_causal", "nonedited_causal", "correlated")
 
@@ -117,7 +120,6 @@ class EvalReport:
     n: int
     per_class_accuracy: dict[int, float]
     fingerprint: str
-    seed: int
 
     def to_dict(self) -> dict:
         return {
@@ -126,12 +128,11 @@ class EvalReport:
             "n": self.n,
             "per_class_accuracy": {str(k): v for k, v in sorted(self.per_class_accuracy.items())},
             "fingerprint": self.fingerprint,
-            "seed": self.seed,
         }
 
 
 def evaluate(snapshot: Snapshot, examples, vocab: Vocab, split: str = "",
-             fingerprint: str = "", seed: int = 0) -> EvalReport:
+             fingerprint: str = "") -> EvalReport:
     """Accuracy of a parameter snapshot on a list of examples (pure, read-only)."""
     if not examples:
         raise ValueError("evaluate needs a non-empty example list")
@@ -144,7 +145,7 @@ def evaluate(snapshot: Snapshot, examples, vocab: Vocab, split: str = "",
     per_class = {int(c): int(correct_per_class[c]) / int(n_per_class[c])
                  for c in np.flatnonzero(n_per_class)}
     return EvalReport(split=split, accuracy=_accuracy(correct), n=len(examples),
-                      per_class_accuracy=per_class, fingerprint=fingerprint, seed=seed)
+                      per_class_accuracy=per_class, fingerprint=fingerprint)
 
 
 @dataclass
@@ -232,14 +233,6 @@ def run_single(configs: list[TrainConfig], dataset: GeneratedDataset, vocab: Voc
             "drop_nonedited_causal": probe.drops["nonedited_causal"],
             "drop_correlated": probe.drops["correlated"],
         })
-    return rows
-
-
-def _tagged_runs(configs: list[TrainConfig], dataset: GeneratedDataset, vocab: Vocab,
-                 ood: EvalSet, tags: list[dict]) -> list[dict]:
-    rows = run_single(configs, dataset, vocab, ood)
-    for row, tag in zip(rows, tags):
-        row.update(tag)
     return rows
 
 
@@ -407,10 +400,34 @@ def _check_distinct(values: list[int], what: str) -> None:
         raise ValueError(f"{what} must be distinct, got {list(values)}")
 
 
-def _seed_chunks(seeds: list[int]) -> list[list[int]]:
-    """The seed list, in order, in chunks of SEEDS_PER_JOB: the seeds of
-    each job."""
-    return [seeds[i:i + SEEDS_PER_JOB] for i in range(0, len(seeds), SEEDS_PER_JOB)]
+def _protocol_rows(base_config: TrainConfig, cells: list, seeds: list[int],
+                   workers: int) -> list[dict]:
+    """The rows of a protocol: one run per cell, arm and seed, where a cell
+    is (dataset, arms, tag) and an arm is (name, changes to the base config).
+
+    Each cell's vocabulary comes from its training split, and the OOD union
+    is featurized once per distinct vocabulary. A job is one run_single call
+    on one cell's arms over the next SEEDS_PER_JOB seeds of the list, with
+    the configs seed by seed in arm order, so it trains them as one stack.
+    The jobs go cell by cell through _run_jobs, and each row gets its arm
+    and its cell's tag here in the parent.
+    """
+    ood_sets: dict[tuple[str, ...], EvalSet] = {}
+    jobs, labels = [], []
+    for dataset, arms, tag in cells:
+        vocab = Vocab.from_examples(dataset.train_examples())
+        if vocab.tokens not in ood_sets:
+            ood_sets[vocab.tokens] = ood_eval_set(dataset, vocab)
+        for i in range(0, len(seeds), SEEDS_PER_JOB):
+            chunk = seeds[i:i + SEEDS_PER_JOB]
+            jobs.append(partial(run_single, [replace(base_config, **changes, seed=seed)
+                                             for seed in chunk for _, changes in arms],
+                                dataset, vocab, ood_sets[vocab.tokens]))
+            labels += [{"arm": arm, **tag} for _ in chunk for arm, _ in arms]
+    rows = _run_jobs(jobs, workers)
+    for row, label in zip(rows, labels):
+        row.update(label)
+    return rows
 
 
 def run_ablation(base_config: TrainConfig, dataset: GeneratedDataset,
@@ -418,22 +435,15 @@ def run_ablation(base_config: TrainConfig, dataset: GeneratedDataset,
     """Four-arm ablation (full, no_irm, no_ocd, neither) over a seed list.
 
     Every arm trains on the same data with the same per-seed initialization;
-    only the loss weights differ. Each job takes the next SEEDS_PER_JOB seeds
-    of the list and trains their arms as one stack. Per-seed rows, in
-    ABLATION_ARMS order within a seed, are always emitted alongside the
-    per-arm means.
+    only the loss weights differ. The ablation is one cell of
+    _protocol_rows, so each job trains the arms of the next SEEDS_PER_JOB
+    seeds as one stack. Per-seed rows, in ABLATION_ARMS order within a seed,
+    are always emitted alongside the per-arm means.
     """
     _check_distinct(seeds, "seeds")
     if len(seeds) < 2:
         raise ValueError("ablation needs at least 2 seeds")
-    vocab = Vocab.from_examples(dataset.train_examples())
-    ood = ood_eval_set(dataset, vocab)
-    runs = [partial(_tagged_runs,
-                    [replace(base_config, **changes, seed=seed)
-                     for seed in chunk for _, changes in ABLATION_ARMS],
-                    dataset, vocab, ood, [{"arm": arm} for _ in chunk for arm, _ in ABLATION_ARMS])
-            for chunk in _seed_chunks(seeds)]
-    rows = _run_jobs(runs, workers)
+    rows = _protocol_rows(base_config, [(dataset, ABLATION_ARMS, {})], seeds, workers)
     fingerprint = config_fingerprint({
         "protocol": "ablation",
         "config": base_config.to_dict(),
@@ -461,12 +471,13 @@ def run_data_efficiency(base_config: TrainConfig, dataset: GeneratedDataset,
     """Train-size sweep: at every size s, (a) s/2 pairs with the full
     objective, (b) s/2 pairs with the prediction loss only, and (c) s
     unaugmented originals with the prediction loss only, so every arm sees
-    exactly s training examples. The arms of one kind of subset train on the
-    same units, so each job trains them as one stack over the next
-    SEEDS_PER_JOB seeds. Rows come size by size, arm by arm, seed by seed.
-    A non-finite loss ends the sweep with the error of the first run, in row
-    order, that fails when it trains alone: after a failure the runs train
-    again one at a time, in that order, until one fails."""
+    exactly s training examples. Each size and kind of subset is one cell of
+    _protocol_rows, whose arms train on the same units, so each job trains
+    them as one stack over the next SEEDS_PER_JOB seeds. Rows come size by
+    size, arm by arm, seed by seed. A non-finite loss ends the sweep with
+    the error of the first run, in row order, that fails when it trains
+    alone: after a failure the runs train again one at a time, in that
+    order, until one fails."""
     if not sizes:
         raise ValueError("sizes must be non-empty")
     n_pairs = len(dataset.train_pairs)
@@ -481,41 +492,25 @@ def run_data_efficiency(base_config: TrainConfig, dataset: GeneratedDataset,
     _check_distinct(sizes, "sizes")
     _check_distinct(seeds, "seeds")
 
-    # each training subset has its own vocabulary; the OOD union is
-    # featurized once per distinct vocabulary
-    ood_sets: dict[tuple[str, ...], EvalSet] = {}
-    runs, alone = [], []
+    cells = []
     for s in sizes:
         for kind in ("pairs", "unaugmented"):
             if kind == "pairs":
                 pairs = dataset.train_pairs[:s // 2]
             else:
                 pairs = [PairedExample(u.original, None) for u in dataset.train_pairs[:s]]
-            subset = replace(dataset, train_pairs=pairs)
-            vocab = Vocab.from_examples(subset.train_examples())
-            if vocab.tokens not in ood_sets:
-                ood_sets[vocab.tokens] = ood_eval_set(dataset, vocab)
             members = [m for u in pairs for m in u.members()]
+            tag = {"size": s, "n_train_examples": len(members),
+                   "n_counterfactuals": sum(1 for m in members if m.variant == "counterfactual")}
             arms = [(arm, changes) for arm, changes, of in DATA_EFFICIENCY_ARMS if of == kind]
-            tags = [{"arm": arm, "size": s, "n_train_examples": len(members),
-                     "n_counterfactuals": sum(1 for m in members
-                                              if m.variant == "counterfactual")}
-                    for arm, _ in arms]
-            runs += [partial(_tagged_runs,
-                             [replace(base_config, **changes, seed=seed)
-                              for _, changes in arms for seed in chunk],
-                             subset, vocab, ood_sets[vocab.tokens],
-                             [tag for tag in tags for _ in chunk])
-                     for chunk in _seed_chunks(seeds)]
-            alone += [partial(train_arms, [replace(base_config, **changes, seed=seed)], pairs,
-                              vocab)
-                      for _, changes in arms for seed in seeds]
+            cells.append((replace(dataset, train_pairs=pairs), arms, tag))
     try:
-        rows = _run_jobs(runs, workers)
+        rows = _protocol_rows(base_config, cells, seeds, workers)
     except NonFiniteLossError:
         # a stack reports its first failing seed; the sweep reports its
         # first failing run in row order
-        _run_jobs(alone, 1)
+        _run_jobs([partial(train, replace(base_config, **changes, seed=seed), subset.train_pairs)
+                   for subset, arms, _ in cells for _, changes in arms for seed in seeds], 1)
         raise
     arm_order = [arm for arm, _, _ in DATA_EFFICIENCY_ARMS]
     rows = sorted(rows, key=lambda row: (

@@ -233,7 +233,8 @@ def save_checkpoint(path, snap: Snapshot, vocab: Vocab, extra: dict | None = Non
 
 def load_checkpoint(path) -> tuple[Snapshot, Vocab, dict]:
     """Load a checkpoint, checking every parameter array's shape against the
-    model config and that every value is finite (ValueError otherwise)."""
+    model config, that every value is finite, that the vocabulary is a list
+    of strings and the extra data an object (ValueError otherwise)."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -265,7 +266,12 @@ def load_checkpoint(path) -> tuple[Snapshot, Vocab, dict]:
         if not np.isfinite(values).all():
             raise ValueError(f"{name} holds a non-finite value")
         arrays[name] = values
-    vocab = Vocab(payload["vocab"])
+    tokens, extra = payload["vocab"], payload.get("extra", {})
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise ValueError("the checkpoint's \"vocab\" is not a list of strings")
+    if not isinstance(extra, dict):
+        raise ValueError("the checkpoint's \"extra\" is not an object")
+    vocab = Vocab(tokens)
     if vocab.size != config.vocab_size:
         raise ValueError("checkpoint vocab does not match model vocab_size")
-    return Snapshot(config=config, **arrays), vocab, payload.get("extra", {})
+    return Snapshot(config=config, **arrays), vocab, extra

@@ -145,6 +145,10 @@ def test_train_eval_probe_pipeline(small_data, capsys):
     report = json.loads(capsys.readouterr().out)
     assert 0.0 <= report["accuracy"] <= 1.0
     assert report["n"] == 12
+    # no seed key: the fingerprint hashes the training config, its seed included
+    assert set(report) == {"split", "accuracy", "n", "per_class_accuracy", "fingerprint"}
+    extra = json.loads((out_dir / "checkpoint.json").read_text())["extra"]
+    assert report["fingerprint"] == extra["fingerprint"]
 
     rc = main(["probe", "--checkpoint", str(out_dir / "checkpoint.json"),
                "--data", str(data_dir / "ood.jsonl")])
@@ -415,6 +419,12 @@ MALFORMED_CHECKPOINTS = [
     ("unknown model key", _set(("model", "depth"), 3), 1, "bad model config"),
     ("vocab mismatch", _set(("vocab",), lambda v: v[:-1]), 1,
      "checkpoint vocab does not match model vocab_size"),
+    ("vocab a number", _set(("vocab",), 5), 1, '"vocab" is not a list of strings'),
+    ("vocab of lists", _set(("vocab",), [[1], [1], [1]]), 1, '"vocab" is not a list of strings'),
+    ("vocab a string", _set(("vocab",), "tokens"), 1, '"vocab" is not a list of strings'),
+    ("extra a list", _set(("extra",), []), 1, '"extra" is not an object'),
+    ("extra a number", _set(("extra",), 5), 1, '"extra" is not an object'),
+    ("extra a string", _set(("extra",), "x"), 1, '"extra" is not an object'),
     ("format version", _set(("format_version",), 2), 1,
      "unsupported checkpoint format version 2"),
     ("not UTF-8", lambda payload: json.dumps(payload).encode() + b"\xff", 1, "not UTF-8 text"),

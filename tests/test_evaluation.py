@@ -4,6 +4,7 @@ import pathlib
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -271,6 +272,48 @@ def test_runners_hold_one_blas_thread_and_restore_the_count(monkeypatch):
                                     workers=workers)
         assert get_threads() == before
         assert {row["blas_threads"] for row in ablation["rows"] + sweep["rows"]} == {1}
+
+
+def test_a_job_is_one_cells_arms_over_the_next_five_seeds(monkeypatch):
+    """Each run_single call is one job, which trains its configs as one
+    stack, seed by seed in arm order (train_arms orders a stack by seed): an
+    11-seed ablation is 3 jobs of 20, 20 and 4 runs, and a data-efficiency
+    sweep is one job per size, kind of subset and seed chunk, each pairs job
+    holding both pairs arms."""
+    jobs = []
+    train_and_score = evaluation.run_single
+
+    def recording(configs, dataset, *args):
+        units = dataset.train_pairs
+        kind = "pairs" if units[0].counterfactual is not None else "unaugmented"
+        stack = sorted(configs, key=lambda c: c.seed)
+        jobs.append((len(units), kind, [(c.seed, c.alpha, c.beta) for c in stack]))
+        return train_and_score(configs, dataset, *args)
+
+    monkeypatch.setattr(evaluation, "run_single", recording)
+    ds = _dataset(n_pairs=12, n_ood=16)
+    base = _fast_config(epochs=1)
+
+    def weights(changes):
+        config = replace(base, **changes)
+        return config.alpha, config.beta
+
+    seeds = list(range(11))
+    run_ablation(base, ds, seeds=seeds)
+    assert [len(configs) for _, _, configs in jobs] == [20, 20, 4]
+    assert [configs for _, _, configs in jobs] == [
+        [(seed, *weights(changes)) for seed in chunk for _, changes in evaluation.ABLATION_ARMS]
+        for chunk in (seeds[:5], seeds[5:10], seeds[10:])]
+
+    jobs.clear()
+    seeds = list(range(6))
+    run_data_efficiency(base, ds, sizes=[4, 8], seeds=seeds)
+    assert jobs == [
+        (size // 2 if kind == "pairs" else size, kind,
+         [(seed, *weights(changes)) for seed in chunk
+          for _, changes, of in evaluation.DATA_EFFICIENCY_ARMS if of == kind])
+        for size in (4, 8) for kind in ("pairs", "unaugmented")
+        for chunk in (seeds[:5], seeds[5:])]
 
 
 def test_run_single_scores_each_split_from_one_ood_eval_set():
