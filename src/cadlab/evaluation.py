@@ -24,13 +24,15 @@ cells and the seed list alone, and a two-seed ablation is a single job,
 which runs in process. Several jobs go to at most ``workers`` forked child
 processes, which claim them one at a time, and the rows come back in job
 order.
-OpenBLAS is held at one thread for the whole runner call, serial or forked,
-so parallel runs do not oversubscribe the cores.
+The first runner call sets OpenBLAS to one thread and leaves it there for
+the rest of the process, serial or forked, so parallel runs do not
+oversubscribe the cores. It is not restored: OpenBLAS shuts its thread pool
+down at every fork, and each later setter call re-creates the pool, whose
+new thread busy-waits for about 0.12 s of CPU.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import math
@@ -38,7 +40,7 @@ import os
 import pickle
 import traceback
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -236,9 +238,10 @@ def run_single(configs: list[TrainConfig], dataset: GeneratedDataset, vocab: Voc
     return rows
 
 
+@cache
 def _openblas_thread_calls():
     """(get, set) of the thread count of the OpenBLAS that numpy links, or
-    None if those symbols are not found."""
+    None if those symbols are not found; looked up once per process."""
     import ctypes
     try:
         from numpy._core import _multiarray_umath
@@ -256,23 +259,6 @@ def _openblas_thread_calls():
     return None
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Hold OpenBLAS at one thread for the body and restore the caller's
-    count afterwards; do nothing if its thread calls are not found."""
-    calls = _openblas_thread_calls()
-    if calls is None:
-        yield
-        return
-    get, set_ = calls
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
-
-
 def _run_jobs(runs: list, workers: int) -> list[dict]:
     """Call every run (a function of no arguments that returns a list of
     rows) and return the rows in run order, so the reports do not depend on
@@ -280,15 +266,20 @@ def _run_jobs(runs: list, workers: int) -> list[dict]:
 
     With workers > 1 the runs go to min(workers, len(runs)) forked children.
     OpenBLAS is set to one thread here, before any fork, and the children
-    inherit that: each child is one busy core.
+    inherit that: each child is one busy core. The count stays at one for
+    the rest of the process, and the setter is called only when it is not
+    one, since after a fork every setter call restarts OpenBLAS's thread
+    pool, which then spins for about 0.12 s of CPU.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    with _one_blas_thread():
-        if workers == 1 or len(runs) <= 1:
-            results = [run() for run in runs]
-        else:
-            results = _fork_join(runs, min(workers, len(runs)))
+    calls = _openblas_thread_calls()
+    if calls is not None and calls[0]() != 1:
+        calls[1](1)
+    if workers == 1 or len(runs) <= 1:
+        results = [run() for run in runs]
+    else:
+        results = _fork_join(runs, min(workers, len(runs)))
     return [row for rows in results for row in rows]
 
 

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -249,29 +250,67 @@ def test_parallel_runner_fails_when_a_child_dies_without_a_result():
     assert lines[1:] == ["no child left"]
 
 
-def test_runners_hold_one_blas_thread_and_restore_the_count(monkeypatch):
-    calls = evaluation._openblas_thread_calls()
-    if calls is None:
-        pytest.skip("no OpenBLAS thread getter and setter found")
-    get_threads, _ = calls
+def test_the_first_runner_call_holds_one_blas_thread_for_the_process(monkeypatch):
+    """Through a fake getter and setter: a runner call that finds OpenBLAS
+    at two threads sets one, once, and never restores the count; a runner
+    call that finds one thread calls no setter. Serial and forked paths."""
+    count, sets = [2], []
+
+    def set_threads(n):
+        sets.append(n)
+        count[0] = n
+
+    monkeypatch.setattr(evaluation, "_openblas_thread_calls",
+                        lambda: (lambda: count[0], set_threads))
     train_and_score = evaluation.run_single
 
     def recording(*args):
         rows = train_and_score(*args)
         for row in rows:
-            row["blas_threads"] = get_threads()
+            row["blas_threads"] = count[0]
         return rows
 
     monkeypatch.setattr(evaluation, "run_single", recording)
     ds = _dataset(n_pairs=12, n_ood=16)
-    before = get_threads()
+    seeds = list(range(evaluation.SEEDS_PER_JOB + 1))    # two jobs per cell
     for workers in (1, 2):
-        ablation = run_ablation(_fast_config(), ds, seeds=[0, 1], workers=workers)
-        assert get_threads() == before
-        sweep = run_data_efficiency(_fast_config(), ds, sizes=[4], seeds=[0, 1],
-                                    workers=workers)
-        assert get_threads() == before
-        assert {row["blas_threads"] for row in ablation["rows"] + sweep["rows"]} == {1}
+        for runner in (partial(run_ablation, _fast_config(), ds, seeds, workers=workers),
+                       partial(run_data_efficiency, _fast_config(), ds, sizes=[4], seeds=seeds,
+                               workers=workers)):
+            count[0], sets[:] = 2, []
+            first = runner()
+            assert sets == [1] and count[0] == 1
+            second = runner()
+            assert sets == [1] and count[0] == 1
+            assert {row["blas_threads"] for row in first["rows"] + second["rows"]} == {1}
+
+
+def test_a_runner_call_after_a_fork_does_not_call_the_blas_setter(monkeypatch):
+    """OpenBLAS shuts its thread pool down at every fork, and a setter call
+    after that re-creates the pool, which then spins. The count survives the
+    fork, so a runner call after one (perfbench forks its speed probe after
+    every operation) must leave the setter alone."""
+    calls = evaluation._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("no OpenBLAS thread getter and setter found")
+    get_threads, set_threads = calls
+    ds = _dataset(n_pairs=12, n_ood=16)
+    run_ablation(_fast_config(), ds, seeds=[0, 1])
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0)
+    os.waitpid(pid, 0)
+    sets = []
+
+    def recording_set(n):
+        sets.append(n)
+        set_threads(n)
+
+    monkeypatch.setattr(evaluation, "_openblas_thread_calls",
+                        lambda: (get_threads, recording_set))
+    run_ablation(_fast_config(), ds, seeds=[0, 1], workers=2)
+    assert sets == []
+    assert get_threads() == 1
 
 
 def test_a_job_is_one_cells_arms_over_the_next_five_seeds(monkeypatch):
