@@ -3,13 +3,15 @@ partitioning, and the synthetic pair generator.
 
 Examples and training units (Example, PairedExample) are NamedTuple records:
 immutable, hashable, equal field by field, and cheap to build by the
-thousand. Loading reads and decodes each JSONL file once, parses it line by
-line so that every error names its line, and checks the pairing as it groups
-the examples into training units (pair_examples). Each line is one call of
-json's C scanner; only a line that fails it goes through json.loads, whose
-message the error carries. Writing formats each line from json's own string
-escaper, byte for byte what json.dumps(sort_keys=True) writes. Each config
-class takes its dict form from its fields (DictConfig).
+thousand. Loading reads and decodes each JSONL file once, parses it, and
+checks the pairing as it groups the examples into training units
+(pair_examples). A file whose every line is one that dump_jsonl writes with
+no escape in it is parsed in one regex pass over the text. Every other file
+is parsed line by line, so that every error names its line: each line is one
+call of json's C scanner, and only a line that fails it goes through
+json.loads, whose message the error carries. Writing formats each line from
+json's own string escaper, byte for byte what json.dumps(sort_keys=True)
+writes. Each config class takes its dict form from its fields (DictConfig).
 
 Featurization has one implementation, featurize_matrix: the tokens of a list
 of examples are looked up once as integer ids (TokenIds), a mask removes ids
@@ -30,6 +32,7 @@ import json
 import json.encoder
 import json.scanner
 import random
+import re
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -167,7 +170,9 @@ def load_jsonl(path, require_pairs: bool = True) -> list[Example]:
 
 def _read_jsonl(path, require_pairs: bool) -> tuple[list[Example], list[PairedExample]]:
     """load_jsonl's examples, in file order, and the units that
-    pair_examples groups them into."""
+    pair_examples groups them into. A file that dump_jsonl wrote with no
+    escape in it is read in one pass (_read_dumped); any other file line by
+    line, with the same examples and errors."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -177,6 +182,9 @@ def _read_jsonl(path, require_pairs: bool) -> tuple[list[Example], list[PairedEx
         # line-by-line read would; no UTF-8 sequence spans a newline, so
         # e.reason is the one that decoding that line alone gives
         text, bad = raw[:raw.rfind(b"\n", 0, e.start) + 1].decode("utf-8"), e
+    dumped = _read_dumped(text) if bad is None else None
+    if dumped is not None:
+        return dumped, pair_examples(dumped, require_pairs=require_pairs)
     examples: list[Example] = []
     for line_no, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
@@ -263,6 +271,28 @@ def _jsonl_line(ex: Example) -> str:
             pass
     return json.dumps({"id": ex.id, "text": text, "label": ex.label, "pair_id": ex.pair_id,
                        "variant": ex.variant}, sort_keys=True) + "\n"
+
+
+# a line that _jsonl_line writes with no escape in it: each string is printable
+# ASCII but '"' and '\\', so what it captures is what json decodes, and the label
+# is a JSON int with no sign, fraction or exponent
+_STR = r'"([ !#-\[\]-~]*)"'
+_DUMPED_LINE = re.compile(rf'^\{{"id": {_STR}, "label": (0|[1-9][0-9]*), "pair_id": {_STR}, '
+                          rf'"text": {_STR}, "variant": "(original|counterfactual)"\}}$', re.M)
+
+
+def _read_dumped(text: str) -> list[Example] | None:
+    """The examples of a text whose every line is a _DUMPED_LINE, as the
+    per-line parse gives them, read in one pass; None for any other text.
+    No match spans a newline, so as many matches as lines means all match."""
+    if not _DUMPED_LINE.match(text):
+        # most other files show it on their first line: CRLF, a BOM, other keys
+        return None
+    rows = _DUMPED_LINE.findall(text)
+    if len(rows) != text.count("\n") + (not text.endswith("\n")):
+        return None
+    return [tuple.__new__(Example, (id, tuple(words.split()), int(label), pair_id, variant))
+            for id, label, pair_id, words, variant in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import hashlib
 import json
 import pathlib
 from dataclasses import MISSING, fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -111,8 +112,9 @@ def _undecodable_reason(line: bytes) -> str:
     return exc.value.reason
 
 
-def _good_line(id="a") -> bytes:
-    return json.dumps(_row(id, "x y", 0, id, "original")).encode()
+def _good_line(id="a", sort_keys=False) -> bytes:
+    # with sorted keys the line is what dump_jsonl writes
+    return json.dumps(_row(id, "x y", 0, id, "original"), sort_keys=sort_keys).encode()
 
 
 def test_a_non_utf8_line_is_reported_at_its_own_line(tmp_path):
@@ -156,13 +158,14 @@ def test_a_line_with_a_utf8_bom_keeps_the_json_message(tmp_path):
 
 def test_whitespace_only_lines_are_skipped_but_counted(tmp_path):
     p = tmp_path / "d.jsonl"
-    lines = [_good_line("a"), b"   ", b"\t\x0c", _good_line("b"), b" \r"]
-    p.write_bytes(b"\n".join(lines) + b"\n")
-    assert [ex.id for ex in load_jsonl(p, require_pairs=False)] == ["a", "b"]
-    p.write_bytes(b"\n".join(lines + [b"[1]"]) + b"\n")
-    with pytest.raises(ParseError, match="expected a JSON object") as exc:
-        load_jsonl(p, require_pairs=False)
-    assert exc.value.line_no == 6
+    for sort_keys in (False, True):
+        lines = [_good_line("a", sort_keys), b"   ", b"\t\x0c", _good_line("b", sort_keys), b" \r"]
+        p.write_bytes(b"\n".join(lines) + b"\n")
+        assert [ex.id for ex in load_jsonl(p, require_pairs=False)] == ["a", "b"]
+        p.write_bytes(b"\n".join(lines + [b"[1]"]) + b"\n")
+        with pytest.raises(ParseError, match="expected a JSON object") as exc:
+            load_jsonl(p, require_pairs=False)
+        assert exc.value.line_no == 6
 
 
 @pytest.mark.parametrize("line, message", [
@@ -182,11 +185,96 @@ def test_a_bad_line_reports_json_loads_message_at_its_line(tmp_path, line, messa
             json.loads(line)
         message = f"invalid JSON: {decode.value.msg}"
     p = tmp_path / "d.jsonl"
-    p.write_bytes(_good_line("a") + b"\n" + line.encode() + b"\n" + _good_line("b") + b"\n")
-    with pytest.raises(ParseError) as exc:
-        load_jsonl(p, require_pairs=False)
-    assert exc.value.line_no == 2
-    assert str(exc.value) == f"{p}:2: {message}"
+    for sort_keys in (False, True):
+        p.write_bytes(_good_line("a", sort_keys) + b"\n" + line.encode() + b"\n"
+                      + _good_line("b", sort_keys) + b"\n")
+        with pytest.raises(ParseError) as exc:
+            load_jsonl(p, require_pairs=False)
+        assert exc.value.line_no == 2
+        assert str(exc.value) == f"{p}:2: {message}"
+
+
+def _read_outcome(path, require_pairs):
+    try:
+        return data._read_jsonl(path, require_pairs)
+    except DataError as e:
+        return type(e), str(e), getattr(e, "line_no", None)
+
+
+def _outcome_and_per_line_outcome(path, require_pairs):
+    """What _read_jsonl gives (its examples and units, or its error), and
+    what it gives when the one-pass path declines every file."""
+    outcome = _read_outcome(path, require_pairs)
+    with mock.patch.object(data, "_read_dumped", lambda text: None):
+        return outcome, _read_outcome(path, require_pairs)
+
+
+def _originals_and_counterfactual_tokens(field):
+    tokens = st.lists(field, max_size=3).map(tuple)
+    original = st.builds(Example, id=field, tokens=tokens, label=st.integers(0, 10 ** 30 - 1),
+                         pair_id=field, variant=st.just("original"))
+    return st.tuples(st.lists(original, max_size=5, unique_by=lambda ex: ex.pair_id),
+                     st.lists(tokens, max_size=5))
+
+
+_PLAIN = st.text("ab y_0", max_size=4)
+# '"', '\\', control characters, non-ASCII and lone surrogates
+_ANY = st.text(st.characters(exclude_categories=()), max_size=4)
+
+
+# files of plain fields only, which take the one-pass path, and files of any fields
+@settings(max_examples=300, deadline=None)
+@given(records=_originals_and_counterfactual_tokens(_PLAIN)
+       | _originals_and_counterfactual_tokens(_PLAIN | _ANY),
+       rnd=st.randoms(), require_pairs=st.booleans())
+def test_a_dumped_file_reads_as_the_per_line_parse_reads_it(tmp_path_factory, records, rnd,
+                                                            require_pairs):
+    # the first len(cf_tokens) originals get a counterfactual of another label
+    originals, cf_tokens = records
+    records = originals + [ex._replace(id=f"{ex.id}'", tokens=toks, label=ex.label + 1,
+                                       variant="counterfactual")
+                           for ex, toks in zip(originals, cf_tokens)]
+    rnd.shuffle(records)
+    p = tmp_path_factory.mktemp("dumped") / "d.jsonl"
+    dump_jsonl(records, p)
+    outcome, per_line = _outcome_and_per_line_outcome(p, require_pairs)
+    assert outcome == per_line
+    if isinstance(outcome[0], list):
+        assert all(type(ex) is Example for ex in outcome[0])
+
+
+# each edits the second (or, for the final newline, the last) of three dump_jsonl lines
+_NEAR_CANONICAL = {
+    "label 01": (1, '"label": 1,', '"label": 01,'),
+    "label -1": (1, '"label": 1,', '"label": -1,'),
+    "label 1.0": (1, '"label": 1,', '"label": 1.0,'),
+    "label true": (1, '"label": 1,', '"label": true,'),
+    'label "1"': (1, '"label": 1,', '"label": "1",'),
+    "a BOM": (1, "{", "\ufeff{"),
+    "CRLF": (1, "}\n", "}\r\n"),
+    "a trailing space": (1, "}\n", "} \n"),
+    "an extra key": (1, "}\n", ', "groups": {"noise": ["z"]}}\n'),
+    "reordered keys": (1, '"id": "b", "label": 1', '"label": 1, "id": "b"'),
+    "a blank line": (1, "{", "\n{"),
+    "no final newline": (2, "}\n", "}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NEAR_CANONICAL))
+def test_a_near_canonical_line_reads_as_the_per_line_parse_reads_it(tmp_path, case):
+    lines = [data._jsonl_line(Example(*fields)) for fields in (
+        ("a", ("x", "y"), 0, "p", "original"), ("b", ("y", "z"), 1, "p", "counterfactual"),
+        ("c", ("z",), 2, "q", "original"))]
+    at, old, new = _NEAR_CANONICAL[case]
+    assert old in lines[at]
+    lines[at] = lines[at].replace(old, new)
+    text = "".join(lines)
+    p = tmp_path / "d.jsonl"
+    p.write_bytes(text.encode())
+    # only a file whose every line dump_jsonl could have written takes one pass
+    assert (data._read_dumped(text) is None) == (case != "no final newline")
+    outcome, per_line = _outcome_and_per_line_outcome(p, require_pairs=False)
+    assert outcome == per_line
 
 
 _AWKWARD = ["caf\u00e9 \u20ac", 'say "hi"', "back\\slash", "ctl\x00\x1f\x7f\t\r", "sep\u2028\u2029",
@@ -515,6 +603,22 @@ def test_read_dataset_groups_each_file_once(tmp_path, monkeypatch):
     assert read_dataset(tmp_path / "data").train_pairs == ds.train_pairs
     # train.jsonl, ood.jsonl and ood_stress.jsonl
     assert grouped == [True, False, False]
+
+
+def test_read_dataset_reads_what_write_dataset_wrote_in_one_pass(tmp_path, monkeypatch):
+    # a change to _jsonl_line's format that the one-pass pattern no longer
+    # matches must fail here, not only slow every read down
+    ds = generate_cad(GeneratorConfig(n_pairs=30, n_ood=12, seed=9))
+    write_dataset(ds, tmp_path / "data")
+
+    def per_line_scanner(*args):
+        raise AssertionError("a line of a dump_jsonl file went through the per-line scanner")
+
+    # every non-blank line of the per-line parse starts with _scan_once, and json.loads
+    # runs only where it fails; json.loads itself stays, since groups.json is read with it
+    monkeypatch.setattr(data, "_scan_once", per_line_scanner)
+    loaded = read_dataset(tmp_path / "data")
+    assert (loaded.train_pairs, loaded.ood, loaded.ood_stress) == (ds.train_pairs, ds.ood, ds.ood_stress)
 
 
 def test_feature_groups_disjointness_enforced():
