@@ -118,6 +118,9 @@ class FeatureGroups:
         missing = [name for name in GROUP_NAMES if name not in d]
         if missing:
             raise DataError(f"feature groups lack {missing}")
+        for name in GROUP_NAMES:
+            if not isinstance(d[name], list) or not all(isinstance(t, str) for t in d[name]):
+                raise DataError(f"feature group {name!r} is not a list of strings")
         return cls(**{name: frozenset(d[name]) for name in GROUP_NAMES})
 
 
@@ -194,6 +197,8 @@ def _read_jsonl(path, require_pairs: bool) -> tuple[list[Example], list[PairedEx
             obj, end = _scan_once(line, 0)
         except (StopIteration, json.JSONDecodeError):
             end = -1
+        except ValueError as e:     # an int longer than int() converts
+            raise ParseError(path, line_no, str(e).partition(";")[0]) from e
         if end != len(line):
             # json.loads gives the message: a BOM, "Extra data" and the rest
             try:
@@ -275,9 +280,10 @@ def _jsonl_line(ex: Example) -> str:
 
 # a line that _jsonl_line writes with no escape in it: each string is printable
 # ASCII but '"' and '\\', so what it captures is what json decodes, and the label
-# is a JSON int with no sign, fraction or exponent
+# is a JSON int with no sign, fraction or exponent, of at most 640 digits, which
+# int() converts under any limit that sys.set_int_max_str_digits allows
 _STR = r'"([ !#-\[\]-~]*)"'
-_DUMPED_LINE = re.compile(rf'^\{{"id": {_STR}, "label": (0|[1-9][0-9]*), "pair_id": {_STR}, '
+_DUMPED_LINE = re.compile(rf'^\{{"id": {_STR}, "label": (0|[1-9][0-9]{{0,639}}), "pair_id": {_STR}, '
                           rf'"text": {_STR}, "variant": "(original|counterfactual)"\}}$', re.M)
 
 

@@ -269,6 +269,9 @@ def load_checkpoint(path) -> tuple[Snapshot, Vocab, dict]:
     tokens, extra = payload["vocab"], payload.get("extra", {})
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
         raise ValueError("the checkpoint's \"vocab\" is not a list of strings")
+    if tokens != sorted(set(tokens)):
+        # embedding row i belongs to the i-th token of the sorted vocabulary
+        raise ValueError("the checkpoint's \"vocab\" is not in strictly increasing order")
     if not isinstance(extra, dict):
         raise ValueError("the checkpoint's \"extra\" is not an object")
     vocab = Vocab(tokens)

@@ -5,10 +5,11 @@ pairwise alignment term is computable. On partly augmented data a batch may
 hold no counterfactual: an environment with no member in the batch adds
 nothing to the invariance penalty, and a batch without a pair has a zero
 alignment term.
-The training data are featurized and partitioned into environments once, and
-their labels size the model: classes 0 to the largest label. A batch is a
-list of unit indices, from which each step gathers its rows and takes the
-loss values and gradient in closed form (``losses.objective_and_grad``).
+The training data are featurized once, and their labels size the model:
+classes 0 to the largest label. A batch is a list of unit indices; which of
+its units are paired gives each step its rows, pairs and environments
+(``batch_index``), and the step takes the loss values and gradient in closed
+form (``losses.objective_and_grad``).
 Runs that differ only in seed, alpha and beta (an ablation's arms over its
 seeds) train as one stack (``train_arms``): they share that preparation, the
 runs of a seed share its batches and initial values, and each step gathers
@@ -33,8 +34,7 @@ import numpy as np
 
 # perfbench/spans.py wraps cadlab.training.grad and .combined_loss by name
 from .autodiff import grad  # noqa: F401
-from .data import (ENV_COUNTERFACTUAL, ENV_ORIGINAL, VARIANT_COUNTERFACTUAL, VARIANT_ORIGINAL,
-                   DictConfig, PairedExample, Vocab, featurize_matrix, is_int, partition_environments)
+from .data import DictConfig, PairedExample, Vocab, featurize_matrix, is_int, partition_environments
 from .losses import LossBreakdown, combined_loss, objective_and_grad  # noqa: F401
 from .model import ModelConfig, Snapshot, initial_values
 
@@ -65,7 +65,9 @@ class TrainConfig(DictConfig):
     batch_pairs: int = 16          # each pair contributes 2 examples
     epochs: int = 100
     seed: int = 0
-    optimizer: str = "adam"        # the only optimizer; kept so saved configs name it
+    # the only optimizer, kept because perfbench/run.py's train config sets it;
+    # ROADMAP item 4 removes it together with that harness change
+    optimizer: str = "adam"
     env_mode: str = "disjoint"     # | "overlap": e_cad additionally holds the originals
     embed_dim: int = 8
 
@@ -195,36 +197,25 @@ def unit_rows(units: list[PairedExample]) -> np.ndarray:
     return np.stack([first, np.where(paired, first + 1, -1)], axis=1)
 
 
-def environment_masks(examples: list, alpha: float, env_mode: str) -> dict[str, np.ndarray]:
-    """A row mask over examples for each environment of partition_environments,
-    in sorted name order; none when alpha == 0. Both environments take their
-    members by variant, so one pass over the variants gives both masks."""
-    if not alpha > 0.0:
-        return {}
-    # raises EmptyEnvironmentError when an environment would be empty
-    partition_environments(examples, alpha, env_mode)
-    variants = np.array([ex.variant for ex in examples], dtype=object)
-    counterfactual = (variants == VARIANT_COUNTERFACTUAL if env_mode == "disjoint"
-                      else np.ones(len(examples), dtype=bool))
-    return {ENV_COUNTERFACTUAL: counterfactual, ENV_ORIGINAL: variants == VARIANT_ORIGINAL}
-
-
-def batch_index(units: np.ndarray, env_masks: dict[str, np.ndarray], batches: np.ndarray
+def batch_index(units: np.ndarray, batches: np.ndarray, env_mode: str
                 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """One step of S seeds, each with its batch of unit indices (an (S, b)
     array): the (S, rows) feature rows of each seed's batch (each unit's
     original, then its counterfactual), the positions of each environment's
-    members among them (empty for an environment absent from the batch) and
-    the (original, counterfactual) positions of each pair. An environment
-    holds originals or counterfactuals by variant, so the positions depend
-    only on which of a batch's units are paired. The seeds share them, taken
-    from the first seed's batch: their batches must be paired at the same
-    positions, as they are on fully paired or fully unpaired data."""
+    members among them, in sorted name order (empty for an environment
+    absent from the batch), and the (original, counterfactual) positions of
+    each pair. e_ori holds the originals and e_cad the counterfactuals, or
+    every row with env_mode "overlap", so all three follow from which of a
+    batch's units are paired. The seeds share them, taken from the first
+    seed's batch: their batches must be paired at the same positions, as
+    they are on fully paired or fully unpaired data."""
     members = units[batches]
     pattern = members[0] >= 0
     rows = members[:, pattern]
-    pair_rows = (np.cumsum(pattern) - 1).reshape(pattern.shape)[pattern[:, 1]]
-    return rows, [np.flatnonzero(mask[rows[0]]) for mask in env_masks.values()], pair_rows
+    positions = (np.cumsum(pattern) - 1).reshape(pattern.shape)
+    pair_rows = positions[pattern[:, 1]]
+    e_cad = np.arange(rows.shape[1]) if env_mode == "overlap" else pair_rows[:, 1]
+    return rows, [e_cad, positions[:, 0]], pair_rows
 
 
 def _raise_if_non_finite(step: int, breakdowns: list[LossBreakdown], gradient: np.ndarray,
@@ -263,17 +254,16 @@ def train(config: TrainConfig, pairs: list[PairedExample],
 
 def train_arms(configs: list[TrainConfig], pairs: list[PairedExample],
                vocab: Vocab | None = None) -> list[tuple[Checkpoint, TrainingLog]]:
-    """Train one run per config, in stacks, and return their results in
-    config order. The configs agree on every field but seed, alpha and beta.
-    A seed's runs share its batches and initial values; the seeds share the
-    featurization and the environments. The seeds train as one stack when
-    each has as many runs and the units are all paired or all unpaired, so
-    that every seed's batch is paired at the same positions; otherwise (on
-    partly augmented data) one seed at a time. Each step advances a stack's
-    runs with one set of array calls. Each run keeps its own parameters,
-    Adam state, log and checkpoint, and they are bit for bit those of the
-    config trained alone. The model has one class per label value up to the
-    largest training label.
+    """Train one run per config, in stacks, and return their results in config
+    order. The configs agree on every field but seed, alpha and beta. A seed's
+    runs share its batches and initial values; the seeds share the
+    featurization. The seeds train as one stack when each has as many runs and
+    the units are all paired or all unpaired, so that every seed's batch is
+    paired at the same positions; otherwise (on partly augmented data) one
+    seed at a time. Each step advances a stack's runs with one set of array
+    calls. Each run keeps its own parameters, Adam state, log and checkpoint,
+    and they are bit for bit those of the config trained alone. The model has
+    one class per label value up to the largest training label.
 
     A non-finite value in any run stops training. The NonFiniteLossError
     raised is the one of the first seed, in config order, that fails when
@@ -293,13 +283,14 @@ def train_arms(configs: list[TrainConfig], pairs: list[PairedExample],
     labels = np.array([ex.label for ex in all_examples], dtype=np.intp)
     units = unit_rows(pairs)
     paired = units[:, 1] >= 0
-    env_masks = {}
+    envs_checked = False
     for run in configs:
         if run.beta > 0.0 and not paired.any():
             raise ValueError("beta > 0 requires counterfactual pairs in the training data")
-        if run.alpha > 0.0 and not env_masks:
+        if run.alpha > 0.0 and not envs_checked:
             # raises EmptyEnvironmentError when an environment would be empty
-            env_masks = environment_masks(all_examples, run.alpha, run.env_mode)
+            partition_environments(all_examples, run.alpha, run.env_mode)
+            envs_checked = True
 
     if vocab is None:
         vocab = Vocab.from_examples(all_examples)
@@ -314,8 +305,7 @@ def train_arms(configs: list[TrainConfig], pairs: list[PairedExample],
 
     def train_seeds(seeds: list[int]) -> None:
         order = [i for seed in seeds for i in by_seed[seed]]
-        trained = _train_stack([configs[i] for i in order], units, env_masks, features, labels,
-                               model_cfg)
+        trained = _train_stack([configs[i] for i in order], units, features, labels, model_cfg)
         for i, result in zip(order, trained):
             results[i] = result
 
@@ -331,9 +321,8 @@ def train_arms(configs: list[TrainConfig], pairs: list[PairedExample],
     return results
 
 
-def _train_stack(runs: list[TrainConfig], units: np.ndarray, env_masks: dict[str, np.ndarray],
-                 features: np.ndarray, labels: np.ndarray,
-                 model_cfg: ModelConfig) -> list[tuple[Checkpoint, TrainingLog]]:
+def _train_stack(runs: list[TrainConfig], units: np.ndarray, features: np.ndarray,
+                 labels: np.ndarray, model_cfg: ModelConfig) -> list[tuple[Checkpoint, TrainingLog]]:
     """Train the runs, seed by seed with as many runs per seed, each step on
     every seed's next batch from make_batches; the seeds' batches must be
     paired at the same positions (batch_index). Raises the
@@ -357,7 +346,7 @@ def _train_stack(runs: list[TrainConfig], units: np.ndarray, env_masks: dict[str
         first_step = step
         # an epoch's batches indexed before its steps train about 3% faster
         # than each batch indexed at its step
-        steps = [batch_index(units, env_masks, np.array(batches))
+        steps = [batch_index(units, np.array(batches), config.env_mode)
                  for batches in zip(*(make_batches(range(len(units)), config.batch_pairs, seed,
                                                    epoch) for seed in seeds))]
         for rows, env_rows, pair_rows in steps:

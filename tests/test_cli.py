@@ -422,6 +422,11 @@ MALFORMED_CHECKPOINTS = [
     ("vocab a number", _set(("vocab",), 5), 1, '"vocab" is not a list of strings'),
     ("vocab of lists", _set(("vocab",), [[1], [1], [1]]), 1, '"vocab" is not a list of strings'),
     ("vocab a string", _set(("vocab",), "tokens"), 1, '"vocab" is not a list of strings'),
+    # embedding row i belongs to the i-th sorted token, so another order would re-map the rows
+    ("vocab reversed", _set(("vocab",), lambda v: v[::-1]), 1,
+     '"vocab" is not in strictly increasing order'),
+    ("vocab with a repeat", _set(("vocab",), lambda v: v[:1] + v[:-1]), 1,
+     '"vocab" is not in strictly increasing order'),
     ("extra a list", _set(("extra",), []), 1, '"extra" is not an object'),
     ("extra a number", _set(("extra",), 5), 1, '"extra" is not an object'),
     ("extra a string", _set(("extra",), "x"), 1, '"extra" is not an object'),
@@ -463,6 +468,14 @@ def test_label_outside_model_classes_exit_1(trained, capsys, command):
     assert f"example {row['id']!r} has label 7, outside the model's 2 classes" in err, err
 
 
+# a groups.json whose edited_causal group is given as value
+def _groups_with_edited(value):
+    return json.dumps({"edited_causal": value, "nonedited_causal": ["c"], "correlated": ["r"],
+                       "noise": ["n"]})
+
+
+_LONG_LABEL = "1" * (sys.get_int_max_str_digits() + 1)
+
 # (command, the argument given a bad path, what is there, message)
 BAD_EVAL_INPUTS = [
     pytest.param(command, "--data", content, message, id=f"{command}-data-{case}")
@@ -472,8 +485,19 @@ BAD_EVAL_INPUTS = [
                      '"variant": "original"}\n5\n', "bad.jsonl:2: expected a JSON object"),
         ("null_line", "null\n", "bad.jsonl:1: expected a JSON object"),
         ("not_utf8", b"\xff\n", "bad.jsonl:1: not UTF-8 text"),
+        # a label longer than int() converts, on a line that dump_jsonl's format matches
+        ("long_label", f'{{"id": "a", "label": {_LONG_LABEL}, "pair_id": "a", "text": "x", '
+                       f'"variant": "original"}}\n',
+         f"bad.jsonl:1: Exceeds the limit ({len(_LONG_LABEL) - 1} digits) for integer string"),
         ("directory", DIRECTORY, "Is a directory"))
-] + [pytest.param("probe", "--groups", DIRECTORY, "Is a directory", id="probe-groups-directory")]
+] + [pytest.param("probe", "--groups", content, message, id=f"probe-groups-{case}")
+     for case, content, message in (
+         ("directory", DIRECTORY, "Is a directory"),
+         # a string would become a set of its characters
+         ("group_a_string", _groups_with_edited("edit0_0"),
+          "feature group 'edited_causal' is not a list of strings"),
+         ("group_of_ints", _groups_with_edited([0, 1]),
+          "feature group 'edited_causal' is not a list of strings"))]
 
 
 @pytest.mark.parametrize("command, arg, content, message", BAD_EVAL_INPUTS)

@@ -2,6 +2,7 @@ import collections
 import hashlib
 import json
 import pathlib
+import sys
 from dataclasses import MISSING, fields
 from unittest import mock
 
@@ -275,6 +276,45 @@ def test_a_near_canonical_line_reads_as_the_per_line_parse_reads_it(tmp_path, ca
     assert (data._read_dumped(text) is None) == (case != "no final newline")
     outcome, per_line = _outcome_and_per_line_outcome(p, require_pairs=False)
     assert outcome == per_line
+
+
+def _too_long(digits):
+    return (f"Exceeds the limit ({digits} digits) for integer string conversion: "
+            f"value has {digits + 1} digits")
+
+
+@pytest.mark.parametrize("canonical", [True, False], ids=["canonical", "reordered_keys"])
+def test_a_label_longer_than_int_converts_is_a_parse_error_at_its_line(tmp_path, canonical):
+    # in dump_jsonl's format or in another key order, on both read paths
+    digits = sys.get_int_max_str_digits()
+    label = "9" * (digits + 1)
+    line = (f'{{"id": "b", "label": {label}, "pair_id": "b", "text": "y", "variant": "original"}}'
+            if canonical else
+            f'{{"label": {label}, "id": "b", "pair_id": "b", "text": "y", "variant": "original"}}')
+    p = tmp_path / "d.jsonl"
+    p.write_bytes(_good_line("a", sort_keys=True) + b"\n" + line.encode() + b"\n")
+    outcome, per_line = _outcome_and_per_line_outcome(p, require_pairs=False)
+    assert outcome == per_line == (ParseError, f"{p}:2: {_too_long(digits)}", 2)
+
+
+def test_the_one_pass_read_takes_a_label_of_at_most_640_digits(tmp_path):
+    """640 digits is the lowest limit that sys.set_int_max_str_digits
+    allows, so the one-pass read never meets a label that int() cannot
+    convert; a longer label goes through the per-line parse."""
+    labels = [int("9" * 640), int("9" * 641)]
+    lines = [data._jsonl_line(Example(str(i), ("x",), label, str(i), "original"))
+             for i, label in enumerate(labels)]
+    p = tmp_path / "d.jsonl"
+    p.write_text("".join(lines))
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert [ex.label for ex in data._read_dumped(lines[0])] == labels[:1]
+        assert data._read_dumped(lines[1]) is None
+        outcome, per_line = _outcome_and_per_line_outcome(p, require_pairs=False)
+    finally:
+        sys.set_int_max_str_digits(default)
+    assert outcome == per_line == (ParseError, f"{p}:2: {_too_long(640)}", 2)
 
 
 _AWKWARD = ["caf\u00e9 \u20ac", 'say "hi"', "back\\slash", "ctl\x00\x1f\x7f\t\r", "sep\u2028\u2029",

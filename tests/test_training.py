@@ -22,7 +22,7 @@ from cadlab.model import (
 from cadlab.data import featurize_sparse
 from cadlab.training import (
     AdamState, Checkpoint, NonFiniteLossError, TrainConfig, adam_step, batch_index,
-    environment_masks, make_batches, train, train_arms, unit_rows,
+    make_batches, train, train_arms, unit_rows,
 )
 
 # closed form vs scalar autodiff: |difference| <= TOL * max(1, |reference|)
@@ -235,6 +235,33 @@ def _batch_environments(members, alpha, env_mode):
     return {name: envs.get(name, []) for name in (ENV_ORIGINAL, ENV_COUNTERFACTUAL)}
 
 
+@pytest.mark.parametrize("env_mode", ["disjoint", "overlap"])
+def test_batch_index_takes_the_environments_and_pairs_from_the_pairing(env_mode):
+    """On partly augmented units, the positions that batch_index gives
+    select, from each seed's rows, the members of each environment that
+    partition_environments forms of that seed's batch, in sorted name order,
+    and the (original, counterfactual) of each of its paired units. A batch
+    without a counterfactual has no pairs, and in disjoint mode an empty e_cad."""
+    units = _paired_every(_dataset(n_pairs=12, seed=4).train_pairs, 3)
+    examples = [m for u in units for m in u.members()]
+    # units 0, 3, 6 and 9 are paired: two seeds' batches paired at the same
+    # positions, and a batch of unpaired units alone
+    for batches in ([[4, 0, 7, 3, 2], [1, 6, 8, 9, 5]], [[1, 2, 4, 5, 7]]):
+        rows, env_rows, pair_rows = batch_index(unit_rows(units), np.array(batches), env_mode)
+        assert rows.shape[0] == len(batches) and len(env_rows) == 2
+        for seed_rows, batch in zip(rows, batches):
+            members = [examples[r] for r in seed_rows]
+            chosen = [units[i] for i in batch]
+            assert members == [m for u in chosen for m in u.members()]
+            envs = partition_environments(members, 0.0, env_mode)
+            assert [[members[i] for i in idx] for idx in env_rows] == [
+                envs.get(name, []) for name in sorted((ENV_ORIGINAL, ENV_COUNTERFACTUAL))]
+            assert [(members[o], members[c]) for o, c in pair_rows] == [
+                (u.original, u.counterfactual) for u in chosen if u.counterfactual is not None]
+    assert pair_rows.shape == (0, 2)
+    assert (len(env_rows[0]) == 0) == (env_mode == "disjoint")
+
+
 def _step_both_ways(units, batch, params, vocab, alpha, beta, env_mode):
     """One step on the units at the indices in batch: the loss breakdown and
     gradient from the batch's environments, combined_loss and autodiff.grad,
@@ -248,8 +275,7 @@ def _step_both_ways(units, batch, params, vocab, alpha, beta, env_mode):
     ref_grad = np.array(grad(total, params.flat()))
 
     examples = [m for u in units for m in u.members()]
-    rows, env_rows, pair_rows = batch_index(
-        unit_rows(units), environment_masks(examples, alpha, env_mode), np.array([batch]))
+    rows, env_rows, pair_rows = batch_index(unit_rows(units), np.array([batch]), env_mode)
     theta = np.array([[p.value for p in params.flat()]])
     got_grad = np.zeros_like(theta)
     [got] = objective_and_grad(
@@ -566,9 +592,7 @@ def test_stacked_step_matches_autodiff_for_each_run(seed, n_classes, env_mode, n
             references.append((ref, ref_grad))
 
     examples = [m for u in units for m in u.members()]
-    weights = max(alpha for alpha, _, _ in arms)
-    rows, env_rows, pair_rows = batch_index(
-        unit_rows(units), environment_masks(examples, weights, env_mode), np.array(batches))
+    rows, env_rows, pair_rows = batch_index(unit_rows(units), np.array(batches), env_mode)
     labels = np.array([ex.label for ex in examples])
     assert rows.shape[0] == n_seeds
     theta = np.array([[p.value for p in params.flat()] for params in all_params])
@@ -595,9 +619,8 @@ def test_a_non_finite_term_of_weight_zero_leaves_its_run_untouched():
     examples = ds.train_examples()
     vocab = Vocab.from_examples(examples)
     config = ModelConfig(vocab_size=vocab.size, n_classes=3, embed_dim=4)
-    rows, env_rows, pair_rows = batch_index(
-        unit_rows(ds.train_pairs), environment_masks(examples, 1.6, "disjoint"),
-        np.array([[0, 1, 2]]))
+    rows, env_rows, pair_rows = batch_index(unit_rows(ds.train_pairs), np.array([[0, 1, 2]]),
+                                            "disjoint")
     x, y = featurize_matrix(examples, vocab)[rows], np.array([ex.label for ex in examples])[rows]
     assert set(y.ravel().tolist()) == {0, 1}
     theta = np.array([initial_values(config, seed) for seed in (0, 1)])
