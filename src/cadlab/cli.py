@@ -8,6 +8,7 @@ reruns with the same seed, config, and data.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -210,7 +211,11 @@ WORKERS_HELP = ("forked worker processes that share out the runs (default 1: ser
                 "the reports are the same at any count")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process. Each command stores the
+    name of its function, which main looks up in this module when it runs,
+    so a function replaced after the first call is the one that is called."""
     parser = argparse.ArgumentParser(
         prog="cadlab",
         description="Counterfactual-pair training laboratory: synthetic data, "
@@ -221,26 +226,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON generator config file")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.set_defaults(func=cmd_generate)
+    p.set_defaults(func="cmd_generate")
 
     p = sub.add_parser("train", help="train one model on a dataset directory")
     _add_train_overrides(p, with_seed=True)
     p.add_argument("--data", required=True, help="dataset directory from `generate`")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func="cmd_train")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a JSONL file")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func="cmd_eval")
 
     p = sub.add_parser("probe", help="feature-group reliance probe for a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--groups", help="groups.json (default: next to the data file)")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_probe)
+    p.set_defaults(func="cmd_probe")
 
     p = sub.add_parser("ablate", help="four-arm ablation over a seed list")
     _add_train_overrides(p, with_seed=False)
@@ -248,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", required=True, help="comma-separated, e.g. 0,1,2")
     p.add_argument("--out", required=True)
     p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
-    p.set_defaults(func=cmd_protocol)
+    p.set_defaults(func="cmd_protocol")
 
     p = sub.add_parser("data-efficiency", help="train-size sweep across three arms")
     _add_train_overrides(p, with_seed=False)
@@ -257,15 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
-    p.set_defaults(func=cmd_protocol)
+    p.set_defaults(func="cmd_protocol")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except (CliError, DataError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -5,13 +5,15 @@ Examples and training units (Example, PairedExample) are NamedTuple records:
 immutable, hashable, equal field by field, and cheap to build by the
 thousand. Loading reads and decodes each JSONL file once, parses it, and
 checks the pairing as it groups the examples into training units
-(pair_examples). A file whose every line is one that dump_jsonl writes with
-no escape in it is parsed in one regex pass over the text. Every other file
-is parsed line by line, so that every error names its line: each line is one
-call of json's C scanner, and only a line that fails it goes through
-json.loads, whose message the error carries. Writing formats each line from
-json's own string escaper, byte for byte what json.dumps(sort_keys=True)
-writes. Each config class takes its dict form from its fields (DictConfig).
+(pair_examples); an evaluation split of originals with distinct pair_ids is
+checked by those two facts alone, with no units built. A file whose every
+line is one that dump_jsonl writes with no escape in it is parsed in one
+regex pass over the text. Every other file is parsed line by line, so that
+every error names its line: each line is one call of json's C scanner, and
+only a line that fails it goes through json.loads, whose message the error
+carries. Writing formats each line from json's own string escaper, byte for
+byte what json.dumps(sort_keys=True) writes. Each config class takes its
+dict form from its fields (DictConfig).
 
 Featurization has one implementation, featurize_matrix: the tokens of a list
 of examples are looked up once as integer ids (TokenIds), a mask removes ids
@@ -22,7 +24,12 @@ ablation runs) keep the TokenIds and featurize from them.
 The generator realizes a token-level feature model with four disjoint
 vocabulary groups: edited-causal tokens (replaced by the counterfactual edit),
 non-edited causal tokens, label-correlated tokens whose alignment strength is
-controlled per split, and label-free noise tokens.
+controlled per split, and label-free noise tokens. It draws from one
+random.Random(seed) through its public getrandbits and random methods only:
+each token draw (_draws) and each swap of a sentence's shuffle makes the
+getrandbits calls that random.Random.choice and shuffle make, in the same
+order, without their two Python frames per draw. So the data are byte for
+byte the ones that choice and shuffle gave.
 """
 
 from __future__ import annotations
@@ -69,6 +76,8 @@ class EmptyEnvironmentError(DataError):
 
 # the OSErrors of a path that names no readable file: bad input, not a runtime failure
 NOT_A_FILE = (FileNotFoundError, IsADirectoryError, NotADirectoryError)
+# json's scanner raises RecursionError on a value nested deeper than the stack allows
+NESTED_TOO_DEEPLY = "invalid JSON: nested too deeply"
 
 
 class Example(NamedTuple):
@@ -168,14 +177,20 @@ def load_jsonl(path, require_pairs: bool = True) -> list[Example]:
     the per-line "groups" that older files carry. A line that is not UTF-8
     text or not a JSON object is a ParseError.
     """
-    return _read_jsonl(path, require_pairs)[0]
+    examples = _read_jsonl(path)
+    # an evaluation split of originals, each with a pair_id of its own, needs
+    # no grouping; any other file is checked by grouping it
+    if (require_pairs or VARIANT_COUNTERFACTUAL in [ex.variant for ex in examples]
+            or len({ex.pair_id for ex in examples}) != len(examples)):
+        pair_examples(examples, require_pairs=require_pairs)
+    return examples
 
 
-def _read_jsonl(path, require_pairs: bool) -> tuple[list[Example], list[PairedExample]]:
-    """load_jsonl's examples, in file order, and the units that
-    pair_examples groups them into. A file that dump_jsonl wrote with no
-    escape in it is read in one pass (_read_dumped); any other file line by
-    line, with the same examples and errors."""
+def _read_jsonl(path) -> list[Example]:
+    """The examples of a JSONL file, in file order, with their pairing not
+    yet checked. A file that dump_jsonl wrote with no escape in it is read in
+    one pass (_read_dumped); any other file line by line, with the same
+    examples and errors."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -187,7 +202,7 @@ def _read_jsonl(path, require_pairs: bool) -> tuple[list[Example], list[PairedEx
         text, bad = raw[:raw.rfind(b"\n", 0, e.start) + 1].decode("utf-8"), e
     dumped = _read_dumped(text) if bad is None else None
     if dumped is not None:
-        return dumped, pair_examples(dumped, require_pairs=require_pairs)
+        return dumped
     examples: list[Example] = []
     for line_no, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
@@ -199,6 +214,8 @@ def _read_jsonl(path, require_pairs: bool) -> tuple[list[Example], list[PairedEx
             end = -1
         except ValueError as e:     # an int longer than int() converts
             raise ParseError(path, line_no, str(e).partition(";")[0]) from e
+        except RecursionError as e:
+            raise ParseError(path, line_no, NESTED_TOO_DEEPLY) from e
         if end != len(line):
             # json.loads gives the message: a BOM, "Extra data" and the rest
             try:
@@ -221,17 +238,13 @@ def _read_jsonl(path, require_pairs: bool) -> tuple[list[Example], list[PairedEx
     if bad is not None:
         raise ParseError(path, raw.count(b"\n", 0, bad.start) + 1,
                          f"not UTF-8 text: {bad.reason}") from bad
-    return examples, pair_examples(examples, require_pairs=require_pairs)
+    return examples
 
 
 def pair_examples(examples: list[Example], require_pairs: bool = True) -> list[PairedExample]:
     """Group examples into training units by pair_id, in file order, checking
     each unit: an original and a counterfactual with another label, or with
     require_pairs=False an original alone (PairingError otherwise)."""
-    if (not require_pairs and VARIANT_COUNTERFACTUAL not in [ex.variant for ex in examples]
-            and len({ex.pair_id for ex in examples}) == len(examples)):
-        # an evaluation split of originals: each is a unit of its own
-        return list(map(PairedExample, examples))
     by_pair: dict[str, list[Example]] = {}
     for ex in examples:
         by_pair.setdefault(ex.pair_id, []).append(ex)
@@ -499,6 +512,21 @@ def _build_group_tokens(cfg: GeneratorConfig):
     return edited, nonedited, correlated, noise, groups
 
 
+def _draws(getrandbits, seq, count: int) -> list:
+    """count draws of random.Random.choice(seq), each made with the
+    getrandbits calls that choice makes on Python 3.10 to 3.13: an index of
+    len(seq).bit_length() bits, drawn again while it is not below len(seq)."""
+    n = len(seq)
+    k = n.bit_length()
+    out = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        out.append(seq[r])
+    return out
+
+
 def generate_cad(cfg: GeneratorConfig) -> GeneratedDataset:
     """Generate paired training data plus two OOD evaluation splits.
 
@@ -510,7 +538,7 @@ def generate_cad(cfg: GeneratorConfig) -> GeneratedDataset:
     removes every edited-causal token. Deterministic given cfg.seed.
     """
     rng = random.Random(cfg.seed)
-    choice = rng.choice
+    getrandbits, uniform = rng.getrandbits, rng.random
     edited, nonedited, correlated, noise, groups = _build_group_tokens(cfg)
     edited_causal = groups.edited_causal
     k_e = cfg.edited_per_sentence
@@ -518,15 +546,22 @@ def generate_cad(cfg: GeneratorConfig) -> GeneratedDataset:
     k_r = cfg.correlated_per_sentence
     k_n = cfg.sentence_length - cfg.causal_per_sentence - k_r
     others = [[c for c in range(cfg.n_classes) if c != y] for y in range(cfg.n_classes)]
+    # random.Random.shuffle's draws: position i swaps with one below i + 1
+    swaps = [(i, (i + 1).bit_length()) for i in range(cfg.sentence_length - 1, 0, -1)]
+    new = tuple.__new__
 
     def sentence(label, rho):
-        toks = [choice(edited[label]) for _ in range(k_e)]
-        toks += [choice(nonedited[label]) for _ in range(k_u)]
+        toks = _draws(getrandbits, edited[label], k_e)
+        toks += _draws(getrandbits, nonedited[label], k_u)
         for _ in range(k_r):
-            cls = label if rng.random() < rho else choice(others[label])
-            toks.append(choice(correlated[cls]))
-        toks += [choice(noise) for _ in range(k_n)]
-        rng.shuffle(toks)
+            cls = label if uniform() < rho else _draws(getrandbits, others[label], 1)[0]
+            toks += _draws(getrandbits, correlated[cls], 1)
+        toks += _draws(getrandbits, noise, k_n)
+        for i, k in swaps:
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            toks[i], toks[j] = toks[j], toks[i]
         return toks
 
     pairs = []
@@ -534,11 +569,13 @@ def generate_cad(cfg: GeneratorConfig) -> GeneratedDataset:
         y = i % cfg.n_classes
         y_star = (y + 1) % cfg.n_classes
         toks = sentence(y, cfg.rho_train)
-        cf_toks = [choice(edited[y_star]) if t in edited_causal else t for t in toks]
+        # the k_e edited tokens, in sentence order, each replaced by a fresh draw
+        edit = iter(_draws(getrandbits, edited[y_star], k_e)).__next__
+        cf_toks = tuple([edit() if t in edited_causal else t for t in toks])
         pid = f"p{i:06d}"
-        pairs.append(PairedExample(
-            Example(f"{pid}o", tuple(toks), y, pid, VARIANT_ORIGINAL),
-            Example(f"{pid}c", tuple(cf_toks), y_star, pid, VARIANT_COUNTERFACTUAL)))
+        pairs.append(new(PairedExample, (
+            new(Example, (f"{pid}o", tuple(toks), y, pid, VARIANT_ORIGINAL)),
+            new(Example, (f"{pid}c", cf_toks, y_star, pid, VARIANT_COUNTERFACTUAL)))))
 
     ood = []
     ood_stress = []
@@ -546,9 +583,9 @@ def generate_cad(cfg: GeneratorConfig) -> GeneratedDataset:
         y = i % cfg.n_classes
         toks = sentence(y, cfg.rho_ood)
         pid = f"q{i:06d}"
-        ood.append(Example(f"{pid}o", tuple(toks), y, pid, VARIANT_ORIGINAL))
-        ood_stress.append(Example(f"{pid}s", tuple([t for t in toks if t not in edited_causal]),
-                                  y, f"{pid}s", VARIANT_ORIGINAL))
+        ood.append(new(Example, (f"{pid}o", tuple(toks), y, pid, VARIANT_ORIGINAL)))
+        ood_stress.append(new(Example, (f"{pid}s", tuple([t for t in toks if t not in edited_causal]),
+                                        y, f"{pid}s", VARIANT_ORIGINAL)))
     return GeneratedDataset(pairs, ood, ood_stress, groups, cfg)
 
 
@@ -591,6 +628,8 @@ def read_json_file(path, parse):
         raise DataError(f"{path}: not UTF-8 text: {e.reason}") from e
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: invalid JSON: {e}") from e
+    except RecursionError as e:
+        raise DataError(f"{path}: {NESTED_TOO_DEEPLY}") from e
     if not isinstance(payload, dict):
         raise DataError(f"{path}: expected a JSON object")
     try:
@@ -609,7 +648,7 @@ def read_dataset(data_dir) -> GeneratedDataset:
     ood_stress.jsonl must be there; the generator config is the one that
     made the data, since fingerprints are computed from it."""
     import os
-    _, train = _read_jsonl(os.path.join(data_dir, "train.jsonl"), require_pairs=True)
+    train = pair_examples(_read_jsonl(os.path.join(data_dir, "train.jsonl")))
     ood = load_jsonl(os.path.join(data_dir, "ood.jsonl"), require_pairs=False)
     stress_path = os.path.join(data_dir, "ood_stress.jsonl")
     ood_stress = load_jsonl(stress_path, require_pairs=False) if os.path.exists(stress_path) else []

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Node, add, const, div, dot, exp, log, mul, nmax, nsum, sub, tanh, wsum
-from .data import DictConfig, Vocab
+from .data import NESTED_TOO_DEEPLY, DictConfig, Vocab
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -240,6 +240,8 @@ def load_checkpoint(path) -> tuple[Snapshot, Vocab, dict]:
             payload = json.load(fh)
     except UnicodeDecodeError as e:
         raise ValueError(f"not UTF-8 text: {e.reason}") from e
+    except RecursionError as e:
+        raise ValueError(NESTED_TOO_DEEPLY) from e
     if not isinstance(payload, dict) or not isinstance(payload.get("params"), dict):
         raise ValueError("a checkpoint is a JSON object with a \"params\" object")
     version = payload.get("format_version")

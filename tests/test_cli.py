@@ -434,6 +434,7 @@ MALFORMED_CHECKPOINTS = [
      "unsupported checkpoint format version 2"),
     ("not UTF-8", lambda payload: json.dumps(payload).encode() + b"\xff", 1, "not UTF-8 text"),
     ("a directory", lambda payload: DIRECTORY, 1, "Is a directory"),
+    ("deeply nested", lambda payload: b"[" * 100_000, 1, "invalid JSON: nested too deeply"),
 ]
 
 
@@ -489,10 +490,14 @@ BAD_EVAL_INPUTS = [
         ("long_label", f'{{"id": "a", "label": {_LONG_LABEL}, "pair_id": "a", "text": "x", '
                        f'"variant": "original"}}\n',
          f"bad.jsonl:1: Exceeds the limit ({len(_LONG_LABEL) - 1} digits) for integer string"),
+        # json's scanner raises RecursionError on it
+        ("deep_nesting", "[" * 100_000 + "\n", "bad.jsonl:1: invalid JSON: nested too deeply"),
         ("directory", DIRECTORY, "Is a directory"))
 ] + [pytest.param("probe", "--groups", content, message, id=f"probe-groups-{case}")
      for case, content, message in (
          ("directory", DIRECTORY, "Is a directory"),
+         ("deep_nesting", '{"edited_causal": ' + "[" * 100_000 + "}",
+          "invalid JSON: nested too deeply"),
          # a string would become a set of its characters
          ("group_a_string", _groups_with_edited("edit0_0"),
           "feature group 'edited_causal' is not a list of strings"),
@@ -592,6 +597,18 @@ def test_probe_takes_groups_from_groups_json_alone(trained, capsys):
             reports[name, command] = out.read_bytes()
     assert reports["plain", "eval"] == reports["legacy", "eval"]
     assert reports["plain", "probe"] == reports["legacy", "probe"]
+
+
+def test_main_calls_the_command_function_the_module_holds_when_it_runs(trained, monkeypatch):
+    """The parser is built once, but main looks each command's function up
+    when it runs, so one replaced after a first call (as a timing wrapper
+    does) is the one the next call runs."""
+    _, data_dir, ckpt = trained
+    assert cli.build_parser() is cli.build_parser()
+    calls = []
+    monkeypatch.setattr(cli, "cmd_eval", lambda args: calls.append(args.data) or 7)
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data_dir / "ood.jsonl")]) == 7
+    assert calls == [str(data_dir / "ood.jsonl")]
 
 
 def test_ablate_cli_and_determinism(small_data, capsys):

@@ -2,6 +2,7 @@ import collections
 import hashlib
 import json
 import pathlib
+import random
 import sys
 from dataclasses import MISSING, fields
 from unittest import mock
@@ -197,13 +198,14 @@ def test_a_bad_line_reports_json_loads_message_at_its_line(tmp_path, line, messa
 
 def _read_outcome(path, require_pairs):
     try:
-        return data._read_jsonl(path, require_pairs)
+        examples = data._read_jsonl(path)
+        return examples, pair_examples(examples, require_pairs)
     except DataError as e:
         return type(e), str(e), getattr(e, "line_no", None)
 
 
 def _outcome_and_per_line_outcome(path, require_pairs):
-    """What _read_jsonl gives (its examples and units, or its error), and
+    """What _read_jsonl gives (its examples and their units, or the error), and
     what it gives when the one-pass path declines every file."""
     outcome = _read_outcome(path, require_pairs)
     with mock.patch.object(data, "_read_dumped", lambda text: None):
@@ -542,6 +544,84 @@ def test_generator_output_bytes_are_pinned(tmp_path, n_classes):
     assert digests == GENERATOR_DIGESTS[n_classes]
 
 
+def _reference_generate_cad(cfg):
+    """generate_cad as it was written with random.Random.choice and
+    shuffle, kept as the oracle for the draw-for-draw generator."""
+    rng = random.Random(cfg.seed)
+    choice = rng.choice
+    edited, nonedited, correlated, noise, groups = data._build_group_tokens(cfg)
+    edited_causal = groups.edited_causal
+    k_e = cfg.edited_per_sentence
+    k_u = cfg.causal_per_sentence - k_e
+    k_r = cfg.correlated_per_sentence
+    k_n = cfg.sentence_length - cfg.causal_per_sentence - k_r
+    others = [[c for c in range(cfg.n_classes) if c != y] for y in range(cfg.n_classes)]
+
+    def sentence(label, rho):
+        toks = [choice(edited[label]) for _ in range(k_e)]
+        toks += [choice(nonedited[label]) for _ in range(k_u)]
+        for _ in range(k_r):
+            cls = label if rng.random() < rho else choice(others[label])
+            toks.append(choice(correlated[cls]))
+        toks += [choice(noise) for _ in range(k_n)]
+        rng.shuffle(toks)
+        return toks
+
+    pairs = []
+    for i in range(cfg.n_pairs):
+        y = i % cfg.n_classes
+        y_star = (y + 1) % cfg.n_classes
+        toks = sentence(y, cfg.rho_train)
+        cf_toks = [choice(edited[y_star]) if t in edited_causal else t for t in toks]
+        pid = f"p{i:06d}"
+        pairs.append(PairedExample(
+            Example(f"{pid}o", tuple(toks), y, pid, "original"),
+            Example(f"{pid}c", tuple(cf_toks), y_star, pid, "counterfactual")))
+
+    ood = []
+    ood_stress = []
+    for i in range(cfg.n_ood):
+        y = i % cfg.n_classes
+        toks = sentence(y, cfg.rho_ood)
+        pid = f"q{i:06d}"
+        ood.append(Example(f"{pid}o", tuple(toks), y, pid, "original"))
+        ood_stress.append(Example(f"{pid}s", tuple([t for t in toks if t not in edited_causal]),
+                                  y, f"{pid}s", "original"))
+    return data.GeneratedDataset(pairs, ood, ood_stress, groups, cfg)
+
+
+@st.composite
+def _generator_configs(draw):
+    causal = draw(st.integers(2, 6))
+    correlated = draw(st.integers(0, 3))
+    # 0 and 1 make every correlated slot aligned or misaligned
+    rho = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    return GeneratorConfig(
+        n_pairs=draw(st.integers(1, 30)), n_ood=draw(st.integers(0, 20)),
+        n_classes=draw(st.integers(2, 5)),
+        # sizes 1 to 9: one token, powers of two and the rest, each with its own rejection rate
+        tokens_per_group={group: draw(st.integers(1, 9))
+                          for group in ("edited", "nonedited", "correlated", "noise")},
+        rho_train=draw(rho), rho_ood=draw(rho),
+        edit_scope=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        sentence_length=causal + correlated + draw(st.integers(1, 8)),
+        causal_per_sentence=causal, correlated_per_sentence=correlated,
+        seed=draw(st.integers(0, 2 ** 64)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=_generator_configs())
+def test_generator_draws_what_choice_and_shuffle_drew(cfg):
+    got, want = generate_cad(cfg), _reference_generate_cad(cfg)
+    assert got.groups == want.groups
+    assert got.train_pairs == want.train_pairs
+    assert got.ood == want.ood
+    assert got.ood_stress == want.ood_stress
+    # tuple.__new__ builds the records: they must still be the record types
+    assert all(type(u) is PairedExample for u in got.train_pairs)
+    assert all(type(ex) is Example for ex in got.train_examples() + got.ood + got.ood_stress)
+
+
 def test_generator_rho_statistics():
     cfg = GeneratorConfig(n_pairs=2500, n_ood=10, rho_train=0.9, seed=17)
     ds = generate_cad(cfg)
@@ -641,8 +721,30 @@ def test_read_dataset_groups_each_file_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(data, "pair_examples", counting)
     assert read_dataset(tmp_path / "data").train_pairs == ds.train_pairs
-    # train.jsonl, ood.jsonl and ood_stress.jsonl
-    assert grouped == [True, False, False]
+    # train.jsonl; ood.jsonl and ood_stress.jsonl hold distinct originals, which need no units
+    assert grouped == [True]
+
+
+# an evaluation split of distinct originals, and one more example that makes it need pairing
+NOT_DISTINCT_ORIGINALS = {
+    "a lone counterfactual": (Example("c", ("y",), 1, "q", "counterfactual"),
+                              "pair 'q': counterfactual without its original"),
+    "a repeated pair_id": (Example("b2", ("y",), 1, "b", "original"),
+                           "pair 'b': expected one original and one counterfactual, got ['original']"),
+    "a pair of one label": (Example("b'", ("y",), 1, "b", "counterfactual"),
+                            "pair 'b': paired labels must differ, both are 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_DISTINCT_ORIGINALS))
+def test_an_evaluation_split_that_needs_pairing_is_still_checked(tmp_path, case):
+    extra, message = NOT_DISTINCT_ORIGINALS[case]
+    originals = [Example("a", ("x",), 0, "a", "original"), Example("b", ("y",), 1, "b", "original")]
+    p = tmp_path / "d.jsonl"
+    dump_jsonl(originals + [extra], p)
+    with pytest.raises(PairingError) as exc:
+        load_jsonl(p, require_pairs=False)
+    assert str(exc.value) == message
 
 
 def test_read_dataset_reads_what_write_dataset_wrote_in_one_pass(tmp_path, monkeypatch):

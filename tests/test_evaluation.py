@@ -415,7 +415,8 @@ def test_reports_are_deterministic(tmp_path):
         assert f1.read() == f2.read()
     with open(p1["json"], "rb") as f1, open(p2["json"], "rb") as f2:
         assert f1.read() == f2.read()
-    csv_text = open(p1["csv"], encoding="utf-8").read()
+    with open(p1["csv"], encoding="utf-8") as fh:
+        csv_text = fh.read()
     assert csv_text.splitlines()[0].split(",")[0] == "acc_ood"
     assert len(csv_text.splitlines()) == 9
 
