@@ -100,10 +100,10 @@ def cmd_train(args) -> int:
     config = _train_config(args)
     try:
         dataset = read_dataset(args.data)
-    except (DataError, *NOT_A_FILE) as e:
+        vocab = Vocab.from_examples(dataset.train_examples())
+        checkpoint, log = train(config, dataset.train_pairs, vocab=vocab)
+    except (ValueError, *NOT_A_FILE) as e:  # a DataError, or data train cannot train on
         raise CliError(f"bad data directory {args.data}: {e}")
-    vocab = Vocab.from_examples(dataset.train_examples())
-    checkpoint, log = train(config, dataset.train_pairs, vocab=vocab)
     os.makedirs(args.out, exist_ok=True)
     fingerprint = config_fingerprint({"train": config.to_dict(),
                                       "generator": dataset.config.to_dict()})
@@ -126,7 +126,7 @@ def cmd_train(args) -> int:
 
 def _load_eval_examples(path):
     try:
-        return load_jsonl(path, require_pairs=False)
+        return load_jsonl(path)
     except (DataError, *NOT_A_FILE) as e:
         raise CliError(f"bad data file {path}: {e}")
 

@@ -4,16 +4,17 @@ partitioning, and the synthetic pair generator.
 Examples and training units (Example, PairedExample) are NamedTuple records:
 immutable, hashable, equal field by field, and cheap to build by the
 thousand. Loading reads and decodes each JSONL file once, parses it, and
-checks the pairing as it groups the examples into training units
-(pair_examples); an evaluation split of originals with distinct pair_ids is
-checked by those two facts alone, with no units built. A file whose every
-line is one that dump_jsonl writes with no escape in it is parsed in one
-regex pass over the text. Every other file is parsed line by line, so that
-every error names its line: each line is one call of json's C scanner, and
-only a line that fails it goes through json.loads, whose message the error
-carries. Writing formats each line from json's own string escaper, byte for
-byte what json.dumps(sort_keys=True) writes. Each config class takes its
-dict form from its fields (DictConfig).
+checks the pairing as it groups the examples into units (pair_examples), by
+one rule for every file: an original alone, or with its counterfactual. A
+file of originals with distinct pair_ids is checked by those two facts
+alone, with no units built. A file whose every line is one that dump_jsonl
+writes with no escape in it is parsed in one regex pass over the text. Every
+other file is parsed line by line, so that every error names its line: each
+line is one call of json's C scanner, and only a line that fails it goes
+through json.loads, whose message the error carries. Writing formats each
+line from json's own string escaper, byte for byte what
+json.dumps(sort_keys=True) writes. Each config class takes its dict form
+from its fields (DictConfig).
 
 Featurization has one implementation, featurize_matrix: the tokens of a list
 of examples are looked up once as integer ids (TokenIds), a mask removes ids
@@ -167,22 +168,19 @@ _scan_once = json.scanner.make_scanner(json.JSONDecoder())
 _escape = json.encoder.encode_basestring_ascii
 
 
-def load_jsonl(path, require_pairs: bool = True) -> list[Example]:
-    """Load and validate examples from a JSONL file.
-
-    With require_pairs=True every pair_id must resolve to exactly one
-    original/counterfactual pair with flipped labels. With require_pairs=False
-    standalone originals are accepted (evaluation splits), but a counterfactual
-    without its original is still an error. Other keys are ignored, such as
-    the per-line "groups" that older files carry. A line that is not UTF-8
-    text or not a JSON object is a ParseError.
+def load_jsonl(path) -> list[Example]:
+    """Load and validate examples from a JSONL file, training or evaluation
+    split alike: each pair_id names an original alone or an original and a
+    counterfactual with another label (pair_examples). Other keys are
+    ignored, such as the per-line "groups" that older files carry. A line
+    that is not UTF-8 text or not a JSON object is a ParseError.
     """
     examples = _read_jsonl(path)
     # an evaluation split of originals, each with a pair_id of its own, needs
     # no grouping; any other file is checked by grouping it
-    if (require_pairs or VARIANT_COUNTERFACTUAL in [ex.variant for ex in examples]
+    if (VARIANT_COUNTERFACTUAL in [ex.variant for ex in examples]
             or len({ex.pair_id for ex in examples}) != len(examples)):
-        pair_examples(examples, require_pairs=require_pairs)
+        pair_examples(examples)
     return examples
 
 
@@ -241,10 +239,11 @@ def _read_jsonl(path) -> list[Example]:
     return examples
 
 
-def pair_examples(examples: list[Example], require_pairs: bool = True) -> list[PairedExample]:
+def pair_examples(examples: list[Example]) -> list[PairedExample]:
     """Group examples into training units by pair_id, in file order, checking
-    each unit: an original and a counterfactual with another label, or with
-    require_pairs=False an original alone (PairingError otherwise)."""
+    each unit: an original and a counterfactual with another label, or an
+    original alone. A counterfactual alone, or a pair_id shared by anything
+    else, is a PairingError."""
     by_pair: dict[str, list[Example]] = {}
     for ex in examples:
         by_pair.setdefault(ex.pair_id, []).append(ex)
@@ -253,8 +252,6 @@ def pair_examples(examples: list[Example], require_pairs: bool = True) -> list[P
         if len(members) == 1:
             if members[0].variant == VARIANT_COUNTERFACTUAL:
                 raise PairingError(pair_id, "counterfactual without its original")
-            if require_pairs:
-                raise PairingError(pair_id, "orphan pair_id (missing counterfactual)")
             units.append(PairedExample(members[0]))
         elif len(members) == 2:
             variants = {m.variant for m in members}
@@ -649,9 +646,9 @@ def read_dataset(data_dir) -> GeneratedDataset:
     made the data, since fingerprints are computed from it."""
     import os
     train = pair_examples(_read_jsonl(os.path.join(data_dir, "train.jsonl")))
-    ood = load_jsonl(os.path.join(data_dir, "ood.jsonl"), require_pairs=False)
+    ood = load_jsonl(os.path.join(data_dir, "ood.jsonl"))
     stress_path = os.path.join(data_dir, "ood_stress.jsonl")
-    ood_stress = load_jsonl(stress_path, require_pairs=False) if os.path.exists(stress_path) else []
+    ood_stress = load_jsonl(stress_path) if os.path.exists(stress_path) else []
     groups = read_groups(os.path.join(data_dir, "groups.json"))
     cfg = read_json_file(os.path.join(data_dir, "generator_config.json"),
                             GeneratorConfig.from_dict)

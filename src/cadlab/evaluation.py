@@ -459,38 +459,41 @@ DATA_EFFICIENCY_ARMS = (
 
 def run_data_efficiency(base_config: TrainConfig, dataset: GeneratedDataset,
                         sizes: list[int], seeds: list[int], workers: int = 1) -> dict:
-    """Train-size sweep: at every size s, (a) s/2 pairs with the full
-    objective, (b) s/2 pairs with the prediction loss only, and (c) s
-    unaugmented originals with the prediction loss only, so every arm sees
-    exactly s training examples. Each size and kind of subset is one cell of
-    _protocol_rows, whose arms train on the same units, so each job trains
-    them as one stack over the next SEEDS_PER_JOB seeds. Rows come size by
-    size, arm by arm, seed by seed. A non-finite loss ends the sweep with
-    the error of the first run, in row order, that fails when it trains
-    alone: after a failure the runs train again one at a time, in that
-    order, until one fails."""
+    """Train-size sweep: at every size s, (a) the first s/2 paired units with
+    the full objective, (b) the same with the prediction loss only, and (c)
+    the originals of the first s units with the prediction loss only, so
+    every arm sees exactly s training examples. A cell whose labels stop
+    below the OOD splits' largest fails before any run. Each size and kind
+    of subset is one cell of _protocol_rows, whose arms train on the same
+    units, so each job trains them as one stack over the next SEEDS_PER_JOB
+    seeds. Rows come size by size, arm by arm, seed by seed. A non-finite
+    loss ends the sweep with the error of the first run, in row order, that
+    fails when it trains alone: after a failure the runs train again one at
+    a time, in that order, until one fails."""
     if not sizes:
         raise ValueError("sizes must be non-empty")
-    n_pairs = len(dataset.train_pairs)
+    units = dataset.train_pairs
+    paired = [u for u in units if u.counterfactual is not None]
     for s in sizes:
         if s < 2 or s % 2 != 0:
             raise ValueError(f"size {s} must be an even count of training examples")
-        if s > n_pairs:
-            raise ValueError(f"size {s} exceeds the {n_pairs} available pairs "
-                             "(the unaugmented arm draws one original per pair)")
+        if s > len(units) or s // 2 > len(paired):
+            raise ValueError(f"size {s} needs {s // 2} pairs and {s} units, but the training "
+                             f"data holds {len(paired)} pairs in {len(units)} units")
     if not seeds:
         raise ValueError("seeds must be non-empty")
     _check_distinct(sizes, "sizes")
     _check_distinct(seeds, "seeds")
 
+    top_ood = max((ex.label for ex in dataset.ood + dataset.ood_stress), default=0)
     cells = []
     for s in sizes:
         for kind in ("pairs", "unaugmented"):
-            if kind == "pairs":
-                pairs = dataset.train_pairs[:s // 2]
-            else:
-                pairs = [PairedExample(u.original, None) for u in dataset.train_pairs[:s]]
+            pairs = (paired[:s // 2] if kind == "pairs"
+                     else [PairedExample(u.original) for u in units[:s]])
             members = [m for u in pairs for m in u.members()]
+            if max(m.label for m in members) < top_ood:
+                raise ValueError(f"size {s}: the {kind} subset lacks the OOD label {top_ood}")
             tag = {"size": s, "n_train_examples": len(members),
                    "n_counterfactuals": sum(1 for m in members if m.variant == "counterfactual")}
             arms = [(arm, changes) for arm, changes, of in DATA_EFFICIENCY_ARMS if of == kind]

@@ -790,3 +790,118 @@ def test_bad_seed_list_exit_1(small_data, capsys):
     rc = main(["ablate", "--data", str(data_dir), "--seeds", "a,b",
                "--out", str(tmp_path / "x")])
     assert rc == 1
+
+
+def _keep_train_lines(data_dir, keep):
+    """Rewrite train.jsonl with only the records for which keep(record) holds."""
+    path = data_dir / "train.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records if keep(r)))
+
+
+def _every_third_counterfactual_removed(record):
+    return record["variant"] == "original" or int(record["pair_id"][1:]) % 3 != 2
+
+
+def test_partly_augmented_training_data_goes_through_every_command(small_data, capsys):
+    """A train.jsonl with every third counterfactual removed: 16 units, of
+    which 11 are paired (pairs 2, 5, 8, 11 and 14 lost theirs)."""
+    tmp_path, data_dir = small_data
+    _keep_train_lines(data_dir, _every_third_counterfactual_removed)
+    fast = ["--epochs", "1", "--batch-pairs", "4", "--embed-dim", "4"]
+    rc = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "t"), "--seed", "1",
+               *fast])
+    assert rc == 0, capsys.readouterr().err
+
+    for workers in ("1", "2"):
+        rc = main(["ablate", "--data", str(data_dir), "--seeds", JOB_SEEDS, "--workers", workers,
+                   "--out", str(tmp_path / f"ab{workers}"), *fast])
+        assert rc == 0, capsys.readouterr().err
+    for name in ("ablation.csv", "ablation.json"):
+        assert (tmp_path / "ab1" / name).read_bytes() == (tmp_path / "ab2" / name).read_bytes()
+
+    # unit 2 is a lone original, which the pairs cells must skip
+    rc = main(["data-efficiency", "--data", str(data_dir), "--sizes", "8,16", "--seeds", "0",
+               "--out", str(tmp_path / "de"), *fast])
+    assert rc == 0, capsys.readouterr().err
+    rows = json.loads((tmp_path / "de" / "data_efficiency.json").read_text())["rows"]
+    assert {row["arm"] for row in rows} == {"ecf_pairs", "erm_pairs", "erm_unaugmented"}
+    for row in rows:
+        assert row["n_train_examples"] == row["size"]
+        pairs_arm = row["arm"] != "erm_unaugmented"
+        assert row["n_counterfactuals"] == (row["size"] // 2 if pairs_arm else 0)
+    capsys.readouterr()
+    # 24 examples would need 12 pairs
+    rc = main(["data-efficiency", "--data", str(data_dir), "--sizes", "8,24", "--seeds", "0",
+               "--out", str(tmp_path / "de2"), *fast])
+    assert rc == 1
+    assert ("error: size 24 needs 12 pairs and 24 units, but the training data holds 11 pairs "
+            "in 16 units") in capsys.readouterr().err
+    assert not (tmp_path / "de2").exists()
+
+
+@pytest.mark.parametrize("flags, code, message", [
+    (["--alpha", "0", "--beta", "0"], 0, ""),
+    (["--beta", "0"], 1, "environment 'e_cad' is empty but the invariance weight is 1.6"),
+])
+def test_unaugmented_training_data_trains_only_the_prediction_loss(small_data, capsys, flags,
+                                                                   code, message):
+    """An originals-only train.jsonl trains without the constraints; under
+    alpha > 0 its empty e_cad is bad input. Under beta > 0 it is bad input too
+    (test_training_data_that_cannot_train_exits_1)."""
+    tmp_path, data_dir = small_data
+    _keep_train_lines(data_dir, lambda record: record["variant"] == "original")
+    out = tmp_path / "o"
+    rc = main(["train", "--data", str(data_dir), "--out", str(out), "--seed", "1",
+               "--epochs", "1", *flags])
+    err = capsys.readouterr().err
+    assert rc == code, err
+    assert message in err and (err == "") == (code == 0)
+    assert out.exists() == (code == 0)
+
+
+@pytest.mark.parametrize("command", sorted(DATA_COMMANDS))
+@pytest.mark.parametrize("keep, message", [
+    (lambda record: False, "training requires at least one pair"),
+    (lambda record: record["variant"] == "original",
+     "beta > 0 requires counterfactual pairs in the training data"),
+], ids=["empty", "originals_only"])
+def test_training_data_that_cannot_train_exits_1(small_data, capsys, command, keep, message):
+    """Under the default config (beta = 0.1), an empty or unaugmented
+    train.jsonl is bad input to every training command: exit 1, not 2."""
+    tmp_path, data_dir = small_data
+    _keep_train_lines(data_dir, keep)
+    out = tmp_path / "out"
+    rc = main([command, "--data", str(data_dir), "--out", str(out), "--epochs", "1",
+               *DATA_COMMANDS[command]])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    if command == "data-efficiency":     # no size fits: the sweep never trains
+        message = "needs 2 pairs and 4 units"
+    assert err.startswith("error: ") and message in err, err
+    assert not out.exists()
+
+
+def test_data_efficiency_checks_every_sizes_labels_before_training(tmp_path, capsys,
+                                                                    monkeypatch):
+    """On three-class data a size-2 cell has no label 2, so its model could
+    not score the OOD splits: exit 1 before any run, naming the size."""
+    gen_cfg = tmp_path / "gen.json"
+    _write_json(gen_cfg, {"n_pairs": 18, "n_ood": 12, "n_classes": 3, "seed": 5})
+    data_dir = tmp_path / "data"
+    assert main(["generate", "--config", str(gen_cfg), "--out", str(data_dir)]) == 0
+    trained = []
+    train_arms = cadlab.evaluation.train_arms
+    monkeypatch.setattr(cadlab.evaluation, "train_arms",
+                        lambda *a, **k: trained.append(1) or train_arms(*a, **k))
+    capsys.readouterr()
+    rc = main(["data-efficiency", "--data", str(data_dir), "--sizes", "4,2", "--seeds", "0",
+               "--epochs", "1", "--out", str(tmp_path / "de")])
+    assert rc == 1
+    assert (capsys.readouterr().err
+            == "error: size 2: the pairs subset lacks the OOD label 2\n")
+    assert trained == [] and not (tmp_path / "de").exists()
+    rc = main(["data-efficiency", "--data", str(data_dir), "--sizes", "4", "--seeds", "0",
+               "--epochs", "1", "--out", str(tmp_path / "de")])
+    assert rc == 0, capsys.readouterr().err
+    assert trained

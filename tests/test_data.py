@@ -63,27 +63,33 @@ def test_load_empty_file(tmp_path):
     assert load_jsonl(p) == []
 
 
-def test_load_orphan_pair(tmp_path):
+def test_a_lone_original_is_a_unit_in_any_file(tmp_path):
+    """A training file may be partly augmented: an original without a
+    counterfactual is a unit of its own, as in an evaluation split."""
     p = tmp_path / "d.jsonl"
-    _write_lines(p, [_row("a", "x", 0, "p1", "original")])
-    with pytest.raises(PairingError):
-        load_jsonl(p, require_pairs=True)
-    # standalone originals are fine for evaluation splits
-    assert len(load_jsonl(p, require_pairs=False)) == 1
+    rows = [_row("a", "x", 0, "p1", "original"), _row("b", "y", 1, "p2", "original"),
+            _row("b'", "z", 0, "p2", "counterfactual"), _row("c", "w", 1, "p3", "original")]
+    _write_lines(p, rows)
+    examples = load_jsonl(p)
+    a, b, b_cf, c = examples
+    assert pair_examples(examples) == [PairedExample(a), PairedExample(b, b_cf), PairedExample(c)]
+    # a file of one lone original, which load_jsonl checks without grouping
+    _write_lines(p, rows[:1])
+    assert pair_examples(load_jsonl(p)) == [PairedExample(a)]
 
 
 def test_load_counterfactual_without_original(tmp_path):
     p = tmp_path / "d.jsonl"
     _write_lines(p, [_row("a", "x", 1, "p1", "counterfactual")])
     with pytest.raises(PairingError):
-        load_jsonl(p, require_pairs=False)
+        load_jsonl(p)
 
 
 def test_parse_error_reports_line_number(tmp_path):
     p = tmp_path / "d.jsonl"
     p.write_text('{"id": "a", "text": "x", "label": 0, "pair_id": "p", "variant": "original"}\nnot json\n')
     with pytest.raises(ParseError) as exc:
-        load_jsonl(p, require_pairs=False)
+        load_jsonl(p)
     assert exc.value.line_no == 2
 
 
@@ -91,20 +97,20 @@ def test_parse_error_on_missing_field_and_bad_values(tmp_path):
     p = tmp_path / "d.jsonl"
     _write_lines(p, [{"id": "a", "text": "x", "label": 0, "pair_id": "p"}])
     with pytest.raises(ParseError):
-        load_jsonl(p, require_pairs=False)
+        load_jsonl(p)
     _write_lines(p, [_row("a", "x", -1, "p", "original")])
     with pytest.raises(ParseError):
-        load_jsonl(p, require_pairs=False)
+        load_jsonl(p)
     _write_lines(p, [_row("a", "x", 0, "p", "edited")])
     with pytest.raises(ParseError):
-        load_jsonl(p, require_pairs=False)
+        load_jsonl(p)
 
 
 def test_boolean_label_is_parse_error(tmp_path):
     p = tmp_path / "d.jsonl"
     _write_lines(p, [_row("a", "x", True, "p", "original")])
     with pytest.raises(ParseError, match="label"):
-        load_jsonl(p, require_pairs=False)
+        load_jsonl(p)
 
 
 def _undecodable_reason(line: bytes) -> str:
@@ -127,7 +133,7 @@ def test_a_non_utf8_line_is_reported_at_its_own_line(tmp_path):
     reason = _undecodable_reason(bad + b"\n")
     assert reason == "invalid continuation byte"
     with pytest.raises(ParseError) as exc:
-        load_jsonl(p, require_pairs=False)
+        load_jsonl(p)
     assert exc.value.line_no == 4
     assert str(exc.value) == f"{p}:4: not UTF-8 text: {reason}"
 
@@ -136,7 +142,7 @@ def test_lines_before_a_non_utf8_line_are_checked_first(tmp_path):
     p = tmp_path / "d.jsonl"
     p.write_bytes(_good_line() + b"\nnot json\n\n\xff\n")
     with pytest.raises(ParseError, match="invalid JSON") as exc:
-        load_jsonl(p, require_pairs=False)
+        load_jsonl(p)
     assert exc.value.line_no == 2
 
 
@@ -146,7 +152,7 @@ def test_a_sequence_cut_off_at_end_of_file_is_reported_on_the_last_line(tmp_path
     p.write_bytes(_good_line() + b"\n" + tail)
     assert _undecodable_reason(tail) == "unexpected end of data"
     with pytest.raises(ParseError) as exc:
-        load_jsonl(p, require_pairs=False)
+        load_jsonl(p)
     assert str(exc.value) == f"{p}:2: not UTF-8 text: unexpected end of data"
 
 
@@ -154,7 +160,7 @@ def test_a_line_with_a_utf8_bom_keeps_the_json_message(tmp_path):
     p = tmp_path / "d.jsonl"
     p.write_bytes(_good_line("a") + b"\n\xef\xbb\xbf" + _good_line("b") + b"\n")
     with pytest.raises(ParseError) as exc:
-        load_jsonl(p, require_pairs=False)
+        load_jsonl(p)
     assert str(exc.value) == f"{p}:2: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"
 
 
@@ -163,10 +169,10 @@ def test_whitespace_only_lines_are_skipped_but_counted(tmp_path):
     for sort_keys in (False, True):
         lines = [_good_line("a", sort_keys), b"   ", b"\t\x0c", _good_line("b", sort_keys), b" \r"]
         p.write_bytes(b"\n".join(lines) + b"\n")
-        assert [ex.id for ex in load_jsonl(p, require_pairs=False)] == ["a", "b"]
+        assert [ex.id for ex in load_jsonl(p)] == ["a", "b"]
         p.write_bytes(b"\n".join(lines + [b"[1]"]) + b"\n")
         with pytest.raises(ParseError, match="expected a JSON object") as exc:
-            load_jsonl(p, require_pairs=False)
+            load_jsonl(p)
         assert exc.value.line_no == 6
 
 
@@ -191,25 +197,25 @@ def test_a_bad_line_reports_json_loads_message_at_its_line(tmp_path, line, messa
         p.write_bytes(_good_line("a", sort_keys) + b"\n" + line.encode() + b"\n"
                       + _good_line("b", sort_keys) + b"\n")
         with pytest.raises(ParseError) as exc:
-            load_jsonl(p, require_pairs=False)
+            load_jsonl(p)
         assert exc.value.line_no == 2
         assert str(exc.value) == f"{p}:2: {message}"
 
 
-def _read_outcome(path, require_pairs):
+def _read_outcome(path):
     try:
         examples = data._read_jsonl(path)
-        return examples, pair_examples(examples, require_pairs)
+        return examples, pair_examples(examples)
     except DataError as e:
         return type(e), str(e), getattr(e, "line_no", None)
 
 
-def _outcome_and_per_line_outcome(path, require_pairs):
+def _outcome_and_per_line_outcome(path):
     """What _read_jsonl gives (its examples and their units, or the error), and
     what it gives when the one-pass path declines every file."""
-    outcome = _read_outcome(path, require_pairs)
+    outcome = _read_outcome(path)
     with mock.patch.object(data, "_read_dumped", lambda text: None):
-        return outcome, _read_outcome(path, require_pairs)
+        return outcome, _read_outcome(path)
 
 
 def _originals_and_counterfactual_tokens(field):
@@ -229,10 +235,10 @@ _ANY = st.text(st.characters(exclude_categories=()), max_size=4)
 @settings(max_examples=300, deadline=None)
 @given(records=_originals_and_counterfactual_tokens(_PLAIN)
        | _originals_and_counterfactual_tokens(_PLAIN | _ANY),
-       rnd=st.randoms(), require_pairs=st.booleans())
-def test_a_dumped_file_reads_as_the_per_line_parse_reads_it(tmp_path_factory, records, rnd,
-                                                            require_pairs):
-    # the first len(cf_tokens) originals get a counterfactual of another label
+       rnd=st.randoms())
+def test_a_dumped_file_reads_as_the_per_line_parse_reads_it(tmp_path_factory, records, rnd):
+    # the first len(cf_tokens) originals get a counterfactual of another label;
+    # the rest stay lone originals, which are units on both paths
     originals, cf_tokens = records
     records = originals + [ex._replace(id=f"{ex.id}'", tokens=toks, label=ex.label + 1,
                                        variant="counterfactual")
@@ -240,7 +246,7 @@ def test_a_dumped_file_reads_as_the_per_line_parse_reads_it(tmp_path_factory, re
     rnd.shuffle(records)
     p = tmp_path_factory.mktemp("dumped") / "d.jsonl"
     dump_jsonl(records, p)
-    outcome, per_line = _outcome_and_per_line_outcome(p, require_pairs)
+    outcome, per_line = _outcome_and_per_line_outcome(p)
     assert outcome == per_line
     if isinstance(outcome[0], list):
         assert all(type(ex) is Example for ex in outcome[0])
@@ -276,7 +282,7 @@ def test_a_near_canonical_line_reads_as_the_per_line_parse_reads_it(tmp_path, ca
     p.write_bytes(text.encode())
     # only a file whose every line dump_jsonl could have written takes one pass
     assert (data._read_dumped(text) is None) == (case != "no final newline")
-    outcome, per_line = _outcome_and_per_line_outcome(p, require_pairs=False)
+    outcome, per_line = _outcome_and_per_line_outcome(p)
     assert outcome == per_line
 
 
@@ -295,7 +301,7 @@ def test_a_label_longer_than_int_converts_is_a_parse_error_at_its_line(tmp_path,
             f'{{"label": {label}, "id": "b", "pair_id": "b", "text": "y", "variant": "original"}}')
     p = tmp_path / "d.jsonl"
     p.write_bytes(_good_line("a", sort_keys=True) + b"\n" + line.encode() + b"\n")
-    outcome, per_line = _outcome_and_per_line_outcome(p, require_pairs=False)
+    outcome, per_line = _outcome_and_per_line_outcome(p)
     assert outcome == per_line == (ParseError, f"{p}:2: {_too_long(digits)}", 2)
 
 
@@ -313,7 +319,7 @@ def test_the_one_pass_read_takes_a_label_of_at_most_640_digits(tmp_path):
     try:
         assert [ex.label for ex in data._read_dumped(lines[0])] == labels[:1]
         assert data._read_dumped(lines[1]) is None
-        outcome, per_line = _outcome_and_per_line_outcome(p, require_pairs=False)
+        outcome, per_line = _outcome_and_per_line_outcome(p)
     finally:
         sys.set_int_max_str_digits(default)
     assert outcome == per_line == (ParseError, f"{p}:2: {_too_long(640)}", 2)
@@ -347,11 +353,9 @@ def test_dump_jsonl_keeps_the_behaviour_of_json_dumps_for_a_label_that_is_not_an
 
 def test_pairing_an_evaluation_split_checks_it_as_grouping_does():
     originals = [Example(f"{i}", ("x",), 0, f"p{i}", "original") for i in range(3)]
-    assert pair_examples(originals, require_pairs=False) == [PairedExample(ex) for ex in originals]
+    assert pair_examples(originals) == [PairedExample(ex) for ex in originals]
     with pytest.raises(PairingError, match="'p1': expected one original and one counterfactual"):
-        pair_examples(originals + [originals[1]._replace(id="dup")], require_pairs=False)
-    with pytest.raises(PairingError, match="'p0': orphan pair_id"):
-        pair_examples(originals, require_pairs=True)
+        pair_examples(originals + [originals[1]._replace(id="dup")])
 
 
 def test_records_are_immutable_hashable_and_equal_field_by_field():
@@ -713,16 +717,16 @@ def test_dataset_directory_roundtrip(tmp_path):
 def test_read_dataset_groups_each_file_once(tmp_path, monkeypatch):
     ds = generate_cad(GeneratorConfig(n_pairs=6, n_ood=4, seed=9))
     write_dataset(ds, tmp_path / "data")
-    grouped = []
+    calls = []
 
-    def counting(examples, require_pairs=True):
-        grouped.append(require_pairs)
-        return pair_examples(examples, require_pairs)
+    def counting(examples):
+        calls.append(len(examples))
+        return pair_examples(examples)
 
     monkeypatch.setattr(data, "pair_examples", counting)
     assert read_dataset(tmp_path / "data").train_pairs == ds.train_pairs
     # train.jsonl; ood.jsonl and ood_stress.jsonl hold distinct originals, which need no units
-    assert grouped == [True]
+    assert calls == [len(ds.train_examples())]
 
 
 # an evaluation split of distinct originals, and one more example that makes it need pairing
@@ -743,7 +747,7 @@ def test_an_evaluation_split_that_needs_pairing_is_still_checked(tmp_path, case)
     p = tmp_path / "d.jsonl"
     dump_jsonl(originals + [extra], p)
     with pytest.raises(PairingError) as exc:
-        load_jsonl(p, require_pairs=False)
+        load_jsonl(p)
     assert str(exc.value) == message
 
 

@@ -10,7 +10,7 @@ from functools import partial
 import pytest
 
 from cadlab import evaluation
-from cadlab.data import DataError, GeneratorConfig, Vocab, generate_cad
+from cadlab.data import DataError, GeneratorConfig, PairedExample, Vocab, generate_cad
 from cadlab.evaluation import (
     config_fingerprint, evaluate, myopia_probe, ood_eval_set, rows_to_csv, run_ablation,
     run_data_efficiency, run_single, sign_test_p, write_report,
@@ -390,6 +390,28 @@ def test_run_data_efficiency_structure():
         run_data_efficiency(_fast_config(), ds, sizes=[999], seeds=[0])
     with pytest.raises(ValueError):
         run_data_efficiency(_fast_config(), ds, sizes=[], seeds=[0])
+
+
+def test_run_data_efficiency_draws_its_pairs_cells_from_the_paired_units():
+    """On partly augmented data the pairs arms take the first s/2 paired
+    units and the unaugmented arm the originals of the first s units, so
+    every arm still sees s examples; a size needs s/2 pairs and s units."""
+    ds = _dataset(n_pairs=12, n_ood=16)
+    # the first eight units lose their counterfactual: 4 paired units of 12
+    units = [PairedExample(u.original) if i < 8 else u for i, u in enumerate(ds.train_pairs)]
+    partly = replace(ds, train_pairs=units)
+    rows = run_data_efficiency(_fast_config(epochs=1), partly, sizes=[8], seeds=[0])["rows"]
+    assert [(r["arm"], r["n_train_examples"], r["n_counterfactuals"]) for r in rows] == [
+        ("ecf_pairs", 8, 4), ("erm_pairs", 8, 4), ("erm_unaugmented", 8, 0)]
+    # erm_pairs is the run on the paired units alone
+    pairs_only = replace(ds, train_pairs=units[8:])
+    vocab = Vocab.from_examples(pairs_only.train_examples())
+    [alone] = run_single([_fast_config(epochs=1, alpha=0.0, beta=0.0)], pairs_only, vocab,
+                         ood_eval_set(pairs_only, vocab))
+    assert {key: rows[1][key] for key in alone} == alone
+    with pytest.raises(ValueError, match="size 10 needs 5 pairs and 10 units, but the "
+                                         "training data holds 4 pairs in 12 units"):
+        run_data_efficiency(_fast_config(epochs=1), partly, sizes=[10], seeds=[0])
 
 
 def test_runner_rows_follow_the_seed_list_across_jobs():
