@@ -21,9 +21,9 @@ data-efficiency sweep one cell per size and kind of training subset. A job
 is one call of ``run_single``, which trains one stack: a cell's arms over
 the next SEEDS_PER_JOB seeds of the list. So the job list depends on the
 cells and the seed list alone, and a two-seed ablation is a single job,
-which runs in process. Several jobs go to at most ``workers`` forked child
-processes, which claim them one at a time, and the rows come back in job
-order.
+which runs in process. Several jobs go to the standard library's process
+pool, with at most ``workers`` forked workers that inherit the job list,
+and the rows come back in job order.
 The first runner call sets OpenBLAS to one thread and leaves it there for
 the rest of the process, serial or forked, so parallel runs do not
 oversubscribe the cores. It is not restored: OpenBLAS shuts its thread pool
@@ -37,8 +37,6 @@ import hashlib
 import json
 import math
 import os
-import pickle
-import traceback
 from dataclasses import dataclass, field, replace
 from functools import cache, partial
 
@@ -264,9 +262,13 @@ def _run_jobs(runs: list, workers: int) -> list[dict]:
     rows) and return the rows in run order, so the reports do not depend on
     scheduling.
 
-    With workers > 1 the runs go to min(workers, len(runs)) forked children.
-    OpenBLAS is set to one thread here, before any fork, and the children
-    inherit that: each child is one busy core. The count stays at one for
+    With workers > 1 the runs go to a pool of min(workers, len(runs)) forked
+    worker processes. The workers inherit the run list through the fork, so
+    only run indices go to them and only rows and errors come back; the
+    error of the earliest failing run is raised as itself, and a worker
+    that dies raises the pool's BrokenProcessPool, a RuntimeError. OpenBLAS
+    is set to one thread here, before the pool forks, and the workers
+    inherit that: each worker is one busy core. The count stays at one for
     the rest of the process, and the setter is called only when it is not
     one, since after a fork every setter call restarts OpenBLAS's thread
     pool, which then spins for about 0.12 s of CPU.
@@ -279,107 +281,26 @@ def _run_jobs(runs: list, workers: int) -> list[dict]:
     if workers == 1 or len(runs) <= 1:
         results = [run() for run in runs]
     else:
-        results = _fork_join(runs, min(workers, len(runs)))
+        # imported here, so a serial call and `import cadlab` do not pay for it
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(min(workers, len(runs)),
+                                 mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_inherit_runs, initargs=(runs,)) as pool:
+            results = list(pool.map(_call_run, range(len(runs))))
     return [row for rows in results for row in rows]
 
 
-def _take_baton(baton_r: int) -> int:
-    return int.from_bytes(os.read(baton_r, 8), "little")
+_runs: list = []    # in a pool worker, the run list it inherited
 
 
-def _pass_baton(baton_w: int, index: int) -> None:
-    os.write(baton_w, index.to_bytes(8, "little"))
+def _inherit_runs(runs: list) -> None:
+    global _runs
+    _runs = runs
 
 
-def _fork_join(runs: list, n_children: int) -> list:
-    """Call the runs in n_children forked child processes and return their
-    results in run order.
-
-    The children inherit everything the runs refer to. They claim runs one at
-    a time through a baton: a pipe that holds exactly one 8-byte message, the
-    index of the next unclaimed run, so a child that has read it holds the
-    claim until it writes the following index back. A child whose run raises
-    passes on len(runs), so every child stops after its current run, as the
-    serial loop stops at the first failure. Each child pickles its results
-    and its exception, if any, to its own pipe and always ends in os._exit.
-
-    The parent waits for every child. It raises RuntimeError if a child ended
-    without sending its result, and otherwise the exception of the earliest
-    failed run, as itself.
-    """
-    n = len(runs)
-    baton_r, baton_w = os.pipe()
-    _pass_baton(baton_w, 0)
-    children = []           # (pid, read end of the child's result pipe)
-    exit_codes = {}
-    try:
-        for _ in range(n_children):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:
-                _child(runs, [fd for _, fd in children] + [r], baton_r, baton_w, w)
-            os.close(w)
-            children.append((pid, r))
-        payloads = []
-        for _, r in children:
-            with os.fdopen(r, "rb", closefd=False) as fh:
-                payloads.append(fh.read())
-    finally:
-        for pid, r in children:
-            os.close(r)
-            exit_codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        os.close(baton_r)
-        os.close(baton_w)
-
-    results = [None] * n
-    failures = []
-    for (pid, _), payload in zip(children, payloads):
-        if exit_codes[pid] != 0:
-            raise RuntimeError(f"worker process {pid} exited with code {exit_codes[pid]} "
-                               "without sending its result")
-        done, failure = pickle.loads(payload)
-        for i, result in done:
-            results[i] = result
-        if failure is not None:
-            failures.append(failure)
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-    return results
-
-
-def _child(runs: list, inherited: list[int], baton_r: int, baton_w: int, out: int):
-    """The body of a forked child of _fork_join; it never returns."""
-    code = 1
-    try:
-        for fd in inherited:
-            os.close(fd)
-        n = len(runs)
-        done, failure = [], None
-        while True:
-            i = _take_baton(baton_r)
-            _pass_baton(baton_w, min(i + 1, n))
-            if i == n:
-                break
-            try:
-                done.append((i, runs[i]()))
-            except Exception as e:
-                failure = (i, e)
-                _take_baton(baton_r)
-                _pass_baton(baton_w, n)
-                break
-        with os.fdopen(out, "wb") as fh:
-            fh.write(pickle.dumps((done, failure)))
-        code = 0
-    except BaseException:
-        traceback.print_exc()    # the parent can only report the exit code
-        raise
-    finally:
-        os._exit(code)
+def _call_run(index: int) -> list[dict]:
+    return _runs[index]()
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +310,17 @@ def _check_distinct(values: list[int], what: str) -> None:
     """A repeated seed or size would count its runs twice in every mean."""
     if len(set(values)) != len(values):
         raise ValueError(f"{what} must be distinct, got {list(values)}")
+
+
+def _check_labels(dataset: GeneratedDataset, subsets: list) -> None:
+    """Check each subset, a (name, training units) pair, against the OOD
+    splits' largest label. A run sizes its model from its training labels,
+    so training labels that stop below that label would fail only once the
+    runs had trained and their OOD examples were scored."""
+    top_ood = max((ex.label for ex in dataset.ood + dataset.ood_stress), default=0)
+    for what, units in subsets:
+        if max((m.label for u in units for m in u.members()), default=top_ood) < top_ood:
+            raise ValueError(f"{what} lacks the OOD label {top_ood}")
 
 
 def _protocol_rows(base_config: TrainConfig, cells: list, seeds: list[int],
@@ -429,11 +361,13 @@ def run_ablation(base_config: TrainConfig, dataset: GeneratedDataset,
     only the loss weights differ. The ablation is one cell of
     _protocol_rows, so each job trains the arms of the next SEEDS_PER_JOB
     seeds as one stack. Per-seed rows, in ABLATION_ARMS order within a seed,
-    are always emitted alongside the per-arm means.
+    are always emitted alongside the per-arm means. Training labels that
+    stop below the OOD splits' largest fail before any run.
     """
     _check_distinct(seeds, "seeds")
     if len(seeds) < 2:
         raise ValueError("ablation needs at least 2 seeds")
+    _check_labels(dataset, [("the training data", dataset.train_pairs)])
     rows = _protocol_rows(base_config, [(dataset, ABLATION_ARMS, {})], seeds, workers)
     fingerprint = config_fingerprint({
         "protocol": "ablation",
@@ -485,19 +419,18 @@ def run_data_efficiency(base_config: TrainConfig, dataset: GeneratedDataset,
     _check_distinct(sizes, "sizes")
     _check_distinct(seeds, "seeds")
 
-    top_ood = max((ex.label for ex in dataset.ood + dataset.ood_stress), default=0)
-    cells = []
+    cells, subsets = [], []
     for s in sizes:
         for kind in ("pairs", "unaugmented"):
             pairs = (paired[:s // 2] if kind == "pairs"
                      else [PairedExample(u.original) for u in units[:s]])
+            subsets.append((f"size {s}: the {kind} subset", pairs))
             members = [m for u in pairs for m in u.members()]
-            if max(m.label for m in members) < top_ood:
-                raise ValueError(f"size {s}: the {kind} subset lacks the OOD label {top_ood}")
             tag = {"size": s, "n_train_examples": len(members),
                    "n_counterfactuals": sum(1 for m in members if m.variant == "counterfactual")}
             arms = [(arm, changes) for arm, changes, of in DATA_EFFICIENCY_ARMS if of == kind]
             cells.append((replace(dataset, train_pairs=pairs), arms, tag))
+    _check_labels(dataset, subsets)
     try:
         rows = _protocol_rows(base_config, cells, seeds, workers)
     except NonFiniteLossError:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Node, add, const, div, dot, exp, log, mul, nmax, nsum, sub, tanh, wsum
-from .data import NESTED_TOO_DEEPLY, DictConfig, Vocab
+from .data import NESTED_TOO_DEEPLY, DictConfig, Vocab, is_int
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -45,6 +45,11 @@ class ModelConfig(DictConfig):
     use_hidden: bool = False   # optional extra tanh layer (embed_dim -> embed_dim)
 
     def __post_init__(self):
+        for name in ("vocab_size", "n_classes", "embed_dim"):
+            if not is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
+        if not isinstance(self.use_hidden, bool):
+            raise ValueError(f"use_hidden must be a bool, got {self.use_hidden!r}")
         if self.vocab_size < 1 or self.n_classes < 1 or self.embed_dim < 1:
             raise ValueError("vocab_size, n_classes and embed_dim must be positive")
 

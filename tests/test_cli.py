@@ -417,6 +417,18 @@ MALFORMED_CHECKPOINTS = [
     ("hidden-layer model", _with_hidden_layer, 1,
      "the model has a hidden layer, which checkpoints no longer hold"),
     ("unknown model key", _set(("model", "depth"), 3), 1, "bad model config"),
+    ("float n_classes", _set(("model", "n_classes"), 2.0), 1,
+     "bad model config: n_classes must be an int, got 2.0"),
+    ("float vocab_size", _set(("model", "vocab_size"), 33.0), 1,
+     "bad model config: vocab_size must be an int, got 33.0"),
+    ("float embed_dim", _set(("model", "embed_dim"), 4.0), 1,
+     "bad model config: embed_dim must be an int, got 4.0"),
+    ("bool n_classes", _set(("model", "n_classes"), True), 1,
+     "bad model config: n_classes must be an int, got True"),
+    ("string use_hidden", _set(("model", "use_hidden"), "no"), 1,
+     "bad model config: use_hidden must be a bool, got 'no'"),
+    ("integer use_hidden", _set(("model", "use_hidden"), 0), 1,
+     "bad model config: use_hidden must be a bool, got 0"),
     ("vocab mismatch", _set(("vocab",), lambda v: v[:-1]), 1,
      "checkpoint vocab does not match model vocab_size"),
     ("vocab a number", _set(("vocab",), 5), 1, '"vocab" is not a list of strings'),
@@ -882,14 +894,19 @@ def test_training_data_that_cannot_train_exits_1(small_data, capsys, command, ke
     assert not out.exists()
 
 
-def test_data_efficiency_checks_every_sizes_labels_before_training(tmp_path, capsys,
-                                                                    monkeypatch):
-    """On three-class data a size-2 cell has no label 2, so its model could
-    not score the OOD splits: exit 1 before any run, naming the size."""
+def _three_class_data(tmp_path):
     gen_cfg = tmp_path / "gen.json"
     _write_json(gen_cfg, {"n_pairs": 18, "n_ood": 12, "n_classes": 3, "seed": 5})
     data_dir = tmp_path / "data"
     assert main(["generate", "--config", str(gen_cfg), "--out", str(data_dir)]) == 0
+    return data_dir
+
+
+def test_data_efficiency_checks_every_sizes_labels_before_training(tmp_path, capsys,
+                                                                    monkeypatch):
+    """On three-class data a size-2 cell has no label 2, so its model could
+    not score the OOD splits: exit 1 before any run, naming the size."""
+    data_dir = _three_class_data(tmp_path)
     trained = []
     train_arms = cadlab.evaluation.train_arms
     monkeypatch.setattr(cadlab.evaluation, "train_arms",
@@ -905,3 +922,21 @@ def test_data_efficiency_checks_every_sizes_labels_before_training(tmp_path, cap
                "--epochs", "1", "--out", str(tmp_path / "de")])
     assert rc == 0, capsys.readouterr().err
     assert trained
+
+
+def test_ablate_checks_the_training_labels_before_training(tmp_path, capsys, monkeypatch):
+    """On three-class data whose label-2 pairs were removed from
+    train.jsonl, the models would have two classes and could not score the
+    OOD splits: exit 1 before any run."""
+    data_dir = _three_class_data(tmp_path)
+    records = [json.loads(line) for line in (data_dir / "train.jsonl").read_text().splitlines()]
+    with_label_2 = {r["pair_id"] for r in records if r["label"] == 2}
+    _keep_train_lines(data_dir, lambda r: r["pair_id"] not in with_label_2)
+    trained = []
+    monkeypatch.setattr(cadlab.evaluation, "train_arms", lambda *a, **k: trained.append(1))
+    capsys.readouterr()
+    rc = main(["ablate", "--data", str(data_dir), "--seeds", "0,1", "--epochs", "1",
+               "--out", str(tmp_path / "ablation")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: the training data lacks the OOD label 2\n"
+    assert trained == [] and not (tmp_path / "ablation").exists()

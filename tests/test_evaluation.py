@@ -4,6 +4,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from functools import partial
 
@@ -231,7 +232,7 @@ try:
     evaluation.run_ablation(TrainConfig(epochs=1, batch_pairs=8, embed_dim=4), ds, seeds,
                             workers=2)
 except RuntimeError as e:
-    print("RuntimeError:", e)
+    print(f"{type(e).__name__}: {e}")
 try:
     os.waitpid(-1, os.WNOHANG)
 except ChildProcessError:
@@ -245,9 +246,38 @@ def test_parallel_runner_fails_when_a_child_dies_without_a_result():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert re.fullmatch(r"RuntimeError: worker process \d+ exited with code 3 without "
-                        r"sending its result", lines[0]), proc.stdout
+    # the pool's BrokenProcessPool, a RuntimeError
+    assert re.fullmatch(r"BrokenProcessPool: A process in the process pool was terminated "
+                        r"abruptly .*", lines[0]), proc.stdout
     assert lines[1:] == ["no child left"]
+
+
+def _locked_job(lock, i):
+    with lock:
+        return [{"job": i, "pid": os.getpid()}]
+
+
+def test_parallel_jobs_reach_the_workers_by_fork_not_by_pickle():
+    """A job that holds an unpicklable lock still runs in a worker and its
+    rows come back in job order: the workers inherit the job list."""
+    lock = threading.Lock()
+    runs = [partial(_locked_job, lock, i) for i in range(7)]
+    for workers in (2, 3):
+        rows = evaluation._run_jobs(runs, workers)
+        assert [row["job"] for row in rows] == list(range(7)), workers
+        assert os.getpid() not in {row["pid"] for row in rows}, workers
+
+
+def test_import_cadlab_loads_no_process_pool():
+    """The pool is imported only when a runner forks, so `import cadlab`
+    and every serial call do not pay for it."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(evaluation.__file__).parents[1])}
+    code = ("import sys, cadlab; print(sorted(m for m in sys.modules if m == "
+            "'concurrent.futures.process' or m.split('.')[0] == 'multiprocessing'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_the_first_runner_call_holds_one_blas_thread_for_the_process(monkeypatch):
