@@ -39,9 +39,11 @@ import copy
 import json
 import json.encoder
 import json.scanner
+import math
 import random
 import re
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -53,6 +55,8 @@ VARIANT_ORIGINAL = "original"
 VARIANT_COUNTERFACTUAL = "counterfactual"
 
 GROUP_NAMES = ("edited_causal", "nonedited_causal", "correlated", "noise")
+# the generator config's tokens_per_group keys: one token count per group
+GROUP_COUNT_KEYS = ("edited", "nonedited", "correlated", "noise")
 
 
 class DataError(ValueError):
@@ -137,6 +141,11 @@ class FeatureGroups:
 def is_int(value) -> bool:
     # bool is an int subclass: `"label": true` must not load as class 1
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """A finite int or float, and not a bool."""
+    return is_int(value) or isinstance(value, float) and math.isfinite(value)
 
 
 class DictConfig:
@@ -348,7 +357,7 @@ class TokenIds:
     @classmethod
     def from_tokens(cls, token_lists) -> "TokenIds":
         token_lists = list(token_lists)
-        flat = [t for toks in token_lists for t in toks]
+        flat = list(chain.from_iterable(token_lists))
         table = tuple(sorted(set(flat)))
         index = {t: i for i, t in enumerate(table)}
         ids = np.fromiter(map(index.__getitem__, flat), dtype=np.intp, count=len(flat))
@@ -447,6 +456,13 @@ class GeneratorConfig(DictConfig):
                      "correlated_per_sentence", "n_ood", "seed"):
             if not is_int(getattr(self, name)):
                 raise DataError(f"{name} must be an int, got {getattr(self, name)!r}")
+        for name in ("rho_train", "rho_ood", "edit_scope"):
+            value = getattr(self, name)
+            if not (is_number(value) or name == "rho_ood" and value is None):
+                raise DataError(f"{name} must be a finite number, got {value!r}")
+        if self.seed < 0:
+            # random.Random seeds with the absolute value: -5 would give seed 5's data
+            raise DataError("seed must be >= 0")
         if self.n_pairs < 1:
             raise DataError("n_pairs must be >= 1")
         if self.n_ood < 0 or self.correlated_per_sentence < 0:
@@ -463,7 +479,10 @@ class GeneratorConfig(DictConfig):
             raise DataError("edit_scope must be in (0, 1)")
         if not isinstance(self.tokens_per_group, dict):
             raise DataError("tokens_per_group must be an object of per-group token counts")
-        for key in ("edited", "nonedited", "correlated", "noise"):
+        unknown = set(self.tokens_per_group) - set(GROUP_COUNT_KEYS)
+        if unknown:
+            raise DataError(f"unknown tokens_per_group keys: {sorted(unknown)}")
+        for key in GROUP_COUNT_KEYS:
             count = self.tokens_per_group.get(key, 0)
             if not is_int(count) or count < 1:
                 raise DataError(f"tokens_per_group[{key!r}] must be an int >= 1")

@@ -191,6 +191,8 @@ def combined_loss(batch: list[Example],
 # closed form
 
 _SIDE_SIGNS = np.array([1.0, -1.0])   # the sign of each side's share of u
+# ndarray.sum without its Python wrapper: the same reduction, one call fewer
+_sum = np.add.reduce
 
 
 def objective_and_grad(params: Snapshot, grads: Snapshot, x: np.ndarray, y: np.ndarray,
@@ -211,6 +213,10 @@ def objective_and_grad(params: Snapshot, grads: Snapshot, x: np.ndarray, y: np.n
     is 0 gets exactly 0 for that term and no share of its gradient, even
     where the term is not finite. Returns one LossBreakdown per run; the
     values are those of combined_loss.
+
+    Environments of one non-empty size (both, in a fully paired batch in
+    disjoint mode) take the invariance penalty in one set of array calls,
+    others one at a time; both paths add the same numbers in the same order.
 
     Every run's arithmetic is that of the run alone, in the same order: each
     matmul is one (seed, run) slice, and each sum runs over a C-ordered array
@@ -235,11 +241,11 @@ def objective_and_grad(params: Snapshot, grads: Snapshot, x: np.ndarray, y: np.n
     z = h @ w.transpose(0, 2, 1) + params.out_bias[:, None]
     z_max = z.max(axis=2, keepdims=True)
     e = np.exp(z - z_max)
-    e_sum = e.sum(axis=2, keepdims=True)
+    e_sum = _sum(e, axis=2, keepdims=True)
     p = e / e_sum
     z_y = z[np.arange(runs)[:, None], np.arange(n), y]
     ce = np.subtract((z_max + np.log(e_sum))[:, :, 0], z_y, order="C")
-    l_p = ce.sum(axis=1) * (1.0 / n)
+    l_p = _sum(ce, axis=1) * (1.0 / n)
 
     # dz: gradient of the total with respect to the logits
     dz = (p - one_hot) * (1.0 / n)
@@ -251,24 +257,27 @@ def objective_and_grad(params: Snapshot, grads: Snapshot, x: np.ndarray, y: np.n
         # g_e = mean_i(sum_k p_ik z_ik - z_iy), the omega-gradient of the risk
         # at 1, for every run; dz holds no -0.0, so adding 0.0 where a run
         # has alpha == 0 leaves it as it was
-        masked = None if all(weights) else (alpha > 0.0)[:, None, None]
-        z_bar = (p * z).sum(axis=2)
+        masked = None if all(weights) else (alpha > 0.0)[:, None, None, None]
+        z_bar = _sum(p * z, axis=2)
         per_example = z_bar - z_y
         dg = p * (1.0 + z - z_bar[:, :, None]) - one_hot
-        alpha2 = alpha * 2.0
-        squares = []
-        for idx in envs:
-            if not len(idx):
-                continue
-            g = per_example.take(idx, axis=1).sum(axis=1) * (1.0 / len(idx))
-            squares.append(g * g)
-            step = dg[:, idx] * (alpha2 * g / len(idx))[:, None, None]
+        alpha2 = alpha[:, None] * 2.0
+        # blocks of (E, m) positions of E environments of m members each
+        sizes = {len(idx) for idx in envs}
+        blocks = ([np.array(envs)] if len(sizes) == 1 and 0 not in sizes
+                  else [idx[None] for idx in envs if len(idx)])
+        for idx in blocks:
+            m = idx.shape[1]
+            g = _sum(per_example.take(idx, axis=1), axis=2) * (1.0 / m)
+            step = dg.take(idx, axis=1) * (alpha2 * g / m)[..., None, None]
             if masked is not None:
                 step = np.where(masked, step, 0.0)
+            # adds in index order: environment after environment
             np.add.at(dz, (slice(None), idx), step)
-        l_irm = sum(squares, l_irm)
+            for g_e in (g * g).T:
+                l_irm = l_irm + g_e
         if masked is not None:
-            l_irm = np.where(masked[:, 0, 0], l_irm, 0.0)
+            l_irm = np.where(masked[:, 0, 0, 0], l_irm, 0.0)
         # l_p is never -0.0, so adding a term of weight 0 leaves it as it was
         total = total + alpha * l_irm
 
@@ -289,19 +298,20 @@ def objective_and_grad(params: Snapshot, grads: Snapshot, x: np.ndarray, y: np.n
         # both sides at once along axis 1: the originals' rows, then the
         # counterfactuals'; each is decomposed against its own label vector
         at, sides = group[:, None, None], used.T
-        labels = y[at, sides]
+        # for every run, take gathers the same C-ordered arrays with one index
+        labels, h_s = ((y.take(sides, axis=1), h.take(sides, axis=1)) if len(group) == runs
+                       else (y[at, sides], h[at, sides]))
         w_y = w[at, labels]
-        h_s = h[at, sides]
         q = q_k[at, labels]
-        s = (h_s * w_y).sum(axis=3)
+        s = _sum(h_s * w_y, axis=3)
         h_perp = h_s - (s / q)[..., None] * w_y
         diff = h_perp[:, 0] - h_perp[:, 1]
-        l_ocd[group] = (diff * diff).sum(axis=(1, 2)) * (1.0 / m)
+        l_ocd[group] = _sum(diff * diff, axis=(1, 2)) * (1.0 / m)
         # u = dL/dh_perp of each side (+ for the originals, - for the
         # counterfactuals); back through h_perp = h - (h.w / w.w) w
         signed = np.multiply.outer(beta[group] * 2.0 / m, _SIDE_SIGNS)
         u = diff[:, None] * signed[..., None, None]
-        t = (u * w_y).sum(axis=3)
+        t = _sum(u * w_y, axis=3)
         dh[at, sides] += u - (t / q)[..., None] * w_y
         dw = ((2.0 * s * t / (q * q))[..., None] * w_y
               - (t[..., None] * h_s + s[..., None] * u) / q[..., None])
@@ -309,11 +319,11 @@ def objective_and_grad(params: Snapshot, grads: Snapshot, x: np.ndarray, y: np.n
 
     if groups:
         total = total + beta * l_ocd
-    grads.out_bias[...] = dz.sum(axis=1)
+    _sum(dz, axis=1, out=grads.out_bias)
     da = dh * (1.0 - h * h)
     grads.embedding[...] = (x.transpose(0, 2, 1)[:, None]
                             @ da.reshape(by_seed + da.shape[1:])).reshape(grads.embedding.shape)
-    grads.enc_bias[...] = da.sum(axis=1)
+    _sum(da, axis=1, out=grads.enc_bias)
     return [LossBreakdown(*values) for values in zip(
         l_p.tolist(), l_irm.tolist(), l_ocd.tolist(), total.tolist(), n_pairs_used)]
 
@@ -329,7 +339,7 @@ def _ocd_groups(w: np.ndarray, y: np.ndarray, pairs: np.ndarray,
     weighted = beta.nonzero()[0]
     if not len(weighted):
         return [], None
-    q_k = (w * w).sum(axis=2)
+    q_k = _sum(w * w, axis=2)
     usable = q_k > DEGENERATE_NORM_EPS ** 2
     if usable.all():
         return [(weighted, pairs)], q_k

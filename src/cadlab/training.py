@@ -7,9 +7,9 @@ nothing to the invariance penalty, and a batch without a pair has a zero
 alignment term.
 The training data are featurized once, and their labels size the model:
 classes 0 to the largest label. A batch is a list of unit indices; which of
-its units are paired gives each step its rows, pairs and environments
-(``batch_index``), and the step takes the loss values and gradient in closed
-form (``losses.objective_and_grad``).
+its units are paired gives each step its rows, pairs and environments, for
+all of an epoch's steps at once (``batch_index``), and the step takes the
+loss values and gradient in closed form (``losses.objective_and_grad``).
 Runs that differ only in seed, alpha and beta (an ablation's arms over its
 seeds) train as one stack (``train_arms``): they share that preparation, the
 runs of a seed share its batches and initial values, and each step gathers
@@ -29,12 +29,16 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
-# perfbench/spans.py wraps cadlab.training.grad and .combined_loss by name
+# perfbench/spans.py wraps cadlab.training.grad, .combined_loss and .partition_environments by name
 from .autodiff import grad  # noqa: F401
-from .data import DictConfig, PairedExample, Vocab, featurize_matrix, is_int, partition_environments
+from .data import (  # noqa: F401
+    ENV_COUNTERFACTUAL, DictConfig, EmptyEnvironmentError, PairedExample, Vocab, featurize_matrix,
+    is_int, is_number, partition_environments,
+)
 from .losses import LossBreakdown, combined_loss, objective_and_grad  # noqa: F401
 from .model import ModelConfig, Snapshot, initial_values
 
@@ -66,7 +70,7 @@ class TrainConfig(DictConfig):
     epochs: int = 100
     seed: int = 0
     # the only optimizer, kept because perfbench/run.py's train config sets it;
-    # ROADMAP item 4 removes it together with that harness change
+    # ROADMAP item 5 removes it together with that harness change
     optimizer: str = "adam"
     env_mode: str = "disjoint"     # | "overlap": e_cad additionally holds the originals
     embed_dim: int = 8
@@ -76,9 +80,11 @@ class TrainConfig(DictConfig):
             if not is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         for name in ("alpha", "beta", "learning_rate"):
-            value = getattr(self, name)
-            if not (is_int(value) or isinstance(value, float) and math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            if not is_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            # random.Random seeds with the absolute value: -3 would train seed 3's run
+            raise ValueError("seed must be >= 0")
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
         for name in ("epochs", "batch_pairs", "embed_dim"):
@@ -140,8 +146,15 @@ def make_batches(units, batch_pairs: int, seed: int, epoch: int) -> list[list]:
     """
     order = list(units)
     # integer mixing only: string hashing is salted per process
-    rng = random.Random(seed * 1_000_003 + epoch)
-    rng.shuffle(order)
+    getrandbits = random.Random(seed * 1_000_003 + epoch).getrandbits
+    # random.Random.shuffle(order), with the getrandbits calls it makes on
+    # Python 3.10 to 3.13: position i swaps with an index below i + 1
+    for i in range(len(order) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        order[i], order[j] = order[j], order[i]
     return [order[i:i + batch_pairs] for i in range(0, len(order), batch_pairs)]
 
 
@@ -197,25 +210,36 @@ def unit_rows(units: list[PairedExample]) -> np.ndarray:
     return np.stack([first, np.where(paired, first + 1, -1)], axis=1)
 
 
-def batch_index(units: np.ndarray, batches: np.ndarray, env_mode: str
-                ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-    """One step of S seeds, each with its batch of unit indices (an (S, b)
-    array): the (S, rows) feature rows of each seed's batch (each unit's
-    original, then its counterfactual), the positions of each environment's
-    members among them, in sorted name order (empty for an environment
-    absent from the batch), and the (original, counterfactual) positions of
-    each pair. e_ori holds the originals and e_cad the counterfactuals, or
-    every row with env_mode "overlap", so all three follow from which of a
-    batch's units are paired. The seeds share them, taken from the first
-    seed's batch: their batches must be paired at the same positions, as
-    they are on fully paired or fully unpaired data."""
-    members = units[batches]
+def batch_index(units: np.ndarray, batches: list[list[list[int]]], env_mode: str
+                ) -> list[tuple[np.ndarray, list[np.ndarray], np.ndarray]]:
+    """The steps of S seeds, indexed at once from each seed's batches of unit
+    indices (one list per seed, as make_batches gives them; the seeds'
+    batches of a step are of one size). For each step: the (S, rows) feature
+    rows of each seed's batch (each unit's original, then its
+    counterfactual), the positions of each environment's members among them,
+    in sorted name order (empty for an environment absent from the batch),
+    and the (original, counterfactual) positions of each pair. e_ori holds
+    the originals and e_cad the counterfactuals, or every row with env_mode
+    "overlap", so all three follow from which of a batch's units are paired.
+    The seeds share them, taken from the first seed's batches: their batches
+    must be paired at the same positions, as they are on fully paired or
+    fully unpaired data."""
+    members = units[np.array([list(chain.from_iterable(seed)) for seed in batches])]
     pattern = members[0] >= 0
     rows = members[:, pattern]
+    # each member's row among all the steps' rows; a step's positions are
+    # those less the first row of its batch, the units and pairs before it
     positions = (np.cumsum(pattern) - 1).reshape(pattern.shape)
     pair_rows = positions[pattern[:, 1]]
-    e_cad = np.arange(rows.shape[1]) if env_mode == "overlap" else pair_rows[:, 1]
-    return rows, [e_cad, positions[:, 0]], pair_rows
+    ends = np.cumsum([len(batch) for batch in batches[0]])
+    bounds = [(0, 0), *zip(ends.tolist(), np.cumsum(pattern[:, 1])[ends - 1].tolist())]
+    steps = []
+    for (start, pairs_start), (end, pairs_end) in zip(bounds, bounds[1:]):
+        first, last = start + pairs_start, end + pairs_end
+        pairs = pair_rows[pairs_start:pairs_end] - first
+        e_cad = np.arange(last - first) if env_mode == "overlap" else pairs[:, 1]
+        steps.append((rows[:, first:last], [e_cad, positions[start:end, 0] - first], pairs))
+    return steps
 
 
 def _raise_if_non_finite(step: int, breakdowns: list[LossBreakdown], gradient: np.ndarray,
@@ -223,10 +247,10 @@ def _raise_if_non_finite(step: int, breakdowns: list[LossBreakdown], gradient: n
     """NonFiniteLossError for the lowest run of the stack with a non-finite
     loss component, gradient or updated parameter, checked in that order."""
     # a sum is finite only if every term is; one that overflows falls
-    # through to the checks, which find nothing (called under the step's
+    # through to the checks, which find nothing (_train_stack runs under
     # np.errstate, so the overflow does not warn)
     if math.isfinite(sum(b.l_p + b.l_irm + b.l_ocd + b.total for b in breakdowns)
-                     + gradient.sum() + theta.sum()):
+                     + np.add.reduce(gradient, None) + np.add.reduce(theta, None)):
         return
     grad_ok = np.isfinite(gradient).all(axis=1).tolist()
     params_ok = np.isfinite(theta).all(axis=1).tolist()
@@ -283,14 +307,14 @@ def train_arms(configs: list[TrainConfig], pairs: list[PairedExample],
     labels = np.array([ex.label for ex in all_examples], dtype=np.intp)
     units = unit_rows(pairs)
     paired = units[:, 1] >= 0
-    envs_checked = False
-    for run in configs:
-        if run.beta > 0.0 and not paired.any():
-            raise ValueError("beta > 0 requires counterfactual pairs in the training data")
-        if run.alpha > 0.0 and not envs_checked:
-            # raises EmptyEnvironmentError when an environment would be empty
-            partition_environments(all_examples, run.alpha, run.env_mode)
-            envs_checked = True
+    if not paired.any():
+        # no counterfactual: e_cad is empty in disjoint mode (e_ori never is)
+        for run in configs:
+            if run.beta > 0.0:
+                raise ValueError("beta > 0 requires counterfactual pairs in the training data")
+            if run.alpha > 0.0 and run.env_mode == "disjoint":
+                raise EmptyEnvironmentError(f"environment {ENV_COUNTERFACTUAL!r} is empty but "
+                                            f"the invariance weight is {run.alpha}")
 
     if vocab is None:
         vocab = Vocab.from_examples(all_examples)
@@ -321,6 +345,8 @@ def train_arms(configs: list[TrainConfig], pairs: list[PairedExample],
     return results
 
 
+# a step that overflows raises NonFiniteLossError, so numpy need not warn
+@np.errstate(over="ignore", invalid="ignore")
 def _train_stack(runs: list[TrainConfig], units: np.ndarray, features: np.ndarray,
                  labels: np.ndarray, model_cfg: ModelConfig) -> list[tuple[Checkpoint, TrainingLog]]:
     """Train the runs, seed by seed with as many runs per seed, each step on
@@ -344,19 +370,14 @@ def _train_stack(runs: list[TrainConfig], units: np.ndarray, features: np.ndarra
     step = 0
     for epoch in range(config.epochs):
         first_step = step
-        # an epoch's batches indexed before its steps train about 3% faster
-        # than each batch indexed at its step
-        steps = [batch_index(units, np.array(batches), config.env_mode)
-                 for batches in zip(*(make_batches(range(len(units)), config.batch_pairs, seed,
-                                                   epoch) for seed in seeds))]
+        steps = batch_index(units, [make_batches(range(len(units)), config.batch_pairs, seed, epoch)
+                                    for seed in seeds], config.env_mode)
         for rows, env_rows, pair_rows in steps:
-            with np.errstate(over="ignore", invalid="ignore"):
-                breakdowns = objective_and_grad(
-                    params, grads, features[rows], labels[rows], env_rows, pair_rows,
-                    alpha, beta)
-                # a non-finite step raises below, so its update is never used
-                adam_step_vector(theta, gradient, adam, config.learning_rate)
-                _raise_if_non_finite(step, breakdowns, gradient, theta)
+            breakdowns = objective_and_grad(
+                params, grads, features[rows], labels[rows], env_rows, pair_rows, alpha, beta)
+            # a non-finite step raises below, so its update is never used
+            adam_step_vector(theta, gradient, adam, config.learning_rate)
+            _raise_if_non_finite(step, breakdowns, gradient, theta)
             for log, breakdown in zip(logs, breakdowns):
                 log.steps.append(breakdown)
             step += 1

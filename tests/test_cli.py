@@ -69,7 +69,20 @@ def test_generate_bad_config_exit_1(tmp_path, capsys):
                              ({"n_pairs": 4, "n_ood": -1},
                               "n_ood and correlated_per_sentence must be >= 0"),
                              ({"n_pairs": 4, "correlated_per_sentence": -3},
-                              "n_ood and correlated_per_sentence must be >= 0")):
+                              "n_ood and correlated_per_sentence must be >= 0"),
+                             # random.Random(-5) is random.Random(5)
+                             ({"n_pairs": 4, "seed": -5}, "seed must be >= 0"),
+                             ({"n_pairs": 4, "tokens_per_group": {
+                                 "edited": 4, "nonedited": 4, "correlated": 4, "noise": 8,
+                                 "typo": 3}}, "unknown tokens_per_group keys: ['typo']"),
+                             ({"n_pairs": 4, "rho_train": True},
+                              "rho_train must be a finite number, got True"),
+                             ({"n_pairs": 4, "rho_train": "0.9"},
+                              "rho_train must be a finite number, got '0.9'"),
+                             ({"n_pairs": 4, "rho_ood": False},
+                              "rho_ood must be a finite number, got False"),
+                             ({"n_pairs": 4, "edit_scope": None},
+                              "edit_scope must be a finite number, got None")):
         _write_json(cfg, payload)
         assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
         assert f"error: bad generator config: {message}" in capsys.readouterr().err
@@ -799,9 +812,17 @@ def test_repeated_seed_or_size_exit_1(small_data, capsys, command, args, message
 
 def test_bad_seed_list_exit_1(small_data, capsys):
     tmp_path, data_dir = small_data
-    rc = main(["ablate", "--data", str(data_dir), "--seeds", "a,b",
-               "--out", str(tmp_path / "x")])
-    assert rc == 1
+    sweep = ["--sizes", "4", "--epochs", "1"]
+    for command, seeds, message in (
+            ("ablate", "a,b", "seeds must be a comma-separated integer list"),
+            # seed -3 would train seed 3's runs again, as a second seed
+            ("ablate", "-3,3", "seed must be >= 0"),
+            ("data-efficiency", "0,-1", "seed must be >= 0")):
+        rc = main([command, "--data", str(data_dir), f"--seeds={seeds}",
+                   "--out", str(tmp_path / "x"), *(sweep if command == "data-efficiency" else [])])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def _keep_train_lines(data_dir, keep):

@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import json
+import math
 import pathlib
 import random
 import sys
@@ -664,10 +665,19 @@ def test_generator_config_validation():
     with pytest.raises(DataError):
         GeneratorConfig.from_dict({"n_pairs": 10, "bogus_key": 1})
     for bad in ({"n_pairs": 10.5}, {"n_ood": -1}, {"correlated_per_sentence": -3},
-                {"seed": True}, {"tokens_per_group": {"edited": 2.5, "nonedited": 4,
-                                                      "correlated": 4, "noise": 8}}):
+                {"seed": True}, {"seed": -1}, {"tokens_per_group": {"edited": 2.5, "nonedited": 4,
+                                                                    "correlated": 4, "noise": 8}}):
         with pytest.raises(DataError):
             GeneratorConfig.from_dict(bad)
+    for name in ("rho_train", "rho_ood", "edit_scope"):
+        for value in (True, "0.5", math.nan, math.inf, [0.5]):
+            with pytest.raises(DataError, match=f"{name} must be a finite number"):
+                GeneratorConfig.from_dict({name: value})
+    with pytest.raises(DataError, match=r"unknown tokens_per_group keys: \['typo'\]"):
+        GeneratorConfig(tokens_per_group={"edited": 4, "nonedited": 4, "correlated": 4,
+                                          "noise": 8, "typo": 3})
+    # an int is a number, and rho_ood may be left to default
+    assert GeneratorConfig(rho_train=1, rho_ood=None, edit_scope=0.5).rho_ood == 0.0
     cfg = GeneratorConfig(rho_train=0.8)
     assert cfg.rho_ood == pytest.approx(0.2)
 

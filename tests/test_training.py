@@ -48,6 +48,11 @@ def test_make_batches_deterministic_and_epoch_varying():
     assert [[u.original.id for u in b] for b in b1] == [[u.original.id for u in b] for b in b2]
     b3 = make_batches(ds.train_pairs, 5, seed=7, epoch=4)
     assert [[u.original.id for u in b] for b in b1] != [[u.original.id for u in b] for b in b3]
+    # the order is random.Random.shuffle's, draw for draw, at any length
+    for n, seed, epoch in ((0, 0, 0), (1, 2, 0), (2, 0, 1), (33, 7, 3), (500, 2 ** 40, 9)):
+        order = list(range(n))
+        random.Random(seed * 1_000_003 + epoch).shuffle(order)
+        assert [u for b in make_batches(range(n), 5, seed, epoch) for u in b] == order
 
 
 def test_make_batches_whole_pairs():
@@ -111,9 +116,13 @@ def test_train_config_validation():
     with pytest.raises(ValueError, match=r"unknown train config keys: \['n_classes'\]"):
         TrainConfig.from_dict({"n_classes": 3})
     for bad in ({"alpha": math.nan}, {"beta": math.inf}, {"learning_rate": math.nan},
-                {"batch_pairs": 2.5}, {"epochs": True}, {"seed": "1"}):
+                {"batch_pairs": 2.5}, {"epochs": True}, {"seed": "1"}, {"alpha": True},
+                {"beta": "0.1"}):
         with pytest.raises(ValueError, match="must be an int|must be a finite"):
             TrainConfig.from_dict(bad)
+    # random.Random seeds with the absolute value, so seed -1 would be seed 1
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        TrainConfig(seed=-1)
     cfg = TrainConfig.from_dict(TrainConfig(alpha=0.3).to_dict())
     assert cfg.alpha == 0.3
 
@@ -235,31 +244,54 @@ def _batch_environments(members, alpha, env_mode):
     return {name: envs.get(name, []) for name in (ENV_ORIGINAL, ENV_COUNTERFACTUAL)}
 
 
+def _assert_indexes_the_batches(units, batches, step, env_mode):
+    """The positions of one step from batch_index select, from each seed's
+    rows, the members of each environment that partition_environments forms
+    of that seed's batch, in sorted name order, and the (original,
+    counterfactual) of each of its paired units."""
+    rows, env_rows, pair_rows = step
+    examples = [m for u in units for m in u.members()]
+    assert rows.shape[0] == len(batches) and len(env_rows) == 2
+    for seed_rows, batch in zip(rows, batches):
+        members = [examples[r] for r in seed_rows]
+        chosen = [units[i] for i in batch]
+        assert members == [m for u in chosen for m in u.members()]
+        envs = partition_environments(members, 0.0, env_mode)
+        assert [[members[i] for i in idx] for idx in env_rows] == [
+            envs.get(name, []) for name in sorted((ENV_ORIGINAL, ENV_COUNTERFACTUAL))]
+        assert [(members[o], members[c]) for o, c in pair_rows] == [
+            (u.original, u.counterfactual) for u in chosen if u.counterfactual is not None]
+
+
 @pytest.mark.parametrize("env_mode", ["disjoint", "overlap"])
 def test_batch_index_takes_the_environments_and_pairs_from_the_pairing(env_mode):
-    """On partly augmented units, the positions that batch_index gives
-    select, from each seed's rows, the members of each environment that
-    partition_environments forms of that seed's batch, in sorted name order,
-    and the (original, counterfactual) of each of its paired units. A batch
-    without a counterfactual has no pairs, and in disjoint mode an empty e_cad."""
+    """On partly augmented units, batch_index gives each step's positions
+    from the pairing. A batch without a counterfactual has no pairs, and in
+    disjoint mode an empty e_cad."""
     units = _paired_every(_dataset(n_pairs=12, seed=4).train_pairs, 3)
-    examples = [m for u in units for m in u.members()]
     # units 0, 3, 6 and 9 are paired: two seeds' batches paired at the same
     # positions, and a batch of unpaired units alone
     for batches in ([[4, 0, 7, 3, 2], [1, 6, 8, 9, 5]], [[1, 2, 4, 5, 7]]):
-        rows, env_rows, pair_rows = batch_index(unit_rows(units), np.array(batches), env_mode)
-        assert rows.shape[0] == len(batches) and len(env_rows) == 2
-        for seed_rows, batch in zip(rows, batches):
-            members = [examples[r] for r in seed_rows]
-            chosen = [units[i] for i in batch]
-            assert members == [m for u in chosen for m in u.members()]
-            envs = partition_environments(members, 0.0, env_mode)
-            assert [[members[i] for i in idx] for idx in env_rows] == [
-                envs.get(name, []) for name in sorted((ENV_ORIGINAL, ENV_COUNTERFACTUAL))]
-            assert [(members[o], members[c]) for o, c in pair_rows] == [
-                (u.original, u.counterfactual) for u in chosen if u.counterfactual is not None]
+        [step] = batch_index(unit_rows(units), [[b] for b in batches], env_mode)
+        _assert_indexes_the_batches(units, batches, step, env_mode)
+    rows, env_rows, pair_rows = step
     assert pair_rows.shape == (0, 2)
     assert (len(env_rows[0]) == 0) == (env_mode == "disjoint")
+
+
+@pytest.mark.parametrize("env_mode", ["disjoint", "overlap"])
+@pytest.mark.parametrize("every", [1, 3])
+def test_batch_index_indexes_every_step_of_an_epoch_at_once(env_mode, every):
+    """Every step of the seeds' make_batches, the short last one too, is
+    indexed as its batches alone are: on fully paired units for two seeds,
+    and on partly augmented units (every third unit paired) for one."""
+    units = _paired_every(_dataset(n_pairs=23, seed=5).train_pairs, every)
+    seeds = (2, 0) if every == 1 else (2,)
+    per_seed = [make_batches(range(len(units)), 4, seed, epoch=1) for seed in seeds]
+    steps = batch_index(unit_rows(units), per_seed, env_mode)
+    assert len(steps) == len(per_seed[0]) == 6
+    for step, batches in zip(steps, zip(*per_seed)):
+        _assert_indexes_the_batches(units, batches, step, env_mode)
 
 
 def _step_both_ways(units, batch, params, vocab, alpha, beta, env_mode):
@@ -275,7 +307,7 @@ def _step_both_ways(units, batch, params, vocab, alpha, beta, env_mode):
     ref_grad = np.array(grad(total, params.flat()))
 
     examples = [m for u in units for m in u.members()]
-    rows, env_rows, pair_rows = batch_index(unit_rows(units), np.array([batch]), env_mode)
+    [(rows, env_rows, pair_rows)] = batch_index(unit_rows(units), [[batch]], env_mode)
     theta = np.array([[p.value for p in params.flat()]])
     got_grad = np.zeros_like(theta)
     [got] = objective_and_grad(
@@ -592,7 +624,8 @@ def test_stacked_step_matches_autodiff_for_each_run(seed, n_classes, env_mode, n
             references.append((ref, ref_grad))
 
     examples = [m for u in units for m in u.members()]
-    rows, env_rows, pair_rows = batch_index(unit_rows(units), np.array(batches), env_mode)
+    [(rows, env_rows, pair_rows)] = batch_index(unit_rows(units), [[b] for b in batches],
+                                                env_mode)
     labels = np.array([ex.label for ex in examples])
     assert rows.shape[0] == n_seeds
     theta = np.array([[p.value for p in params.flat()] for params in all_params])
@@ -611,6 +644,44 @@ def test_stacked_step_matches_autodiff_for_each_run(seed, n_classes, env_mode, n
             assert got[r].l_ocd == 0.0 and got[r].n_pairs_used == 0
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 20), n_classes=st.sampled_from([2, 3]),
+       n_seeds=st.integers(1, 3), paired=st.booleans(),
+       arms=st.lists(st.tuples(st.sampled_from([0.0, 0.4, 1.6]), st.sampled_from([0.0, 0.1, 2.0])),
+                     min_size=1, max_size=4))
+def test_both_invariance_paths_give_the_same_step_bit_for_bit(seed, n_classes, n_seeds, paired,
+                                                              arms):
+    """Environments of one size take the invariance penalty in one set of
+    calls: both of a fully paired batch in disjoint mode, and the
+    overlapping ones of an unpaired batch in overlap mode. An extra empty
+    environment adds nothing by the per-batch rule and forces the
+    per-environment loop. Every run's breakdown and gradient are the same,
+    bit for bit, with arms of alpha 0 among them."""
+    rng = random.Random(seed)
+    ds = _dataset(n_pairs=10, seed=seed, n_classes=n_classes)
+    units = ds.train_pairs if paired else _paired_every(ds.train_pairs, 0)
+    examples = [m for u in units for m in u.members()]
+    vocab = Vocab.from_examples(examples)
+    config = ModelConfig(vocab_size=vocab.size, n_classes=n_classes, embed_dim=3)
+    batches = [[rng.sample(range(10), 6)] for _ in range(n_seeds)]
+    [(rows, env_rows, pair_rows)] = batch_index(unit_rows(units), batches,
+                                                "disjoint" if paired else "overlap")
+    assert len(env_rows[0]) == len(env_rows[1]) == 6
+    x, y = featurize_matrix(examples, vocab)[rows], np.array([ex.label for ex in examples])[rows]
+    theta = np.array([[rng.uniform(-1.0, 1.0) for _ in range(config.n_params())]
+                      for _ in range(n_seeds * len(arms))])
+    alpha, beta = (np.array([arm[i] for _ in range(n_seeds) for arm in arms]) for i in (0, 1))
+
+    def step(envs):
+        gradient = np.zeros_like(theta)
+        breakdowns = objective_and_grad(
+            Snapshot.from_flat(config, theta.copy()), Snapshot.from_flat(config, gradient),
+            x, y, envs, pair_rows, alpha, beta)
+        return [b.csv_row(0) for b in breakdowns], gradient.tobytes()
+
+    assert step(env_rows) == step(env_rows + [np.array([], dtype=np.intp)])
+
+
 def test_a_non_finite_term_of_weight_zero_leaves_its_run_untouched():
     """A run whose class-2 logit is -inf has a finite prediction loss on a
     batch without class 2, but a NaN invariance penalty. With alpha == 0 in a
@@ -619,8 +690,8 @@ def test_a_non_finite_term_of_weight_zero_leaves_its_run_untouched():
     examples = ds.train_examples()
     vocab = Vocab.from_examples(examples)
     config = ModelConfig(vocab_size=vocab.size, n_classes=3, embed_dim=4)
-    rows, env_rows, pair_rows = batch_index(unit_rows(ds.train_pairs), np.array([[0, 1, 2]]),
-                                            "disjoint")
+    [(rows, env_rows, pair_rows)] = batch_index(unit_rows(ds.train_pairs), [[[0, 1, 2]]],
+                                                "disjoint")
     x, y = featurize_matrix(examples, vocab)[rows], np.array([ex.label for ex in examples])[rows]
     assert set(y.ravel().tolist()) == {0, 1}
     theta = np.array([initial_values(config, seed) for seed in (0, 1)])
