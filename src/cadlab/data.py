@@ -17,10 +17,12 @@ json.dumps(sort_keys=True) writes. Each config class takes its dict form
 from its fields (DictConfig).
 
 Featurization has one implementation, featurize_matrix: the tokens of a list
-of examples are looked up once as integer ids (TokenIds), a mask removes ids
-with np.isin, and the L1-normalized counts are one np.bincount divided by the
-row totals. Callers that score the same examples repeatedly (the probe, the
-ablation runs) keep the TokenIds and featurize from them.
+of examples are looked up once as integer ids (TokenIds), and the
+L1-normalized counts are one np.bincount divided by the row totals. A mask
+sends its tokens to one extra column, which is then dropped, so a masked
+matrix costs what an unmasked one does. Callers that score the same examples
+repeatedly (the probe, the ablation runs) keep the TokenIds and featurize
+from them.
 
 The generator realizes a token-level feature model with four disjoint
 vocabulary groups: edited-causal tokens (replaced by the counterfactual edit),
@@ -44,6 +46,7 @@ import random
 import re
 from dataclasses import dataclass, field, fields
 from itertools import chain
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -83,6 +86,8 @@ class EmptyEnvironmentError(DataError):
 NOT_A_FILE = (FileNotFoundError, IsADirectoryError, NotADirectoryError)
 # json's scanner raises RecursionError on a value nested deeper than the stack allows
 NESTED_TOO_DEEPLY = "invalid JSON: nested too deeply"
+# the largest label a JSONL file may hold: labels are scored as int64 arrays
+LABEL_MAX = 2 ** 63 - 1
 
 
 class Example(NamedTuple):
@@ -240,6 +245,8 @@ def _read_jsonl(path) -> list[Example]:
         # json decodes integers as exact ints, so this is is_int: true and false fail it
         if type(label) is not int or label < 0:
             raise ParseError(path, line_no, f"label must be a non-negative int, got {label!r}")
+        if label > LABEL_MAX:
+            raise ParseError(path, line_no, f"label must be at most 2**63 - 1, got {label}")
         examples.append(Example(str(obj["id"]), tuple(str(obj["text"]).split()), label,
                                 str(obj["pair_id"]), variant))
     if bad is not None:
@@ -299,10 +306,10 @@ def _jsonl_line(ex: Example) -> str:
 
 # a line that _jsonl_line writes with no escape in it: each string is printable
 # ASCII but '"' and '\\', so what it captures is what json decodes, and the label
-# is a JSON int with no sign, fraction or exponent, of at most 640 digits, which
-# int() converts under any limit that sys.set_int_max_str_digits allows
+# is a JSON int with no sign, fraction or exponent, of at most 18 digits, so that
+# it is at most LABEL_MAX; a longer label goes through the per-line parse
 _STR = r'"([ !#-\[\]-~]*)"'
-_DUMPED_LINE = re.compile(rf'^\{{"id": {_STR}, "label": (0|[1-9][0-9]{{0,639}}), "pair_id": {_STR}, '
+_DUMPED_LINE = re.compile(rf'^\{{"id": {_STR}, "label": (0|[1-9][0-9]{{0,17}}), "pair_id": {_STR}, '
                           rf'"text": {_STR}, "variant": "(original|counterfactual)"\}}$', re.M)
 
 
@@ -379,16 +386,16 @@ def featurize_matrix(examples, vocab: Vocab, mask_tokens: frozenset | set | None
     never mutated); a row left without tokens is all zeros."""
     tids = examples if isinstance(examples, TokenIds) else TokenIds.from_examples(examples)
     n, V = len(tids), vocab.size
-    ids = tids.ids
     rows = np.repeat(np.arange(n), tids.lengths)
-    if mask_tokens:
-        keep = ~np.isin(ids, [i for i, t in enumerate(tids.table) if t in mask_tokens])
-        ids, rows = ids[keep], rows[keep]
-    column = np.array([vocab.index.get(t, vocab.oov_index) for t in tids.table], dtype=np.intp)
-    counts = np.bincount(rows * V + column[ids], minlength=n * V).reshape(n, V)
-    totals = np.bincount(rows, minlength=n)
+    # a masked token is counted in an extra column V, which is then dropped
+    mask = mask_tokens or ()
+    column = np.array([V if t in mask else vocab.index.get(t, vocab.oov_index)
+                       for t in tids.table], dtype=np.intp)
+    counts = np.bincount(rows * (V + 1) + column[tids.ids],
+                         minlength=n * (V + 1)).reshape(n, V + 1)
+    totals = np.bincount(rows, minlength=n) - counts[:, V]
     # integer counts over the integer row total: the exact quotient of each float division
-    return counts / np.maximum(totals, 1)[:, None]
+    return counts[:, :V] / np.maximum(totals, 1)[:, None]
 
 
 def featurize(tokens, vocab: Vocab) -> np.ndarray:
@@ -662,13 +669,24 @@ def read_groups(path) -> FeatureGroups:
 def read_dataset(data_dir) -> GeneratedDataset:
     """Load a dataset directory produced by write_dataset(). Every file but
     ood_stress.jsonl must be there; the generator config is the one that
-    made the data, since fingerprints are computed from it."""
+    made the data, since fingerprints are computed from it, and every label
+    must be one of its n_classes classes, since a model has a class for
+    every training label up to the largest."""
     import os
-    train = pair_examples(_read_jsonl(os.path.join(data_dir, "train.jsonl")))
-    ood = load_jsonl(os.path.join(data_dir, "ood.jsonl"))
+    train_path = os.path.join(data_dir, "train.jsonl")
+    train_examples = _read_jsonl(train_path)
+    train = pair_examples(train_examples)
+    ood_path = os.path.join(data_dir, "ood.jsonl")
+    ood = load_jsonl(ood_path)
     stress_path = os.path.join(data_dir, "ood_stress.jsonl")
     ood_stress = load_jsonl(stress_path) if os.path.exists(stress_path) else []
     groups = read_groups(os.path.join(data_dir, "groups.json"))
     cfg = read_json_file(os.path.join(data_dir, "generator_config.json"),
                             GeneratorConfig.from_dict)
+    for path, examples in ((train_path, train_examples), (ood_path, ood),
+                           (stress_path, ood_stress)):
+        if max(map(attrgetter("label"), examples), default=0) >= cfg.n_classes:
+            ex = next(ex for ex in examples if ex.label >= cfg.n_classes)
+            raise DataError(f"{path}: example {ex.id!r} has label {ex.label}, outside the "
+                            f"generator config's {cfg.n_classes} classes")
     return GeneratedDataset(train, ood, ood_stress, groups, cfg)

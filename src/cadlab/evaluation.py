@@ -12,9 +12,11 @@ dominate.
 
 Accuracy reports and probes score an ``EvalSet``: examples featurized once
 under one vocabulary. A runner builds the EvalSet of that OOD union once per
-call and vocabulary, before it forks, so a run costs its own training plus
-four predictions: the unmasked union, which gives both split accuracies and
-the probe baseline, and one masked matrix per probe group. Both runners
+call and vocabulary, before it forks, so a job costs the training of its
+stack plus four predictions, each of one matrix for all the stack's runs at
+once (a stacked ``Snapshot``): the unmasked union, which gives both split
+accuracies and the probe baseline, and one masked matrix per probe group.
+The labels are checked once per probe, not once per run. Both runners
 build one job list (``_protocol_rows``) from cells: a cell is a training
 set, its arms and the tag its rows carry. An ablation is one cell, and a
 data-efficiency sweep one cell per size and kind of training subset. A job
@@ -96,21 +98,23 @@ class EvalSet:
             for name in PROBE_GROUPS}
         return cls(list(examples), labels, features, masked)
 
-    def correct(self, snapshot: Snapshot, masked: str | None = None) -> np.ndarray:
-        """Per example, whether the snapshot predicts its label: from the
-        unmasked matrix, or from the one with probe group ``masked`` removed."""
+    def correct(self, snapshot: Snapshot) -> list[np.ndarray]:
+        """Per matrix, whether the snapshot predicts each example's label (an
+        (R, n) array for a snapshot of R runs): the unmasked matrix first,
+        then the masked ones in PROBE_GROUPS order, each predicted on its own."""
         n_classes = snapshot.config.n_classes
         outside = np.flatnonzero((self.labels < 0) | (self.labels >= n_classes))
         if outside.size:
             ex = self.examples[outside[0]]
             raise DataError(f"example {ex.id!r} has label {ex.label}, outside the "
                             f"model's {n_classes} classes")
-        features = self.features if masked is None else self.masked[masked]
-        return snapshot.predict_matrix(features) == self.labels
+        return [snapshot.predict_matrix(features) == self.labels
+                for features in (self.features, *self.masked.values())]
 
 
-def _accuracy(correct: np.ndarray) -> float:
-    return int(correct.sum()) / len(correct)
+def _accuracy(correct: np.ndarray) -> np.ndarray:
+    """The share of correct examples, per run of an (R, n) array."""
+    return np.add.reduce(correct, axis=-1) / correct.shape[-1]
 
 
 @dataclass
@@ -137,21 +141,23 @@ def evaluate(snapshot: Snapshot, examples, vocab: Vocab, split: str = "",
     if not examples:
         raise ValueError("evaluate needs a non-empty example list")
     scored = EvalSet.build(examples, vocab)
-    correct = scored.correct(snapshot)
+    [correct] = scored.correct(snapshot)
     labels = scored.labels
     n_classes = snapshot.config.n_classes
     n_per_class = np.bincount(labels, minlength=n_classes)
     correct_per_class = np.bincount(labels[correct], minlength=n_classes)
     per_class = {int(c): int(correct_per_class[c]) / int(n_per_class[c])
                  for c in np.flatnonzero(n_per_class)}
-    return EvalReport(split=split, accuracy=_accuracy(correct), n=len(examples),
+    return EvalReport(split=split, accuracy=_accuracy(correct).tolist(), n=len(examples),
                       per_class_accuracy=per_class, fingerprint=fingerprint)
 
 
 @dataclass
 class RelianceProbe:
-    baseline_accuracy: float
-    drops: dict[str, float]      # group name -> baseline - masked accuracy
+    """A probe's results; of a stacked snapshot, each accuracy and drop is a
+    list with one value per run, and ``correct`` has one row per run."""
+    baseline_accuracy: float | list[float]
+    drops: dict[str, float | list[float]]      # group name -> baseline - masked accuracy
     n: int
     # per example, whether the unmasked baseline predicted it right
     correct: np.ndarray = field(repr=False, compare=False)
@@ -168,18 +174,18 @@ def myopia_probe(snapshot: Snapshot, examples, groups: FeatureGroups,
     examples is a list of examples or an EvalSet built from them with these
     groups and this vocabulary, which a caller that probes many snapshots on
     the same examples builds once. Masking happens at featurization time; the
-    examples are never mutated. Each matrix is predicted once.
+    examples are never mutated. Each matrix is predicted once, for all the
+    runs of a stacked snapshot at a time.
     """
     if not isinstance(examples, EvalSet):
         if not examples:
             raise ValueError("probe needs a non-empty example list")
         examples = EvalSet.build(examples, vocab, groups)
-    correct = examples.correct(snapshot)
+    correct, *masked = examples.correct(snapshot)
     baseline = _accuracy(correct)
-    drops = {name: baseline - _accuracy(examples.correct(snapshot, name))
-             for name in PROBE_GROUPS}
-    return RelianceProbe(baseline_accuracy=baseline, drops=drops, n=len(correct),
-                         correct=correct)
+    drops = {name: (baseline - _accuracy(c)).tolist() for name, c in zip(PROBE_GROUPS, masked)}
+    return RelianceProbe(baseline_accuracy=baseline.tolist(), drops=drops,
+                         n=correct.shape[-1], correct=correct)
 
 
 def sign_test_p(wins: int, losses: int) -> float:
@@ -210,30 +216,30 @@ def run_single(configs: list[TrainConfig], dataset: GeneratedDataset, vocab: Voc
     config, in config order.
 
     ood is ood_eval_set(dataset, vocab), which runners build once for all
-    their runs. The probe predicts the union once; its first len(dataset.ood)
-    rows give acc_ood and the rest acc_ood_stress.
+    their runs. One probe scores all the checkpoints, stacked, and predicts
+    the union once; its first len(dataset.ood) columns give acc_ood and the
+    rest acc_ood_stress.
     """
-    rows = []
+    checkpoints = [checkpoint for checkpoint, _ in train_arms(configs, dataset.train_pairs,
+                                                              vocab=vocab)]
+    probe = myopia_probe(Snapshot.stack([checkpoint.snapshot for checkpoint in checkpoints]),
+                         ood, dataset.groups, vocab)
     n_ood = len(dataset.ood)
-    for config, (checkpoint, _) in zip(configs, train_arms(configs, dataset.train_pairs,
-                                                           vocab=vocab)):
-        probe = myopia_probe(checkpoint.snapshot, ood, dataset.groups, vocab)
-        acc_ood = _accuracy(probe.correct[:n_ood])
-        acc_stress = _accuracy(probe.correct[n_ood:])
-        rows.append({
-            "seed": config.seed,
-            "alpha": config.alpha,
-            "beta": config.beta,
-            "train_accuracy": checkpoint.train_accuracy,
-            "checkpoint_epoch": checkpoint.epoch,
-            "acc_ood": acc_ood,
-            "acc_ood_stress": acc_stress,
-            "mean_ood": (acc_ood + acc_stress) / 2.0,
-            "drop_edited_causal": probe.drops["edited_causal"],
-            "drop_nonedited_causal": probe.drops["nonedited_causal"],
-            "drop_correlated": probe.drops["correlated"],
-        })
-    return rows
+    acc_ood = _accuracy(probe.correct[:, :n_ood]).tolist()
+    acc_stress = _accuracy(probe.correct[:, n_ood:]).tolist()
+    return [{
+        "seed": config.seed,
+        "alpha": config.alpha,
+        "beta": config.beta,
+        "train_accuracy": checkpoint.train_accuracy,
+        "checkpoint_epoch": checkpoint.epoch,
+        "acc_ood": acc_ood[r],
+        "acc_ood_stress": acc_stress[r],
+        "mean_ood": (acc_ood[r] + acc_stress[r]) / 2.0,
+        "drop_edited_causal": probe.drops["edited_causal"][r],
+        "drop_nonedited_causal": probe.drops["nonedited_causal"][r],
+        "drop_correlated": probe.drops["correlated"][r],
+    } for r, (config, checkpoint) in enumerate(zip(configs, checkpoints))]
 
 
 @cache

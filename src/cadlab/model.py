@@ -7,8 +7,9 @@ representation against its gold label vector feeds the pair-alignment loss.
 
 Parameters have two forms. Training and evaluation use a Snapshot: numpy
 arrays that can be views into one flat float64 vector, or into the rows of a
-matrix that stacks several runs (``Snapshot.from_flat``), so an optimizer
-updates them in place, and every prediction is ``Snapshot.predict_matrix``.
+matrix that stacks several runs (``Snapshot.from_flat``, ``Snapshot.stack``),
+so an optimizer updates them in place, and every prediction is
+``Snapshot.predict_matrix``, which predicts for every run of a stack at once.
 ModelParams holds the same values as scalar graph Nodes for the autodiff
 reference, which checks the closed-form training gradient; only it has the
 optional hidden layer. Both start from ``initial_values``.
@@ -142,15 +143,39 @@ class Snapshot:
             start += size
         return cls(config=config, **parts)
 
+    @classmethod
+    def stack(cls, snapshots: list["Snapshot"]) -> "Snapshot":
+        """One Snapshot of several runs of one config: run r's arrays at index r."""
+        config = snapshots[0].config
+        return cls(config, **{name: np.stack([getattr(s, name) for s in snapshots])
+                              for name in config.param_shapes()})
+
+    # A stacked Snapshot gives one row of results per run: features @ the (R, V, d)
+    # embedding is R products of features @ that run's (V, d) matrix, each the
+    # one the run's own Snapshot makes, so each run's results are its own bit for bit.
     def encode_matrix(self, features: np.ndarray) -> np.ndarray:
-        return np.tanh(features @ self.embedding + self.enc_bias)
+        h = features @ self.embedding
+        h += self.enc_bias[..., None, :]
+        return np.tanh(h, out=h)
 
     def logits_matrix(self, features: np.ndarray) -> np.ndarray:
-        return self.encode_matrix(features) @ self.classifier.T + self.out_bias
+        z = self.encode_matrix(features) @ np.swapaxes(self.classifier, -1, -2)
+        z += self.out_bias[..., None, :]
+        return z
 
     def predict_matrix(self, features: np.ndarray) -> np.ndarray:
-        # argmax breaks ties toward the lowest class index
-        return np.argmax(self.logits_matrix(features), axis=1)
+        """The class of each row's largest logit, as np.argmax over the class
+        axis gives it: the lowest index on ties, and the first NaN if there
+        is one. A comparison per class costs less than argmax's loop per row."""
+        z = self.logits_matrix(features)
+        pred = np.zeros(z.shape[:-1], dtype=np.intp)
+        best = z[..., 0]
+        for k in range(1, z.shape[-1]):
+            # class k takes over unless it is <= the best, or the best is NaN
+            take = ~(z[..., k] <= best) & (best == best)
+            pred = np.where(take, k, pred)
+            best = np.where(take, z[..., k], best)
+        return pred
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ operations. The list-based ``adam_step`` updates scalar
 graph leaves and serves, with ``combined_loss`` and ``autodiff.grad``, as the
 reference that the tests check this path against. Given (seed, config, data), every logged
 number is reproducible bit-for-bit. The checkpoint is always the epoch with
-the best train accuracy, the earliest on ties.
+the best train accuracy, the earliest on ties; each epoch's train accuracy
+is predicted for all the runs of a stack at once.
 """
 
 from __future__ import annotations
@@ -198,8 +199,12 @@ def adam_step_vector(theta: np.ndarray, g: np.ndarray, state: AdamState, lr: flo
     theta -= lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + eps)
 
 
-def train_accuracy(snapshot: Snapshot, features: np.ndarray, labels: np.ndarray) -> float:
-    return int((snapshot.predict_matrix(features) == labels).sum()) / len(labels)
+def train_accuracy(snapshot: Snapshot, features: np.ndarray, labels: np.ndarray
+                   ) -> float | list[float]:
+    """The share of the labels that the snapshot predicts; one per run of a
+    stacked snapshot."""
+    return (np.add.reduce(snapshot.predict_matrix(features) == labels, axis=-1)
+            / len(labels)).tolist()
 
 
 def unit_rows(units: list[PairedExample]) -> np.ndarray:
@@ -382,9 +387,7 @@ def _train_stack(runs: list[TrainConfig], units: np.ndarray, features: np.ndarra
                 log.steps.append(breakdown)
             step += 1
 
-        for r, log in enumerate(logs):
-            snap = Snapshot.from_flat(model_cfg, theta[r].copy())
-            acc = train_accuracy(snap, features, labels)
+        for r, (log, acc) in enumerate(zip(logs, train_accuracy(params, features, labels))):
             epoch_breakdowns = log.steps[first_step:]
             n = len(epoch_breakdowns)
             log.epochs.append(EpochSummary(
@@ -397,5 +400,6 @@ def _train_stack(runs: list[TrainConfig], units: np.ndarray, features: np.ndarra
             ))
             # strict > keeps the earliest epoch on ties
             if best[r] is None or acc > best[r].train_accuracy:
-                best[r] = Checkpoint(snapshot=snap, epoch=epoch, train_accuracy=acc)
+                best[r] = Checkpoint(snapshot=Snapshot.from_flat(model_cfg, theta[r].copy()),
+                                     epoch=epoch, train_accuracy=acc)
     return list(zip(best, logs))

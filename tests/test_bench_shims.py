@@ -91,7 +91,8 @@ def test_shimmed_calls_record_spans(shims):
     assert by_name["losses.combined"][0][7] == {"examples": len(batch)}
     assert {"autodiff.grad", "autodiff.grad2", "autodiff.toposort", "autodiff.backward",
             "evaluation.run_single", "evaluation.probe", "model.predict_matrix",
-            "training.make_batches", "data.featurize_matrix"} <= set(by_name)
+            "training.make_batches", "training.train_accuracy",
+            "data.featurize_matrix"} <= set(by_name)
     arms = {span[7]["arm"] for span in by_name["training.train"]}
     assert arms == {"full", "no_irm", "no_ocd", "neither"}
     assert not tracer.stack

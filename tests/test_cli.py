@@ -319,6 +319,9 @@ BROKEN_DATA_FILES = [
                  id="train-not_object_line"),
     pytest.param("train.jsonl", b'{"id": "\xff"}\n', "train.jsonl:1: not UTF-8 text",
                  id="train-not_utf8"),
+    pytest.param("train.jsonl", '{"id": "a", "label": 1%s, "pair_id": "a", "text": "x", '
+                 '"variant": "original"}\n' % ("0" * 25),
+                 "train.jsonl:1: label must be at most 2**63 - 1", id="train-oversized_label"),
     pytest.param("", "", "Not a directory", id="data_directory-a_file"),
 ]
 
@@ -340,6 +343,35 @@ def test_broken_dataset_file_exit_1(small_data, capsys, command, name, content, 
     err = capsys.readouterr().err
     assert rc == 1, err
     assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(DATA_COMMANDS))
+@pytest.mark.parametrize("split", ["train", "ood", "ood_stress"])
+def test_a_label_outside_the_generator_classes_exits_1_before_training(
+        small_data, capsys, monkeypatch, command, split):
+    """A model has a class for every training label up to the largest, so a
+    label of 10**9 would size it at about 10**10 parameters: every split's
+    labels are checked against the generator config's n_classes first."""
+    tmp_path, data_dir = small_data
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("training started on labels outside the generator's classes")
+
+    monkeypatch.setattr(cadlab.training, "train_arms", must_not_run)
+    monkeypatch.setattr(cadlab.evaluation, "train_arms", must_not_run)
+    monkeypatch.setattr(cadlab.training, "initial_values", must_not_run)
+    path = data_dir / f"{split}.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    records[1]["label"] = 10 ** 9      # in train.jsonl, the counterfactual of a pair of label 0
+    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+    out = tmp_path / "out"
+    rc = main([command, "--data", str(data_dir), "--out", str(out), "--epochs", "1",
+               *DATA_COMMANDS[command]])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert (f"{path}: example {records[1]['id']!r} has label 1000000000, outside the "
+            f"generator config's 2 classes") in err, err
     assert not out.exists()
 
 
@@ -478,12 +510,19 @@ def test_malformed_checkpoint_exit_code(trained, capsys, command, name, edit, co
     assert err.startswith(f"error: bad checkpoint {bad}: ") and message in err, err
 
 
-@pytest.mark.parametrize("command", ["eval", "probe"])
-def test_label_outside_model_classes_exit_1(trained, capsys, command):
+# a label of the model's classes or beyond, and one that no int64 holds (line 2 of the file)
+@pytest.mark.parametrize("command, label, message", [
+    pytest.param(command, label, message, id=command + suffix)
+    for command in ("eval", "probe")
+    for label, message, suffix in (
+        (7, "example {id!r} has label 7, outside the model's 2 classes", ""),
+        (10 ** 25, "bad_labels.jsonl:2: label must be at most 2**63 - 1, got 10" + "0" * 24,
+         "-oversized"))])
+def test_label_outside_model_classes_exit_1(trained, capsys, command, label, message):
     tmp_path, data_dir, ckpt = trained
     lines = (data_dir / "ood.jsonl").read_text().splitlines()
     row = json.loads(lines[0])
-    row["label"] = 7
+    row["label"] = label
     data = tmp_path / "bad_labels.jsonl"
     data.write_text("\n".join([lines[1], json.dumps(row)] + lines[2:]) + "\n")
     capsys.readouterr()
@@ -491,7 +530,7 @@ def test_label_outside_model_classes_exit_1(trained, capsys, command):
     rc = main([command, "--checkpoint", str(ckpt), "--data", str(data), *groups])
     err = capsys.readouterr().err
     assert rc == 1, err
-    assert f"example {row['id']!r} has label 7, outside the model's 2 classes" in err, err
+    assert message.format(id=row["id"]) in err, err
 
 
 # a groups.json whose edited_causal group is given as value

@@ -306,24 +306,22 @@ def test_a_label_longer_than_int_converts_is_a_parse_error_at_its_line(tmp_path,
     assert outcome == per_line == (ParseError, f"{p}:2: {_too_long(digits)}", 2)
 
 
-def test_the_one_pass_read_takes_a_label_of_at_most_640_digits(tmp_path):
-    """640 digits is the lowest limit that sys.set_int_max_str_digits
-    allows, so the one-pass read never meets a label that int() cannot
-    convert; a longer label goes through the per-line parse."""
-    labels = [int("9" * 640), int("9" * 641)]
+def test_the_one_pass_read_takes_a_label_of_at_most_18_digits(tmp_path):
+    """Every 18-digit label fits an int64, so the one-pass read takes it; a
+    longer label goes through the per-line parse, which takes labels up to
+    2**63 - 1 and rejects a larger one at its line."""
+    labels = [int("9" * 18), 2 ** 63 - 1, 2 ** 63]
     lines = [data._jsonl_line(Example(str(i), ("x",), label, str(i), "original"))
              for i, label in enumerate(labels)]
+    assert [ex.label for ex in data._read_dumped(lines[0])] == labels[:1]
+    assert data._read_dumped(lines[1]) is None
     p = tmp_path / "d.jsonl"
+    p.write_text("".join(lines[:2]))
+    assert [ex.label for ex in data._read_jsonl(p)] == labels[:2]
     p.write_text("".join(lines))
-    default = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    try:
-        assert [ex.label for ex in data._read_dumped(lines[0])] == labels[:1]
-        assert data._read_dumped(lines[1]) is None
-        outcome, per_line = _outcome_and_per_line_outcome(p)
-    finally:
-        sys.set_int_max_str_digits(default)
-    assert outcome == per_line == (ParseError, f"{p}:2: {_too_long(640)}", 2)
+    outcome, per_line = _outcome_and_per_line_outcome(p)
+    assert outcome == per_line == (
+        ParseError, f"{p}:3: label must be at most 2**63 - 1, got {2 ** 63}", 3)
 
 
 _AWKWARD = ["caf\u00e9 \u20ac", 'say "hi"', "back\\slash", "ctl\x00\x1f\x7f\t\r", "sep\u2028\u2029",

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import re
@@ -8,15 +9,17 @@ import threading
 from dataclasses import replace
 from functools import partial
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cadlab import evaluation
 from cadlab.data import DataError, GeneratorConfig, PairedExample, Vocab, generate_cad
 from cadlab.evaluation import (
-    config_fingerprint, evaluate, myopia_probe, ood_eval_set, rows_to_csv, run_ablation,
-    run_data_efficiency, run_single, sign_test_p, write_report,
+    ABLATION_ARMS, config_fingerprint, evaluate, myopia_probe, ood_eval_set, rows_to_csv,
+    run_ablation, run_data_efficiency, run_single, sign_test_p, write_report,
 )
-from cadlab.model import ModelConfig, ModelParams
+from cadlab.model import ModelConfig, ModelParams, Snapshot, initial_values
 from cadlab.training import TrainConfig, train
 
 
@@ -396,6 +399,66 @@ def test_run_single_scores_each_split_from_one_ood_eval_set():
     assert row["acc_ood_stress"] == evaluate(snap, ds.ood_stress, vocab).accuracy
     probe = myopia_probe(snap, ds.ood + ds.ood_stress, ds.groups, vocab)
     assert {name: row[f"drop_{name}"] for name in probe.drops} == probe.drops
+
+
+@settings(max_examples=40, deadline=None)
+@given(runs=st.integers(1, 8), n_classes=st.sampled_from([2, 3]), seed=st.integers(0, 1000))
+def test_a_stacked_snapshot_predicts_each_matrix_as_each_run_alone(runs, n_classes, seed):
+    ds = _dataset(n_pairs=6, n_ood=9, n_classes=n_classes, seed=seed)
+    vocab = Vocab.from_examples(ds.train_examples())
+    ood = ood_eval_set(ds, vocab)
+    config = ModelConfig(vocab_size=vocab.size, n_classes=n_classes, embed_dim=3)
+    theta = np.array([initial_values(config, seed + r) for r in range(runs)])
+    snapshots = [Snapshot.from_flat(config, theta[r].copy()) for r in range(runs)]
+    assert len(ood.masked) == 3
+    # stacked copies, as run_single probes them, and views into the rows of
+    # one matrix, as a training stack scores its train accuracy
+    for stacked in (Snapshot.stack(snapshots), Snapshot.from_flat(config, theta)):
+        for features in (ood.features, *ood.masked.values()):
+            logits = stacked.logits_matrix(features)
+            predictions = stacked.predict_matrix(features)
+            assert predictions.shape == (runs, len(features))
+            for r, snapshot in enumerate(snapshots):
+                assert logits[r].tobytes() == snapshot.logits_matrix(features).tobytes()
+                assert predictions[r].tobytes() == snapshot.predict_matrix(features).tobytes()
+
+
+_LOGIT = st.sampled_from([-np.inf, -1.0, 0.0, 0.5, 1.0, np.inf, np.nan])
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4)),
+       data=st.data())
+def test_predict_matrix_takes_argmaxs_class_on_ties_infinities_and_nans(shape, data):
+    size = math.prod(shape)
+    logits = np.array(data.draw(st.lists(_LOGIT, min_size=size, max_size=size))).reshape(shape)
+    snapshot = Snapshot.stack([_zero_params(Vocab(["a"])).snapshot()])
+    snapshot.logits_matrix = lambda features: logits
+    assert snapshot.predict_matrix(None).tolist() == np.argmax(logits, axis=-1).tolist()
+
+
+@settings(max_examples=12, deadline=None)
+@given(seeds=st.lists(st.integers(0, 50), min_size=1, max_size=2, unique=True),
+       arms=st.integers(1, 4), n_classes=st.sampled_from([2, 3]))
+def test_run_single_rows_are_each_runs_own_probe(seeds, arms, n_classes):
+    """run_single probes every checkpoint of its stack at once; each row is
+    what the run's own checkpoint, probed alone, gives."""
+    ds = _dataset(n_pairs=9, n_ood=12, n_classes=n_classes)
+    vocab = Vocab.from_examples(ds.train_examples())
+    ood = ood_eval_set(ds, vocab)
+    configs = [_fast_config(seed=seed, batch_pairs=4, **changes)
+               for seed in seeds for _, changes in ABLATION_ARMS[:arms]]
+    rows = run_single(configs, ds, vocab, ood)
+    assert len(rows) == len(configs)
+    n_ood, n_stress = len(ds.ood), len(ds.ood_stress)
+    for config, row in zip(configs, rows):
+        checkpoint, _ = train(config, ds.train_pairs, vocab=vocab)
+        probe = myopia_probe(checkpoint.snapshot, ood, ds.groups, vocab)
+        assert row["train_accuracy"] == checkpoint.train_accuracy
+        assert row["checkpoint_epoch"] == checkpoint.epoch
+        assert row["acc_ood"] == int(probe.correct[:n_ood].sum()) / n_ood
+        assert row["acc_ood_stress"] == int(probe.correct[n_ood:].sum()) / n_stress
+        assert {name: row[f"drop_{name}"] for name in probe.drops} == probe.drops
 
 
 def test_run_data_efficiency_structure():
