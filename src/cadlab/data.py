@@ -45,7 +45,8 @@ import math
 import random
 import re
 from dataclasses import dataclass, field, fields
-from itertools import chain
+from collections import defaultdict
+from itertools import chain, count
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -364,12 +365,17 @@ class TokenIds:
     @classmethod
     def from_tokens(cls, token_lists) -> "TokenIds":
         token_lists = list(token_lists)
-        flat = list(chain.from_iterable(token_lists))
-        table = tuple(sorted(set(flat)))
-        index = {t: i for i, t in enumerate(table)}
-        ids = np.fromiter(map(index.__getitem__, flat), dtype=np.intp, count=len(flat))
+        # one pass gives each token an id in first-seen order, and the
+        # sorted table renumbers them
+        first_seen = defaultdict(count().__next__)
+        ids = np.fromiter(map(first_seen.__getitem__, chain.from_iterable(token_lists)),
+                          dtype=np.intp)
+        seen = list(first_seen)
+        order = sorted(range(len(seen)), key=seen.__getitem__)
+        renumber = np.empty(len(seen), dtype=np.intp)
+        renumber[order] = np.arange(len(seen))
         lengths = np.fromiter(map(len, token_lists), dtype=np.intp, count=len(token_lists))
-        return cls(table, ids, lengths)
+        return cls(tuple(seen[i] for i in order), renumber[ids], lengths)
 
     @classmethod
     def from_examples(cls, examples) -> "TokenIds":
@@ -393,7 +399,7 @@ def featurize_matrix(examples, vocab: Vocab, mask_tokens: frozenset | set | None
                        for t in tids.table], dtype=np.intp)
     counts = np.bincount(rows * (V + 1) + column[tids.ids],
                          minlength=n * (V + 1)).reshape(n, V + 1)
-    totals = np.bincount(rows, minlength=n) - counts[:, V]
+    totals = tids.lengths - counts[:, V]
     # integer counts over the integer row total: the exact quotient of each float division
     return counts[:, :V] / np.maximum(totals, 1)[:, None]
 

@@ -41,6 +41,7 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 from functools import cache, partial
+from itertools import chain
 
 import numpy as np
 
@@ -318,33 +319,34 @@ def _check_distinct(values: list[int], what: str) -> None:
         raise ValueError(f"{what} must be distinct, got {list(values)}")
 
 
-def _check_labels(dataset: GeneratedDataset, subsets: list) -> None:
-    """Check each subset, a (name, training units) pair, against the OOD
-    splits' largest label. A run sizes its model from its training labels,
-    so training labels that stop below that label would fail only once the
-    runs had trained and their OOD examples were scored."""
-    top_ood = max((ex.label for ex in dataset.ood + dataset.ood_stress), default=0)
-    for what, units in subsets:
-        if max((m.label for u in units for m in u.members()), default=top_ood) < top_ood:
-            raise ValueError(f"{what} lacks the OOD label {top_ood}")
-
-
 def _protocol_rows(base_config: TrainConfig, cells: list, seeds: list[int],
                    workers: int) -> list[dict]:
     """The rows of a protocol: one run per cell, arm and seed, where a cell
-    is (dataset, arms, tag) and an arm is (name, changes to the base config).
+    is (name, dataset, arms, tag) and an arm is (name, changes to the base
+    config). The cells share their OOD splits.
 
-    Each cell's vocabulary comes from its training split, and the OOD union
-    is featurized once per distinct vocabulary. A job is one run_single call
-    on one cell's arms over the next SEEDS_PER_JOB seeds of the list, with
-    the configs seed by seed in arm order, so it trains them as one stack.
-    The jobs go cell by cell through _run_jobs, and each row gets its arm
-    and its cell's tag here in the parent.
+    Each cell's vocabulary comes from its training split. A run sizes its
+    model from its training labels, so before any run, every cell whose
+    training labels stop below the OOD splits' largest label fails, the
+    first one in cell order; one walk over a cell's training examples gives
+    both. The OOD union is featurized once per distinct vocabulary. A job is
+    one run_single call on one cell's arms over the next SEEDS_PER_JOB seeds
+    of the list, with the configs seed by seed in arm order, so it trains
+    them as one stack. The jobs go cell by cell through _run_jobs, and each
+    row gets its arm and its cell's tag here in the parent.
     """
+    first = cells[0][1]
+    top_ood = max((ex.label for ex in first.ood + first.ood_stress), default=0)
+    vocabs = []
+    for what, dataset, _, _ in cells:
+        # one walk: zip gives each Example field across the examples
+        _, tokens, train_labels, _, _ = list(zip(*dataset.train_examples())) or [()] * 5
+        if max(train_labels, default=top_ood) < top_ood:
+            raise ValueError(f"{what} lacks the OOD label {top_ood}")
+        vocabs.append(Vocab(chain.from_iterable(tokens)))
     ood_sets: dict[tuple[str, ...], EvalSet] = {}
     jobs, labels = [], []
-    for dataset, arms, tag in cells:
-        vocab = Vocab.from_examples(dataset.train_examples())
+    for (_, dataset, arms, tag), vocab in zip(cells, vocabs):
         if vocab.tokens not in ood_sets:
             ood_sets[vocab.tokens] = ood_eval_set(dataset, vocab)
         for i in range(0, len(seeds), SEEDS_PER_JOB):
@@ -373,8 +375,8 @@ def run_ablation(base_config: TrainConfig, dataset: GeneratedDataset,
     _check_distinct(seeds, "seeds")
     if len(seeds) < 2:
         raise ValueError("ablation needs at least 2 seeds")
-    _check_labels(dataset, [("the training data", dataset.train_pairs)])
-    rows = _protocol_rows(base_config, [(dataset, ABLATION_ARMS, {})], seeds, workers)
+    rows = _protocol_rows(base_config, [("the training data", dataset, ABLATION_ARMS, {})],
+                          seeds, workers)
     fingerprint = config_fingerprint({
         "protocol": "ablation",
         "config": base_config.to_dict(),
@@ -425,25 +427,24 @@ def run_data_efficiency(base_config: TrainConfig, dataset: GeneratedDataset,
     _check_distinct(sizes, "sizes")
     _check_distinct(seeds, "seeds")
 
-    cells, subsets = [], []
+    cells = []
     for s in sizes:
         for kind in ("pairs", "unaugmented"):
             pairs = (paired[:s // 2] if kind == "pairs"
                      else [PairedExample(u.original) for u in units[:s]])
-            subsets.append((f"size {s}: the {kind} subset", pairs))
             members = [m for u in pairs for m in u.members()]
             tag = {"size": s, "n_train_examples": len(members),
                    "n_counterfactuals": sum(1 for m in members if m.variant == "counterfactual")}
             arms = [(arm, changes) for arm, changes, of in DATA_EFFICIENCY_ARMS if of == kind]
-            cells.append((replace(dataset, train_pairs=pairs), arms, tag))
-    _check_labels(dataset, subsets)
+            cells.append((f"size {s}: the {kind} subset", replace(dataset, train_pairs=pairs),
+                          arms, tag))
     try:
         rows = _protocol_rows(base_config, cells, seeds, workers)
     except NonFiniteLossError:
         # a stack reports its first failing seed; the sweep reports its
         # first failing run in row order
         _run_jobs([partial(train, replace(base_config, **changes, seed=seed), subset.train_pairs)
-                   for subset, arms, _ in cells for _, changes in arms for seed in seeds], 1)
+                   for _, subset, arms, _ in cells for _, changes in arms for seed in seeds], 1)
         raise
     arm_order = [arm for arm, _, _ in DATA_EFFICIENCY_ARMS]
     rows = sorted(rows, key=lambda row: (

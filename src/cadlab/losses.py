@@ -9,7 +9,12 @@ representations and the label vectors it projects them against.
 
 Two implementations compute the same objective. ``objective_and_grad`` gives
 the loss values and the full parameter gradient of one step in closed form
-with numpy; training uses it. ``combined_loss`` builds the objective as a
+with numpy; training uses it. A step does only the arithmetic that reads the
+parameters: what depends only on its batch (each run's labels and their
+one-hot, the environment blocks, the pairs' labels and rows) comes in a
+``Batch``, built for a whole epoch at once, and what depends only on the
+stack of runs (the weights and what follows from them, the parameter and
+gradient views) in a ``Stack``, built once. ``combined_loss`` builds the objective as a
 scalar graph: a differentiable backward pass computes the invariance
 gradient, so the penalty itself stays differentiable, and ``autodiff.grad``
 then gives the parameter gradient. It is the reference that checks the
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -195,156 +201,213 @@ _SIDE_SIGNS = np.array([1.0, -1.0])   # the sign of each side's share of u
 _sum = np.add.reduce
 
 
-def objective_and_grad(params: Snapshot, grads: Snapshot, x: np.ndarray, y: np.ndarray,
-                       envs: list[np.ndarray], pairs: np.ndarray,
-                       alpha: np.ndarray, beta: np.ndarray) -> list[LossBreakdown]:
-    """combined_loss and its gradient in closed form, for one step of R runs
-    over the batches of S seeds.
+class Stack:
+    """What every step of a stack needs from the stack alone, built once per
+    stack: R runs, seed by seed with R / S of them for each of S seeds.
 
-    params and grads hold the R runs' arrays along a leading run axis (views
-    into the rows of (R, n_params) matrices); the gradient is written into
-    grads. alpha and beta hold each run's non-negative weights. The runs come
-    seed by seed, R / S of them per seed, and each trains on its seed's rows:
-    x holds the (S, n, V) feature rows and y their (S, n) labels. The seeds'
-    batches agree in structure, so envs lists, in sorted environment-name
-    order, the row positions of each environment in every seed's rows, and
-    pairs is an (m, 2) array of the row positions of each (original,
-    counterfactual) pair. The model has no hidden layer. A run whose weight
-    is 0 gets exactly 0 for that term and no share of its gradient, even
-    where the term is not finite. Returns one LossBreakdown per run; the
-    values are those of combined_loss.
+    params and grads hold the runs' arrays along a leading run axis (views
+    into the rows of (R, n_params) matrices, which the optimizer updates in
+    place, so the views here stay valid); the embedding views are split by
+    seed. alpha and beta hold each run's non-negative weights; with them go
+    2 * alpha, the runs with alpha == 0, whose invariance terms are set to
+    0, and the runs with beta > 0 with their share of the pair-alignment
+    gradient per pair count."""
 
-    Environments of one non-empty size (both, in a fully paired batch in
-    disjoint mode) take the invariance penalty in one set of array calls,
-    others one at a time; both paths add the same numbers in the same order.
+    def __init__(self, params: Snapshot, grads: Snapshot, alpha: np.ndarray, beta: np.ndarray,
+                 n_seeds: int):
+        runs = len(alpha)
+        self.n_classes = params.classifier.shape[1]
+        self.runs_per_seed = runs // n_seeds
+        # (seed, run of the seed): splitting the run axis never copies, so
+        # these are views too
+        self.by_seed = (n_seeds, self.runs_per_seed)
+        self.embedding = params.embedding.reshape(self.by_seed + params.embedding.shape[1:])
+        self.grad_embedding = grads.embedding.reshape(self.by_seed + grads.embedding.shape[1:])
+        self.enc_bias = params.enc_bias[:, None]
+        self.classifier_t = params.classifier.transpose(0, 2, 1)
+        self.out_bias = params.out_bias[:, None]
+        self.run_index = np.arange(runs)
+        self.zeros = np.zeros(runs)
+        self.alpha = alpha
+        self.beta = beta
+        self.irm = bool(alpha.any())
+        self.alpha2 = alpha[:, None] * 2.0
+        # where a run has alpha == 0 its invariance terms are replaced by 0
+        self.irm_kept = None if alpha.all() else (alpha > 0.0)[:, None, None, None]
+        # the weights are never negative
+        self.weighted = beta.nonzero()[0]
+        self.weighted_at = self.weighted[:, None, None]
+        self._side_factors: dict[int, np.ndarray] = {}
+
+    def side_factor(self, group: np.ndarray, m: int) -> np.ndarray:
+        """2 * beta / m of each run of the group, times each side's sign (+
+        for the originals, - for the counterfactuals), shaped to scale the
+        group's (runs, 2, m, d) distances; kept per pair count m for the
+        runs with beta > 0."""
+        if group is not self.weighted:
+            return _side_factor(self.beta[group], m)
+        factor = self._side_factors.get(m)
+        if factor is None:
+            factor = self._side_factors[m] = _side_factor(self.beta[group], m)
+        return factor
+
+
+def _side_factor(beta: np.ndarray, m: int) -> np.ndarray:
+    return np.multiply.outer(beta * 2.0 / m, _SIDE_SIGNS)[..., None, None]
+
+
+class Batch(NamedTuple):
+    """What a step needs from its batch alone, for every run of a stack of R
+    runs over S seeds (built by training.batch_index). The seeds' batches
+    agree in structure, so every position below holds for each seed's n
+    rows; run r trains on seed r // (R / S)'s rows. The environments come
+    in sorted name order, e_cad then e_ori, and G counts the runs with
+    beta > 0."""
+    rows: np.ndarray          # (S, n): each seed's rows of the feature matrix
+    y: np.ndarray             # (R, n): each run's labels
+    one_hot: np.ndarray       # (R, n, K): y == k, for each class k
+    gold: np.ndarray          # (R, n): each label's logit in the flattened (R, n, K) logits
+    env_blocks: list          # (E, m) positions of E non-empty environments of m members
+    pairs: np.ndarray         # (m, 2): the (original, counterfactual) positions of each pair
+    pair_labels: np.ndarray   # (G, 2, m): the labels of the pairs' two sides, for each run
+    pair_rows: np.ndarray     # (G, 2, m): those sides' rows in the flattened (R * n) rows
+
+
+def objective_and_grad(params: Snapshot, grads: Snapshot, x: np.ndarray, batch: Batch,
+                       stack: Stack) -> list[LossBreakdown]:
+    """combined_loss and its gradient in closed form, for one step of a
+    stack's runs: only the arithmetic that reads the parameters. What
+    depends only on the batch (labels, environments, pairs) comes in batch,
+    and what depends only on the stack (weights, parameter views) in stack,
+    built from these params and grads.
+
+    The gradient is written into grads, and x holds each seed's (S, n, V)
+    feature rows. The model has no hidden layer. A run whose weight is 0
+    gets exactly 0 for that term and no share of its gradient, even where
+    the term is not finite. Returns one LossBreakdown per run; the values
+    are those of combined_loss.
+
+    Environments of one non-empty size take the invariance penalty in one
+    set of array calls (one block), others one at a time; both paths add
+    the same numbers in the same order.
 
     Every run's arithmetic is that of the run alone, in the same order: each
     matmul is one (seed, run) slice, and each sum runs over a C-ordered array
-    (gathers along a later axis use take or index every axis, whose result
-    is C-ordered, where a slice before a fancy index would not be), so it
-    adds as it does on the one run's arrays.
+    (gathers use take or index every axis, whose result is C-ordered, where
+    a slice before a fancy index would not be), so it adds as it does on the
+    one run's arrays.
     """
-    n_seeds, n = y.shape
-    if n == 0:
-        raise ValueError("prediction loss over an empty batch")
-    runs = len(alpha)
+    runs, n = batch.y.shape
     w = params.classifier
-    # each run's labels, and the (seed, run of the seed) view of the run axis
-    by_seed = (n_seeds, runs // n_seeds)
-    if runs > n_seeds:
-        y = np.repeat(y, by_seed[1], axis=0)
-    # subtracting the one-hot labels (True counts as 1.0) changes only the
-    # gold entries, exactly
-    one_hot = y[:, :, None] == np.arange(w.shape[1])
-    xe = x[:, None] @ params.embedding.reshape(by_seed + params.embedding.shape[1:])
-    h = np.tanh(xe.reshape(runs, n, -1) + params.enc_bias[:, None])
-    z = h @ w.transpose(0, 2, 1) + params.out_bias[:, None]
-    z_max = z.max(axis=2, keepdims=True)
+    xe = x[:, None] @ stack.embedding
+    h = np.tanh(xe.reshape(runs, n, -1) + stack.enc_bias)
+    z = h @ stack.classifier_t + stack.out_bias
+    # the largest logit, class by class: exact, and cheaper than a reduction
+    z_max = z[:, :, :1]
+    for k in range(1, stack.n_classes):
+        z_max = np.maximum(z_max, z[:, :, k:k + 1])
     e = np.exp(z - z_max)
     e_sum = _sum(e, axis=2, keepdims=True)
     p = e / e_sum
-    z_y = z[np.arange(runs)[:, None], np.arange(n), y]
+    z_y = z.take(batch.gold)
     ce = np.subtract((z_max + np.log(e_sum))[:, :, 0], z_y, order="C")
     l_p = _sum(ce, axis=1) * (1.0 / n)
 
-    # dz: gradient of the total with respect to the logits
-    dz = (p - one_hot) * (1.0 / n)
+    # dz: gradient of the total with respect to the logits; subtracting the
+    # one-hot labels (True counts as 1.0) changes only the gold entries, exactly
+    dz = (p - batch.one_hot) * (1.0 / n)
 
     total = l_p
-    l_irm = np.zeros(runs)
-    weights = alpha.tolist()
-    if any(weights):
+    l_irm = stack.zeros
+    if stack.irm:
         # g_e = mean_i(sum_k p_ik z_ik - z_iy), the omega-gradient of the risk
         # at 1, for every run; dz holds no -0.0, so adding 0.0 where a run
         # has alpha == 0 leaves it as it was
-        masked = None if all(weights) else (alpha > 0.0)[:, None, None, None]
         z_bar = _sum(p * z, axis=2)
         per_example = z_bar - z_y
-        dg = p * (1.0 + z - z_bar[:, :, None]) - one_hot
-        alpha2 = alpha[:, None] * 2.0
-        # blocks of (E, m) positions of E environments of m members each
-        sizes = {len(idx) for idx in envs}
-        blocks = ([np.array(envs)] if len(sizes) == 1 and 0 not in sizes
-                  else [idx[None] for idx in envs if len(idx)])
-        for idx in blocks:
+        dg = p * (1.0 + z - z_bar[:, :, None]) - batch.one_hot
+        for idx in batch.env_blocks:
             m = idx.shape[1]
             g = _sum(per_example.take(idx, axis=1), axis=2) * (1.0 / m)
-            step = dg.take(idx, axis=1) * (alpha2 * g / m)[..., None, None]
-            if masked is not None:
-                step = np.where(masked, step, 0.0)
+            step = dg.take(idx, axis=1) * (stack.alpha2 * g / m)[..., None, None]
+            if stack.irm_kept is not None:
+                step = np.where(stack.irm_kept, step, 0.0)
             # adds in index order: environment after environment
             np.add.at(dz, (slice(None), idx), step)
             for g_e in (g * g).T:
                 l_irm = l_irm + g_e
-        if masked is not None:
-            l_irm = np.where(masked[:, 0, 0, 0], l_irm, 0.0)
+        if stack.irm_kept is not None:
+            l_irm = np.where(stack.irm_kept[:, 0, 0, 0], l_irm, 0.0)
         # l_p is never -0.0, so adding a term of weight 0 leaves it as it was
-        total = total + alpha * l_irm
+        total = total + stack.alpha * l_irm
 
     dh = dz @ w
     grads.classifier[...] = dz.transpose(0, 2, 1) @ h
-    l_ocd = np.zeros(runs)
     n_pairs_used = [0] * runs
-    groups, q_k = _ocd_groups(w, y, pairs, beta)
-    for group, used in groups:
+    groups, q_k = _ocd_groups(w, batch, stack)
+    l_ocd = stack.zeros
+    if groups:
+        l_ocd = np.zeros(runs)
+        h_rows, dh_rows = h.reshape(runs * n, -1), dh.reshape(runs * n, -1)
+    for group, at, used, labels, rows in groups:
         m = len(used)
         for r in group.tolist():
             n_pairs_used[r] = m
         if m == 0:
-            if len(pairs):
+            if len(batch.pairs):
                 log.warning("all %d pairs skipped in the pair-alignment term "
-                            "(degenerate label vectors)", len(pairs))
+                            "(degenerate label vectors)", len(batch.pairs))
             continue
         # both sides at once along axis 1: the originals' rows, then the
         # counterfactuals'; each is decomposed against its own label vector
-        at, sides = group[:, None, None], used.T
-        # for every run, take gathers the same C-ordered arrays with one index
-        labels, h_s = ((y.take(sides, axis=1), h.take(sides, axis=1)) if len(group) == runs
-                       else (y[at, sides], h[at, sides]))
+        h_s = h_rows.take(rows, axis=0)
         w_y = w[at, labels]
         q = q_k[at, labels]
         s = _sum(h_s * w_y, axis=3)
         h_perp = h_s - (s / q)[..., None] * w_y
         diff = h_perp[:, 0] - h_perp[:, 1]
         l_ocd[group] = _sum(diff * diff, axis=(1, 2)) * (1.0 / m)
-        # u = dL/dh_perp of each side (+ for the originals, - for the
-        # counterfactuals); back through h_perp = h - (h.w / w.w) w
-        signed = np.multiply.outer(beta[group] * 2.0 / m, _SIDE_SIGNS)
-        u = diff[:, None] * signed[..., None, None]
+        # u = dL/dh_perp of each side; back through h_perp = h - (h.w / w.w) w
+        u = diff[:, None] * stack.side_factor(group, m)
         t = _sum(u * w_y, axis=3)
-        dh[at, sides] += u - (t / q)[..., None] * w_y
+        dh_rows[rows] += u - (t / q)[..., None] * w_y
         dw = ((2.0 * s * t / (q * q))[..., None] * w_y
               - (t[..., None] * h_s + s[..., None] * u) / q[..., None])
         np.add.at(grads.classifier, (at, labels), dw)
 
     if groups:
-        total = total + beta * l_ocd
+        total = total + stack.beta * l_ocd
     _sum(dz, axis=1, out=grads.out_bias)
     da = dh * (1.0 - h * h)
-    grads.embedding[...] = (x.transpose(0, 2, 1)[:, None]
-                            @ da.reshape(by_seed + da.shape[1:])).reshape(grads.embedding.shape)
+    stack.grad_embedding[...] = x.transpose(0, 2, 1)[:, None] @ da.reshape(
+        stack.by_seed + da.shape[1:])
     _sum(da, axis=1, out=grads.enc_bias)
     return [LossBreakdown(*values) for values in zip(
         l_p.tolist(), l_irm.tolist(), l_ocd.tolist(), total.tolist(), n_pairs_used)]
 
 
-def _ocd_groups(w: np.ndarray, y: np.ndarray, pairs: np.ndarray,
-                beta: np.ndarray) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """(runs, the pairs they use) for the pair-alignment term, and w_k . w_k
-    of each run's classes. y holds each run's labels. Each run with beta > 0
-    uses the pairs whose two label vectors are both above the degenerate
-    norm; the runs that use every pair form one group, and each other run a
-    group of its own."""
-    # the weights are never negative
-    weighted = beta.nonzero()[0]
+def _ocd_groups(w: np.ndarray, batch: Batch, stack: Stack) -> tuple[list[tuple], np.ndarray]:
+    """(runs, their run indices shaped to index a (runs, 2, m) array, the
+    pairs they use, those pairs' labels and rows as in Batch) for the
+    pair-alignment term, and w_k . w_k of each run's classes. Each run with
+    beta > 0 uses the pairs whose two label vectors are both above the
+    degenerate norm; the runs that use every pair form one group, and each
+    other run a group of its own."""
+    weighted = stack.weighted
     if not len(weighted):
         return [], None
     q_k = _sum(w * w, axis=2)
     usable = q_k > DEGENERATE_NORM_EPS ** 2
     if usable.all():
-        return [(weighted, pairs)], q_k
-    ok = usable[np.arange(len(beta))[:, None, None], y[:, pairs]].all(axis=2)
+        return [(weighted, stack.weighted_at, batch.pairs, batch.pair_labels,
+                 batch.pair_rows)], q_k
+    y, pairs = batch.y, batch.pairs
+    ok = usable[stack.run_index[:, None, None], y[:, pairs]].all(axis=2)
     every = ok.all(axis=1)[weighted]
-    groups = [(weighted[every], pairs)] if every.any() else []
-    groups += [(np.array([r]), pairs[ok[r]]) for r in weighted[~every].tolist()]
+    chosen = [(weighted[every], pairs)] if every.any() else []
+    chosen += [(np.array([r]), pairs[ok[r]]) for r in weighted[~every].tolist()]
+    groups = []
+    for group, used in chosen:
+        at, sides = group[:, None, None], used.T
+        groups.append((group, at, used, y[at, sides], at * y.shape[1] + sides))
     return groups, q_k

@@ -7,9 +7,14 @@ nothing to the invariance penalty, and a batch without a pair has a zero
 alignment term.
 The training data are featurized once, and their labels size the model:
 classes 0 to the largest label. A batch is a list of unit indices; which of
-its units are paired gives each step its rows, pairs and environments, for
-all of an epoch's steps at once (``batch_index``), and the step takes the
-loss values and gradient in closed form (``losses.objective_and_grad``).
+its units are paired gives each step its rows, pairs and environments.
+Each epoch builds, for all its steps at once (``batch_index``), what a step
+needs from its batch alone: each run's labels and their one-hot, the
+environment blocks, and the pairs' labels and rows. Each stack builds once
+what a step needs from the stack alone (``losses.Stack``). A step then
+gathers its feature rows, takes the loss values and gradient in closed form
+(``losses.objective_and_grad``), which is only the arithmetic that reads the
+parameters, and takes the Adam update.
 Runs that differ only in seed, alpha and beta (an ablation's arms over its
 seeds) train as one stack (``train_arms``): they share that preparation, the
 runs of a seed share its batches and initial values, and each step gathers
@@ -40,7 +45,7 @@ from .data import (  # noqa: F401
     ENV_COUNTERFACTUAL, DictConfig, EmptyEnvironmentError, PairedExample, Vocab, featurize_matrix,
     is_int, is_number, partition_environments,
 )
-from .losses import LossBreakdown, combined_loss, objective_and_grad  # noqa: F401
+from .losses import Batch, LossBreakdown, Stack, combined_loss, objective_and_grad  # noqa: F401
 from .model import ModelConfig, Snapshot, initial_values
 
 
@@ -215,35 +220,69 @@ def unit_rows(units: list[PairedExample]) -> np.ndarray:
     return np.stack([first, np.where(paired, first + 1, -1)], axis=1)
 
 
-def batch_index(units: np.ndarray, batches: list[list[list[int]]], env_mode: str
-                ) -> list[tuple[np.ndarray, list[np.ndarray], np.ndarray]]:
-    """The steps of S seeds, indexed at once from each seed's batches of unit
-    indices (one list per seed, as make_batches gives them; the seeds'
-    batches of a step are of one size). For each step: the (S, rows) feature
-    rows of each seed's batch (each unit's original, then its
-    counterfactual), the positions of each environment's members among them,
-    in sorted name order (empty for an environment absent from the batch),
-    and the (original, counterfactual) positions of each pair. e_ori holds
-    the originals and e_cad the counterfactuals, or every row with env_mode
-    "overlap", so all three follow from which of a batch's units are paired.
-    The seeds share them, taken from the first seed's batches: their batches
-    must be paired at the same positions, as they are on fully paired or
-    fully unpaired data."""
-    members = units[np.array([list(chain.from_iterable(seed)) for seed in batches])]
+def batch_index(units: np.ndarray, batches: list[list[list[int]]], env_mode: str,
+                labels: np.ndarray, stack: Stack) -> list[Batch]:
+    """The steps of a stack's S seeds, built at once from each seed's batches
+    of unit indices (one list per seed, as make_batches gives them; the
+    seeds' batches of a step are of one size): for each step, its Batch.
+
+    A batch's rows are each unit's original, then its counterfactual. e_ori
+    holds the originals and e_cad the counterfactuals, or every row with
+    env_mode "overlap", so the environments and pairs follow from which of
+    a batch's units are paired. The seeds share them, taken from the first
+    seed's batches: their batches must be paired at the same positions, as
+    they are on fully paired or fully unpaired data. Every array is built
+    for the whole epoch, and each step takes its slice."""
+    order = np.fromiter(chain.from_iterable(chain.from_iterable(batches)), dtype=np.intp)
+    members = units.take(order, axis=0).reshape(len(batches), -1, 2)
     pattern = members[0] >= 0
-    rows = members[:, pattern]
-    # each member's row among all the steps' rows; a step's positions are
-    # those less the first row of its batch, the units and pairs before it
+    paired = pattern[:, 1]
+    rows = members.reshape(len(batches), -1).take(np.flatnonzero(pattern), axis=1)
+    # each member's row among all the steps' rows
     positions = (np.cumsum(pattern) - 1).reshape(pattern.shape)
-    pair_rows = positions[pattern[:, 1]]
-    ends = np.cumsum([len(batch) for batch in batches[0]])
-    bounds = [(0, 0), *zip(ends.tolist(), np.cumsum(pattern[:, 1])[ends - 1].tolist())]
+    pair_positions = positions.take(np.flatnonzero(paired), axis=0)
+    sizes = np.array([len(batch) for batch in batches[0]])
+    unit_ends = np.cumsum(sizes)
+    n_pairs = np.add.reduceat(paired, unit_ends - sizes, dtype=np.intp)
+    n_rows = sizes + n_pairs
+    # each step's first row: the units and pairs before it
+    firsts = np.cumsum(n_rows) - n_rows
+    # each row's, original's and pair's position in its step
+    local = np.arange(rows.shape[1]) - np.repeat(firsts, n_rows)
+    originals = positions[:, 0] - np.repeat(firsts, sizes)
+    pairs = pair_positions - np.repeat(firsts, n_pairs)[:, None]
+
+    k = stack.n_classes
+    seed_labels = labels.take(rows)
+    y = np.repeat(seed_labels, stack.runs_per_seed, axis=0)
+    one_hot = np.repeat(np.eye(k, dtype=bool).take(seed_labels, axis=0), stack.runs_per_seed,
+                        axis=0)
+    gold = np.multiply.outer(stack.run_index, np.repeat(n_rows * k, n_rows)) + (local * k + y)
+    pair_labels = y.take(stack.weighted, axis=0).take(pair_positions.T, axis=1)
+    pair_rows = (np.multiply.outer(stack.weighted, np.repeat(n_rows, n_pairs))[:, None]
+                 + pairs.T)
+    # e_cad: every row's position in overlap mode, the counterfactuals' in disjoint
+    overlap = env_mode == "overlap"
+    e_cad = local if overlap else pairs[:, 1]
+    # both environments of every step are one size when each e_cad holds a
+    # position per unit: one block each, in whose C order add.at adds
+    blocks = np.stack([e_cad, originals]) if len(e_cad) == len(originals) else None
+
     steps = []
-    for (start, pairs_start), (end, pairs_end) in zip(bounds, bounds[1:]):
-        first, last = start + pairs_start, end + pairs_end
-        pairs = pair_rows[pairs_start:pairs_end] - first
-        e_cad = np.arange(last - first) if env_mode == "overlap" else pairs[:, 1]
-        steps.append((rows[:, first:last], [e_cad, positions[start:end, 0] - first], pairs))
+    ends = zip(unit_ends.tolist(), np.cumsum(n_pairs).tolist(), (firsts + n_rows).tolist())
+    start = pairs_start = first = 0
+    for end, pairs_end, last in ends:
+        if blocks is not None:
+            env_blocks = [blocks[:, start:end]]
+        else:
+            cad = local[first:last] if overlap else pairs[pairs_start:pairs_end, 1]
+            env_blocks = [cad[None]] if len(cad) else []
+            env_blocks.append(originals[None, start:end])
+        steps.append(Batch(rows[:, first:last], y[:, first:last], one_hot[:, first:last],
+                           gold[:, first:last], env_blocks, pairs[pairs_start:pairs_end],
+                           pair_labels[..., pairs_start:pairs_end],
+                           pair_rows[..., pairs_start:pairs_end]))
+        start, pairs_start, first = end, pairs_end, last
     return steps
 
 
@@ -366,8 +405,8 @@ def _train_stack(runs: list[TrainConfig], units: np.ndarray, features: np.ndarra
     params = Snapshot.from_flat(model_cfg, theta)
     grads = Snapshot.from_flat(model_cfg, gradient)
     adam = AdamState(m=np.zeros_like(theta), v=np.zeros_like(theta))
-    alpha = np.array([run.alpha for run in runs], dtype=np.float64)
-    beta = np.array([run.beta for run in runs], dtype=np.float64)
+    stack = Stack(params, grads, np.array([run.alpha for run in runs], dtype=np.float64),
+                  np.array([run.beta for run in runs], dtype=np.float64), len(seeds))
     config = runs[0]
 
     logs = [TrainingLog() for _ in runs]
@@ -376,10 +415,10 @@ def _train_stack(runs: list[TrainConfig], units: np.ndarray, features: np.ndarra
     for epoch in range(config.epochs):
         first_step = step
         steps = batch_index(units, [make_batches(range(len(units)), config.batch_pairs, seed, epoch)
-                                    for seed in seeds], config.env_mode)
-        for rows, env_rows, pair_rows in steps:
-            breakdowns = objective_and_grad(
-                params, grads, features[rows], labels[rows], env_rows, pair_rows, alpha, beta)
+                                    for seed in seeds], config.env_mode, labels, stack)
+        for batch in steps:
+            breakdowns = objective_and_grad(params, grads, features.take(batch.rows, axis=0),
+                                            batch, stack)
             # a non-finite step raises below, so its update is never used
             adam_step_vector(theta, gradient, adam, config.learning_rate)
             _raise_if_non_finite(step, breakdowns, gradient, theta)

@@ -15,7 +15,7 @@ from cadlab.data import (
     Vocab, featurize_matrix, generate_cad, partition_environments,
 )
 from cadlab.evaluation import evaluate
-from cadlab.losses import combined_loss, objective_and_grad
+from cadlab.losses import Stack, combined_loss, objective_and_grad
 from cadlab.model import (
     ModelConfig, ModelParams, Snapshot, cross_entropy, encode, initial_values, logits,
 )
@@ -244,22 +244,46 @@ def _batch_environments(members, alpha, env_mode):
     return {name: envs.get(name, []) for name in (ENV_ORIGINAL, ENV_COUNTERFACTUAL)}
 
 
+def _stack(config, theta, alpha, beta, n_seeds=1):
+    """The Stack of the runs whose parameters are the rows of theta, with
+    their weights, the parameter and gradient Snapshots it was built from,
+    and the gradient matrix."""
+    gradient = np.zeros_like(theta)
+    params, grads = Snapshot.from_flat(config, theta), Snapshot.from_flat(config, gradient)
+    stack = Stack(params, grads, np.array(alpha, dtype=np.float64),
+                  np.array(beta, dtype=np.float64), n_seeds)
+    return stack, params, grads, gradient
+
+
+def _index_stack(n_seeds, arms=((1.6, 0.1),), n_classes=2):
+    """A stack of the arms over n_seeds seeds, for batch_index alone."""
+    config = ModelConfig(vocab_size=3, n_classes=n_classes, embed_dim=2)
+    alpha, beta = ([arm[i] for _ in range(n_seeds) for arm in arms] for i in (0, 1))
+    theta = np.zeros((n_seeds * len(arms), config.n_params()))
+    return _stack(config, theta, alpha, beta, n_seeds)[0]
+
+
+def _labels(units):
+    return np.array([m.label for u in units for m in u.members()])
+
+
 def _assert_indexes_the_batches(units, batches, step, env_mode):
     """The positions of one step from batch_index select, from each seed's
     rows, the members of each environment that partition_environments forms
-    of that seed's batch, in sorted name order, and the (original,
-    counterfactual) of each of its paired units."""
-    rows, env_rows, pair_rows = step
+    of that seed's batch, in sorted name order (an environment absent from
+    the batch has no row in the blocks), and the (original, counterfactual)
+    of each of its paired units."""
     examples = [m for u in units for m in u.members()]
-    assert rows.shape[0] == len(batches) and len(env_rows) == 2
-    for seed_rows, batch in zip(rows, batches):
+    assert step.rows.shape[0] == len(batches)
+    env_rows = [idx for block in step.env_blocks for idx in block]
+    for seed_rows, batch in zip(step.rows, batches):
         members = [examples[r] for r in seed_rows]
         chosen = [units[i] for i in batch]
         assert members == [m for u in chosen for m in u.members()]
         envs = partition_environments(members, 0.0, env_mode)
         assert [[members[i] for i in idx] for idx in env_rows] == [
-            envs.get(name, []) for name in sorted((ENV_ORIGINAL, ENV_COUNTERFACTUAL))]
-        assert [(members[o], members[c]) for o, c in pair_rows] == [
+            envs[name] for name in sorted((ENV_ORIGINAL, ENV_COUNTERFACTUAL)) if name in envs]
+        assert [(members[o], members[c]) for o, c in step.pairs] == [
             (u.original, u.counterfactual) for u in chosen if u.counterfactual is not None]
 
 
@@ -272,11 +296,11 @@ def test_batch_index_takes_the_environments_and_pairs_from_the_pairing(env_mode)
     # units 0, 3, 6 and 9 are paired: two seeds' batches paired at the same
     # positions, and a batch of unpaired units alone
     for batches in ([[4, 0, 7, 3, 2], [1, 6, 8, 9, 5]], [[1, 2, 4, 5, 7]]):
-        [step] = batch_index(unit_rows(units), [[b] for b in batches], env_mode)
+        [step] = batch_index(unit_rows(units), [[b] for b in batches], env_mode,
+                             _labels(units), _index_stack(len(batches)))
         _assert_indexes_the_batches(units, batches, step, env_mode)
-    rows, env_rows, pair_rows = step
-    assert pair_rows.shape == (0, 2)
-    assert (len(env_rows[0]) == 0) == (env_mode == "disjoint")
+    assert step.pairs.shape == (0, 2)
+    assert (sum(len(block) for block in step.env_blocks) == 1) == (env_mode == "disjoint")
 
 
 @pytest.mark.parametrize("env_mode", ["disjoint", "overlap"])
@@ -288,10 +312,70 @@ def test_batch_index_indexes_every_step_of_an_epoch_at_once(env_mode, every):
     units = _paired_every(_dataset(n_pairs=23, seed=5).train_pairs, every)
     seeds = (2, 0) if every == 1 else (2,)
     per_seed = [make_batches(range(len(units)), 4, seed, epoch=1) for seed in seeds]
-    steps = batch_index(unit_rows(units), per_seed, env_mode)
+    steps = batch_index(unit_rows(units), per_seed, env_mode, _labels(units),
+                        _index_stack(len(seeds)))
     assert len(steps) == len(per_seed[0]) == 6
     for step, batches in zip(steps, zip(*per_seed)):
         _assert_indexes_the_batches(units, batches, step, env_mode)
+
+
+def _batches_paired_alike(units, batch_pairs, seeds, epoch):
+    """Each seed's make_batches of the units, with the later seeds' units
+    moved so that every seed's batches are paired at the first seed's
+    positions: each later seed keeps its own order of the paired units and
+    of the unpaired ones."""
+    first = make_batches(range(len(units)), batch_pairs, seeds[0], epoch)
+    per_seed = [first]
+    for seed in seeds[1:]:
+        order = [i for batch in make_batches(range(len(units)), batch_pairs, seed, epoch)
+                 for i in batch]
+        kinds = {kind: iter([i for i in order if (units[i].counterfactual is None) == kind])
+                 for kind in (False, True)}
+        per_seed.append([[next(kinds[units[i].counterfactual is None]) for i in batch]
+                         for batch in first])
+    return per_seed
+
+
+@pytest.mark.parametrize("env_mode", ["disjoint", "overlap"])
+@pytest.mark.parametrize("every, n_seeds", [(1, 1), (1, 3), (3, 1), (3, 2), (0, 2)])
+def test_batch_index_builds_what_each_step_derived_from_its_rows(env_mode, every, n_seeds):
+    """Each step's labels per run, one-hot labels, gold-logit positions,
+    environment blocks, pair-side labels and pair-side rows are what a step
+    derives from its seeds' labels, environments and pairs: on fully paired,
+    partly augmented (every third unit paired) and unpaired units of three
+    classes, with a short last batch, for 1 to 3 seeds of four arms, two of
+    them with beta > 0."""
+    units = _paired_every(_dataset(n_pairs=23, seed=6, n_classes=3).train_pairs, every)
+    labels = _labels(units)
+    arms = ((1.6, 0.1), (0.0, 0.1), (1.6, 0.0), (0.0, 0.0))
+    stack = _index_stack(n_seeds, arms, n_classes=3)
+    per_seed = _batches_paired_alike(units, 4, list(range(n_seeds)), epoch=2)
+    steps = batch_index(unit_rows(units), per_seed, env_mode, labels, stack)
+    assert [len(b) for b in per_seed[0]] == [4] * 5 + [3]
+    runs, weighted = n_seeds * len(arms), np.array([r for r in range(n_seeds * len(arms))
+                                                    if arms[r % len(arms)][1] > 0.0])
+    rng = np.random.default_rng(every)
+    for step, batches in zip(steps, zip(*per_seed)):
+        _assert_indexes_the_batches(units, batches, step, env_mode)
+        n = step.rows.shape[1]
+        y = np.repeat(labels[step.rows], len(arms), axis=0)
+        assert step.y.tolist() == y.tolist()
+        assert step.one_hot.tolist() == (y[:, :, None] == np.arange(3)).tolist()
+        z = rng.normal(size=(runs, n, 3))
+        assert step.gold.shape == (runs, n)
+        assert z.take(step.gold).tolist() == z[np.arange(runs)[:, None], np.arange(n), y].tolist()
+        # one block when every step's environments are of one size (the
+        # counterfactuals of paired units, or every row of unpaired ones),
+        # else one per non-empty environment
+        one_size = every == (1 if env_mode == "disjoint" else 0)
+        n_envs = 1 if env_mode == "disjoint" and not len(step.pairs) else 2
+        assert [len(block) for block in step.env_blocks] == ([2] if one_size else [1] * n_envs)
+        sides = step.pairs.T
+        at = weighted[:, None, None]
+        assert step.pair_labels.tolist() == y[at, sides].tolist()
+        h = rng.normal(size=(runs, n, 2))
+        assert (h.reshape(runs * n, 2).take(step.pair_rows, axis=0).tolist()
+                == h[at, sides].tolist())
 
 
 def _step_both_ways(units, batch, params, vocab, alpha, beta, env_mode):
@@ -307,13 +391,11 @@ def _step_both_ways(units, batch, params, vocab, alpha, beta, env_mode):
     ref_grad = np.array(grad(total, params.flat()))
 
     examples = [m for u in units for m in u.members()]
-    [(rows, env_rows, pair_rows)] = batch_index(unit_rows(units), [[batch]], env_mode)
     theta = np.array([[p.value for p in params.flat()]])
-    got_grad = np.zeros_like(theta)
-    [got] = objective_and_grad(
-        Snapshot.from_flat(params.config, theta), Snapshot.from_flat(params.config, got_grad),
-        featurize_matrix(examples, vocab)[rows], np.array([ex.label for ex in examples])[rows],
-        env_rows, pair_rows, np.array([alpha]), np.array([beta]))
+    stack, snapshot, grads, got_grad = _stack(params.config, theta, [alpha], [beta])
+    [step] = batch_index(unit_rows(units), [[batch]], env_mode, _labels(units), stack)
+    [got] = objective_and_grad(snapshot, grads, featurize_matrix(examples, vocab)[step.rows],
+                               step, stack)
     return ref, ref_grad, got, got_grad[0]
 
 
@@ -624,16 +706,14 @@ def test_stacked_step_matches_autodiff_for_each_run(seed, n_classes, env_mode, n
             references.append((ref, ref_grad))
 
     examples = [m for u in units for m in u.members()]
-    [(rows, env_rows, pair_rows)] = batch_index(unit_rows(units), [[b] for b in batches],
-                                                env_mode)
-    labels = np.array([ex.label for ex in examples])
-    assert rows.shape[0] == n_seeds
     theta = np.array([[p.value for p in params.flat()] for params in all_params])
-    gradient = np.zeros_like(theta)
-    got = objective_and_grad(
-        Snapshot.from_flat(config, theta), Snapshot.from_flat(config, gradient),
-        featurize_matrix(examples, vocab)[rows], labels[rows],
-        env_rows, pair_rows, np.array([r[0] for r in runs]), np.array([r[1] for r in runs]))
+    stack, snapshot, grads, gradient = _stack(config, theta, [r[0] for r in runs],
+                                              [r[1] for r in runs], n_seeds)
+    [step] = batch_index(unit_rows(units), [[b] for b in batches], env_mode, _labels(units),
+                         stack)
+    assert step.rows.shape[0] == n_seeds
+    got = objective_and_grad(snapshot, grads, featurize_matrix(examples, vocab)[step.rows],
+                             step, stack)
     assert len(got) == len(runs)
     for r, (ref, ref_grad) in enumerate(references):
         _assert_breakdowns_match(got[r], ref)
@@ -664,22 +744,21 @@ def test_both_invariance_paths_give_the_same_step_bit_for_bit(seed, n_classes, n
     vocab = Vocab.from_examples(examples)
     config = ModelConfig(vocab_size=vocab.size, n_classes=n_classes, embed_dim=3)
     batches = [[rng.sample(range(10), 6)] for _ in range(n_seeds)]
-    [(rows, env_rows, pair_rows)] = batch_index(unit_rows(units), batches,
-                                                "disjoint" if paired else "overlap")
-    assert len(env_rows[0]) == len(env_rows[1]) == 6
-    x, y = featurize_matrix(examples, vocab)[rows], np.array([ex.label for ex in examples])[rows]
     theta = np.array([[rng.uniform(-1.0, 1.0) for _ in range(config.n_params())]
                       for _ in range(n_seeds * len(arms))])
-    alpha, beta = (np.array([arm[i] for _ in range(n_seeds) for arm in arms]) for i in (0, 1))
+    alpha, beta = ([arm[i] for _ in range(n_seeds) for arm in arms] for i in (0, 1))
+    [batch] = batch_index(unit_rows(units), batches, "disjoint" if paired else "overlap",
+                          _labels(units), _stack(config, theta, alpha, beta, n_seeds)[0])
+    [block] = batch.env_blocks
+    assert block.shape == (2, 6)
+    x = featurize_matrix(examples, vocab)[batch.rows]
 
-    def step(envs):
-        gradient = np.zeros_like(theta)
-        breakdowns = objective_and_grad(
-            Snapshot.from_flat(config, theta.copy()), Snapshot.from_flat(config, gradient),
-            x, y, envs, pair_rows, alpha, beta)
+    def step(batch):
+        stack, params, grads, gradient = _stack(config, theta.copy(), alpha, beta, n_seeds)
+        breakdowns = objective_and_grad(params, grads, x, batch, stack)
         return [b.csv_row(0) for b in breakdowns], gradient.tobytes()
 
-    assert step(env_rows) == step(env_rows + [np.array([], dtype=np.intp)])
+    assert step(batch) == step(batch._replace(env_blocks=[block[:1], block[1:]]))
 
 
 def test_a_non_finite_term_of_weight_zero_leaves_its_run_untouched():
@@ -690,19 +769,17 @@ def test_a_non_finite_term_of_weight_zero_leaves_its_run_untouched():
     examples = ds.train_examples()
     vocab = Vocab.from_examples(examples)
     config = ModelConfig(vocab_size=vocab.size, n_classes=3, embed_dim=4)
-    [(rows, env_rows, pair_rows)] = batch_index(unit_rows(ds.train_pairs), [[[0, 1, 2]]],
-                                                "disjoint")
-    x, y = featurize_matrix(examples, vocab)[rows], np.array([ex.label for ex in examples])[rows]
-    assert set(y.ravel().tolist()) == {0, 1}
     theta = np.array([initial_values(config, seed) for seed in (0, 1)])
     Snapshot.from_flat(config, theta[1]).out_bias[2] = -np.inf
 
     def step(thetas, alpha, beta):
-        gradient = np.zeros_like(thetas)
+        stack, params, grads, gradient = _stack(config, thetas, alpha, beta)
+        [batch] = batch_index(unit_rows(ds.train_pairs), [[[0, 1, 2]]], "disjoint",
+                              _labels(ds.train_pairs), stack)
+        assert set(batch.y.ravel().tolist()) == {0, 1}
         with np.errstate(invalid="ignore"):
             breakdowns = objective_and_grad(
-                Snapshot.from_flat(config, thetas), Snapshot.from_flat(config, gradient),
-                x, y, env_rows, pair_rows, np.array(alpha), np.array(beta))
+                params, grads, featurize_matrix(examples, vocab)[batch.rows], batch, stack)
         return breakdowns, gradient
 
     [poisoned], _ = step(theta[1:], [1.6], [0.1])
