@@ -18,7 +18,7 @@ from .data import (
     read_groups, read_json_file, write_dataset,
 )
 from .evaluation import (
-    config_fingerprint, evaluate, myopia_probe, run_ablation, run_data_efficiency,
+    EvalSet, config_fingerprint, evaluate, myopia_probe, run_ablation, run_data_efficiency,
     write_report,
 )
 from .model import load_checkpoint, save_checkpoint
@@ -126,9 +126,12 @@ def cmd_train(args) -> int:
 
 def _load_eval_examples(path):
     try:
-        return load_jsonl(path)
+        examples = load_jsonl(path)
     except (DataError, *NOT_A_FILE) as e:
         raise CliError(f"bad data file {path}: {e}")
+    if not examples:
+        raise CliError(f"no examples in {path}")
+    return examples
 
 
 def _load_checkpoint(path):
@@ -152,10 +155,11 @@ def cmd_eval(args) -> int:
     _check_out_file(args.out)
     snapshot, vocab, extra = _load_checkpoint(args.checkpoint)
     examples = _load_eval_examples(args.data)
-    if not examples:
-        raise CliError(f"no examples in {args.data}")
-    report = evaluate(snapshot, examples, vocab, split=os.path.basename(args.data),
-                      fingerprint=extra.get("fingerprint", ""))
+    try:
+        report = evaluate(snapshot, examples, vocab, split=os.path.basename(args.data),
+                          fingerprint=extra.get("fingerprint", ""))
+    except DataError as e:  # a label outside the model's classes
+        raise CliError(f"bad data file {args.data}: {e}")
     return _report(report.to_dict(), args.out)
 
 
@@ -169,9 +173,9 @@ def cmd_probe(args) -> int:
     except DataError as e:
         raise CliError(f"bad groups file: {e}")
     try:
-        probe = myopia_probe(snapshot, examples, groups, vocab)
-    except ValueError as e:
-        raise CliError(str(e))
+        probe = myopia_probe(snapshot, EvalSet.build(examples, vocab, groups))
+    except DataError as e:  # a label outside the model's classes
+        raise CliError(f"bad data file {args.data}: {e}")
     payload = probe.to_dict()
     payload["fingerprint"] = extra.get("fingerprint", "")
     return _report(payload, args.out)

@@ -17,12 +17,13 @@ json.dumps(sort_keys=True) writes. Each config class takes its dict form
 from its fields (DictConfig).
 
 Featurization has one implementation, featurize_matrix: the tokens of a list
-of examples are looked up once as integer ids (TokenIds), and the
-L1-normalized counts are one np.bincount divided by the row totals. A mask
-sends its tokens to one extra column, which is then dropped, so a masked
+of examples are looked up once as integer ids in first-seen order (TokenIds),
+and the L1-normalized counts are one np.bincount divided by the row totals. A
+mask sends its tokens to one extra column, which is then dropped, so a masked
 matrix costs what an unmasked one does. Callers that score the same examples
 repeatedly (the probe, the ablation runs) keep the TokenIds and featurize
-from them.
+from them. featurize_sparse, the scalar reference's input, is its only
+one-row view.
 
 The generator realizes a token-level feature model with four disjoint
 vocabulary groups: edited-causal tokens (replaced by the counterfactual edit),
@@ -352,11 +353,11 @@ class Vocab:
 class TokenIds:
     """The tokens of a list of rows, looked up once and kept as integer ids.
 
-    ``table`` holds the distinct tokens (sorted), ``ids`` the table index of
-    every token, row after row, and ``lengths`` the token count of each row.
-    The ids do not depend on a vocabulary, so one TokenIds serves every
-    vocabulary and every mask; a token outside a vocabulary keeps its own id
-    until featurize_matrix has applied the mask.
+    ``table`` holds the distinct tokens in first-seen order, ``ids`` the
+    table index of every token, row after row, and ``lengths`` the token
+    count of each row. The ids do not depend on a vocabulary, so one TokenIds
+    serves every vocabulary and every mask; featurize_matrix maps each table
+    entry to its column, so the table's order does not reach the matrix.
     """
     table: tuple[str, ...]
     ids: np.ndarray
@@ -365,17 +366,12 @@ class TokenIds:
     @classmethod
     def from_tokens(cls, token_lists) -> "TokenIds":
         token_lists = list(token_lists)
-        # one pass gives each token an id in first-seen order, and the
-        # sorted table renumbers them
+        # one pass gives each token an id in first-seen order
         first_seen = defaultdict(count().__next__)
         ids = np.fromiter(map(first_seen.__getitem__, chain.from_iterable(token_lists)),
                           dtype=np.intp)
-        seen = list(first_seen)
-        order = sorted(range(len(seen)), key=seen.__getitem__)
-        renumber = np.empty(len(seen), dtype=np.intp)
-        renumber[order] = np.arange(len(seen))
         lengths = np.fromiter(map(len, token_lists), dtype=np.intp, count=len(token_lists))
-        return cls(tuple(seen[i] for i in order), renumber[ids], lengths)
+        return cls(tuple(first_seen), ids, lengths)
 
     @classmethod
     def from_examples(cls, examples) -> "TokenIds":
@@ -404,14 +400,10 @@ def featurize_matrix(examples, vocab: Vocab, mask_tokens: frozenset | set | None
     return counts[:, :V] / np.maximum(totals, 1)[:, None]
 
 
-def featurize(tokens, vocab: Vocab) -> np.ndarray:
-    """featurize_matrix for one token sequence."""
-    return featurize_matrix(TokenIds.from_tokens([tokens]), vocab)[0]
-
-
 def featurize_sparse(tokens, vocab: Vocab) -> list[tuple[int, float]]:
-    """Sparse (index, weight) view of featurize(), for the graph-building encoder."""
-    x = featurize(tokens, vocab)
+    """Sparse (index, weight) view of featurize_matrix's row for one token
+    sequence, for the graph-building encoder."""
+    x = featurize_matrix(TokenIds.from_tokens([tokens]), vocab)[0]
     return [(int(i), float(x[i])) for i in np.flatnonzero(x)]
 
 

@@ -91,6 +91,8 @@ class EvalSet:
 
     @classmethod
     def build(cls, examples, vocab: Vocab, groups: FeatureGroups | None = None) -> "EvalSet":
+        if not examples:
+            raise ValueError("scoring needs a non-empty example list")
         ids = TokenIds.from_examples(examples)
         labels = np.array([ex.label for ex in examples], dtype=np.intp)
         features = featurize_matrix(ids, vocab)
@@ -139,8 +141,6 @@ class EvalReport:
 def evaluate(snapshot: Snapshot, examples, vocab: Vocab, split: str = "",
              fingerprint: str = "") -> EvalReport:
     """Accuracy of a parameter snapshot on a list of examples (pure, read-only)."""
-    if not examples:
-        raise ValueError("evaluate needs a non-empty example list")
     scored = EvalSet.build(examples, vocab)
     [correct] = scored.correct(snapshot)
     labels = scored.labels
@@ -168,21 +168,17 @@ class RelianceProbe:
                 "drops": dict(sorted(self.drops.items())), "n": self.n}
 
 
-def myopia_probe(snapshot: Snapshot, examples, groups: FeatureGroups,
-                 vocab: Vocab) -> RelianceProbe:
+def myopia_probe(snapshot: Snapshot, evalset: EvalSet) -> RelianceProbe:
     """Per-group accuracy drop when that group's tokens are masked.
 
-    examples is a list of examples or an EvalSet built from them with these
-    groups and this vocabulary, which a caller that probes many snapshots on
-    the same examples builds once. Masking happens at featurization time; the
-    examples are never mutated. Each matrix is predicted once, for all the
-    runs of a stacked snapshot at a time.
+    evalset is built with the feature groups (EvalSet.build(examples, vocab,
+    groups)), so its masked matrices are made once for any number of
+    snapshots; the examples are never mutated. Each matrix is predicted once,
+    for all the runs of a stacked snapshot at a time.
     """
-    if not isinstance(examples, EvalSet):
-        if not examples:
-            raise ValueError("probe needs a non-empty example list")
-        examples = EvalSet.build(examples, vocab, groups)
-    correct, *masked = examples.correct(snapshot)
+    if not evalset.masked:
+        raise ValueError("the probe needs an EvalSet built with feature groups")
+    correct, *masked = evalset.correct(snapshot)
     baseline = _accuracy(correct)
     drops = {name: (baseline - _accuracy(c)).tolist() for name, c in zip(PROBE_GROUPS, masked)}
     return RelianceProbe(baseline_accuracy=baseline.tolist(), drops=drops,
@@ -223,8 +219,7 @@ def run_single(configs: list[TrainConfig], dataset: GeneratedDataset, vocab: Voc
     """
     checkpoints = [checkpoint for checkpoint, _ in train_arms(configs, dataset.train_pairs,
                                                               vocab=vocab)]
-    probe = myopia_probe(Snapshot.stack([checkpoint.snapshot for checkpoint in checkpoints]),
-                         ood, dataset.groups, vocab)
+    probe = myopia_probe(Snapshot.stack([c.snapshot for c in checkpoints]), ood)
     n_ood = len(dataset.ood)
     acc_ood = _accuracy(probe.correct[:, :n_ood]).tolist()
     acc_stress = _accuracy(probe.correct[:, n_ood:]).tolist()

@@ -153,13 +153,10 @@ class Snapshot:
     # A stacked Snapshot gives one row of results per run: features @ the (R, V, d)
     # embedding is R products of features @ that run's (V, d) matrix, each the
     # one the run's own Snapshot makes, so each run's results are its own bit for bit.
-    def encode_matrix(self, features: np.ndarray) -> np.ndarray:
+    def logits_matrix(self, features: np.ndarray) -> np.ndarray:
         h = features @ self.embedding
         h += self.enc_bias[..., None, :]
-        return np.tanh(h, out=h)
-
-    def logits_matrix(self, features: np.ndarray) -> np.ndarray:
-        z = self.encode_matrix(features) @ np.swapaxes(self.classifier, -1, -2)
+        z = np.tanh(h, out=h) @ np.swapaxes(self.classifier, -1, -2)
         z += self.out_bias[..., None, :]
         return z
 

@@ -11,7 +11,7 @@ token from a spurious one (README, 'What the experiments show').
 
 One more test pins a known defect rather than a criterion, as an expected
 failure: the full objective's train accuracy collapses after it first fits
-(ROADMAP item 1).
+(ROADMAP item 2).
 """
 
 import json
@@ -373,7 +373,7 @@ def test_c8_cli_determinism(tmp_path):
 
 @pytest.mark.xfail(strict=True, reason=(
     "FOUND in CHANGES.md: at alpha 1.6 the full objective's train accuracy collapses "
-    "from 1.0 after it first fits, and the epoch-0 checkpoint hides it (ROADMAP item 1)"))
+    "from 1.0 after it first fits, and the epoch-0 checkpoint hides it (ROADMAP item 2)"))
 def test_train_accuracy_does_not_fall_after_it_first_fits():
     """Per-epoch train accuracy does not fall after the first epoch at which
     it reaches 1.0: alpha 1.6 against alpha 0 in one stack, on a small

@@ -530,7 +530,7 @@ def test_label_outside_model_classes_exit_1(trained, capsys, command, label, mes
     rc = main([command, "--checkpoint", str(ckpt), "--data", str(data), *groups])
     err = capsys.readouterr().err
     assert rc == 1, err
-    assert message.format(id=row["id"]) in err, err
+    assert message.format(id=row["id"]) in err and str(data) in err, err
 
 
 # a groups.json whose edited_causal group is given as value
@@ -556,7 +556,8 @@ BAD_EVAL_INPUTS = [
          f"bad.jsonl:1: Exceeds the limit ({len(_LONG_LABEL) - 1} digits) for integer string"),
         # json's scanner raises RecursionError on it
         ("deep_nesting", "[" * 100_000 + "\n", "bad.jsonl:1: invalid JSON: nested too deeply"),
-        ("directory", DIRECTORY, "Is a directory"))
+        ("directory", DIRECTORY, "Is a directory"),
+        ("empty", "", "no examples in"))
 ] + [pytest.param("probe", "--groups", content, message, id=f"probe-groups-{case}")
      for case, content, message in (
          ("directory", DIRECTORY, "Is a directory"),

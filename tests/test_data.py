@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from cadlab.data import (
     DataError, EmptyEnvironmentError, Example, FeatureGroups, GeneratorConfig,
     PairedExample, PairingError, ParseError, TokenIds, Vocab,
-    dump_jsonl, featurize, featurize_matrix, featurize_sparse, generate_cad,
+    dump_jsonl, featurize_matrix, featurize_sparse, generate_cad,
     load_jsonl, pair_examples, partition_environments, read_dataset, write_dataset,
 )
 from cadlab import data
@@ -389,18 +389,23 @@ def test_roundtrip_identity(tmp_path):
     assert load_jsonl(legacy) == loaded
 
 
+def _one_row(tokens, vocab):
+    """featurize_matrix's row for one token sequence."""
+    return featurize_matrix(TokenIds.from_tokens([tokens]), vocab)[0]
+
+
 def test_featurize_counts_and_oov():
     vocab = Vocab(["a", "b"])
-    x = featurize(["a", "a", "b"], vocab)
+    x = _one_row(["a", "a", "b"], vocab)
     assert x.shape == (3,)
     ia, ib = vocab.index["a"], vocab.index["b"]
     assert x[ia] == pytest.approx(2 / 3)
     assert x[ib] == pytest.approx(1 / 3)
     assert x[vocab.oov_index] == 0.0
 
-    assert featurize([], vocab).tolist() == [0.0, 0.0, 0.0]
+    assert _one_row([], vocab).tolist() == [0.0, 0.0, 0.0]
 
-    x = featurize(["q"], vocab)
+    x = _one_row(["q"], vocab)
     assert x[vocab.oov_index] == 1.0
     assert x.sum() == 1.0
 
@@ -408,7 +413,7 @@ def test_featurize_counts_and_oov():
 def test_featurize_sparse_matches_dense():
     vocab = Vocab(["a", "b", "c"])
     for toks in (["a", "c", "c", "zz"], [], ["b"]):
-        dense = featurize(toks, vocab)
+        dense = _one_row(toks, vocab)
         sparse = featurize_sparse(toks, vocab)
         rebuilt = np.zeros_like(dense)
         for i, w in sparse:
@@ -822,7 +827,7 @@ def test_featurize_matrix_is_bit_identical_to_the_per_example_loop(vocab_tokens,
     assert np.array_equal(_bits(featurize_matrix(ids, vocab, mask_tokens=mask)), _bits(expected))
     plain = _reference_featurize_matrix(examples, vocab)
     for toks, row in zip(rows, plain):
-        assert np.array_equal(_bits(featurize(toks, vocab)), _bits(row))
+        assert np.array_equal(_bits(_one_row(toks, vocab)), _bits(row))
         sparse = featurize_sparse(toks, vocab)
         assert [j for j, _ in sparse] == np.flatnonzero(row).tolist()
         assert [w for _, w in sparse] == row[row != 0.0].tolist()

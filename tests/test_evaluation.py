@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 from cadlab import evaluation
 from cadlab.data import DataError, GeneratorConfig, PairedExample, Vocab, generate_cad
 from cadlab.evaluation import (
-    ABLATION_ARMS, config_fingerprint, evaluate, myopia_probe, ood_eval_set, rows_to_csv,
-    run_ablation, run_data_efficiency, run_single, sign_test_p, write_report,
+    ABLATION_ARMS, EvalSet, config_fingerprint, evaluate, myopia_probe, ood_eval_set,
+    rows_to_csv, run_ablation, run_data_efficiency, run_single, sign_test_p, write_report,
 )
 from cadlab.model import ModelConfig, ModelParams, Snapshot, initial_values
 from cadlab.training import TrainConfig, train
@@ -107,15 +107,25 @@ def test_probe_constant_model_all_drops_zero():
     vocab = Vocab.from_examples(ds.train_examples())
     params = _zero_params(vocab)
     params.out_bias[0].value = 0.7   # constant prediction: class 0
-    probe = myopia_probe(params.snapshot(), ds.ood, ds.groups, vocab)
+    probe = myopia_probe(params.snapshot(), EvalSet.build(ds.ood, vocab, ds.groups))
     assert probe.drops == {"edited_causal": 0.0, "nonedited_causal": 0.0, "correlated": 0.0}
+
+
+def test_probe_needs_an_eval_set_built_with_groups():
+    ds = _dataset()
+    vocab = Vocab.from_examples(ds.train_examples())
+    snap = _edited_only_params(vocab, ds.groups).snapshot()
+    with pytest.raises(ValueError, match="built with feature groups"):
+        myopia_probe(snap, EvalSet.build(ds.ood, vocab))
+    with pytest.raises(ValueError, match="non-empty example list"):
+        EvalSet.build([], vocab, ds.groups)
 
 
 def test_probe_myopic_model_relies_on_edited_only():
     ds = _dataset(n_ood=200)
     vocab = Vocab.from_examples(ds.train_examples())
     snap = _edited_only_params(vocab, ds.groups).snapshot()
-    probe = myopia_probe(snap, ds.ood, ds.groups, vocab)
+    probe = myopia_probe(snap, EvalSet.build(ds.ood, vocab, ds.groups))
     assert probe.baseline_accuracy == 1.0
     assert probe.drops["edited_causal"] > 0.3
     assert abs(probe.drops["nonedited_causal"]) < 1e-12
@@ -128,7 +138,7 @@ def test_probe_does_not_mutate_dataset():
     snap = _edited_only_params(vocab, ds.groups).snapshot()
     before = [ex.tokens for ex in ds.ood]
     baseline1 = evaluate(snap, ds.ood, vocab).accuracy
-    myopia_probe(snap, ds.ood, ds.groups, vocab)
+    myopia_probe(snap, EvalSet.build(ds.ood, vocab, ds.groups))
     assert [ex.tokens for ex in ds.ood] == before
     assert evaluate(snap, ds.ood, vocab).accuracy == baseline1
 
@@ -272,15 +282,19 @@ def test_parallel_jobs_reach_the_workers_by_fork_not_by_pickle():
 
 
 def test_import_cadlab_loads_no_process_pool():
-    """The pool is imported only when a runner forks, so `import cadlab`
-    and every serial call do not pay for it."""
+    """The pool is imported only when a runner forks, so importing cadlab.cli,
+    which imports every module of the package, and every serial call do not
+    pay for it. A bare `import cadlab` imports none of them, nor numpy."""
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(evaluation.__file__).parents[1])}
-    code = ("import sys, cadlab; print(sorted(m for m in sys.modules if m == "
-            "'concurrent.futures.process' or m.split('.')[0] == 'multiprocessing'))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    for module, unwanted in (
+            ("cadlab.cli", "m == 'concurrent.futures.process' "
+                           "or m.split('.')[0] == 'multiprocessing'"),
+            ("cadlab", "m.startswith('cadlab.') or m.split('.')[0] == 'numpy'")):
+        code = f"import sys, {module}; print(sorted(m for m in sys.modules if {unwanted}))"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n", module
 
 
 def test_the_first_runner_call_holds_one_blas_thread_for_the_process(monkeypatch):
@@ -397,7 +411,7 @@ def test_run_single_scores_each_split_from_one_ood_eval_set():
     snap = train(config, ds.train_pairs, vocab=vocab)[0].snapshot
     assert row["acc_ood"] == evaluate(snap, ds.ood, vocab).accuracy
     assert row["acc_ood_stress"] == evaluate(snap, ds.ood_stress, vocab).accuracy
-    probe = myopia_probe(snap, ds.ood + ds.ood_stress, ds.groups, vocab)
+    probe = myopia_probe(snap, EvalSet.build(ds.ood + ds.ood_stress, vocab, ds.groups))
     assert {name: row[f"drop_{name}"] for name in probe.drops} == probe.drops
 
 
@@ -453,7 +467,7 @@ def test_run_single_rows_are_each_runs_own_probe(seeds, arms, n_classes):
     n_ood, n_stress = len(ds.ood), len(ds.ood_stress)
     for config, row in zip(configs, rows):
         checkpoint, _ = train(config, ds.train_pairs, vocab=vocab)
-        probe = myopia_probe(checkpoint.snapshot, ood, ds.groups, vocab)
+        probe = myopia_probe(checkpoint.snapshot, ood)
         assert row["train_accuracy"] == checkpoint.train_accuracy
         assert row["checkpoint_epoch"] == checkpoint.epoch
         assert row["acc_ood"] == int(probe.correct[:n_ood].sum()) / n_ood
