@@ -375,7 +375,7 @@ class TokenIds:
 
     @classmethod
     def from_examples(cls, examples) -> "TokenIds":
-        return cls.from_tokens(ex.tokens for ex in examples)
+        return cls.from_tokens(map(attrgetter("tokens"), examples))
 
     def __len__(self) -> int:
         return len(self.lengths)

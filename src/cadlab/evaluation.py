@@ -42,6 +42,7 @@ import os
 from dataclasses import dataclass, field, replace
 from functools import cache, partial
 from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -94,7 +95,7 @@ class EvalSet:
         if not examples:
             raise ValueError("scoring needs a non-empty example list")
         ids = TokenIds.from_examples(examples)
-        labels = np.array([ex.label for ex in examples], dtype=np.intp)
+        labels = np.fromiter(map(attrgetter("label"), examples), np.intp, len(examples))
         features = featurize_matrix(ids, vocab)
         masked = {} if groups is None else {
             name: featurize_matrix(ids, vocab, mask_tokens=groups.by_name(name))
@@ -331,7 +332,7 @@ def _protocol_rows(base_config: TrainConfig, cells: list, seeds: list[int],
     row gets its arm and its cell's tag here in the parent.
     """
     first = cells[0][1]
-    top_ood = max((ex.label for ex in first.ood + first.ood_stress), default=0)
+    top_ood = max(map(attrgetter("label"), first.ood + first.ood_stress), default=0)
     vocabs = []
     for what, dataset, _, _ in cells:
         # one walk: zip gives each Example field across the examples
@@ -427,9 +428,8 @@ def run_data_efficiency(base_config: TrainConfig, dataset: GeneratedDataset,
         for kind in ("pairs", "unaugmented"):
             pairs = (paired[:s // 2] if kind == "pairs"
                      else [PairedExample(u.original) for u in units[:s]])
-            members = [m for u in pairs for m in u.members()]
-            tag = {"size": s, "n_train_examples": len(members),
-                   "n_counterfactuals": sum(1 for m in members if m.variant == "counterfactual")}
+            tag = {"size": s, "n_train_examples": s,
+                   "n_counterfactuals": s // 2 if kind == "pairs" else 0}
             arms = [(arm, changes) for arm, changes, of in DATA_EFFICIENCY_ARMS if of == kind]
             cells.append((f"size {s}: the {kind} subset", replace(dataset, train_pairs=pairs),
                           arms, tag))

@@ -19,7 +19,7 @@ from cadlab.evaluation import (
     ABLATION_ARMS, EvalSet, config_fingerprint, evaluate, myopia_probe, ood_eval_set,
     rows_to_csv, run_ablation, run_data_efficiency, run_single, sign_test_p, write_report,
 )
-from cadlab.model import ModelConfig, ModelParams, Snapshot, initial_values
+from cadlab.model import ModelConfig, ModelParams, Snapshot, initial_values, top_class
 from cadlab.training import TrainConfig, train
 
 
@@ -437,6 +437,39 @@ def test_a_stacked_snapshot_predicts_each_matrix_as_each_run_alone(runs, n_class
                 assert predictions[r].tobytes() == snapshot.predict_matrix(features).tobytes()
 
 
+def _row_layout_logits(snapshot, features):
+    """tanh(X @ E + b) @ Wᵀ + c with the examples on the rows: (…, n, K)."""
+    h = features @ snapshot.embedding
+    h += snapshot.enc_bias[..., None, :]
+    z = np.tanh(h, out=h) @ np.swapaxes(snapshot.classifier, -1, -2)
+    z += snapshot.out_bias[..., None, :]
+    return z
+
+
+@settings(max_examples=40, deadline=None)
+@given(runs=st.integers(1, 8), n_classes=st.sampled_from([2, 3]), n_ood=st.integers(2, 40),
+       scale=st.sampled_from([1.0, 30.0]), seed=st.integers(0, 1000))
+def test_examples_last_scoring_is_the_row_layouts_bit_for_bit(runs, n_classes, n_ood, scale,
+                                                              seed):
+    """At the default embed_dim, the examples-last logits and predictions
+    are the row layout's and np.argmax of them, for unmasked, masked and
+    row-gathered matrices, stacked copies, views into a stack's rows and a
+    Snapshot of one run."""
+    ds = _dataset(n_pairs=6, n_ood=n_ood, n_classes=n_classes, seed=seed)
+    vocab = Vocab.from_examples(ds.train_examples())
+    ood = ood_eval_set(ds, vocab)
+    config = ModelConfig(vocab_size=vocab.size, n_classes=n_classes)
+    theta = scale * np.array([initial_values(config, seed + r) for r in range(runs)])
+    rows = np.random.default_rng(seed).integers(0, len(ood.features), 3 * len(ood.features))
+    snapshots = [Snapshot.from_flat(config, theta[r].copy()) for r in range(runs)]
+    for snapshot in (Snapshot.stack(snapshots), Snapshot.from_flat(config, theta), snapshots[0]):
+        for features in (ood.features, *ood.masked.values(), ood.features[rows]):
+            expected = _row_layout_logits(snapshot, features)
+            assert snapshot.logits_matrix(features).tobytes() == expected.tobytes()
+            assert (snapshot.predict_matrix(features).tolist()
+                    == np.argmax(expected, axis=-1).tolist())
+
+
 _LOGIT = st.sampled_from([-np.inf, -1.0, 0.0, 0.5, 1.0, np.inf, np.nan])
 
 
@@ -444,8 +477,11 @@ _LOGIT = st.sampled_from([-np.inf, -1.0, 0.0, 0.5, 1.0, np.inf, np.nan])
 @given(shape=st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4)),
        data=st.data())
 def test_predict_matrix_takes_argmaxs_class_on_ties_infinities_and_nans(shape, data):
+    """top_class on (…, K, n) logits, and predict_matrix through it on the
+    (…, n, K) ones, pick np.argmax's class."""
     size = math.prod(shape)
     logits = np.array(data.draw(st.lists(_LOGIT, min_size=size, max_size=size))).reshape(shape)
+    assert top_class(logits).tolist() == np.argmax(logits, axis=-2).tolist()
     snapshot = Snapshot.stack([_zero_params(Vocab(["a"])).snapshot()])
     snapshot.logits_matrix = lambda features: logits
     assert snapshot.predict_matrix(None).tolist() == np.argmax(logits, axis=-1).tolist()

@@ -3,12 +3,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cadlab.autodiff import const, finite_diff_check, grad, mul, nsum
 from cadlab.data import GeneratorConfig, Vocab, featurize_matrix, featurize_sparse, generate_cad
 from cadlab.model import (
     DegenerateLabelVector, ModelConfig, ModelParams,
-    cross_entropy, decompose, encode, load_checkpoint, logits, save_checkpoint,
+    cross_entropy, decompose, encode, initial_values, load_checkpoint, logits, save_checkpoint,
 )
 
 
@@ -26,6 +27,18 @@ def _set_matrix(rows, values):
 def _set_vector(vec, values):
     for p, v in zip(vec, values):
         p.value = float(v)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(-2**70, 2**70), vocab_size=st.integers(1, 40),
+       n_classes=st.integers(1, 3), embed_dim=st.integers(1, 8), use_hidden=st.booleans())
+def test_initial_values_are_uniforms_draws_bit_for_bit(seed, vocab_size, n_classes, embed_dim,
+                                                        use_hidden):
+    config = ModelConfig(vocab_size=vocab_size, n_classes=n_classes, embed_dim=embed_dim,
+                         use_hidden=use_hidden)
+    rng = random.Random(seed)
+    expected = [rng.uniform(-0.1, 0.1) for _ in range(config.n_params())]
+    assert [v.hex() for v in initial_values(config, seed)] == [v.hex() for v in expected]
 
 
 def test_encode_zero_input_zero_bias():
