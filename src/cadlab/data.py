@@ -9,12 +9,11 @@ one rule for every file: an original alone, or with its counterfactual. A
 file of originals with distinct pair_ids is checked by those two facts
 alone, with no units built. A file whose every line is one that dump_jsonl
 writes with no escape in it is parsed in one regex pass over the text. Every
-other file is parsed line by line, so that every error names its line: each
-line is one call of json's C scanner, and only a line that fails it goes
-through json.loads, whose message the error carries. Writing formats each
-line from json's own string escaper, byte for byte what
-json.dumps(sort_keys=True) writes. Each config class takes its dict form
-from its fields (DictConfig).
+other file is parsed line by line, one json.loads per line, so that every
+error names its line. Writing formats each line from json's own string
+escaper, byte for byte what json.dumps(sort_keys=True) writes. Each config
+class takes its dict form from its fields (DictConfig), and every CSV file
+the lab writes is one csv_text.
 
 Featurization has one implementation, featurize_matrix: the tokens of a list
 of examples are looked up once as integer ids in first-seen order (TokenIds),
@@ -30,10 +29,10 @@ vocabulary groups: edited-causal tokens (replaced by the counterfactual edit),
 non-edited causal tokens, label-correlated tokens whose alignment strength is
 controlled per split, and label-free noise tokens. It draws from one
 random.Random(seed) through its public getrandbits and random methods only:
-each token draw (_draws) and each swap of a sentence's shuffle makes the
-getrandbits calls that random.Random.choice and shuffle make, in the same
-order, without their two Python frames per draw. So the data are byte for
-byte the ones that choice and shuffle gave.
+each token draw (_draws) and each sentence's shuffle (_shuffle, which
+make_batches shares) makes the getrandbits calls that random.Random.choice
+and shuffle make, in the same order, without their two Python frames per
+draw. So the data are byte for byte the ones that choice and shuffle gave.
 """
 
 from __future__ import annotations
@@ -41,12 +40,12 @@ from __future__ import annotations
 import copy
 import json
 import json.encoder
-import json.scanner
 import math
 import random
 import re
 from dataclasses import dataclass, field, fields
 from collections import defaultdict
+from functools import lru_cache
 from itertools import chain, count
 from operator import attrgetter
 from typing import NamedTuple
@@ -173,13 +172,21 @@ class DictConfig:
         return cls(**d)
 
 
+def csv_text(columns, rows) -> str:
+    """A CSV file's text: the header line of the columns, then one line per
+    row of cells in column order, a float cell as its repr and any other as
+    its str."""
+    lines = [",".join(columns)]
+    lines += [",".join([repr(v) if isinstance(v, float) else str(v) for v in row])
+              for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # JSONL I/O
 
 _REQUIRED_FIELDS = ("id", "text", "label", "pair_id", "variant")
 _FIELD_SET = frozenset(_REQUIRED_FIELDS)
-# what json.loads runs on a line that holds one value and nothing else
-_scan_once = json.scanner.make_scanner(json.JSONDecoder())
 # the string escaper of json.dumps (ensure_ascii=True)
 _escape = json.encoder.encode_basestring_ascii
 
@@ -223,19 +230,13 @@ def _read_jsonl(path) -> list[Example]:
         if not line:
             continue
         try:
-            obj, end = _scan_once(line, 0)
-        except (StopIteration, json.JSONDecodeError):
-            end = -1
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ParseError(path, line_no, f"invalid JSON: {e.msg}") from e
         except ValueError as e:     # an int longer than int() converts
             raise ParseError(path, line_no, str(e).partition(";")[0]) from e
         except RecursionError as e:
             raise ParseError(path, line_no, NESTED_TOO_DEEPLY) from e
-        if end != len(line):
-            # json.loads gives the message: a BOM, "Extra data" and the rest
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(path, line_no, f"invalid JSON: {e.msg}") from e
         if not isinstance(obj, dict):
             raise ParseError(path, line_no, "expected a JSON object")
         if not obj.keys() >= _FIELD_SET:
@@ -548,6 +549,24 @@ def _draws(getrandbits, seq, count: int) -> list:
     return out
 
 
+@lru_cache(maxsize=16)
+def _swaps(n: int) -> tuple[tuple[int, int], ...]:
+    """random.Random.shuffle's swaps of n items: position i, from the last
+    down, swaps with an index below i + 1, drawn with that many bits."""
+    return tuple((i, (i + 1).bit_length()) for i in range(n - 1, 0, -1))
+
+
+def _shuffle(getrandbits, seq: list) -> None:
+    """random.Random.shuffle(seq), in place, with the getrandbits calls that
+    shuffle makes on Python 3.10 to 3.13: an index of (i + 1).bit_length()
+    bits for each position i, drawn again while it is above i."""
+    for i, k in _swaps(len(seq)):
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        seq[i], seq[j] = seq[j], seq[i]
+
+
 def generate_cad(cfg: GeneratorConfig) -> GeneratedDataset:
     """Generate paired training data plus two OOD evaluation splits.
 
@@ -567,8 +586,6 @@ def generate_cad(cfg: GeneratorConfig) -> GeneratedDataset:
     k_r = cfg.correlated_per_sentence
     k_n = cfg.sentence_length - cfg.causal_per_sentence - k_r
     others = [[c for c in range(cfg.n_classes) if c != y] for y in range(cfg.n_classes)]
-    # random.Random.shuffle's draws: position i swaps with one below i + 1
-    swaps = [(i, (i + 1).bit_length()) for i in range(cfg.sentence_length - 1, 0, -1)]
     new = tuple.__new__
 
     def sentence(label, rho):
@@ -578,11 +595,7 @@ def generate_cad(cfg: GeneratorConfig) -> GeneratedDataset:
             cls = label if uniform() < rho else _draws(getrandbits, others[label], 1)[0]
             toks += _draws(getrandbits, correlated[cls], 1)
         toks += _draws(getrandbits, noise, k_n)
-        for i, k in swaps:
-            j = getrandbits(k)
-            while j > i:
-                j = getrandbits(k)
-            toks[i], toks[j] = toks[j], toks[i]
+        _shuffle(getrandbits, toks)
         return toks
 
     pairs = []

@@ -47,7 +47,7 @@ from operator import attrgetter
 import numpy as np
 
 from .data import (
-    DataError, FeatureGroups, GeneratedDataset, PairedExample, TokenIds, Vocab,
+    DataError, FeatureGroups, GeneratedDataset, PairedExample, TokenIds, Vocab, csv_text,
     featurize_matrix,
 )
 from .model import Snapshot
@@ -458,20 +458,11 @@ def run_data_efficiency(base_config: TrainConfig, dataset: GeneratedDataset,
 # ---------------------------------------------------------------------------
 # report files
 
-def _format_cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def rows_to_csv(rows: list[dict]) -> str:
-    if not rows:
-        return "\n"
+    """The CSV text of a protocol's rows: a column per key of any row, in
+    sorted order, with an empty cell where a row lacks the key."""
     columns = sorted({k for row in rows for k in row})
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_format_cell(row.get(c, "")) for c in columns))
-    return "\n".join(lines) + "\n"
+    return csv_text(columns, [[row.get(c, "") for c in columns] for row in rows])
 
 
 def write_report(result: dict, out_dir, name: str) -> dict:

@@ -70,11 +70,6 @@ class LossBreakdown:
     total: float
     n_pairs_used: int
 
-    CSV_HEADER = "step,l_p,l_irm,l_ocd,total,n_pairs_used"
-
-    def csv_row(self, step: int) -> str:
-        return f"{step},{self.l_p!r},{self.l_irm!r},{self.l_ocd!r},{self.total!r},{self.n_pairs_used}"
-
 
 def prediction_loss(fwds: list[ForwardExample]) -> Node:
     """Mean cross-entropy over all examples of the step (both environments)."""

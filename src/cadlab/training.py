@@ -34,16 +34,17 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
 # perfbench/spans.py wraps cadlab.training.grad, .combined_loss and .partition_environments by name
 from .autodiff import grad  # noqa: F401
 from .data import (  # noqa: F401
-    ENV_COUNTERFACTUAL, DictConfig, EmptyEnvironmentError, PairedExample, Vocab, featurize_matrix,
-    is_int, is_number, partition_environments,
+    ENV_COUNTERFACTUAL, DictConfig, EmptyEnvironmentError, PairedExample, Vocab, _shuffle,
+    csv_text, featurize_matrix, is_int, is_number, partition_environments,
 )
 from .losses import Batch, LossBreakdown, Stack, combined_loss, objective_and_grad  # noqa: F401
 from .model import ModelConfig, Snapshot, initial_values
@@ -113,27 +114,22 @@ class EpochSummary:
     mean_l_ocd: float
     mean_total: float
 
-    CSV_HEADER = "epoch,train_accuracy,mean_l_p,mean_l_irm,mean_l_ocd,mean_total"
-
-    def csv_row(self) -> str:
-        return (f"{self.epoch},{self.train_accuracy!r},{self.mean_l_p!r},"
-                f"{self.mean_l_irm!r},{self.mean_l_ocd!r},{self.mean_total!r}")
-
 
 @dataclass
 class TrainingLog:
+    """The step and epoch records of a run; their CSV files have a column
+    per field, the step file after a leading step index."""
     steps: list[LossBreakdown] = field(default_factory=list)
     epochs: list[EpochSummary] = field(default_factory=list)
 
     def step_csv(self) -> str:
-        lines = [LossBreakdown.CSV_HEADER]
-        lines += [b.csv_row(i) for i, b in enumerate(self.steps)]
-        return "\n".join(lines) + "\n"
+        names = [f.name for f in fields(LossBreakdown)]
+        cells = attrgetter(*names)
+        return csv_text(["step", *names], [(i, *cells(b)) for i, b in enumerate(self.steps)])
 
     def epoch_csv(self) -> str:
-        lines = [EpochSummary.CSV_HEADER]
-        lines += [e.csv_row() for e in self.epochs]
-        return "\n".join(lines) + "\n"
+        names = [f.name for f in fields(EpochSummary)]
+        return csv_text(names, map(attrgetter(*names), self.epochs))
 
 
 @dataclass
@@ -152,15 +148,7 @@ def make_batches(units, batch_pairs: int, seed: int, epoch: int) -> list[list]:
     """
     order = list(units)
     # integer mixing only: string hashing is salted per process
-    getrandbits = random.Random(seed * 1_000_003 + epoch).getrandbits
-    # random.Random.shuffle(order), with the getrandbits calls it makes on
-    # Python 3.10 to 3.13: position i swaps with an index below i + 1
-    for i in range(len(order) - 1, 0, -1):
-        k = (i + 1).bit_length()
-        j = getrandbits(k)
-        while j > i:
-            j = getrandbits(k)
-        order[i], order[j] = order[j], order[i]
+    _shuffle(random.Random(seed * 1_000_003 + epoch).getrandbits, order)
     return [order[i:i + batch_pairs] for i in range(0, len(order), batch_pairs)]
 
 

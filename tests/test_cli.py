@@ -11,6 +11,7 @@ import pytest
 import cadlab
 from cadlab import cli
 from cadlab.cli import main
+from cadlab.training import TrainConfig
 
 
 def _write_json(path, payload):
@@ -284,6 +285,23 @@ def test_removed_train_config_keys_exit_1(small_data, capsys):
         assert rc == 1
         assert f"unknown train config keys: ['{key}']" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_readme_train_config_table_lists_every_train_config_field():
+    """README's train config table names TrainConfig's fields in order, each
+    with its default as JSON, and the sentence above it counts them."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"is a JSON object with any of these (\d+) keys", text)
+    lines = text[sentence.end():].splitlines()
+    start = lines.index("| key | default | meaning |") + 2
+    table = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        key, default, _ = (cell.strip().strip("`") for cell in line[1:].split("|", 2))
+        table.append((key, json.loads(default)))
+    assert table == list(TrainConfig().to_dict().items())
+    assert int(sentence.group(1)) == len(table)
 
 
 # (file in the data directory, what _put leaves there, message)

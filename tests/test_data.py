@@ -10,11 +10,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cadlab.data import (
     DataError, EmptyEnvironmentError, Example, FeatureGroups, GeneratorConfig,
-    PairedExample, PairingError, ParseError, TokenIds, Vocab,
+    PairedExample, PairingError, ParseError, TokenIds, Vocab, csv_text,
     dump_jsonl, featurize_matrix, featurize_sparse, generate_cad,
     load_jsonl, pair_examples, partition_environments, read_dataset, write_dataset,
 )
@@ -630,6 +630,31 @@ def test_generator_draws_what_choice_and_shuffle_drew(cfg):
     assert all(type(ex) is Example for ex in got.train_examples() + got.ood + got.ood_stress)
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 600), seed=st.integers(0, 2 ** 70))
+@example(n=600, seed=2 ** 64)
+def test_shuffle_makes_the_draws_of_random_shuffle(n, seed):
+    got, want = [f"t{i}" for i in range(n)], [f"t{i}" for i in range(n)]
+    rng, reference = random.Random(seed), random.Random(seed)
+    data._shuffle(rng.getrandbits, got)
+    reference.shuffle(want)
+    assert got == want
+    assert rng.getstate() == reference.getstate()
+
+
+def test_csv_text_writes_floats_as_their_repr_and_other_cells_as_str():
+    floats = (math.nan, math.inf, -0.0, 5e-324, 0.1 + 0.2)
+    others = (7, 2 ** 70, "x y", True, False)
+    text = csv_text(["a", "b", "c", "d", "e"], [floats, others])
+    header, float_line, other_line, end = text.split("\n")
+    assert (header, end) == ("a,b,c,d,e", "")
+    assert float_line == "nan,inf,-0.0,5e-324,0.30000000000000004"
+    # repr tells -0.0 and nan apart, and round-trips every other float exactly
+    assert [repr(float(cell)) for cell in float_line.split(",")] == list(map(repr, floats))
+    assert other_line == "7,1180591620717411303424,x y,True,False"
+    assert csv_text(["a", "b"], []) == "a,b\n"
+
+
 def test_generator_rho_statistics():
     cfg = GeneratorConfig(n_pairs=2500, n_ood=10, rho_train=0.9, seed=17)
     ds = generate_cad(cfg)
@@ -770,12 +795,17 @@ def test_read_dataset_reads_what_write_dataset_wrote_in_one_pass(tmp_path, monke
     ds = generate_cad(GeneratorConfig(n_pairs=30, n_ood=12, seed=9))
     write_dataset(ds, tmp_path / "data")
 
-    def per_line_scanner(*args):
-        raise AssertionError("a line of a dump_jsonl file went through the per-line scanner")
+    read_dumped = data._read_dumped
 
-    # every non-blank line of the per-line parse starts with _scan_once, and json.loads
-    # runs only where it fails; json.loads itself stays, since groups.json is read with it
-    monkeypatch.setattr(data, "_scan_once", per_line_scanner)
+    def one_pass_only(text):
+        examples = read_dumped(text)
+        if examples is None:
+            raise AssertionError("a dump_jsonl file went through the per-line parse")
+        return examples
+
+    # the per-line parse runs wherever _read_dumped gives None; json.loads cannot
+    # be patched instead, since groups.json is read with it
+    monkeypatch.setattr(data, "_read_dumped", one_pass_only)
     loaded = read_dataset(tmp_path / "data")
     assert (loaded.train_pairs, loaded.ood, loaded.ood_stress) == (ds.train_pairs, ds.ood, ds.ood_stress)
 

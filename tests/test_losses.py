@@ -13,6 +13,7 @@ from cadlab.losses import (
     forward_examples, irm_penalty, ocd_loss, prediction_loss,
 )
 from cadlab.model import ModelConfig, ModelParams
+from cadlab.training import TrainingLog
 
 
 def _fwd_from_logits(logit_values, label):
@@ -200,8 +201,9 @@ def test_loss_breakdown_arithmetic():
     b = LossBreakdown(l_p=0.5, l_irm=0.2, l_ocd=0.3, total=0.5 + 0.1 * 0.2 + 0.1 * 0.3,
                       n_pairs_used=4)
     assert b.total == pytest.approx(0.55, abs=1e-15)
-    row = b.csv_row(7)
-    assert row.startswith("7,0.5,0.2,")
+    step_csv = TrainingLog(steps=[b] * 8).step_csv().splitlines()
+    assert step_csv[0] == "step,l_p,l_irm,l_ocd,total,n_pairs_used"
+    assert step_csv[-1].startswith("7,0.5,0.2,0.3,") and step_csv[-1].endswith(",4")
 
 
 def _small_setup(seed=0, n_pairs=8, embed_dim=4, use_hidden=False):

@@ -21,7 +21,7 @@ from cadlab.model import (
 )
 from cadlab.data import featurize_sparse
 from cadlab.training import (
-    AdamState, Checkpoint, NonFiniteLossError, TrainConfig, adam_step, batch_index,
+    AdamState, Checkpoint, NonFiniteLossError, TrainConfig, TrainingLog, adam_step, batch_index,
     make_batches, train, train_arms, unit_rows,
 )
 
@@ -756,7 +756,7 @@ def test_both_invariance_paths_give_the_same_step_bit_for_bit(seed, n_classes, n
     def step(batch):
         stack, params, grads, gradient = _stack(config, theta.copy(), alpha, beta, n_seeds)
         breakdowns = objective_and_grad(params, grads, x, batch, stack)
-        return [b.csv_row(0) for b in breakdowns], gradient.tobytes()
+        return TrainingLog(steps=breakdowns).step_csv(), gradient.tobytes()
 
     assert step(batch) == step(batch._replace(env_blocks=[block[:1], block[1:]]))
 
