@@ -313,15 +313,16 @@ def _jsonl_line(ex: Example) -> str:
 # it is at most LABEL_MAX; a longer label goes through the per-line parse
 _STR = r'"([ !#-\[\]-~]*)"'
 _DUMPED_LINE = re.compile(rf'^\{{"id": {_STR}, "label": (0|[1-9][0-9]{{0,17}}), "pair_id": {_STR}, '
-                          rf'"text": {_STR}, "variant": "(original|counterfactual)"\}}$', re.M)
+                          rf'"text": {_STR}, "variant": "(original|counterfactual)"\}}\r?$', re.M)
 
 
 def _read_dumped(text: str) -> list[Example] | None:
-    """The examples of a text whose every line is a _DUMPED_LINE, as the
-    per-line parse gives them, read in one pass; None for any other text.
-    No match spans a newline, so as many matches as lines means all match."""
+    """The examples of a text whose every line is a _DUMPED_LINE, with LF or
+    CRLF line ends, as the per-line parse gives them, read in one pass; None
+    for any other text. No match spans a newline, so as many matches as
+    lines means all match."""
     if not _DUMPED_LINE.match(text):
-        # most other files show it on their first line: CRLF, a BOM, other keys
+        # most other files show it on their first line: a BOM, other keys
         return None
     rows = _DUMPED_LINE.findall(text)
     if len(rows) != text.count("\n") + (not text.endswith("\n")):

@@ -18,7 +18,8 @@ gradient views) in a ``Stack``, built once. ``combined_loss`` builds the objecti
 scalar graph: a differentiable backward pass computes the invariance
 gradient, so the penalty itself stays differentiable, and ``autodiff.grad``
 then gives the parameter gradient. It is the reference that checks the
-closed form.
+closed form, on the same model: ``ModelParams`` holds a ``Snapshot``'s
+parameters, laid out alike, as graph leaves.
 """
 
 from __future__ import annotations
@@ -277,10 +278,9 @@ def objective_and_grad(params: Snapshot, grads: Snapshot, x: np.ndarray, batch: 
     built from these params and grads.
 
     The gradient is written into grads, and x holds each seed's (S, n, V)
-    feature rows. The model has no hidden layer. A run whose weight is 0
-    gets exactly 0 for that term and no share of its gradient, even where
-    the term is not finite. Returns one LossBreakdown per run; the values
-    are those of combined_loss.
+    feature rows. A run whose weight is 0 gets exactly 0 for that term and
+    no share of its gradient, even where the term is not finite. Returns one
+    LossBreakdown per run; the values are those of combined_loss.
 
     Environments of one non-empty size take the invariance penalty in one
     set of array calls (one block), others one at a time; both paths add

@@ -13,8 +13,8 @@ so an optimizer updates them in place, and every prediction is
 It puts the examples last, (…, d, n) and (…, K, n), so the biases, tanh and
 ``top_class``'s comparisons run along contiguous rows. ModelParams holds the
 same values as scalar graph Nodes for the autodiff reference, which checks
-the closed-form training gradient; only it has the optional hidden layer.
-Both start from ``initial_values``.
+the closed-form training gradient. Both start from ``initial_values`` and
+lay it out by ``ModelConfig.param_shapes``, the one spelling of the layout.
 """
 
 from __future__ import annotations
@@ -45,14 +45,11 @@ class ModelConfig(DictConfig):
     vocab_size: int            # including the OOV bucket
     n_classes: int = 2
     embed_dim: int = 8
-    use_hidden: bool = False   # optional extra tanh layer (embed_dim -> embed_dim)
 
     def __post_init__(self):
         for name in ("vocab_size", "n_classes", "embed_dim"):
             if not is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
-        if not isinstance(self.use_hidden, bool):
-            raise ValueError(f"use_hidden must be a bool, got {self.use_hidden!r}")
         if self.vocab_size < 1 or self.n_classes < 1 or self.embed_dim < 1:
             raise ValueError("vocab_size, n_classes and embed_dim must be positive")
 
@@ -60,69 +57,67 @@ class ModelConfig(DictConfig):
         return sum(math.prod(shape) for shape in self.param_shapes().values())
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
-        """Shape of each parameter array, in ModelParams.flat() order."""
+        """Shape of each parameter array, in the order of the flat parameter vector."""
         V, K, d = self.vocab_size, self.n_classes, self.embed_dim
-        shapes = {"embedding": (V, d), "enc_bias": (d,)}
-        if self.use_hidden:
-            shapes.update(hidden=(d, d), hidden_bias=(d,))
-        shapes.update(classifier=(K, d), out_bias=(K,))
-        return shapes
+        return {"embedding": (V, d), "enc_bias": (d,), "classifier": (K, d), "out_bias": (K,)}
+
+    def split(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """Each parameter array as a view into a flat vector in param_shapes
+        order, or into each row of an (R, n_params) matrix of R runs, so
+        writes to the vector show through and vice versa."""
+        if vector.shape[-1:] != (self.n_params(),) or vector.ndim > 2:
+            raise ValueError(f"expected {self.n_params()} parameters, got shape {vector.shape}")
+        parts, start = {}, 0
+        for name, shape in self.param_shapes().items():
+            size = math.prod(shape)
+            parts[name] = vector[..., start:start + size].reshape(vector.shape[:-1] + shape)
+            start += size
+        return parts
 
 
 def initial_values(config: ModelConfig, seed: int) -> list[float]:
-    """Seeded initial parameter values, in ModelParams.flat() order: the
-    draws of random.Random(seed).uniform(-0.1, 0.1), by uniform's own formula."""
+    """Seeded initial parameter values, in param_shapes order: the draws of
+    random.Random(seed).uniform(-0.1, 0.1), by uniform's own formula."""
     low, high, draw = -0.1, 0.1, random.Random(seed).random
     return [low + (high - low) * draw() for _ in range(config.n_params())]
 
 
 class ModelParams:
-    """All trainable parameters as scalar graph leaves.
-
-    embedding: vocab_size x d, enc_bias: d, optional hidden d x d (+ bias),
-    classifier: n_classes x d whose row k is the label vector for class k,
-    out_bias: n_classes.
-    """
+    """All trainable parameters as scalar graph leaves, each array of
+    ModelConfig.param_shapes as nested lists: embedding (vocab_size x d),
+    enc_bias (d), classifier (n_classes x d, whose row k is the label vector
+    for class k) and out_bias (n_classes)."""
 
     def __init__(self, config: ModelConfig, seed: int):
-        values = iter(initial_values(config, seed))
-        d = config.embed_dim
-        self.config = config
-        u = lambda: const(next(values))
-        self.embedding = [[u() for _ in range(d)] for _ in range(config.vocab_size)]
-        self.enc_bias = [u() for _ in range(d)]
-        if config.use_hidden:
-            self.hidden = [[u() for _ in range(d)] for _ in range(d)]
-            self.hidden_bias = [u() for _ in range(d)]
-        else:
-            self.hidden = None
-            self.hidden_bias = None
-        self.classifier = [[u() for _ in range(d)] for _ in range(config.n_classes)]
-        self.out_bias = [u() for _ in range(config.n_classes)]
+        self._lay_out(config, [const(v) for v in initial_values(config, seed)])
+
+    @classmethod
+    def from_leaves(cls, config: ModelConfig, leaves: list[Node]) -> "ModelParams":
+        """The parameters that are these leaves, in flat() order."""
+        params = cls.__new__(cls)
+        params._lay_out(config, leaves)
+        return params
+
+    def _lay_out(self, config: ModelConfig, leaves: list[Node]) -> None:
+        self.config, self._leaves = config, list(leaves)
+        for name, part in config.split(np.array(self._leaves, dtype=object)).items():
+            setattr(self, name, part.tolist())
 
     def flat(self) -> list[Node]:
-        out = [p for row in self.embedding for p in row]
-        out += self.enc_bias
-        if self.hidden is not None:
-            out += [p for row in self.hidden for p in row]
-            out += self.hidden_bias
-        out += [p for row in self.classifier for p in row]
-        out += self.out_bias
-        return out
+        return list(self._leaves)
 
     def n_params(self) -> int:
-        return len(self.flat())
+        return len(self._leaves)
 
     def snapshot(self) -> "Snapshot":
-        """The values as a Snapshot; ValueError for a model with a hidden layer."""
-        return Snapshot.from_flat(self.config, np.array([p.value for p in self.flat()]))
+        return Snapshot.from_flat(self.config, np.array([p.value for p in self._leaves]))
 
 
 @dataclass
 class Snapshot:
-    """Detached f64 copy of the parameters of a model without a hidden layer,
-    used for training, evaluation and checkpoints. Each array may carry a
-    leading run axis: a stack of runs keeps run r's parameters at index r."""
+    """Detached f64 copy of the parameters, used for training, evaluation
+    and checkpoints. Each array may carry a leading run axis: a stack of
+    runs keeps run r's parameters at index r."""
     config: ModelConfig
     embedding: np.ndarray
     enc_bias: np.ndarray
@@ -131,20 +126,9 @@ class Snapshot:
 
     @classmethod
     def from_flat(cls, config: ModelConfig, vector: np.ndarray) -> "Snapshot":
-        """Arrays as views into a flat vector in ModelParams.flat() order, or
-        into each row of an (R, n_params) matrix of R runs, so writes to the
-        vector show through and vice versa."""
-        if config.use_hidden:
-            raise ValueError("a Snapshot holds no hidden layer")
-        if vector.shape[-1:] != (config.n_params(),) or vector.ndim > 2:
-            raise ValueError(f"expected {config.n_params()} parameters, got shape {vector.shape}")
-        parts = {}
-        start = 0
-        for name, shape in config.param_shapes().items():
-            size = math.prod(shape)
-            parts[name] = vector[..., start:start + size].reshape(vector.shape[:-1] + shape)
-            start += size
-        return cls(config=config, **parts)
+        """Arrays as views into a flat vector, or into each row of an (R,
+        n_params) matrix of R runs (ModelConfig.split)."""
+        return cls(config=config, **config.split(vector))
 
     @classmethod
     def stack(cls, snapshots: list["Snapshot"]) -> "Snapshot":
@@ -200,11 +184,6 @@ def encode(x_sparse: list[tuple[int, float]], params: ModelParams) -> list[Node]
     for j in range(d):
         rows = [params.embedding[i][j] for i, _ in x_sparse]
         h.append(tanh(add(wsum(rows, weights), params.enc_bias[j])))
-    if params.hidden is not None:
-        h2 = []
-        for j in range(d):
-            h2.append(tanh(add(dot(params.hidden[j], h), params.hidden_bias[j])))
-        h = h2
     return h
 
 
@@ -245,22 +224,22 @@ def decompose(h: list[Node], label: int, params: ModelParams) -> Decomposition:
 # ---------------------------------------------------------------------------
 # checkpoints
 
+# format version 1 names the keys of a hidden layer, which no model has: a
+# checkpoint holds them at these values, in its "model" and "params" objects
+FORMAT_1_FIXED_KEYS = {"model": {"use_hidden": False},
+                       "params": {"hidden": None, "hidden_bias": None}}
+
+
 def save_checkpoint(path, snap: Snapshot, vocab: Vocab, extra: dict | None = None) -> None:
     """JSON checkpoint; float values round-trip bit-exactly through repr."""
     payload = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "model": snap.config.to_dict(),
         "vocab": list(vocab.tokens),
-        "params": {
-            "embedding": snap.embedding.tolist(),
-            "enc_bias": snap.enc_bias.tolist(),
-            # format version 1 names the hidden layer, which no Snapshot holds
-            "hidden": None,
-            "hidden_bias": None,
-            "classifier": snap.classifier.tolist(),
-            "out_bias": snap.out_bias.tolist(),
-        },
+        "params": {name: getattr(snap, name).tolist() for name in snap.config.param_shapes()},
     }
+    for obj, fixed in FORMAT_1_FIXED_KEYS.items():
+        payload[obj].update(fixed)
     if extra:
         payload["extra"] = extra
     with open(path, "w", encoding="utf-8") as fh:
@@ -269,9 +248,10 @@ def save_checkpoint(path, snap: Snapshot, vocab: Vocab, extra: dict | None = Non
 
 
 def load_checkpoint(path) -> tuple[Snapshot, Vocab, dict]:
-    """Load a checkpoint, checking every parameter array's shape against the
-    model config, that every value is finite, that the vocabulary is a list
-    of strings and the extra data an object (ValueError otherwise)."""
+    """Load a checkpoint, checking its fixed keys, every parameter array's
+    shape against the model config, that every value is finite, that the
+    vocabulary is a list of strings and the extra data an object (ValueError
+    otherwise)."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -284,16 +264,18 @@ def load_checkpoint(path) -> tuple[Snapshot, Vocab, dict]:
     version = payload.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format version {version!r}")
+    model, p = payload["model"], payload["params"]
+    if not isinstance(model, dict):
+        raise ValueError("bad model config: not a JSON object")
+    for obj, fixed in FORMAT_1_FIXED_KEYS.items():
+        # an absent key counts as its fixed value; json gives the one False and None
+        if any(payload[obj].pop(key, value) is not value for key, value in fixed.items()):
+            raise ValueError("format 1 holds no hidden layer: \"use_hidden\" is false "
+                             "and \"hidden\", \"hidden_bias\" are null")
     try:
-        config = ModelConfig.from_dict(payload["model"])
+        config = ModelConfig.from_dict(model)
     except (TypeError, ValueError) as e:
         raise ValueError(f"bad model config: {e}") from e
-    if config.use_hidden:
-        raise ValueError("the model has a hidden layer, which checkpoints no longer hold")
-    p = payload["params"]
-    for name in ("hidden", "hidden_bias"):
-        if p.get(name) is not None:
-            raise ValueError(f"{name} is given but the model has no hidden layer")
     arrays = {}
     for name, shape in config.param_shapes().items():
         try:

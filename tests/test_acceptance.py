@@ -69,7 +69,7 @@ def test_c1_gradient_correctness_of_combined_loss():
         tokens_per_group={"edited": 2, "nonedited": 2, "correlated": 2, "noise": 4}))
     examples = ds.train_examples()
     vocab = Vocab.from_examples(examples)
-    cfg = ModelConfig(vocab_size=vocab.size, embed_dim=4, use_hidden=True)
+    cfg = ModelConfig(vocab_size=vocab.size, embed_dim=6)
     params = ModelParams(cfg, seed=13)
     n_params = params.n_params()
     assert n_params <= 1000
@@ -79,15 +79,7 @@ def test_c1_gradient_correctness_of_combined_loss():
     envs = partition_environments(batch, alpha=0.1)
 
     def build(leaves):
-        p2 = ModelParams(cfg, seed=13)
-        it = iter(leaves)
-        d = cfg.embed_dim
-        p2.embedding = [[next(it) for _ in range(d)] for _ in range(cfg.vocab_size)]
-        p2.enc_bias = [next(it) for _ in range(d)]
-        p2.hidden = [[next(it) for _ in range(d)] for _ in range(d)]
-        p2.hidden_bias = [next(it) for _ in range(d)]
-        p2.classifier = [[next(it) for _ in range(d)] for _ in range(cfg.n_classes)]
-        p2.out_bias = [next(it) for _ in range(cfg.n_classes)]
+        p2 = ModelParams.from_leaves(cfg, leaves)
         total, _ = combined_loss(batch, pairs, envs, p2, vocab, 0.1, 0.1)
         return total
 

@@ -449,6 +449,9 @@ def _nan_at(row, col):
     return value
 
 
+# format 1 keeps a hidden layer's keys at fixed values: "use_hidden" false, the arrays null
+NO_HIDDEN = 'format 1 holds no hidden layer: "use_hidden" is false and "hidden", "hidden_bias" are null'
+
 # one malformed checkpoint per row: (name, edit, expected exit code, message fragment)
 MALFORMED_CHECKPOINTS = [
     ("truncated embedding", _set(("params", "embedding"), lambda m: m[:-1]), 1,
@@ -473,13 +476,12 @@ MALFORMED_CHECKPOINTS = [
     ("missing params", _drop("params"), 1, 'a checkpoint is a JSON object with a "params" object'),
     ("not an object", lambda payload: [payload], 1,
      'a checkpoint is a JSON object with a "params" object'),
-    ("hidden layer the model lacks", _set(("params", "hidden"), [[0.0] * 4] * 4), 1,
-     "hidden is given but the model has no hidden layer"),
-    ("hidden layer missing", _set(("model", "use_hidden"), True), 1,
-     "the model has a hidden layer, which checkpoints no longer hold"),
-    ("hidden-layer model", _with_hidden_layer, 1,
-     "the model has a hidden layer, which checkpoints no longer hold"),
+    ("hidden layer the model lacks", _set(("params", "hidden"), [[0.0] * 4] * 4), 1, NO_HIDDEN),
+    ("hidden layer missing", _set(("model", "use_hidden"), True), 1, NO_HIDDEN),
+    ("hidden-layer model", _with_hidden_layer, 1, NO_HIDDEN),
     ("unknown model key", _set(("model", "depth"), 3), 1, "bad model config"),
+    ("model not an object", _set(("model",), lambda m: list(m)), 1,
+     "bad model config: not a JSON object"),
     ("float n_classes", _set(("model", "n_classes"), 2.0), 1,
      "bad model config: n_classes must be an int, got 2.0"),
     ("float vocab_size", _set(("model", "vocab_size"), 33.0), 1,
@@ -488,10 +490,8 @@ MALFORMED_CHECKPOINTS = [
      "bad model config: embed_dim must be an int, got 4.0"),
     ("bool n_classes", _set(("model", "n_classes"), True), 1,
      "bad model config: n_classes must be an int, got True"),
-    ("string use_hidden", _set(("model", "use_hidden"), "no"), 1,
-     "bad model config: use_hidden must be a bool, got 'no'"),
-    ("integer use_hidden", _set(("model", "use_hidden"), 0), 1,
-     "bad model config: use_hidden must be a bool, got 0"),
+    ("string use_hidden", _set(("model", "use_hidden"), "no"), 1, NO_HIDDEN),
+    ("integer use_hidden", _set(("model", "use_hidden"), 0), 1, NO_HIDDEN),
     ("vocab mismatch", _set(("vocab",), lambda v: v[:-1]), 1,
      "checkpoint vocab does not match model vocab_size"),
     ("vocab a number", _set(("vocab",), 5), 1, '"vocab" is not a list of strings'),

@@ -281,8 +281,9 @@ def test_a_near_canonical_line_reads_as_the_per_line_parse_reads_it(tmp_path, ca
     text = "".join(lines)
     p = tmp_path / "d.jsonl"
     p.write_bytes(text.encode())
-    # only a file whose every line dump_jsonl could have written takes one pass
-    assert (data._read_dumped(text) is None) == (case != "no final newline")
+    # only a file whose every line dump_jsonl could have written, with LF or
+    # CRLF line ends, takes one pass
+    assert (data._read_dumped(text) is None) == (case not in ("CRLF", "no final newline"))
     outcome, per_line = _outcome_and_per_line_outcome(p)
     assert outcome == per_line
 
@@ -304,6 +305,20 @@ def test_a_label_longer_than_int_converts_is_a_parse_error_at_its_line(tmp_path,
     p.write_bytes(_good_line("a", sort_keys=True) + b"\n" + line.encode() + b"\n")
     outcome, per_line = _outcome_and_per_line_outcome(p)
     assert outcome == per_line == (ParseError, f"{p}:2: {_too_long(digits)}", 2)
+
+
+def test_a_crlf_copy_of_a_dumped_file_is_read_in_one_pass(tmp_path):
+    write_dataset(generate_cad(GeneratorConfig(n_pairs=10, n_ood=12, seed=9)), tmp_path / "data")
+    lf = tmp_path / "data" / "ood.jsonl"
+    lines = lf.read_bytes().split(b"\n")
+    p = tmp_path / "crlf.jsonl"
+    p.write_bytes(b"\r\n".join(lines))
+    assert data._read_dumped(p.read_bytes().decode()) == data._read_jsonl(lf)
+    # one bad line sends the file through the per-line parse, which names it
+    lines[2] = lines[2].replace(b'"variant": "original"', b'"variant": "edited"')
+    p.write_bytes(b"\r\n".join(lines))
+    outcome, per_line = _outcome_and_per_line_outcome(p)
+    assert outcome == per_line == (ParseError, f"{p}:3: bad variant 'edited'", 3)
 
 
 def test_the_one_pass_read_takes_a_label_of_at_most_18_digits(tmp_path):
@@ -716,7 +731,7 @@ NON_DEFAULT_CONFIGS = [
                         "edited": 2, "nonedited": 3, "correlated": 5, "noise": 6},
                     rho_train=0.8, rho_ood=0.3, edit_scope=0.25, sentence_length=12,
                     causal_per_sentence=5, correlated_per_sentence=2, n_ood=9, seed=4),
-    ModelConfig(vocab_size=11, n_classes=3, embed_dim=5, use_hidden=True),
+    ModelConfig(vocab_size=11, n_classes=3, embed_dim=5),
     TrainConfig(alpha=0.7, beta=0.3, learning_rate=0.01, batch_pairs=5, epochs=3, seed=8,
                 env_mode="overlap", embed_dim=6),
 ]

@@ -206,15 +206,14 @@ def test_loss_breakdown_arithmetic():
     assert step_csv[-1].startswith("7,0.5,0.2,0.3,") and step_csv[-1].endswith(",4")
 
 
-def _small_setup(seed=0, n_pairs=8, embed_dim=4, use_hidden=False):
+def _small_setup(seed=0, n_pairs=8, embed_dim=4):
     ds = generate_cad(GeneratorConfig(n_pairs=n_pairs, n_ood=4, sentence_length=8,
                                       tokens_per_group={"edited": 2, "nonedited": 2,
                                                         "correlated": 2, "noise": 3},
                                       seed=seed))
     examples = ds.train_examples()
     vocab = Vocab.from_examples(examples)
-    params = ModelParams(ModelConfig(vocab_size=vocab.size, embed_dim=embed_dim,
-                                     use_hidden=use_hidden), seed=seed)
+    params = ModelParams(ModelConfig(vocab_size=vocab.size, embed_dim=embed_dim), seed=seed)
     pairs = [(u.original, u.counterfactual) for u in ds.train_pairs]
     envs = partition_environments(examples, alpha=1.0)
     return ds, examples, vocab, params, pairs, envs
@@ -252,8 +251,7 @@ def test_combined_loss_requirements():
 def test_combined_loss_gradient_matches_finite_differences():
     """Analytic gradient of the full objective (including the second-order
     invariance path) against central differences on every parameter."""
-    ds, examples, vocab, params, pairs, envs = _small_setup(
-        seed=3, n_pairs=4, embed_dim=3, use_hidden=True)
+    ds, examples, vocab, params, pairs, envs = _small_setup(seed=3, n_pairs=4)
     batch_pairs = ds.train_pairs[:4]
     batch = [m for u in batch_pairs for m in u.members()]
     step_pairs = [(u.original, u.counterfactual) for u in batch_pairs]
@@ -263,15 +261,7 @@ def test_combined_loss_gradient_matches_finite_differences():
     assert params.n_params() <= 1000
 
     def build(leaves):
-        p2 = ModelParams(cfg, seed=3)
-        it = iter(leaves)
-        d = cfg.embed_dim
-        p2.embedding = [[next(it) for _ in range(d)] for _ in range(cfg.vocab_size)]
-        p2.enc_bias = [next(it) for _ in range(d)]
-        p2.hidden = [[next(it) for _ in range(d)] for _ in range(d)]
-        p2.hidden_bias = [next(it) for _ in range(d)]
-        p2.classifier = [[next(it) for _ in range(d)] for _ in range(cfg.n_classes)]
-        p2.out_bias = [next(it) for _ in range(cfg.n_classes)]
+        p2 = ModelParams.from_leaves(cfg, leaves)
         total, _ = combined_loss(batch, step_pairs, step_envs, p2, vocab, 0.1, 0.1)
         return total
 

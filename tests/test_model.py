@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 
@@ -8,14 +10,14 @@ from hypothesis import given, settings, strategies as st
 from cadlab.autodiff import const, finite_diff_check, grad, mul, nsum
 from cadlab.data import GeneratorConfig, Vocab, featurize_matrix, featurize_sparse, generate_cad
 from cadlab.model import (
-    DegenerateLabelVector, ModelConfig, ModelParams,
+    DegenerateLabelVector, ModelConfig, ModelParams, Snapshot,
     cross_entropy, decompose, encode, initial_values, load_checkpoint, logits, save_checkpoint,
 )
 
 
-def _params(vocab_size=5, n_classes=2, embed_dim=3, use_hidden=False, seed=0):
+def _params(vocab_size=5, n_classes=2, embed_dim=3, seed=0):
     return ModelParams(ModelConfig(vocab_size=vocab_size, n_classes=n_classes,
-                                   embed_dim=embed_dim, use_hidden=use_hidden), seed=seed)
+                                   embed_dim=embed_dim), seed=seed)
 
 
 def _set_matrix(rows, values):
@@ -31,14 +33,19 @@ def _set_vector(vec, values):
 
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(-2**70, 2**70), vocab_size=st.integers(1, 40),
-       n_classes=st.integers(1, 3), embed_dim=st.integers(1, 8), use_hidden=st.booleans())
-def test_initial_values_are_uniforms_draws_bit_for_bit(seed, vocab_size, n_classes, embed_dim,
-                                                        use_hidden):
-    config = ModelConfig(vocab_size=vocab_size, n_classes=n_classes, embed_dim=embed_dim,
-                         use_hidden=use_hidden)
+       n_classes=st.integers(1, 3), embed_dim=st.integers(1, 8))
+def test_initial_values_are_uniforms_draws_bit_for_bit(seed, vocab_size, n_classes, embed_dim):
+    config = ModelConfig(vocab_size=vocab_size, n_classes=n_classes, embed_dim=embed_dim)
     rng = random.Random(seed)
     expected = [rng.uniform(-0.1, 0.1) for _ in range(config.n_params())]
     assert [v.hex() for v in initial_values(config, seed)] == [v.hex() for v in expected]
+    # the scalar model holds them in that order, each array laid out as a Snapshot's
+    params = ModelParams(config, seed)
+    assert [p.value.hex() for p in params.flat()] == [v.hex() for v in expected]
+    snap, value = params.snapshot(), np.vectorize(lambda p: p.value)
+    for name, shape in config.param_shapes().items():
+        nodes = np.array(getattr(params, name), dtype=object)
+        assert nodes.shape == shape and np.array_equal(value(nodes), getattr(snap, name)), name
 
 
 def test_encode_zero_input_zero_bias():
@@ -62,16 +69,7 @@ def test_encode_gradient_matches_finite_differences():
     x = [(0, 0.5), (2, 0.25), (3, 0.25)]
 
     def build(leaves):
-        params = ModelParams(cfg, seed=1)
-        flat = params.flat()
-        assert len(leaves) == len(flat)
-        # rebind the parameter leaves so the finite-difference probe moves them
-        it = iter(leaves)
-        params.embedding = [[next(it) for _ in range(3)] for _ in range(4)]
-        params.enc_bias = [next(it) for _ in range(3)]
-        params.classifier = [[next(it) for _ in range(3)] for _ in range(2)]
-        params.out_bias = [next(it) for _ in range(2)]
-        return nsum(encode(x, params))
+        return nsum(encode(x, ModelParams.from_leaves(cfg, leaves)))
 
     base = ModelParams(cfg, seed=1)
     point = [p.value for p in base.flat()]
@@ -210,10 +208,6 @@ def test_snapshot_matches_graph_forward():
         z = logits(h, params)
         for k in range(2):
             assert z[k].value == pytest.approx(z_np[i, k], abs=1e-12)
-    # the hidden layer lives only in the scalar reference
-    hidden = ModelParams(ModelConfig(vocab_size=vocab.size, embed_dim=6, use_hidden=True), seed=3)
-    with pytest.raises(ValueError, match="no hidden layer"):
-        hidden.snapshot()
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
@@ -233,6 +227,29 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(loaded.out_bias, snap.out_bias)
     assert loaded_vocab.tokens == vocab.tokens
     assert extra == {"epoch": 3}
+
+
+# sha256 of the format-1 checkpoint below: its values are initial_values'
+# pure-Python floats, so the bytes are the same on every host
+PINNED_CHECKPOINT_SHA256 = "a6b57521b08f5ff1e96f58a9bb08a313f87c45ddf576c09ec3a8814d44a73ead"
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    config = ModelConfig(vocab_size=5, n_classes=3, embed_dim=3)
+    snap = Snapshot.from_flat(config, np.array(initial_values(config, 7)))
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, snap, Vocab(["a", "b", "c", "d"]), extra={"epoch": 2})
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CHECKPOINT_SHA256
+    payload = json.loads(path.read_text())
+    assert payload["model"]["use_hidden"] is False
+    assert payload["params"]["hidden"] is None and payload["params"]["hidden_bias"] is None
+    # a checkpoint without the hidden layer's keys loads as one with them
+    del payload["model"]["use_hidden"], payload["params"]["hidden"], payload["params"]["hidden_bias"]
+    path.write_text(json.dumps(payload))
+    loaded, vocab, extra = load_checkpoint(path)
+    for name in config.param_shapes():
+        assert np.array_equal(getattr(loaded, name), getattr(snap, name)), name
+    assert vocab.tokens == ("a", "b", "c", "d") and extra == {"epoch": 2}
 
 
 def test_checkpoint_rejects_unknown_version(tmp_path):
