@@ -1,8 +1,9 @@
 """Command-line interface: generate / train / eval / probe / ablate / data-efficiency.
 
-Exit codes: 0 on success, 1 on validation errors (bad config, bad data,
-bad arguments), 2 on runtime failures. Reports are byte-identical across
-reruns with the same seed, config, and data.
+Exit codes: 0 on success, 1 on validation errors (bad config or data; a bad
+argument, usage errors included, fails in the parser before any work), 2 on
+runtime failures. Reports are byte-identical across reruns with the same
+seed, config, and data.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import fields
 
 from .data import (
     NOT_A_FILE, DataError, GeneratorConfig, Vocab, generate_cad, load_jsonl, read_dataset,
@@ -29,10 +31,11 @@ class CliError(Exception):
     """Validation failure surfaced as exit code 1."""
 
 
-def _config(cls, args, overrides: dict):
-    """A config of class cls from the --config file, if any, with each
-    override that is not None on top; CliError if it is bad."""
+def _config(cls, args):
+    """A config of class cls from the --config file, if any, with each given
+    flag whose dest is a field of cls on top; CliError if it is bad."""
     payload = read_json_file(args.config, dict) if args.config else {}
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(cls)}
     payload.update((key, value) for key, value in overrides.items() if value is not None)
     try:
         return cls.from_dict(payload)
@@ -40,54 +43,48 @@ def _config(cls, args, overrides: dict):
         raise CliError(f"bad {cls.KIND} config: {e}")
 
 
-def _train_config(args) -> TrainConfig:
-    return _config(TrainConfig, args, {
-        "alpha": args.alpha, "beta": args.beta, "learning_rate": args.lr,
-        "epochs": args.epochs, "batch_pairs": args.batch_pairs,
-        "env_mode": args.env_mode, "embed_dim": args.embed_dim,
-        "seed": getattr(args, "seed", None),
-    })
+def _path(text: str) -> str:
+    """Type of every path flag: "" names no file."""
+    if not text:
+        raise argparse.ArgumentTypeError("an empty path names no file")
+    return text
 
 
-def _add_train_overrides(parser, with_seed: bool) -> None:
-    parser.add_argument("--config", help="JSON train config file")
-    parser.add_argument("--alpha", type=float, help="invariance penalty weight")
-    parser.add_argument("--beta", type=float, help="pair-alignment penalty weight")
-    parser.add_argument("--lr", type=float, help="learning rate")
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--batch-pairs", type=int, dest="batch_pairs")
-    parser.add_argument("--env-mode", choices=("disjoint", "overlap"), dest="env_mode")
-    parser.add_argument("--embed-dim", type=int, dest="embed_dim")
-    if with_seed:
-        parser.add_argument("--seed", type=int, required=True,
-                            help="training seed (required for reproducible runs)")
-
-
-def _check_out_dir(path) -> None:
+def _out_dir(path: str) -> str:
     """--out of a command that writes a directory: the path, or else its
-    nearest existing ancestor, must be a directory. Checked before any work."""
-    ancestor = os.path.abspath(path)
+    nearest existing ancestor, must be a directory."""
+    ancestor = os.path.abspath(_path(path))
     while not os.path.exists(ancestor):
         ancestor = os.path.dirname(ancestor)
     if not os.path.isdir(ancestor):
-        raise CliError(f"--out {path}: {ancestor} exists and is not a directory")
+        raise argparse.ArgumentTypeError(f"{path}: {ancestor} exists and is not a directory")
+    return path
 
 
-def _check_out_file(path) -> None:
-    """--out of eval and probe, when given: not a directory, and in an
-    existing directory. Checked before any work."""
-    if path is None:
-        return
-    parent = os.path.dirname(os.path.abspath(path))
+def _out_file(path: str) -> str:
+    """--out of eval and probe: not a directory, and in an existing directory."""
+    parent = os.path.dirname(os.path.abspath(_path(path)))
     if os.path.isdir(path):
-        raise CliError(f"--out {path} is a directory")
+        raise argparse.ArgumentTypeError(f"{path} is a directory")
     if not os.path.isdir(parent):
-        raise CliError(f"--out {path}: no such directory {parent}")
+        raise argparse.ArgumentTypeError(f"{path}: no such directory {parent}")
+    return path
+
+
+def _int_list(text: str, what: str) -> list[int]:
+    """Type of --seeds and --sizes: a comma-separated list of integers, not empty."""
+    try:
+        values = [int(part) for part in text.split(",") if part.strip() != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{what} must be a comma-separated integer list, got {text!r}")
+    if not values:
+        raise argparse.ArgumentTypeError(f"{what} list is empty")
+    return values
 
 
 def cmd_generate(args) -> int:
-    _check_out_dir(args.out)
-    cfg = _config(GeneratorConfig, args, {"seed": args.seed})
+    cfg = _config(GeneratorConfig, args)
     dataset = generate_cad(cfg)
     paths = write_dataset(dataset, args.out)
     print(json.dumps({"out": args.out, "n_pairs": len(dataset.train_pairs),
@@ -96,8 +93,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _check_out_dir(args.out)
-    config = _train_config(args)
+    config = _config(TrainConfig, args)
     try:
         dataset = read_dataset(args.data)
         vocab = Vocab.from_examples(dataset.train_examples())
@@ -124,21 +120,20 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_eval_examples(path):
+def _load_scoring_inputs(args):
+    """The --checkpoint and --data of eval and probe: (snapshot, vocab,
+    extra, examples), or CliError naming the bad file."""
     try:
-        examples = load_jsonl(path)
-    except (DataError, *NOT_A_FILE) as e:
-        raise CliError(f"bad data file {path}: {e}")
-    if not examples:
-        raise CliError(f"no examples in {path}")
-    return examples
-
-
-def _load_checkpoint(path):
-    try:
-        return load_checkpoint(path)
+        snapshot, vocab, extra = load_checkpoint(args.checkpoint)
     except (ValueError, KeyError, *NOT_A_FILE) as e:
-        raise CliError(f"bad checkpoint {path}: {e}")
+        raise CliError(f"bad checkpoint {args.checkpoint}: {e}")
+    try:
+        examples = load_jsonl(args.data)
+    except (DataError, *NOT_A_FILE) as e:
+        raise CliError(f"bad data file {args.data}: {e}")
+    if not examples:
+        raise CliError(f"no examples in {args.data}")
+    return snapshot, vocab, extra, examples
 
 
 def _report(payload: dict, out_path) -> int:
@@ -152,9 +147,7 @@ def _report(payload: dict, out_path) -> int:
 
 
 def cmd_eval(args) -> int:
-    _check_out_file(args.out)
-    snapshot, vocab, extra = _load_checkpoint(args.checkpoint)
-    examples = _load_eval_examples(args.data)
+    snapshot, vocab, extra, examples = _load_scoring_inputs(args)
     try:
         report = evaluate(snapshot, examples, vocab, split=os.path.basename(args.data),
                           fingerprint=extra.get("fingerprint", ""))
@@ -164,9 +157,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    _check_out_file(args.out)
-    snapshot, vocab, extra = _load_checkpoint(args.checkpoint)
-    examples = _load_eval_examples(args.data)
+    snapshot, vocab, extra, examples = _load_scoring_inputs(args)
     groups_path = args.groups or os.path.join(os.path.dirname(args.data), "groups.json")
     try:
         groups = read_groups(groups_path)
@@ -181,28 +172,16 @@ def cmd_probe(args) -> int:
     return _report(payload, args.out)
 
 
-def _parse_int_list(text, what) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise CliError(f"{what} must be a comma-separated integer list, got {text!r}")
-    if not values:
-        raise CliError(f"{what} list is empty")
-    return values
-
-
 def cmd_protocol(args) -> int:
     """ablate and data-efficiency: run the protocol on the --data directory
     and write its report to --out."""
-    _check_out_dir(args.out)
-    config = _train_config(args)
+    config = _config(TrainConfig, args)
     sweep = args.command == "data-efficiency"
-    sizes = {"sizes": _parse_int_list(args.sizes, "sizes")} if sweep else {}
-    seeds = _parse_int_list(args.seeds, "seeds")
+    sizes = {"sizes": args.sizes} if sweep else {}
     try:
         dataset = read_dataset(args.data)
         result = (run_data_efficiency if sweep else run_ablation)(
-            config, dataset, seeds=seeds, workers=args.workers, **sizes)
+            config, dataset, seeds=args.seeds, workers=args.workers, **sizes)
     except (ValueError, *NOT_A_FILE) as e:
         raise CliError(str(e))
     paths = write_report(result, args.out, "data_efficiency" if sweep else "ablation")
@@ -211,8 +190,11 @@ def cmd_protocol(args) -> int:
     return 0
 
 
-WORKERS_HELP = ("forked worker processes that share out the runs (default 1: serial); "
-                "the reports are the same at any count")
+class _Parser(argparse.ArgumentParser):
+    """Raises CliError on a usage error, so main exits 1 as for any bad argument."""
+
+    def error(self, message):
+        raise CliError(message)
 
 
 @functools.cache
@@ -220,59 +202,73 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process. Each command stores the
     name of its function, which main looks up in this module when it runs,
     so a function replaced after the first call is the one that is called."""
-    parser = argparse.ArgumentParser(
+    train_flags = argparse.ArgumentParser(add_help=False)    # each dest a TrainConfig field
+    train_flags.add_argument("--config", type=_path, help="JSON train config file")
+    train_flags.add_argument("--alpha", type=float, help="invariance penalty weight")
+    train_flags.add_argument("--beta", type=float, help="pair-alignment penalty weight")
+    train_flags.add_argument("--lr", type=float, dest="learning_rate", help="learning rate")
+    train_flags.add_argument("--epochs", type=int)
+    train_flags.add_argument("--batch-pairs", type=int)
+    train_flags.add_argument("--env-mode", choices=("disjoint", "overlap"))
+    train_flags.add_argument("--embed-dim", type=int)
+
+    scoring = argparse.ArgumentParser(add_help=False)       # eval and probe
+    scoring.add_argument("--checkpoint", type=_path, required=True)
+    scoring.add_argument("--data", type=_path, required=True)
+    scoring.add_argument("--out", type=_out_file)
+
+    runner = argparse.ArgumentParser(add_help=False)        # ablate and data-efficiency
+    runner.add_argument("--data", type=_path, required=True)
+    runner.add_argument("--seeds", type=functools.partial(_int_list, what="seeds"),
+                        required=True, help="comma-separated, e.g. 0,1,2")
+    runner.add_argument("--out", type=_out_dir, required=True)
+    runner.add_argument("--workers", type=int, default=1,
+                        help="forked worker processes that share out the runs (default 1: "
+                             "serial); the reports are the same at any count")
+
+    parser = _Parser(
         prog="cadlab",
         description="Counterfactual-pair training laboratory: synthetic data, "
                     "constrained training, and reliance probes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a synthetic paired dataset")
-    p.add_argument("--config", help="JSON generator config file")
-    p.add_argument("--out", required=True)
+    p.add_argument("--config", type=_path, help="JSON generator config file")
+    p.add_argument("--out", type=_out_dir, required=True)
     p.add_argument("--seed", type=int, help="override the config seed")
     p.set_defaults(func="cmd_generate")
 
-    p = sub.add_parser("train", help="train one model on a dataset directory")
-    _add_train_overrides(p, with_seed=True)
-    p.add_argument("--data", required=True, help="dataset directory from `generate`")
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("train", parents=[train_flags],
+                       help="train one model on a dataset directory")
+    p.add_argument("--seed", type=int, required=True,
+                   help="training seed (required for reproducible runs)")
+    p.add_argument("--data", type=_path, required=True, help="dataset directory from `generate`")
+    p.add_argument("--out", type=_out_dir, required=True)
     p.set_defaults(func="cmd_train")
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a JSONL file")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out")
+    p = sub.add_parser("eval", parents=[scoring], help="evaluate a checkpoint on a JSONL file")
     p.set_defaults(func="cmd_eval")
 
-    p = sub.add_parser("probe", help="feature-group reliance probe for a checkpoint")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--groups", help="groups.json (default: next to the data file)")
-    p.add_argument("--out")
+    p = sub.add_parser("probe", parents=[scoring],
+                       help="feature-group reliance probe for a checkpoint")
+    p.add_argument("--groups", type=_path, help="groups.json (default: next to the data file)")
     p.set_defaults(func="cmd_probe")
 
-    p = sub.add_parser("ablate", help="four-arm ablation over a seed list")
-    _add_train_overrides(p, with_seed=False)
-    p.add_argument("--data", required=True)
-    p.add_argument("--seeds", required=True, help="comma-separated, e.g. 0,1,2")
-    p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
+    p = sub.add_parser("ablate", parents=[train_flags, runner],
+                       help="four-arm ablation over a seed list")
     p.set_defaults(func="cmd_protocol")
 
-    p = sub.add_parser("data-efficiency", help="train-size sweep across three arms")
-    _add_train_overrides(p, with_seed=False)
-    p.add_argument("--data", required=True)
-    p.add_argument("--sizes", required=True, help="comma-separated example counts")
-    p.add_argument("--seeds", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
+    p = sub.add_parser("data-efficiency", parents=[train_flags, runner],
+                       help="train-size sweep across three arms")
+    p.add_argument("--sizes", type=functools.partial(_int_list, what="sizes"), required=True,
+                   help="comma-separated example counts")
     p.set_defaults(func="cmd_protocol")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return globals()[args.func](args)
     except (CliError, DataError) as e:
         print(f"error: {e}", file=sys.stderr)

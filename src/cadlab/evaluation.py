@@ -65,8 +65,8 @@ ABLATION_ARMS = (
 )
 
 # row keys averaged per arm in an ablation summary, as "mean_<key>" (mean_ood as is)
-SUMMARY_KEYS = ("mean_ood", "acc_ood", "acc_ood_stress", "drop_edited_causal",
-                "drop_nonedited_causal", "drop_correlated")
+SUMMARY_KEYS = ("mean_ood", "acc_ood", "acc_ood_stress",
+                *(f"drop_{name}" for name in PROBE_GROUPS))
 
 # seeds per runner job, whose runs train as one stack; it depends on nothing
 # but the seed list, so the jobs and the failure report do not depend on the
@@ -233,9 +233,7 @@ def run_single(configs: list[TrainConfig], dataset: GeneratedDataset, vocab: Voc
         "acc_ood": acc_ood[r],
         "acc_ood_stress": acc_stress[r],
         "mean_ood": (acc_ood[r] + acc_stress[r]) / 2.0,
-        "drop_edited_causal": probe.drops["edited_causal"][r],
-        "drop_nonedited_causal": probe.drops["nonedited_causal"][r],
-        "drop_correlated": probe.drops["correlated"][r],
+        **{f"drop_{name}": probe.drops[name][r] for name in PROBE_GROUPS},
     } for r, (config, checkpoint) in enumerate(zip(configs, checkpoints))]
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -5,12 +6,14 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 import cadlab
 from cadlab import cli
 from cadlab.cli import main
+from cadlab.data import GeneratorConfig
 from cadlab.training import TrainConfig
 
 
@@ -649,6 +652,147 @@ def test_bad_out_exit_1_before_any_work(trained, capsys, monkeypatch, command, a
     assert printed.out == ""
     assert sorted(tmp_path.rglob("*")) == before
     assert (tmp_path / "a_file").read_text() == "kept\n"
+
+
+# each command with arguments that parse; the path flags among them
+PARSED_ARGS = {
+    "generate": ["--config", "GEN", "--out", "NEW"],
+    "train": ["--config", "TRAIN", "--data", "DATA", "--out", "NEW", "--seed", "0"],
+    "eval": ["--checkpoint", "CKPT", "--data", "OOD", "--out", "NEW.json"],
+    "probe": ["--checkpoint", "CKPT", "--data", "OOD", "--groups", "GROUPS", "--out", "NEW.json"],
+    "ablate": ["--config", "TRAIN", "--data", "DATA", "--seeds", "0,1", "--out", "NEW"],
+    "data-efficiency": ["--config", "TRAIN", "--data", "DATA", "--sizes", "8", "--seeds", "0",
+                        "--out", "NEW"],
+}
+PATH_FLAGS = ("--config", "--checkpoint", "--data", "--groups", "--out")
+
+
+@pytest.mark.parametrize("command, flag", [
+    pytest.param(command, flag, id=command + flag)
+    for command, args in PARSED_ARGS.items() for flag in args if flag in PATH_FLAGS])
+def test_an_empty_path_exits_1_before_any_work(trained, capsys, monkeypatch, command, flag):
+    """"" names no file, so every path flag rejects it with exit 1 before the
+    command reads, trains or writes anything. The working directory holds a
+    dataset, which an empty --data must not read."""
+    tmp_path, data_dir, ckpt = trained
+    _write_json(tmp_path / "train.json", {"epochs": 1})
+    paths = {"GEN": tmp_path / "gen.json", "TRAIN": tmp_path / "train.json", "DATA": data_dir,
+             "CKPT": ckpt, "OOD": data_dir / "ood.jsonl", "GROUPS": data_dir / "groups.json",
+             "NEW": tmp_path / "new", "NEW.json": tmp_path / "new.json"}
+    args = [str(paths.get(a, a)) for a in PARSED_ARGS[command]]
+    args[args.index(flag) + 1] = ""
+    for name in ("read_json_file", "generate_cad", "write_dataset", "read_dataset", "train",
+                 "save_checkpoint", "load_checkpoint", "load_jsonl", "read_groups", "evaluate",
+                 "myopia_probe", "run_ablation", "run_data_efficiency", "write_report"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("work began"))
+    monkeypatch.chdir(data_dir)
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    rc = main([command, *args])
+    printed = capsys.readouterr()
+    assert rc == 1, printed.err
+    assert printed.err == f"error: argument {flag}: an empty path names no file\n"
+    assert printed.out == ""
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("args, message", [
+    pytest.param([], "the following arguments are required: command", id="no_command"),
+    pytest.param(["bogus"], "argument command: invalid choice: 'bogus'", id="unknown_command"),
+    pytest.param(["train", "--data", "DATA", "--out", "NEW", "--seed", "0", "--bogus", "1"],
+                 "unrecognized arguments: --bogus 1", id="unknown_flag"),
+    pytest.param(["train", "--data", "DATA", "--out", "NEW"],
+                 "the following arguments are required: --seed", id="missing_flag"),
+    pytest.param(["train", "--data", "DATA", "--out", "NEW", "--seed", "0", "--epochs", "abc"],
+                 "argument --epochs: invalid int value: 'abc'", id="epochs_not_an_int"),
+    pytest.param(["ablate", "--data", "DATA", "--seeds", "0,1", "--out", "NEW", "--workers", "x"],
+                 "argument --workers: invalid int value: 'x'", id="workers_not_an_int"),
+    pytest.param(["train", "--data", "DATA", "--out", "NEW", "--seed", "0", "--env-mode", "both"],
+                 "argument --env-mode: invalid choice: 'both'", id="env_mode_not_a_choice"),
+])
+def test_a_usage_error_exits_1(tmp_path, capsys, args, message):
+    """A usage error is a bad argument like any other: one "error: " line on
+    stderr and exit 1, returned by main, not argparse's SystemExit(2)."""
+    paths = {"DATA": str(tmp_path), "NEW": str(tmp_path / "new")}
+    rc = main([paths.get(a, a) for a in args])
+    printed = capsys.readouterr()
+    assert rc == 1, printed.err
+    assert printed.err.startswith(f"error: {message}") and printed.err.count("\n") == 1
+    assert printed.out == "" and not (tmp_path / "new").exists()
+
+
+def test_a_usage_error_exits_1_on_the_command_line(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cadlab.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cadlab.cli", "train", "--data", str(tmp_path), "--out",
+         str(tmp_path / "o"), "--seed", "0", "--epochs", "abc"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: argument --epochs: invalid int value: 'abc'\n"
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("args", [["--help"], ["ablate", "--help"]])
+def test_help_exits_0(capsys, args):
+    with pytest.raises(SystemExit) as exit_info:
+        main(args)
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: cadlab")
+
+
+# each command's flags, by option string: (required, dest, default); every
+# train override's dest but --config's is the TrainConfig field it sets
+TRAIN_OVERRIDES = {
+    "--config": (False, "config", None), "--alpha": (False, "alpha", None),
+    "--beta": (False, "beta", None), "--lr": (False, "learning_rate", None),
+    "--epochs": (False, "epochs", None), "--batch-pairs": (False, "batch_pairs", None),
+    "--env-mode": (False, "env_mode", None), "--embed-dim": (False, "embed_dim", None),
+}
+SCORING_FLAGS = {"--checkpoint": (True, "checkpoint", None), "--data": (True, "data", None),
+                 "--out": (False, "out", None)}
+RUNNER_FLAGS = {**TRAIN_OVERRIDES, "--data": (True, "data", None),
+                "--seeds": (True, "seeds", None), "--out": (True, "out", None),
+                "--workers": (False, "workers", 1)}
+COMMAND_FLAGS = {
+    "generate": {"--config": (False, "config", None), "--out": (True, "out", None),
+                 "--seed": (False, "seed", None)},
+    "train": {**TRAIN_OVERRIDES, "--seed": (True, "seed", None), "--data": (True, "data", None),
+              "--out": (True, "out", None)},
+    "eval": SCORING_FLAGS,
+    "probe": {**SCORING_FLAGS, "--groups": (False, "groups", None)},
+    "ablate": RUNNER_FLAGS,
+    "data-efficiency": {**RUNNER_FLAGS, "--sizes": (True, "sizes", None)},
+}
+
+
+def test_every_command_flag_is_pinned():
+    """Each command's option strings, which are required, and each dest and
+    default; and the function main looks up by name for each command."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert list(commands) == list(COMMAND_FLAGS)
+    for command, flags in COMMAND_FLAGS.items():
+        actions = [a for a in commands[command]._actions if a.dest != "help"]
+        assert {" ".join(a.option_strings): (a.required, a.dest, a.default)
+                for a in actions} == flags, command
+    assert {command: p.get_default("func") for command, p in commands.items()} == {
+        "generate": "cmd_generate", "train": "cmd_train", "eval": "cmd_eval",
+        "probe": "cmd_probe", "ablate": "cmd_protocol", "data-efficiency": "cmd_protocol"}
+
+
+def test_the_flags_that_set_a_config_field_are_its_overrides():
+    """A command's config takes each flag whose dest is one of its fields:
+    the train overrides (--seed of train among them) and generate's --seed,
+    and no other flag."""
+    train_fields = {f.name for f in fields(TrainConfig)}
+    overrides = {dest for _, dest, _ in TRAIN_OVERRIDES.values()} - {"config"}
+    assert overrides <= train_fields
+    for command, config, expected in (
+            ("generate", GeneratorConfig, {"seed"}), ("train", TrainConfig, overrides | {"seed"}),
+            ("ablate", TrainConfig, overrides), ("data-efficiency", TrainConfig, overrides)):
+        dests = {dest for _, dest, _ in COMMAND_FLAGS[command].values()}
+        assert dests & {f.name for f in fields(config)} == expected, command
 
 
 def test_probe_takes_groups_from_groups_json_alone(trained, capsys):
