@@ -17,9 +17,11 @@ the lab writes is one csv_text.
 
 Featurization has one implementation, featurize_matrix: the tokens of a list
 of examples are looked up once as integer ids in first-seen order (TokenIds),
-and the L1-normalized counts are one np.bincount divided by the row totals. A
-mask sends its tokens to one extra column, which is then dropped, so a masked
-matrix costs what an unmasked one does. Callers that score the same examples
+and the L1-normalized counts are added up in the returned float64 matrix
+itself (np.add.at) and divided in place by the row totals, so that matrix is
+the only array of its size a call allocates; a caller may pass the array to
+fill. A mask weighs its tokens 0.0 at their own columns, so a masked matrix
+costs what an unmasked one does. Callers that score the same examples
 repeatedly (the probe, the ablation runs) keep the TokenIds and featurize
 from them. featurize_sparse, the scalar reference's input, is its only
 one-row view.
@@ -383,23 +385,30 @@ class TokenIds:
         return len(self.lengths)
 
 
-def featurize_matrix(examples, vocab: Vocab, mask_tokens: frozenset | set | None = None) -> np.ndarray:
+def featurize_matrix(examples, vocab: Vocab, mask_tokens: frozenset | set | None = None,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """L1-normalized token counts over the vocabulary, one row per example,
     with unknown tokens in the OOV bucket. ``examples`` is a list of examples
     or their TokenIds. mask_tokens are removed before counting (the inputs are
-    never mutated); a row left without tokens is all zeros."""
+    never mutated); a row left without tokens is all zeros. The counts are
+    made in ``out``, a C-contiguous (n, V) float64 array, when one is given,
+    and in a new array otherwise: the only array of that size it allocates."""
     tids = examples if isinstance(examples, TokenIds) else TokenIds.from_examples(examples)
     n, V = len(tids), vocab.size
-    rows = np.repeat(np.arange(n), tids.lengths)
-    # a masked token is counted in an extra column V, which is then dropped
+    out = np.empty((n, V)) if out is None else out
+    out.fill(0.0)
+    # a masked token weighs 0.0 at its own column
     mask = mask_tokens or ()
-    column = np.array([V if t in mask else vocab.index.get(t, vocab.oov_index)
-                       for t in tids.table], dtype=np.intp)
-    counts = np.bincount(rows * (V + 1) + column[tids.ids],
-                         minlength=n * (V + 1)).reshape(n, V + 1)
-    totals = tids.lengths - counts[:, V]
-    # integer counts over the integer row total: the exact quotient of each float division
-    return counts[:, :V] / np.maximum(totals, 1)[:, None]
+    column = np.array([vocab.index.get(t, vocab.oov_index) for t in tids.table], dtype=np.intp)
+    weight = np.array([t not in mask for t in tids.table], dtype=np.float64)
+    keys = np.repeat(np.arange(0, n * V, V), tids.lengths)
+    keys += column[tids.ids]
+    np.add.at(out.reshape(-1), keys, weight[tids.ids])
+    # whole counts in float64: each row total is exact in any order of
+    # summing, and each quotient the one of integer counts over that total
+    totals = out @ np.ones(V)
+    out /= np.maximum(totals, 1.0, out=totals)[:, None]
+    return out
 
 
 def featurize_sparse(tokens, vocab: Vocab) -> list[tuple[int, float]]:

@@ -5,6 +5,7 @@ import math
 import pathlib
 import random
 import sys
+import tracemalloc
 from dataclasses import MISSING, fields
 from unittest import mock
 
@@ -888,3 +889,22 @@ def test_featurize_matrix_masking_does_not_mutate():
     plain = featurize_matrix(ds.ood, vocab)
     assert masked.shape == plain.shape
     assert not np.array_equal(masked, plain)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_featurize_matrix_allocates_little_beside_its_result(masked):
+    # the benchmark's data-eval OOD split: 2000 examples; numpy reports its
+    # array buffers to tracemalloc
+    ds = generate_cad(GeneratorConfig(n_pairs=500, n_ood=2000, seed=0, rho_train=0.9,
+                                      edit_scope=0.5))
+    vocab = Vocab.from_examples(ds.train_examples())
+    ids = TokenIds.from_examples(ds.ood)
+    mask = ds.groups.edited_causal if masked else None
+    tracemalloc.start()
+    try:
+        result = featurize_matrix(ids, vocab, mask_tokens=mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ids) == 2000
+    assert peak - result.nbytes <= 3 * 8 * len(ids.ids)
