@@ -17,14 +17,12 @@ the lab writes is one csv_text.
 
 Featurization has one implementation, featurize_matrix: the tokens of a list
 of examples are looked up once as integer ids in first-seen order (TokenIds),
-and the L1-normalized counts are added up in the returned float64 matrix
-itself (np.add.at) and divided in place by the row totals, so that matrix is
-the only array of its size a call allocates; a caller may pass the array to
-fill. A mask weighs its tokens 0.0 at their own columns, so a masked matrix
-costs what an unmasked one does. Callers that score the same examples
-repeatedly (the probe, the ablation runs) keep the TokenIds and featurize
-from them. featurize_sparse, the scalar reference's input, is its only
-one-row view.
+and the L1-normalized counts are added up (np.add.at) in the returned float64
+matrix itself and divided there by the row totals. A mask weighs its tokens
+0.0 at their own columns, so a masked matrix costs what an unmasked one does.
+Callers that score the same examples repeatedly (the probe, the ablation
+runs) keep the TokenIds and featurize from them. featurize_sparse, the scalar
+reference's input, is its only one-row view.
 
 The generator realizes a token-level feature model with four disjoint
 vocabulary groups: edited-causal tokens (replaced by the counterfactual edit),
@@ -385,30 +383,28 @@ class TokenIds:
         return len(self.lengths)
 
 
-def featurize_matrix(examples, vocab: Vocab, mask_tokens: frozenset | set | None = None,
-                     out: np.ndarray | None = None) -> np.ndarray:
+def featurize_matrix(examples, vocab: Vocab, mask_tokens: frozenset | set | None = None) -> np.ndarray:
     """L1-normalized token counts over the vocabulary, one row per example,
     with unknown tokens in the OOV bucket. ``examples`` is a list of examples
     or their TokenIds. mask_tokens are removed before counting (the inputs are
-    never mutated); a row left without tokens is all zeros. The counts are
-    made in ``out``, a C-contiguous (n, V) float64 array, when one is given,
-    and in a new array otherwise: the only array of that size it allocates."""
+    never mutated); a row left without tokens is all zeros."""
     tids = examples if isinstance(examples, TokenIds) else TokenIds.from_examples(examples)
     n, V = len(tids), vocab.size
-    out = np.empty((n, V)) if out is None else out
-    out.fill(0.0)
     # a masked token weighs 0.0 at its own column
     mask = mask_tokens or ()
     column = np.array([vocab.index.get(t, vocab.oov_index) for t in tids.table], dtype=np.intp)
     weight = np.array([t not in mask for t in tids.table], dtype=np.float64)
     keys = np.repeat(np.arange(0, n * V, V), tids.lengths)
     keys += column[tids.ids]
-    np.add.at(out.reshape(-1), keys, weight[tids.ids])
-    # whole counts in float64: each row total is exact in any order of
-    # summing, and each quotient the one of integer counts over that total
-    totals = out @ np.ones(V)
-    out /= np.maximum(totals, 1.0, out=totals)[:, None]
-    return out
+    # whole counts in float64, added up in the result itself; np.full reuses
+    # freed memory where np.zeros' calloc may map fresh pages from the kernel
+    counts = np.full((n, V), 0.0)
+    np.add.at(counts.reshape(-1), keys, weight[tids.ids])
+    # each row total is exact in any order of summing, and each quotient the
+    # one of integer counts over that total
+    totals = counts.sum(axis=1)
+    counts /= np.maximum(totals, 1.0, out=totals)[:, None]
+    return counts
 
 
 def featurize_sparse(tokens, vocab: Vocab) -> list[tuple[int, float]]:

@@ -11,14 +11,12 @@ non-edited features is visible even when edited features would otherwise
 dominate.
 
 Accuracy reports and probes score an ``EvalSet``: examples featurized once
-under one vocabulary, its unmasked and masked matrices one C-contiguous
-(1 + groups, n, V) block, each featurized into its own slice. A runner
-builds the EvalSet of that OOD union once per call and vocabulary, before it
-forks, so a job costs the training of its stack plus four predictions,
-each of one matrix for all the stack's runs at once (a stacked
-``Snapshot``): the unmasked union, which gives both split accuracies and the
-probe baseline, and one masked matrix per probe group. The labels are
-checked once per probe, not once per run. Both runners
+under one vocabulary. A runner builds the EvalSet of that OOD union once per
+call and vocabulary, before it forks, so a job costs the training of its
+stack plus four predictions, each of one matrix for all the stack's runs at
+once (a stacked ``Snapshot``): the unmasked union, which gives both split
+accuracies and the probe baseline, and one masked matrix per probe group.
+The labels are checked once per probe, not once per run. Both runners
 build one job list (``_protocol_rows``) from cells: a cell is a training
 set, its arms and the tag its rows carry. An ablation is one cell, and a
 data-efficiency sweep one cell per size and kind of training subset. A job
@@ -98,12 +96,11 @@ class EvalSet:
             raise ValueError("scoring needs a non-empty example list")
         ids = TokenIds.from_examples(examples)
         labels = np.fromiter(map(attrgetter("label"), examples), np.intp, len(examples))
-        masks = [None] if groups is None else [None, *map(groups.by_name, PROBE_GROUPS)]
-        # the unmasked matrix, then the masked ones, as one C-contiguous block
-        block = np.empty((len(masks), len(examples), vocab.size))
-        for matrix, mask in zip(block, masks):
-            featurize_matrix(ids, vocab, mask_tokens=mask, out=matrix)
-        return cls(list(examples), labels, block[0], dict(zip(PROBE_GROUPS, block[1:])))
+        features = featurize_matrix(ids, vocab)
+        masked = {} if groups is None else {
+            name: featurize_matrix(ids, vocab, mask_tokens=groups.by_name(name))
+            for name in PROBE_GROUPS}
+        return cls(list(examples), labels, features, masked)
 
     def correct(self, snapshot: Snapshot) -> list[np.ndarray]:
         """Per matrix, whether the snapshot predicts each example's label (an

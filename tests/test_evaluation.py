@@ -427,15 +427,12 @@ def test_a_stacked_snapshot_predicts_each_matrix_as_each_run_alone(runs, n_class
     theta = np.array([initial_values(config, seed + r) for r in range(runs)])
     snapshots = [Snapshot.from_flat(config, theta[r].copy()) for r in range(runs)]
     assert len(ood.masked) == 3
-    # one C-contiguous block, each matrix the one featurize_matrix makes alone
+    # each matrix the one featurize_matrix makes alone
     matrices = (ood.features, *ood.masked.values())
     ids = TokenIds.from_examples(ood.examples)
     for features, name in zip(matrices, (None, *ood.masked)):
-        assert features.flags.c_contiguous
-        assert features.base is ood.features.base
         alone = featurize_matrix(ids, vocab, mask_tokens=name and ds.groups.by_name(name))
         assert features.tobytes() == alone.tobytes()
-    assert ood.features.base.shape == (4, len(ood.examples), vocab.size)
     # stacked copies, as run_single probes them, and views into the rows of
     # one matrix, as a training stack scores its train accuracy
     for stacked in (Snapshot.stack(snapshots), Snapshot.from_flat(config, theta)):
