@@ -1,9 +1,12 @@
 """Command-line interface: generate / train / eval / probe / ablate / data-efficiency.
 
-Exit codes: 0 on success, 1 on validation errors (bad config or data; a bad
-argument, usage errors included, fails in the parser before any work), 2 on
-runtime failures. Reports are byte-identical across reruns with the same
-seed, config, and data.
+Exit codes: 0 on success, 1 on validation errors (bad config, data or
+arguments), 2 on runtime failures. The parser rejects usage errors, flag
+values that do not convert, an empty path and a bad --out, before any work.
+The runners check the rest after read_dataset: a repeated seed or size, a
+one-seed ablate and an odd or out-of-range size, then --workers and a negative
+seed once the OOD union is featurized. Reports are byte-identical across
+reruns with the same seed, config, and data.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ import sys
 from dataclasses import fields
 
 from .data import (
-    NOT_A_FILE, DataError, GeneratorConfig, Vocab, generate_cad, load_jsonl, read_dataset,
-    read_groups, read_json_file, write_dataset,
+    NOT_A_FILE, DataError, FeatureGroups, GeneratorConfig, Vocab, generate_cad, load_jsonl,
+    read_dataset, read_json_file, write_dataset,
 )
 from .evaluation import (
     EvalSet, config_fingerprint, evaluate, myopia_probe, run_ablation, run_data_efficiency,
@@ -160,7 +163,7 @@ def cmd_probe(args) -> int:
     snapshot, vocab, extra, examples = _load_scoring_inputs(args)
     groups_path = args.groups or os.path.join(os.path.dirname(args.data), "groups.json")
     try:
-        groups = read_groups(groups_path)
+        groups = read_json_file(groups_path, FeatureGroups.from_dict)
     except DataError as e:
         raise CliError(f"bad groups file: {e}")
     try:

@@ -12,8 +12,8 @@ writes with no escape in it is parsed in one regex pass over the text. Every
 other file is parsed line by line, one json.loads per line, so that every
 error names its line. Writing formats each line from json's own string
 escaper, byte for byte what json.dumps(sort_keys=True) writes. Each config
-class takes its dict form from its fields (DictConfig), and every CSV file
-the lab writes is one csv_text.
+class takes its dict form from its fields (DictConfig), every CSV file the
+lab writes is one csv_text, and every indented JSON file one write_json.
 
 Featurization has one implementation, featurize_matrix: the tokens of a list
 of examples are looked up once as integer ids in first-seen order (TokenIds),
@@ -41,6 +41,7 @@ import copy
 import json
 import json.encoder
 import math
+import os
 import random
 import re
 from dataclasses import dataclass, field, fields
@@ -125,13 +126,8 @@ class FeatureGroups:
         if len(union) != total:
             raise DataError("feature groups must be pairwise disjoint")
 
-    def by_name(self, name: str) -> frozenset[str]:
-        if name not in GROUP_NAMES:
-            raise KeyError(name)
-        return getattr(self, name)
-
     def to_dict(self) -> dict:
-        return {name: sorted(self.by_name(name)) for name in GROUP_NAMES}
+        return {name: sorted(getattr(self, name)) for name in GROUP_NAMES}
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureGroups":
@@ -182,6 +178,13 @@ def csv_text(columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def write_json(payload, path) -> None:
+    """Write a lab JSON file: indented, keys sorted, and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 # ---------------------------------------------------------------------------
 # JSONL I/O
 
@@ -218,8 +221,8 @@ def _read_jsonl(path) -> list[Example]:
         text, bad = raw.decode("utf-8"), None
     except UnicodeDecodeError as e:
         # the lines before the undecodable one are checked first, as a
-        # line-by-line read would; no UTF-8 sequence spans a newline, so
-        # e.reason is the one that decoding that line alone gives
+        # line-by-line read would; no UTF-8 sequence spans a newline, so e.reason
+        # is what decoding that line with its newline gives, not the line alone
         text, bad = raw[:raw.rfind(b"\n", 0, e.start) + 1].decode("utf-8"), e
     dumped = _read_dumped(text) if bad is None else None
     if dumped is not None:
@@ -632,7 +635,6 @@ def generate_cad(cfg: GeneratorConfig) -> GeneratedDataset:
 def write_dataset(dataset: GeneratedDataset, out_dir) -> dict:
     """Write train/ood/ood_stress JSONL files, the token-group partition
     (groups.json) and the generator config."""
-    import os
     os.makedirs(out_dir, exist_ok=True)
     paths = {
         "train": os.path.join(out_dir, "train.jsonl"),
@@ -644,12 +646,8 @@ def write_dataset(dataset: GeneratedDataset, out_dir) -> dict:
     dump_jsonl(dataset.train_examples(), paths["train"])
     dump_jsonl(dataset.ood, paths["ood"])
     dump_jsonl(dataset.ood_stress, paths["ood_stress"])
-    with open(paths["groups"], "w", encoding="utf-8") as fh:
-        json.dump(dataset.groups.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(paths["config"], "w", encoding="utf-8") as fh:
-        json.dump(dataset.config.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(dataset.groups.to_dict(), paths["groups"])
+    write_json(dataset.config.to_dict(), paths["config"])
     return paths
 
 
@@ -678,18 +676,12 @@ def read_json_file(path, parse):
         raise DataError(f"{path}: {e}") from e
 
 
-def read_groups(path) -> FeatureGroups:
-    """Load a groups.json file written by write_dataset()."""
-    return read_json_file(path, FeatureGroups.from_dict)
-
-
 def read_dataset(data_dir) -> GeneratedDataset:
     """Load a dataset directory produced by write_dataset(). Every file but
     ood_stress.jsonl must be there; the generator config is the one that
     made the data, since fingerprints are computed from it, and every label
     must be one of its n_classes classes, since a model has a class for
     every training label up to the largest."""
-    import os
     train_path = os.path.join(data_dir, "train.jsonl")
     train_examples = _read_jsonl(train_path)
     train = pair_examples(train_examples)
@@ -697,7 +689,7 @@ def read_dataset(data_dir) -> GeneratedDataset:
     ood = load_jsonl(ood_path)
     stress_path = os.path.join(data_dir, "ood_stress.jsonl")
     ood_stress = load_jsonl(stress_path) if os.path.exists(stress_path) else []
-    groups = read_groups(os.path.join(data_dir, "groups.json"))
+    groups = read_json_file(os.path.join(data_dir, "groups.json"), FeatureGroups.from_dict)
     cfg = read_json_file(os.path.join(data_dir, "generator_config.json"),
                             GeneratorConfig.from_dict)
     for path, examples in ((train_path, train_examples), (ood_path, ood),

@@ -39,7 +39,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cache, partial
 from itertools import chain
 from operator import attrgetter
@@ -48,11 +48,11 @@ import numpy as np
 
 from .data import (
     DataError, FeatureGroups, GeneratedDataset, PairedExample, TokenIds, Vocab, csv_text,
-    featurize_matrix,
+    featurize_matrix, write_json,
 )
 from .model import Snapshot
 # perfbench/spans.py wraps cadlab.evaluation.train by name
-from .training import NonFiniteLossError, TrainConfig, train, train_arms
+from .training import NonFiniteLossError, TrainConfig, accuracy, train, train_arms
 
 PROBE_GROUPS = ("edited_causal", "nonedited_causal", "correlated")
 
@@ -98,7 +98,7 @@ class EvalSet:
         labels = np.fromiter(map(attrgetter("label"), examples), np.intp, len(examples))
         features = featurize_matrix(ids, vocab)
         masked = {} if groups is None else {
-            name: featurize_matrix(ids, vocab, mask_tokens=groups.by_name(name))
+            name: featurize_matrix(ids, vocab, mask_tokens=getattr(groups, name))
             for name in PROBE_GROUPS}
         return cls(list(examples), labels, features, masked)
 
@@ -116,11 +116,6 @@ class EvalSet:
                 for features in (self.features, *self.masked.values())]
 
 
-def _accuracy(correct: np.ndarray) -> np.ndarray:
-    """The share of correct examples, per run of an (R, n) array."""
-    return np.add.reduce(correct, axis=-1) / correct.shape[-1]
-
-
 @dataclass
 class EvalReport:
     split: str
@@ -130,13 +125,8 @@ class EvalReport:
     fingerprint: str
 
     def to_dict(self) -> dict:
-        return {
-            "split": self.split,
-            "accuracy": self.accuracy,
-            "n": self.n,
-            "per_class_accuracy": {str(k): v for k, v in sorted(self.per_class_accuracy.items())},
-            "fingerprint": self.fingerprint,
-        }
+        return {**asdict(self), "per_class_accuracy": {
+            str(k): v for k, v in sorted(self.per_class_accuracy.items())}}
 
 
 def evaluate(snapshot: Snapshot, examples, vocab: Vocab, split: str = "",
@@ -150,7 +140,7 @@ def evaluate(snapshot: Snapshot, examples, vocab: Vocab, split: str = "",
     correct_per_class = np.bincount(labels[correct], minlength=n_classes)
     per_class = {int(c): int(correct_per_class[c]) / int(n_per_class[c])
                  for c in np.flatnonzero(n_per_class)}
-    return EvalReport(split=split, accuracy=_accuracy(correct).tolist(), n=len(examples),
+    return EvalReport(split=split, accuracy=accuracy(correct).tolist(), n=len(examples),
                       per_class_accuracy=per_class, fingerprint=fingerprint)
 
 
@@ -180,8 +170,8 @@ def myopia_probe(snapshot: Snapshot, evalset: EvalSet) -> RelianceProbe:
     if not evalset.masked:
         raise ValueError("the probe needs an EvalSet built with feature groups")
     correct, *masked = evalset.correct(snapshot)
-    baseline = _accuracy(correct)
-    drops = {name: (baseline - _accuracy(c)).tolist() for name, c in zip(PROBE_GROUPS, masked)}
+    baseline = accuracy(correct)
+    drops = {name: (baseline - accuracy(c)).tolist() for name, c in zip(PROBE_GROUPS, masked)}
     return RelianceProbe(baseline_accuracy=baseline.tolist(), drops=drops,
                          n=correct.shape[-1], correct=correct)
 
@@ -222,8 +212,8 @@ def run_single(configs: list[TrainConfig], dataset: GeneratedDataset, vocab: Voc
                                                               vocab=vocab)]
     probe = myopia_probe(Snapshot.stack([c.snapshot for c in checkpoints]), ood)
     n_ood = len(dataset.ood)
-    acc_ood = _accuracy(probe.correct[:, :n_ood]).tolist()
-    acc_stress = _accuracy(probe.correct[:, n_ood:]).tolist()
+    acc_ood = accuracy(probe.correct[:, :n_ood]).tolist()
+    acc_stress = accuracy(probe.correct[:, n_ood:]).tolist()
     return [{
         "seed": config.seed,
         "alpha": config.alpha,
@@ -470,7 +460,5 @@ def write_report(result: dict, out_dir, name: str) -> dict:
     json_path = os.path.join(out_dir, f"{name}.json")
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(rows_to_csv(result["rows"]))
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(result, json_path)
     return {"csv": csv_path, "json": json_path}

@@ -163,41 +163,46 @@ class AdamState:
         return cls(m=[0.0] * n, v=[0.0] * n)
 
 
-def adam_step(flat_params, grads, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8      # Adam's standard decay rates and epsilon
+
+
+def adam_step(flat_params, grads, state: AdamState, lr: float) -> None:
     """Standard bias-corrected Adam update, in place on the parameter leaves."""
     if len(grads) != len(flat_params) or len(state.m) != len(flat_params):
         raise ValueError("optimizer state does not match parameter count")
     state.t += 1
-    bc1 = 1.0 - beta1 ** state.t
-    bc2 = 1.0 - beta2 ** state.t
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
     m, v = state.m, state.v
     for i, (p, g) in enumerate(zip(flat_params, grads)):
-        m[i] = beta1 * m[i] + (1.0 - beta1) * g
-        v[i] = beta2 * v[i] + (1.0 - beta2) * g * g
-        p.value -= lr * (m[i] / bc1) / (math.sqrt(v[i] / bc2) + eps)
+        m[i] = BETA1 * m[i] + (1.0 - BETA1) * g
+        v[i] = BETA2 * v[i] + (1.0 - BETA2) * g * g
+        p.value -= lr * (m[i] / bc1) / (math.sqrt(v[i] / bc2) + EPS)
 
 
-def adam_step_vector(theta: np.ndarray, g: np.ndarray, state: AdamState, lr: float,
-                     beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+def adam_step_vector(theta: np.ndarray, g: np.ndarray, state: AdamState, lr: float) -> None:
     """adam_step on a parameter vector, or on every row of a stack of them,
     in place, rounding as adam_step does."""
     state.t += 1
-    bc1 = 1.0 - beta1 ** state.t
-    bc2 = 1.0 - beta2 ** state.t
-    state.m *= beta1
-    state.m += (1.0 - beta1) * g
-    state.v *= beta2
-    state.v += (1.0 - beta2) * g * g
-    theta -= lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + eps)
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
+    state.m *= BETA1
+    state.m += (1.0 - BETA1) * g
+    state.v *= BETA2
+    state.v += (1.0 - BETA2) * g * g
+    theta -= lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + EPS)
+
+
+def accuracy(correct: np.ndarray) -> np.ndarray:
+    """The share of correct examples, per run of an (R, n) array."""
+    return np.add.reduce(correct, axis=-1) / correct.shape[-1]
 
 
 def train_accuracy(snapshot: Snapshot, features: np.ndarray, labels: np.ndarray
                    ) -> float | list[float]:
     """The share of the labels that the snapshot predicts; one per run of a
     stacked snapshot."""
-    return (np.add.reduce(snapshot.predict_matrix(features) == labels, axis=-1)
-            / len(labels)).tolist()
+    return accuracy(snapshot.predict_matrix(features) == labels).tolist()
 
 
 def unit_rows(units: list[PairedExample]) -> np.ndarray:

@@ -237,6 +237,20 @@ def test_train_runtime_failure_exit_2(small_data, capsys):
     assert "runtime failure" in capsys.readouterr().err
 
 
+def test_another_os_error_exits_2(tmp_path, capsys, monkeypatch):
+    """An OSError that is not a missing file, such as a permission error, is
+    a runtime failure. chmod does not bind a process that runs as root, so
+    the error is raised where generate writes its files."""
+    def denied(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+    monkeypatch.setattr(cli, "write_dataset", denied)
+    rc = main(["generate", "--out", str(tmp_path / "out")])
+    printed = capsys.readouterr()
+    assert rc == 2
+    assert printed.err == "runtime failure: PermissionError: [Errno 13] Permission denied\n"
+    assert printed.out == ""
+
+
 def test_diverging_train_prints_only_the_failure_line(tmp_path):
     """Sums that overflow while the non-finite check runs warn nothing: the
     failure line is all a diverging train writes to stderr. In a subprocess,
@@ -682,7 +696,7 @@ def test_an_empty_path_exits_1_before_any_work(trained, capsys, monkeypatch, com
     args = [str(paths.get(a, a)) for a in PARSED_ARGS[command]]
     args[args.index(flag) + 1] = ""
     for name in ("read_json_file", "generate_cad", "write_dataset", "read_dataset", "train",
-                 "save_checkpoint", "load_checkpoint", "load_jsonl", "read_groups", "evaluate",
+                 "save_checkpoint", "load_checkpoint", "load_jsonl", "evaluate",
                  "myopia_probe", "run_ablation", "run_data_efficiency", "write_report"):
         monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("work began"))
     monkeypatch.chdir(data_dir)
@@ -1017,6 +1031,7 @@ def test_bad_seed_list_exit_1(small_data, capsys):
     sweep = ["--sizes", "4", "--epochs", "1"]
     for command, seeds, message in (
             ("ablate", "a,b", "seeds must be a comma-separated integer list"),
+            ("ablate", ",", "seeds list is empty"),
             # seed -3 would train seed 3's runs again, as a second seed
             ("ablate", "-3,3", "seed must be >= 0"),
             ("data-efficiency", "0,-1", "seed must be >= 0")):

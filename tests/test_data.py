@@ -371,6 +371,9 @@ def test_pairing_an_evaluation_split_checks_it_as_grouping_does():
     assert pair_examples(originals) == [PairedExample(ex) for ex in originals]
     with pytest.raises(PairingError, match="'p1': expected one original and one counterfactual"):
         pair_examples(originals + [originals[1]._replace(id="dup")])
+    counterfactual = originals[1]._replace(id="cf", label=1, variant="counterfactual")
+    with pytest.raises(PairingError, match="'p1': 3 examples share this pair_id"):
+        pair_examples(originals + [counterfactual, originals[1]._replace(id="dup")])
 
 
 def test_records_are_immutable_hashable_and_equal_field_by_field():
@@ -706,6 +709,12 @@ def test_generator_config_validation():
         GeneratorConfig(edit_scope=1.0)
     with pytest.raises(DataError):
         GeneratorConfig(sentence_length=4)
+    with pytest.raises(DataError, match="n_classes must be >= 2"):
+        GeneratorConfig(n_classes=1)
+    with pytest.raises(DataError, match=r"rho_ood must be in \[0, 1\]"):
+        GeneratorConfig(rho_ood=1.5)
+    with pytest.raises(DataError, match="causal_per_sentence must be >= 2"):
+        GeneratorConfig(causal_per_sentence=1)
     with pytest.raises(DataError):
         GeneratorConfig.from_dict({"n_pairs": 10, "bogus_key": 1})
     for bad in ({"n_pairs": 10.5}, {"n_ood": -1}, {"correlated_per_sentence": -3},

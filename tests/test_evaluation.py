@@ -121,6 +121,8 @@ def test_probe_needs_an_eval_set_built_with_groups():
         myopia_probe(snap, EvalSet.build(ds.ood, vocab))
     with pytest.raises(ValueError, match="non-empty example list"):
         EvalSet.build([], vocab, ds.groups)
+    with pytest.raises(ValueError, match="non-empty ood and ood_stress splits"):
+        ood_eval_set(replace(ds, ood_stress=[]), vocab)
 
 
 def test_probe_myopic_model_relies_on_edited_only():
@@ -431,7 +433,7 @@ def test_a_stacked_snapshot_predicts_each_matrix_as_each_run_alone(runs, n_class
     matrices = (ood.features, *ood.masked.values())
     ids = TokenIds.from_examples(ood.examples)
     for features, name in zip(matrices, (None, *ood.masked)):
-        alone = featurize_matrix(ids, vocab, mask_tokens=name and ds.groups.by_name(name))
+        alone = featurize_matrix(ids, vocab, mask_tokens=name and getattr(ds.groups, name))
         assert features.tobytes() == alone.tobytes()
     # stacked copies, as run_single probes them, and views into the rows of
     # one matrix, as a training stack scores its train accuracy
@@ -541,6 +543,8 @@ def test_run_data_efficiency_structure():
         run_data_efficiency(_fast_config(), ds, sizes=[999], seeds=[0])
     with pytest.raises(ValueError):
         run_data_efficiency(_fast_config(), ds, sizes=[], seeds=[0])
+    with pytest.raises(ValueError, match="seeds must be non-empty"):
+        run_data_efficiency(_fast_config(), ds, sizes=[8], seeds=[])
 
 
 def test_run_data_efficiency_draws_its_pairs_cells_from_the_paired_units():

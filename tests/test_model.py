@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -250,6 +251,16 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
     for name in config.param_shapes():
         assert np.array_equal(getattr(loaded, name), getattr(snap, name)), name
     assert vocab.tokens == ("a", "b", "c", "d") and extra == {"epoch": 2}
+
+
+def test_model_config_validation():
+    with pytest.raises(ValueError, match="vocab_size, n_classes and embed_dim must be positive"):
+        ModelConfig(vocab_size=0)
+    config = ModelConfig(vocab_size=4, n_classes=2, embed_dim=3)
+    assert config.n_params() == 4 * 3 + 3 + 2 * 3 + 2
+    for shape in ((config.n_params() + 1,), (2, config.n_params() - 1)):
+        with pytest.raises(ValueError, match=re.escape(f"expected 23 parameters, got shape {shape}")):
+            config.split(np.zeros(shape))
 
 
 def test_checkpoint_rejects_unknown_version(tmp_path):

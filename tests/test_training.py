@@ -110,6 +110,8 @@ def test_train_config_validation():
         TrainConfig(env_mode="both")
     with pytest.raises(ValueError):
         TrainConfig(embed_dim=0)
+    with pytest.raises(ValueError, match="alpha and beta must be non-negative"):
+        TrainConfig(alpha=-1)
     with pytest.raises(ValueError, match=r"unknown train config keys: \['bogus'\]"):
         TrainConfig.from_dict({"alpha": 0.1, "bogus": 2})
     # the class count comes from the training labels
