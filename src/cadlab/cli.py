@@ -3,10 +3,12 @@
 Exit codes: 0 on success, 1 on validation errors (bad config, data or
 arguments), 2 on runtime failures. The parser rejects usage errors, flag
 values that do not convert, an empty path and a bad --out, before any work.
-The runners check the rest after read_dataset: a repeated seed or size, a
-one-seed ablate and an odd or out-of-range size, then --workers and a negative
-seed once the OOD union is featurized. Reports are byte-identical across
-reruns with the same seed, config, and data.
+The readers in data reject a path that names no file and a file that does
+not parse, with a DataError that names the file. The runners check the rest
+after read_dataset and before any featurizing or training: an empty, odd,
+out-of-range or repeated size, a one-seed ablate, a repeated or negative
+seed, and --workers below 1. Reports are byte-identical across reruns with
+the same seed, config, and data.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import sys
 from dataclasses import fields
 
 from .data import (
-    NOT_A_FILE, DataError, FeatureGroups, GeneratorConfig, Vocab, generate_cad, load_jsonl,
-    read_dataset, read_json_file, write_dataset,
+    DataError, FeatureGroups, GeneratorConfig, Vocab, generate_cad, load_jsonl, read_dataset,
+    read_json_file, write_dataset,
 )
 from .evaluation import (
     EvalSet, config_fingerprint, evaluate, myopia_probe, run_ablation, run_data_efficiency,
@@ -97,11 +99,11 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     config = _config(TrainConfig, args)
+    dataset = read_dataset(args.data)
+    vocab = Vocab.from_examples(dataset.train_examples())
     try:
-        dataset = read_dataset(args.data)
-        vocab = Vocab.from_examples(dataset.train_examples())
         checkpoint, log = train(config, dataset.train_pairs, vocab=vocab)
-    except (ValueError, *NOT_A_FILE) as e:  # a DataError, or data train cannot train on
+    except ValueError as e:  # data that train cannot train on
         raise CliError(f"bad data directory {args.data}: {e}")
     os.makedirs(args.out, exist_ok=True)
     fingerprint = config_fingerprint({"train": config.to_dict(),
@@ -125,15 +127,12 @@ def cmd_train(args) -> int:
 
 def _load_scoring_inputs(args):
     """The --checkpoint and --data of eval and probe: (snapshot, vocab,
-    extra, examples), or CliError naming the bad file."""
+    extra, examples); each bad file's error names it."""
     try:
         snapshot, vocab, extra = load_checkpoint(args.checkpoint)
-    except (ValueError, KeyError, *NOT_A_FILE) as e:
-        raise CliError(f"bad checkpoint {args.checkpoint}: {e}")
-    try:
-        examples = load_jsonl(args.data)
-    except (DataError, *NOT_A_FILE) as e:
-        raise CliError(f"bad data file {args.data}: {e}")
+    except DataError as e:
+        raise CliError(f"bad checkpoint {e}")
+    examples = load_jsonl(args.data)
     if not examples:
         raise CliError(f"no examples in {args.data}")
     return snapshot, vocab, extra, examples
@@ -162,10 +161,7 @@ def cmd_eval(args) -> int:
 def cmd_probe(args) -> int:
     snapshot, vocab, extra, examples = _load_scoring_inputs(args)
     groups_path = args.groups or os.path.join(os.path.dirname(args.data), "groups.json")
-    try:
-        groups = read_json_file(groups_path, FeatureGroups.from_dict)
-    except DataError as e:
-        raise CliError(f"bad groups file: {e}")
+    groups = read_json_file(groups_path, FeatureGroups.from_dict)
     try:
         probe = myopia_probe(snapshot, EvalSet.build(examples, vocab, groups))
     except DataError as e:  # a label outside the model's classes
@@ -181,11 +177,11 @@ def cmd_protocol(args) -> int:
     config = _config(TrainConfig, args)
     sweep = args.command == "data-efficiency"
     sizes = {"sizes": args.sizes} if sweep else {}
+    dataset = read_dataset(args.data)
     try:
-        dataset = read_dataset(args.data)
         result = (run_data_efficiency if sweep else run_ablation)(
             config, dataset, seeds=args.seeds, workers=args.workers, **sizes)
-    except (ValueError, *NOT_A_FILE) as e:
+    except ValueError as e:
         raise CliError(str(e))
     paths = write_report(result, args.out, "data_efficiency" if sweep else "ablation")
     shown = {"rows": len(result["rows"])} if sweep else {"summary": result["summary"]}

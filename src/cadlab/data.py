@@ -75,8 +75,8 @@ class ParseError(DataError):
 
 
 class PairingError(DataError):
-    def __init__(self, pair_id, message):
-        super().__init__(f"pair {pair_id!r}: {message}")
+    def __init__(self, path, pair_id, message):
+        super().__init__(f"{path}: pair {pair_id!r}: {message}")
         self.pair_id = pair_id
 
 
@@ -84,8 +84,6 @@ class EmptyEnvironmentError(DataError):
     pass
 
 
-# the OSErrors of a path that names no readable file: bad input, not a runtime failure
-NOT_A_FILE = (FileNotFoundError, IsADirectoryError, NotADirectoryError)
 # json's scanner raises RecursionError on a value nested deeper than the stack allows
 NESTED_TOO_DEEPLY = "invalid JSON: nested too deeply"
 # the largest label a JSONL file may hold: labels are scored as int64 arrays
@@ -194,6 +192,17 @@ _FIELD_SET = frozenset(_REQUIRED_FIELDS)
 _escape = json.encoder.encode_basestring_ascii
 
 
+def _open(path, *args, **kwargs):
+    """open() of a file the lab reads: a path that names no file (missing, a
+    directory, or under a file) is a DataError that names it."""
+    try:
+        return open(path, *args, **kwargs)
+    except FileNotFoundError as e:
+        raise DataError(f"{path}: file not found") from e
+    except (IsADirectoryError, NotADirectoryError) as e:
+        raise DataError(f"{path}: {e.strerror}") from e
+
+
 def load_jsonl(path) -> list[Example]:
     """Load and validate examples from a JSONL file, training or evaluation
     split alike: each pair_id names an original alone or an original and a
@@ -206,7 +215,7 @@ def load_jsonl(path) -> list[Example]:
     # no grouping; any other file is checked by grouping it
     if (VARIANT_COUNTERFACTUAL in [ex.variant for ex in examples]
             or len({ex.pair_id for ex in examples}) != len(examples)):
-        pair_examples(examples)
+        pair_examples(examples, path)
     return examples
 
 
@@ -215,7 +224,7 @@ def _read_jsonl(path) -> list[Example]:
     yet checked. A file that dump_jsonl wrote with no escape in it is read in
     one pass (_read_dumped); any other file line by line, with the same
     examples and errors."""
-    with open(path, "rb") as fh:
+    with _open(path, "rb") as fh:
         raw = fh.read()
     try:
         text, bad = raw.decode("utf-8"), None
@@ -261,11 +270,11 @@ def _read_jsonl(path) -> list[Example]:
     return examples
 
 
-def pair_examples(examples: list[Example]) -> list[PairedExample]:
-    """Group examples into training units by pair_id, in file order, checking
-    each unit: an original and a counterfactual with another label, or an
-    original alone. A counterfactual alone, or a pair_id shared by anything
-    else, is a PairingError."""
+def pair_examples(examples: list[Example], path) -> list[PairedExample]:
+    """Group the examples of the file at path into training units by pair_id,
+    in file order, checking each unit: an original and a counterfactual with
+    another label, or an original alone. A counterfactual alone, or a pair_id
+    shared by anything else, is a PairingError that names the file."""
     by_pair: dict[str, list[Example]] = {}
     for ex in examples:
         by_pair.setdefault(ex.pair_id, []).append(ex)
@@ -273,19 +282,19 @@ def pair_examples(examples: list[Example]) -> list[PairedExample]:
     for pair_id, members in by_pair.items():
         if len(members) == 1:
             if members[0].variant == VARIANT_COUNTERFACTUAL:
-                raise PairingError(pair_id, "counterfactual without its original")
+                raise PairingError(path, pair_id, "counterfactual without its original")
             units.append(PairedExample(members[0]))
         elif len(members) == 2:
             variants = {m.variant for m in members}
             if variants != {VARIANT_ORIGINAL, VARIANT_COUNTERFACTUAL}:
-                raise PairingError(pair_id, f"expected one original and one counterfactual, got {sorted(variants)}")
+                raise PairingError(path, pair_id, f"expected one original and one counterfactual, got {sorted(variants)}")
             if members[0].label == members[1].label:
-                raise PairingError(pair_id, f"paired labels must differ, both are {members[0].label}")
+                raise PairingError(path, pair_id, f"paired labels must differ, both are {members[0].label}")
             if members[0].variant == VARIANT_COUNTERFACTUAL:
                 members.reverse()
             units.append(PairedExample(*members))
         else:
-            raise PairingError(pair_id, f"{len(members)} examples share this pair_id")
+            raise PairingError(path, pair_id, f"{len(members)} examples share this pair_id")
     return units
 
 
@@ -652,16 +661,12 @@ def write_dataset(dataset: GeneratedDataset, out_dir) -> dict:
 
 
 def read_json_file(path, parse):
-    """parse(the JSON object in a file). A path that names no file, bytes
-    that are not UTF-8, invalid JSON, another JSON value, or a DataError or
-    TypeError from parse is a DataError that names the file."""
+    """parse(the JSON object in a file). A path that names no file (_open),
+    bytes that are not UTF-8, invalid JSON, another JSON value, or a DataError,
+    TypeError or KeyError from parse is a DataError that names the file."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with _open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except FileNotFoundError as e:
-        raise DataError(f"{path}: file not found") from e
-    except NOT_A_FILE as e:
-        raise DataError(f"{path}: {e.strerror}") from e
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: not UTF-8 text: {e.reason}") from e
     except json.JSONDecodeError as e:
@@ -672,7 +677,7 @@ def read_json_file(path, parse):
         raise DataError(f"{path}: expected a JSON object")
     try:
         return parse(payload)
-    except (DataError, TypeError) as e:
+    except (DataError, TypeError, KeyError) as e:
         raise DataError(f"{path}: {e}") from e
 
 
@@ -684,7 +689,7 @@ def read_dataset(data_dir) -> GeneratedDataset:
     every training label up to the largest."""
     train_path = os.path.join(data_dir, "train.jsonl")
     train_examples = _read_jsonl(train_path)
-    train = pair_examples(train_examples)
+    train = pair_examples(train_examples, train_path)
     ood_path = os.path.join(data_dir, "ood.jsonl")
     ood = load_jsonl(ood_path)
     stress_path = os.path.join(data_dir, "ood_stress.jsonl")

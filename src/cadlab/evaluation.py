@@ -264,8 +264,6 @@ def _run_jobs(runs: list, workers: int) -> list[dict]:
     one, since after a fork every setter call restarts OpenBLAS's thread
     pool, which then spins for about 0.12 s of CPU.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     calls = _openblas_thread_calls()
     if calls is not None and calls[0]() != 1:
         calls[1](1)
@@ -297,8 +295,11 @@ def _call_run(index: int) -> list[dict]:
 # ---------------------------------------------------------------------------
 # protocol runners
 
-def _check_distinct(values: list[int], what: str) -> None:
-    """A repeated seed or size would count its runs twice in every mean."""
+def _check_list(values: list[int], what: str) -> None:
+    """A list of seeds or sizes is not empty, and holds no value twice, which
+    would count its runs twice in every mean."""
+    if not values:
+        raise ValueError(f"{what} must be non-empty")
     if len(set(values)) != len(values):
         raise ValueError(f"{what} must be distinct, got {list(values)}")
 
@@ -317,8 +318,14 @@ def _protocol_rows(base_config: TrainConfig, cells: list, seeds: list[int],
     one run_single call on one cell's arms over the next SEEDS_PER_JOB seeds
     of the list, with the configs seed by seed in arm order, so it trains
     them as one stack. The jobs go cell by cell through _run_jobs, and each
-    row gets its arm and its cell's tag here in the parent.
+    row gets its arm and its cell's tag here in the parent. The worker count
+    and the seeds, each in its config, are checked before any of this.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_list(seeds, "seeds")
+    for seed in seeds:
+        replace(base_config, seed=seed)     # a negative seed fails here
     first = cells[0][1]
     top_ood = max(map(attrgetter("label"), first.ood + first.ood_stress), default=0)
     vocabs = []
@@ -356,7 +363,6 @@ def run_ablation(base_config: TrainConfig, dataset: GeneratedDataset,
     are always emitted alongside the per-arm means. Training labels that
     stop below the OOD splits' largest fail before any run.
     """
-    _check_distinct(seeds, "seeds")
     if len(seeds) < 2:
         raise ValueError("ablation needs at least 2 seeds")
     rows = _protocol_rows(base_config, [("the training data", dataset, ABLATION_ARMS, {})],
@@ -396,8 +402,7 @@ def run_data_efficiency(base_config: TrainConfig, dataset: GeneratedDataset,
     loss ends the sweep with the error of the first run, in row order, that
     fails when it trains alone: after a failure the runs train again one at
     a time, in that order, until one fails."""
-    if not sizes:
-        raise ValueError("sizes must be non-empty")
+    _check_list(sizes, "sizes")
     units = dataset.train_pairs
     paired = [u for u in units if u.counterfactual is not None]
     for s in sizes:
@@ -406,10 +411,6 @@ def run_data_efficiency(base_config: TrainConfig, dataset: GeneratedDataset,
         if s > len(units) or s // 2 > len(paired):
             raise ValueError(f"size {s} needs {s // 2} pairs and {s} units, but the training "
                              f"data holds {len(paired)} pairs in {len(units)} units")
-    if not seeds:
-        raise ValueError("seeds must be non-empty")
-    _check_distinct(sizes, "sizes")
-    _check_distinct(seeds, "seeds")
 
     cells = []
     for s in sizes:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Node, add, const, div, dot, exp, log, mul, nmax, nsum, sub, tanh, wsum
-from .data import NESTED_TOO_DEEPLY, DictConfig, Vocab, is_int
+from .data import DataError, DictConfig, Vocab, is_int, read_json_file
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -248,54 +248,51 @@ def save_checkpoint(path, snap: Snapshot, vocab: Vocab, extra: dict | None = Non
 
 
 def load_checkpoint(path) -> tuple[Snapshot, Vocab, dict]:
-    """Load a checkpoint, checking its fixed keys, every parameter array's
-    shape against the model config, that every value is finite, that the
-    vocabulary is a list of strings and the extra data an object (ValueError
-    otherwise)."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except UnicodeDecodeError as e:
-        raise ValueError(f"not UTF-8 text: {e.reason}") from e
-    except RecursionError as e:
-        raise ValueError(NESTED_TOO_DEEPLY) from e
-    if not isinstance(payload, dict) or not isinstance(payload.get("params"), dict):
-        raise ValueError("a checkpoint is a JSON object with a \"params\" object")
+    """Load a checkpoint (read_json_file), checking its fixed keys, every
+    parameter array's shape against the model config, that every value is
+    finite, that the vocabulary is a list of strings and the extra data an
+    object; a DataError that names the file otherwise."""
+    return read_json_file(path, _checkpoint)
+
+
+def _checkpoint(payload: dict) -> tuple[Snapshot, Vocab, dict]:
+    if not isinstance(payload.get("params"), dict):
+        raise DataError("a checkpoint is a JSON object with a \"params\" object")
     version = payload.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint format version {version!r}")
+        raise DataError(f"unsupported checkpoint format version {version!r}")
     model, p = payload["model"], payload["params"]
     if not isinstance(model, dict):
-        raise ValueError("bad model config: not a JSON object")
+        raise DataError("bad model config: not a JSON object")
     for obj, fixed in FORMAT_1_FIXED_KEYS.items():
         # an absent key counts as its fixed value; json gives the one False and None
         if any(payload[obj].pop(key, value) is not value for key, value in fixed.items()):
-            raise ValueError("format 1 holds no hidden layer: \"use_hidden\" is false "
-                             "and \"hidden\", \"hidden_bias\" are null")
+            raise DataError("format 1 holds no hidden layer: \"use_hidden\" is false "
+                            "and \"hidden\", \"hidden_bias\" are null")
     try:
         config = ModelConfig.from_dict(model)
     except (TypeError, ValueError) as e:
-        raise ValueError(f"bad model config: {e}") from e
+        raise DataError(f"bad model config: {e}") from e
     arrays = {}
     for name, shape in config.param_shapes().items():
         try:
             values = np.array(p[name], dtype=np.float64)
         except (TypeError, ValueError) as e:
-            raise ValueError(f"{name} is not a numeric array: {e}") from e
+            raise DataError(f"{name} is not a numeric array: {e}") from e
         if values.shape != shape:
-            raise ValueError(f"{name} has shape {values.shape}, expected {shape}")
+            raise DataError(f"{name} has shape {values.shape}, expected {shape}")
         if not np.isfinite(values).all():
-            raise ValueError(f"{name} holds a non-finite value")
+            raise DataError(f"{name} holds a non-finite value")
         arrays[name] = values
     tokens, extra = payload["vocab"], payload.get("extra", {})
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-        raise ValueError("the checkpoint's \"vocab\" is not a list of strings")
+        raise DataError("the checkpoint's \"vocab\" is not a list of strings")
     if tokens != sorted(set(tokens)):
         # embedding row i belongs to the i-th token of the sorted vocabulary
-        raise ValueError("the checkpoint's \"vocab\" is not in strictly increasing order")
+        raise DataError("the checkpoint's \"vocab\" is not in strictly increasing order")
     if not isinstance(extra, dict):
-        raise ValueError("the checkpoint's \"extra\" is not an object")
+        raise DataError("the checkpoint's \"extra\" is not an object")
     vocab = Vocab(tokens)
     if vocab.size != config.vocab_size:
-        raise ValueError("checkpoint vocab does not match model vocab_size")
+        raise DataError("checkpoint vocab does not match model vocab_size")
     return Snapshot(config=config, **arrays), vocab, extra

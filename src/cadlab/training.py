@@ -77,7 +77,7 @@ class TrainConfig(DictConfig):
     epochs: int = 100
     seed: int = 0
     # the only optimizer, kept because perfbench/run.py's train config sets it;
-    # ROADMAP item 5 removes it together with that harness change
+    # ROADMAP item 10 removes it together with that harness change
     optimizer: str = "adam"
     env_mode: str = "disjoint"     # | "overlap": e_cad additionally holds the originals
     embed_dim: int = 8

@@ -358,6 +358,11 @@ BROKEN_DATA_FILES = [
                  '"variant": "original"}\n' % ("0" * 25),
                  "train.jsonl:1: label must be at most 2**63 - 1", id="train-oversized_label"),
     pytest.param("", "", "Not a directory", id="data_directory-a_file"),
+    pytest.param("train.jsonl", '{"id": "a", "label": 0, "pair_id": "p0", "text": "x", '
+                 '"variant": "original"}\n{"id": "b", "label": 0, "pair_id": "p0", "text": "y", '
+                 '"variant": "counterfactual"}\n',
+                 "train.jsonl: pair 'p0': paired labels must differ, both are 0",
+                 id="train-same_label_pair"),
 ]
 
 DATA_COMMANDS = {
@@ -469,7 +474,8 @@ def _nan_at(row, col):
 # format 1 keeps a hidden layer's keys at fixed values: "use_hidden" false, the arrays null
 NO_HIDDEN = 'format 1 holds no hidden layer: "use_hidden" is false and "hidden", "hidden_bias" are null'
 
-# one malformed checkpoint per row: (name, edit, expected exit code, message fragment)
+# one malformed checkpoint per row: (name, edit, expected exit code, message fragment); an
+# edit returns the payload to write as JSON, or what _put leaves in its place
 MALFORMED_CHECKPOINTS = [
     ("truncated embedding", _set(("params", "embedding"), lambda m: m[:-1]), 1,
      "embedding has shape (32, 4), expected (33, 4)"),
@@ -491,8 +497,7 @@ MALFORMED_CHECKPOINTS = [
     ("params not an object", _set(("params",), lambda v: list(v.values())), 1,
      'a checkpoint is a JSON object with a "params" object'),
     ("missing params", _drop("params"), 1, 'a checkpoint is a JSON object with a "params" object'),
-    ("not an object", lambda payload: [payload], 1,
-     'a checkpoint is a JSON object with a "params" object'),
+    ("not an object", lambda payload: [payload], 1, "expected a JSON object"),
     ("hidden layer the model lacks", _set(("params", "hidden"), [[0.0] * 4] * 4), 1, NO_HIDDEN),
     ("hidden layer missing", _set(("model", "use_hidden"), True), 1, NO_HIDDEN),
     ("hidden-layer model", _with_hidden_layer, 1, NO_HIDDEN),
@@ -527,6 +532,8 @@ MALFORMED_CHECKPOINTS = [
     ("not UTF-8", lambda payload: json.dumps(payload).encode() + b"\xff", 1, "not UTF-8 text"),
     ("a directory", lambda payload: DIRECTORY, 1, "Is a directory"),
     ("deeply nested", lambda payload: b"[" * 100_000, 1, "invalid JSON: nested too deeply"),
+    ("missing file", lambda payload: None, 1, "file not found"),
+    ("invalid JSON", lambda payload: b"{not json", 1, "invalid JSON: Expecting property name"),
 ]
 
 
@@ -537,7 +544,7 @@ def test_malformed_checkpoint_exit_code(trained, capsys, command, name, edit, co
     tmp_path, data_dir, ckpt = trained
     bad = tmp_path / "bad.json"
     edited = edit(json.loads(ckpt.read_text()))
-    _put(bad, edited if edited is DIRECTORY or isinstance(edited, bytes) else json.dumps(edited))
+    _put(bad, json.dumps(edited) if isinstance(edited, (dict, list)) else edited)
     capsys.readouterr()
     rc = main([command, "--checkpoint", str(bad), "--data", str(data_dir / "ood.jsonl")])
     err = capsys.readouterr().err
@@ -592,6 +599,9 @@ BAD_EVAL_INPUTS = [
         # json's scanner raises RecursionError on it
         ("deep_nesting", "[" * 100_000 + "\n", "bad.jsonl:1: invalid JSON: nested too deeply"),
         ("directory", DIRECTORY, "Is a directory"),
+        ("lone_counterfactual", '{"id": "a", "label": 1, "pair_id": "a", "text": "x", '
+                                '"variant": "counterfactual"}\n',
+         "bad.jsonl: pair 'a': counterfactual without its original"),
         ("empty", "", "no examples in"))
 ] + [pytest.param("probe", "--groups", content, message, id=f"probe-groups-{case}")
      for case, content, message in (
@@ -1040,6 +1050,28 @@ def test_bad_seed_list_exit_1(small_data, capsys):
         assert rc == 1
         assert message in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["ablate", "data-efficiency"])
+@pytest.mark.parametrize("args, message", [
+    (["--workers", "0", "--seeds", "0,1"], "workers must be >= 1, got 0"),
+    (["--seeds", "0,-1"], "seed must be >= 0"),
+], ids=["workers", "negative_seed"])
+def test_runner_arguments_are_checked_before_any_featurizing(small_data, capsys, monkeypatch,
+                                                             command, args, message):
+    """--workers below 1 and a negative seed exit 1 before the runner walks
+    the training labels or featurizes the OOD union."""
+    tmp_path, data_dir = small_data
+    built = []
+    ood_eval_set = cadlab.evaluation.ood_eval_set
+    monkeypatch.setattr(cadlab.evaluation, "ood_eval_set",
+                        lambda *a: built.append(1) or ood_eval_set(*a))
+    sweep = ["--sizes", "4"] if command == "data-efficiency" else []
+    out = tmp_path / "out"
+    rc = main([command, "--data", str(data_dir), "--out", str(out), "--epochs", "1", *args, *sweep])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert message in err and built == [] and not out.exists()
 
 
 def _keep_train_lines(data_dir, keep):

@@ -42,7 +42,7 @@ def test_load_valid_pair(tmp_path):
     ])
     examples = load_jsonl(p)
     assert len(examples) == 2
-    pairs = pair_examples(examples)
+    pairs = pair_examples(examples, p)
     assert len(pairs) == 1
     assert pairs[0].original.label == 0
     assert pairs[0].counterfactual.label == 1
@@ -56,7 +56,8 @@ def test_load_same_label_pair_is_error(tmp_path):
     ])
     with pytest.raises(PairingError) as exc:
         load_jsonl(p)
-    assert "p1" in str(exc.value)
+    assert str(exc.value) == f"{p}: pair 'p1': paired labels must differ, both are 0"
+    assert exc.value.pair_id == "p1"
 
 
 def test_load_empty_file(tmp_path):
@@ -74,10 +75,11 @@ def test_a_lone_original_is_a_unit_in_any_file(tmp_path):
     _write_lines(p, rows)
     examples = load_jsonl(p)
     a, b, b_cf, c = examples
-    assert pair_examples(examples) == [PairedExample(a), PairedExample(b, b_cf), PairedExample(c)]
+    assert pair_examples(examples, p) == [PairedExample(a), PairedExample(b, b_cf),
+                                          PairedExample(c)]
     # a file of one lone original, which load_jsonl checks without grouping
     _write_lines(p, rows[:1])
-    assert pair_examples(load_jsonl(p)) == [PairedExample(a)]
+    assert pair_examples(load_jsonl(p), p) == [PairedExample(a)]
 
 
 def test_load_counterfactual_without_original(tmp_path):
@@ -207,7 +209,7 @@ def test_a_bad_line_reports_json_loads_message_at_its_line(tmp_path, line, messa
 def _read_outcome(path):
     try:
         examples = data._read_jsonl(path)
-        return examples, pair_examples(examples)
+        return examples, pair_examples(examples, path)
     except DataError as e:
         return type(e), str(e), getattr(e, "line_no", None)
 
@@ -368,12 +370,13 @@ def test_dump_jsonl_keeps_the_behaviour_of_json_dumps_for_a_label_that_is_not_an
 
 def test_pairing_an_evaluation_split_checks_it_as_grouping_does():
     originals = [Example(f"{i}", ("x",), 0, f"p{i}", "original") for i in range(3)]
-    assert pair_examples(originals) == [PairedExample(ex) for ex in originals]
-    with pytest.raises(PairingError, match="'p1': expected one original and one counterfactual"):
-        pair_examples(originals + [originals[1]._replace(id="dup")])
+    assert pair_examples(originals, "d.jsonl") == [PairedExample(ex) for ex in originals]
+    with pytest.raises(PairingError,
+                       match="^d.jsonl: pair 'p1': expected one original and one counterfactual"):
+        pair_examples(originals + [originals[1]._replace(id="dup")], "d.jsonl")
     counterfactual = originals[1]._replace(id="cf", label=1, variant="counterfactual")
-    with pytest.raises(PairingError, match="'p1': 3 examples share this pair_id"):
-        pair_examples(originals + [counterfactual, originals[1]._replace(id="dup")])
+    with pytest.raises(PairingError, match="^d.jsonl: pair 'p1': 3 examples share this pair_id"):
+        pair_examples(originals + [counterfactual, originals[1]._replace(id="dup")], "d.jsonl")
 
 
 def test_records_are_immutable_hashable_and_equal_field_by_field():
@@ -782,9 +785,9 @@ def test_read_dataset_groups_each_file_once(tmp_path, monkeypatch):
     write_dataset(ds, tmp_path / "data")
     calls = []
 
-    def counting(examples):
+    def counting(examples, path):
         calls.append(len(examples))
-        return pair_examples(examples)
+        return pair_examples(examples, path)
 
     monkeypatch.setattr(data, "pair_examples", counting)
     assert read_dataset(tmp_path / "data").train_pairs == ds.train_pairs
@@ -811,7 +814,7 @@ def test_an_evaluation_split_that_needs_pairing_is_still_checked(tmp_path, case)
     dump_jsonl(originals + [extra], p)
     with pytest.raises(PairingError) as exc:
         load_jsonl(p)
-    assert str(exc.value) == message
+    assert str(exc.value) == f"{p}: {message}"
 
 
 def test_read_dataset_reads_what_write_dataset_wrote_in_one_pass(tmp_path, monkeypatch):
