@@ -4,11 +4,11 @@ Exit codes: 0 on success, 1 on validation errors (bad config, data or
 arguments), 2 on runtime failures. The parser rejects usage errors, flag
 values that do not convert, an empty path and a bad --out, before any work.
 The readers in data reject a path that names no file and a file that does
-not parse, with a DataError that names the file. The runners check the rest
-after read_dataset and before any featurizing or training: an empty, odd,
-out-of-range or repeated size, a one-seed ablate, a repeated or negative
-seed, and --workers below 1. Reports are byte-identical across reruns with
-the same seed, config, and data.
+not parse, naming it, as _config does a bad config file and cmd_protocol an
+empty OOD split. The runners check the rest after read_dataset and before
+any featurizing or training: an empty, odd, out-of-range or repeated size,
+a one-seed ablate, a repeated or negative seed, and --workers below 1.
+Reports are byte-identical across reruns with the same seed, config, and data.
 """
 
 from __future__ import annotations
@@ -38,14 +38,17 @@ class CliError(Exception):
 
 def _config(cls, args):
     """A config of class cls from the --config file, if any, with each given
-    flag whose dest is a field of cls on top; CliError if it is bad."""
+    flag whose dest is a field of cls on top; CliError if it is bad, which
+    names the file when the file's keys that no flag overrides are bad alone."""
     payload = read_json_file(args.config, dict) if args.config else {}
-    overrides = {f.name: getattr(args, f.name, None) for f in fields(cls)}
-    payload.update((key, value) for key, value in overrides.items() if value is not None)
-    try:
-        return cls.from_dict(payload)
-    except (ValueError, TypeError) as e:
-        raise CliError(f"bad {cls.KIND} config: {e}")
+    flags = {f.name: v for f in fields(cls) if (v := getattr(args, f.name, None)) is not None}
+    own = {key: value for key, value in payload.items() if key not in flags}
+    for source, d in ((f" {args.config}", own), ("", {**own, **flags})):
+        try:
+            config = cls.from_dict(d)
+        except (ValueError, TypeError) as e:
+            raise CliError(f"bad {cls.KIND} config{source}: {e}")
+    return config
 
 
 def _path(text: str) -> str:
@@ -115,10 +118,9 @@ def cmd_train(args) -> int:
         "fingerprint": fingerprint,
         "train_config": config.to_dict(),
     })
-    with open(os.path.join(args.out, "train_log.csv"), "w", encoding="utf-8") as fh:
-        fh.write(log.step_csv())
-    with open(os.path.join(args.out, "epoch_summary.csv"), "w", encoding="utf-8") as fh:
-        fh.write(log.epoch_csv())
+    for name, text in (("train_log.csv", log.step_csv()), ("epoch_summary.csv", log.epoch_csv())):
+        with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
     print(json.dumps({"checkpoint": ckpt_path, "epoch": checkpoint.epoch,
                       "train_accuracy": checkpoint.train_accuracy,
                       "fingerprint": fingerprint}, sort_keys=True))
@@ -178,6 +180,10 @@ def cmd_protocol(args) -> int:
     sweep = args.command == "data-efficiency"
     sizes = {"sizes": args.sizes} if sweep else {}
     dataset = read_dataset(args.data)
+    for split in ("ood", "ood_stress"):
+        if not getattr(dataset, split):
+            raise CliError(f"{os.path.join(args.data, split)}.jsonl: missing or empty, but a "
+                           "run needs non-empty ood and ood_stress splits")
     try:
         result = (run_data_efficiency if sweep else run_ablation)(
             config, dataset, seeds=args.seeds, workers=args.workers, **sizes)

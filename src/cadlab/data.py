@@ -17,9 +17,9 @@ lab writes is one csv_text, and every indented JSON file one write_json.
 
 Featurization has one implementation, featurize_matrix: the tokens of a list
 of examples are looked up once as integer ids in first-seen order (TokenIds),
-and the L1-normalized counts are added up (np.add.at) in the returned float64
-matrix itself and divided there by the row totals. A mask weighs its tokens
-0.0 at their own columns, so a masked matrix costs what an unmasked one does.
+and the L1-normalized counts of the unmasked matrix and of one per mask are
+added up (np.add.at) in the slices of one returned float64 block and divided
+there by the row totals. A mask weighs its tokens 0.0 at their own columns.
 Callers that score the same examples repeatedly (the probe, the ablation
 runs) keep the TokenIds and featurize from them. featurize_sparse, the scalar
 reference's input, is its only one-row view.
@@ -357,10 +357,7 @@ class Vocab:
 
     @classmethod
     def from_examples(cls, examples) -> "Vocab":
-        toks = []
-        for ex in examples:
-            toks.extend(ex.tokens)
-        return cls(toks)
+        return cls(chain.from_iterable(map(attrgetter("tokens"), examples)))
 
 
 @dataclass(frozen=True)
@@ -395,34 +392,36 @@ class TokenIds:
         return len(self.lengths)
 
 
-def featurize_matrix(examples, vocab: Vocab, mask_tokens: frozenset | set | None = None) -> np.ndarray:
-    """L1-normalized token counts over the vocabulary, one row per example,
-    with unknown tokens in the OOV bucket. ``examples`` is a list of examples
-    or their TokenIds. mask_tokens are removed before counting (the inputs are
-    never mutated); a row left without tokens is all zeros."""
+def featurize_matrix(examples, vocab: Vocab, masks=()) -> np.ndarray:
+    """L1-normalized token counts over the vocabulary (unknown tokens in the
+    OOV bucket) of a list of examples or their TokenIds, as one C-contiguous
+    (1 + len(masks), n, V) block: slice 0 unmasked, slice 1 + i with masks[i]'s
+    tokens removed before counting (the inputs are never mutated). A row left
+    without tokens is all zeros."""
     tids = examples if isinstance(examples, TokenIds) else TokenIds.from_examples(examples)
     n, V = len(tids), vocab.size
-    # a masked token weighs 0.0 at its own column
-    mask = mask_tokens or ()
     column = np.array([vocab.index.get(t, vocab.oov_index) for t in tids.table], dtype=np.intp)
-    weight = np.array([t not in mask for t in tids.table], dtype=np.float64)
     keys = np.repeat(np.arange(0, n * V, V), tids.lengths)
     keys += column[tids.ids]
     # whole counts in float64, added up in the result itself; np.full reuses
     # freed memory where np.zeros' calloc may map fresh pages from the kernel
-    counts = np.full((n, V), 0.0)
-    np.add.at(counts.reshape(-1), keys, weight[tids.ids])
+    counts = np.full((1 + len(masks), n, V), 0.0)
+    np.add.at(counts[0].reshape(-1), keys, 1.0)
+    for out, mask in zip(counts[1:], masks):
+        # a masked token weighs 0.0 at its own column
+        weight = np.array([t not in mask for t in tids.table], dtype=np.float64)
+        np.add.at(out.reshape(-1), keys, weight[tids.ids])
     # each row total is exact in any order of summing, and each quotient the
     # one of integer counts over that total
-    totals = counts.sum(axis=1)
-    counts /= np.maximum(totals, 1.0, out=totals)[:, None]
+    totals = counts.sum(axis=2)
+    counts /= np.maximum(totals, 1.0, out=totals)[..., None]
     return counts
 
 
 def featurize_sparse(tokens, vocab: Vocab) -> list[tuple[int, float]]:
     """Sparse (index, weight) view of featurize_matrix's row for one token
     sequence, for the graph-building encoder."""
-    x = featurize_matrix(TokenIds.from_tokens([tokens]), vocab)[0]
+    x = featurize_matrix(TokenIds.from_tokens([tokens]), vocab)[0, 0]
     return [(int(i), float(x[i])) for i in np.flatnonzero(x)]
 
 
@@ -531,10 +530,7 @@ class GeneratedDataset:
     config: GeneratorConfig
 
     def train_examples(self) -> list[Example]:
-        out = []
-        for p in self.train_pairs:
-            out.extend(p.members())
-        return out
+        return [m for unit in self.train_pairs for m in unit.members()]
 
 
 def _build_group_tokens(cfg: GeneratorConfig):

@@ -83,8 +83,8 @@ def config_fingerprint(payload: dict) -> str:
 class EvalSet:
     """Examples featurized once under one vocabulary, to score any number of
     snapshots on: their labels, the unmasked feature matrix and, when built
-    with groups, one matrix per probe group with that group's tokens removed
-    before counting (the examples themselves are never mutated)."""
+    with groups, one per probe group with its tokens removed before counting,
+    all slices of one featurize_matrix block (the examples are not mutated)."""
     examples: list
     labels: np.ndarray
     features: np.ndarray
@@ -96,11 +96,9 @@ class EvalSet:
             raise ValueError("scoring needs a non-empty example list")
         ids = TokenIds.from_examples(examples)
         labels = np.fromiter(map(attrgetter("label"), examples), np.intp, len(examples))
-        features = featurize_matrix(ids, vocab)
-        masked = {} if groups is None else {
-            name: featurize_matrix(ids, vocab, mask_tokens=getattr(groups, name))
-            for name in PROBE_GROUPS}
-        return cls(list(examples), labels, features, masked)
+        masks = [] if groups is None else [getattr(groups, name) for name in PROBE_GROUPS]
+        features, *masked = featurize_matrix(ids, vocab, masks)
+        return cls(list(examples), labels, features, dict(zip(PROBE_GROUPS, masked)))
 
     def correct(self, snapshot: Snapshot) -> list[np.ndarray]:
         """Per matrix, whether the snapshot predicts each example's label (an

@@ -277,7 +277,7 @@ def _checkpoint(payload: dict) -> tuple[Snapshot, Vocab, dict]:
     for name, shape in config.param_shapes().items():
         try:
             values = np.array(p[name], dtype=np.float64)
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:     # 10**400 overflows
             raise DataError(f"{name} is not a numeric array: {e}") from e
         if values.shape != shape:
             raise DataError(f"{name} has shape {values.shape}, expected {shape}")

@@ -355,7 +355,7 @@ def train_arms(configs: list[TrainConfig], pairs: list[PairedExample],
 
     if vocab is None:
         vocab = Vocab.from_examples(all_examples)
-    features = featurize_matrix(all_examples, vocab)
+    [features] = featurize_matrix(all_examples, vocab)
 
     model_cfg = ModelConfig(vocab_size=vocab.size, n_classes=int(labels.max()) + 1,
                             embed_dim=config.embed_dim)

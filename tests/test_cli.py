@@ -89,7 +89,7 @@ def test_generate_bad_config_exit_1(tmp_path, capsys):
                               "edit_scope must be a finite number, got None")):
         _write_json(cfg, payload)
         assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
-        assert f"error: bad generator config: {message}" in capsys.readouterr().err
+        assert f"error: bad generator config {cfg}: {message}" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 
@@ -220,6 +220,58 @@ def test_cli_flag_overrides_config(small_data, capsys):
     ckpt = json.loads((tmp_path / "o" / "checkpoint.json").read_text())
     assert ckpt["extra"]["train_config"]["alpha"] == 0.0
     assert ckpt["extra"]["train_config"]["epochs"] == 1
+
+
+# per command, a config file with a bad value and with an unknown key, and its message
+BAD_CONFIG_KEYS = {
+    "generate": [({"n_pairs": 0}, "n_pairs must be >= 1"),
+                 ({"n_pairs": 4, "typo": 1}, "unknown generator config keys: ['typo']")],
+    **{command: [({"alpha": -1.0}, "alpha and beta must be non-negative"),
+                 ({"typo": 1}, "unknown train config keys: ['typo']")]
+       for command in ("train", "ablate", "data-efficiency")},
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_COMMANDS))
+def test_a_bad_key_of_the_config_file_names_the_file(small_data, capsys, command):
+    """Each command is given flags that set config fields (--seed or
+    --epochs) beside the file; the fault is the file's, so it is named."""
+    tmp_path, data_dir = small_data
+    cfg = tmp_path / "cfg.json"
+    data = [] if command == "generate" else ["--data", str(data_dir)]
+    kind = "generator" if command == "generate" else "train"
+    for payload, message in BAD_CONFIG_KEYS[command]:
+        _write_json(cfg, payload)
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *data,
+                   *CONFIG_COMMANDS[command]])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert err == f"error: bad {kind} config {cfg}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("generate", ["--seed", "-1"], "bad generator config: seed must be >= 0"),
+    ("train", ["--seed", "1", "--alpha", "-1"], "bad train config: alpha and beta must be "
+     "non-negative"),
+    ("ablate", ["--seeds", "0,1", "--epochs", "0"], "bad train config: epochs must be >= 1"),
+])
+def test_a_bad_flag_override_names_no_file(small_data, capsys, command, flags, message):
+    """A fault that a flag brings is not the file's: the message is the one
+    without a config file. A bad file value that a flag overrides is no fault."""
+    tmp_path, data_dir = small_data
+    cfg = tmp_path / "cfg.json"
+    data = [] if command == "generate" else ["--data", str(data_dir)]
+    out = tmp_path / "out"
+    for config in ([], ["--config", str(cfg)]):
+        _write_json(cfg, {"n_pairs": 4} if command == "generate" else {"epochs": 1})
+        rc = main([command, *config, "--out", str(out), *data, *flags])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    _write_json(cfg, {"epochs": 1, "alpha": -1.0})
+    assert main(["train", "--config", str(cfg), "--data", str(data_dir), "--out", str(out),
+                 "--seed", "1", "--alpha", "0.5"]) == 0
 
 
 def test_train_missing_data_exit_1(tmp_path, capsys):
@@ -386,6 +438,25 @@ def test_broken_dataset_file_exit_1(small_data, capsys, command, name, content, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["ablate", "data-efficiency"])
+@pytest.mark.parametrize("content", [None, ""], ids=["missing", "empty"])
+def test_a_run_without_ood_stress_examples_names_the_file(small_data, capsys, command, content):
+    """train reads a data directory without ood_stress.jsonl; a runner, which
+    scores every run on both OOD splits, exits 1 and names the file."""
+    tmp_path, data_dir = small_data
+    _put(data_dir / "ood_stress.jsonl", content)
+    out = tmp_path / "out"
+    rc = main([command, "--data", str(data_dir), "--out", str(out), "--epochs", "1",
+               *DATA_COMMANDS[command]])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert err == (f"error: {data_dir / 'ood_stress.jsonl'}: missing or empty, but a run "
+                   "needs non-empty ood and ood_stress splits\n")
+    assert not out.exists()
+    assert main(["train", "--data", str(data_dir), "--out", str(out), "--epochs", "1",
+                 *DATA_COMMANDS["train"]]) == 0
+
+
 @pytest.mark.parametrize("command", sorted(DATA_COMMANDS))
 @pytest.mark.parametrize("split", ["train", "ood", "ood_stress"])
 def test_a_label_outside_the_generator_classes_exits_1_before_training(
@@ -485,6 +556,9 @@ MALFORMED_CHECKPOINTS = [
      "embedding is not a numeric array"),
     ("string weight", _set(("params", "enc_bias"), lambda v: ["w"] + v[1:]), 1,
      "enc_bias is not a numeric array"),
+    # json reads it as an exact int, which float64 cannot hold
+    ("integer beyond the float range", _set(("params", "out_bias"), lambda v: [10 ** 400] + v[1:]),
+     1, "out_bias is not a numeric array: int too large to convert to float"),
     ("NaN weight", _set(("params", "classifier"), _nan_at(1, 2)), 1,
      "classifier holds a non-finite value"),
     ("infinite bias", _set(("params", "out_bias"), lambda v: [float("inf")] + v[1:]), 1,

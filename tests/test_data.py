@@ -413,7 +413,7 @@ def test_roundtrip_identity(tmp_path):
 
 def _one_row(tokens, vocab):
     """featurize_matrix's row for one token sequence."""
-    return featurize_matrix(TokenIds.from_tokens([tokens]), vocab)[0]
+    return featurize_matrix(TokenIds.from_tokens([tokens]), vocab)[0, 0]
 
 
 def test_featurize_counts_and_oov():
@@ -870,19 +870,22 @@ _UNKNOWN = ["x", "y", "z"]
 @settings(max_examples=200, deadline=None)
 @given(vocab_tokens=st.lists(st.sampled_from(_KNOWN), max_size=5),
        rows=st.lists(st.lists(st.sampled_from(_KNOWN + _UNKNOWN), max_size=12), max_size=8),
-       mask=st.none() | st.frozensets(st.sampled_from(_KNOWN + _UNKNOWN + ["w"]), max_size=5))
-def test_featurize_matrix_is_bit_identical_to_the_per_example_loop(vocab_tokens, rows, mask):
+       masks=st.lists(st.frozensets(st.sampled_from(_KNOWN + _UNKNOWN + ["w"]), max_size=5),
+                      max_size=3))
+def test_featurize_matrix_is_bit_identical_to_the_per_example_loop(vocab_tokens, rows, masks):
     # repeated tokens, empty rows, rows whose tokens are all masked, masked
-    # tokens outside the vocabulary and in no row ("w"), and unknown tokens
+    # tokens outside the vocabulary and in no row ("w"), and unknown tokens;
+    # each slice of the block is the loop's matrix under its own mask
     vocab = Vocab(vocab_tokens)
     examples = [Example(id=str(i), tokens=tuple(toks), label=0, pair_id=str(i),
                         variant="original") for i, toks in enumerate(rows)]
-    expected = _reference_featurize_matrix(examples, vocab, mask)
-    got = featurize_matrix(examples, vocab, mask_tokens=mask)
-    assert got.dtype == np.float64 and got.shape == expected.shape
+    expected = np.array([_reference_featurize_matrix(examples, vocab, mask)
+                         for mask in (None, *masks)])
+    got = featurize_matrix(examples, vocab, masks)
+    assert got.dtype == np.float64 and got.shape == expected.shape and got.flags.c_contiguous
     assert np.array_equal(_bits(got), _bits(expected))
     ids = TokenIds.from_examples(examples)
-    assert np.array_equal(_bits(featurize_matrix(ids, vocab, mask_tokens=mask)), _bits(expected))
+    assert np.array_equal(_bits(featurize_matrix(ids, vocab, masks)), _bits(expected))
     plain = _reference_featurize_matrix(examples, vocab)
     for toks, row in zip(rows, plain):
         assert np.array_equal(_bits(_one_row(toks, vocab)), _bits(row))
@@ -892,14 +895,21 @@ def test_featurize_matrix_is_bit_identical_to_the_per_example_loop(vocab_tokens,
         assert all(type(j) is int and type(w) is float for j, w in sparse)
 
 
+def test_featurize_matrix_without_masks_is_one_slice():
+    vocab = Vocab(["a", "b"])
+    for rows in ([["a", "b", "q"], [], ["b"]], []):
+        block = featurize_matrix(TokenIds.from_tokens(rows), vocab)
+        assert block.shape == (1, len(rows), vocab.size) and block.flags.c_contiguous
+        assert featurize_matrix(TokenIds.from_tokens(rows), vocab, masks=()).shape == block.shape
+
+
 def test_featurize_matrix_masking_does_not_mutate():
     ds = generate_cad(GeneratorConfig(n_pairs=10, n_ood=8, seed=4))
     vocab = Vocab.from_examples(ds.train_examples())
     before = [ex.tokens for ex in ds.ood]
-    masked = featurize_matrix(ds.ood, vocab, mask_tokens=ds.groups.edited_causal)
+    plain, masked = featurize_matrix(ds.ood, vocab, masks=[ds.groups.edited_causal])
     assert [ex.tokens for ex in ds.ood] == before
-    plain = featurize_matrix(ds.ood, vocab)
-    assert masked.shape == plain.shape
+    assert masked.shape == plain.shape == (len(ds.ood), vocab.size)
     assert not np.array_equal(masked, plain)
 
 
@@ -911,10 +921,10 @@ def test_featurize_matrix_allocates_little_beside_its_result(masked):
                                       edit_scope=0.5))
     vocab = Vocab.from_examples(ds.train_examples())
     ids = TokenIds.from_examples(ds.ood)
-    mask = ds.groups.edited_causal if masked else None
+    masks = [ds.groups.edited_causal] if masked else []
     tracemalloc.start()
     try:
-        result = featurize_matrix(ids, vocab, mask_tokens=mask)
+        result = featurize_matrix(ids, vocab, masks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

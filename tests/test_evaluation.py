@@ -125,6 +125,20 @@ def test_probe_needs_an_eval_set_built_with_groups():
         ood_eval_set(replace(ds, ood_stress=[]), vocab)
 
 
+def test_an_eval_sets_matrices_are_slices_of_one_block():
+    """One featurize_matrix call gives an EvalSet its unmasked matrix and a
+    masked one per probe group: slices 0 to G of one C-contiguous block."""
+    ds = _dataset()
+    vocab = Vocab.from_examples(ds.train_examples())
+    for groups, names in ((ds.groups, list(evaluation.PROBE_GROUPS)), (None, [])):
+        scored = EvalSet.build(ds.ood, vocab, groups)
+        block = scored.features.base
+        assert block.shape == (1 + len(names), len(ds.ood), vocab.size)
+        assert block.flags.c_contiguous and list(scored.masked) == names
+        for i, matrix in enumerate((scored.features, *scored.masked.values())):
+            assert matrix.base is block and matrix.ctypes.data == block[i].ctypes.data
+
+
 def test_probe_myopic_model_relies_on_edited_only():
     ds = _dataset(n_ood=200)
     vocab = Vocab.from_examples(ds.train_examples())
@@ -433,7 +447,7 @@ def test_a_stacked_snapshot_predicts_each_matrix_as_each_run_alone(runs, n_class
     matrices = (ood.features, *ood.masked.values())
     ids = TokenIds.from_examples(ood.examples)
     for features, name in zip(matrices, (None, *ood.masked)):
-        alone = featurize_matrix(ids, vocab, mask_tokens=name and getattr(ds.groups, name))
+        alone = featurize_matrix(ids, vocab, [getattr(ds.groups, name)] if name else [])[-1]
         assert features.tobytes() == alone.tobytes()
     # stacked copies, as run_single probes them, and views into the rows of
     # one matrix, as a training stack scores its train accuracy

@@ -202,7 +202,7 @@ def test_snapshot_matches_graph_forward():
     vocab = Vocab.from_examples(ds.train_examples())
     params = ModelParams(ModelConfig(vocab_size=vocab.size, embed_dim=6), seed=3)
     snap = params.snapshot()
-    X = featurize_matrix(ds.ood, vocab)
+    [X] = featurize_matrix(ds.ood, vocab)
     z_np = snap.logits_matrix(X)
     for i, ex in enumerate(ds.ood):
         h = encode(featurize_sparse(ex.tokens, vocab), params)

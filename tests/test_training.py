@@ -396,7 +396,7 @@ def _step_both_ways(units, batch, params, vocab, alpha, beta, env_mode):
     theta = np.array([[p.value for p in params.flat()]])
     stack, snapshot, grads, got_grad = _stack(params.config, theta, [alpha], [beta])
     [step] = batch_index(unit_rows(units), [[batch]], env_mode, _labels(units), stack)
-    [got] = objective_and_grad(snapshot, grads, featurize_matrix(examples, vocab)[step.rows],
+    [got] = objective_and_grad(snapshot, grads, featurize_matrix(examples, vocab)[0][step.rows],
                                step, stack)
     return ref, ref_grad, got, got_grad[0]
 
@@ -714,7 +714,7 @@ def test_stacked_step_matches_autodiff_for_each_run(seed, n_classes, env_mode, n
     [step] = batch_index(unit_rows(units), [[b] for b in batches], env_mode, _labels(units),
                          stack)
     assert step.rows.shape[0] == n_seeds
-    got = objective_and_grad(snapshot, grads, featurize_matrix(examples, vocab)[step.rows],
+    got = objective_and_grad(snapshot, grads, featurize_matrix(examples, vocab)[0][step.rows],
                              step, stack)
     assert len(got) == len(runs)
     for r, (ref, ref_grad) in enumerate(references):
@@ -753,7 +753,7 @@ def test_both_invariance_paths_give_the_same_step_bit_for_bit(seed, n_classes, n
                           _labels(units), _stack(config, theta, alpha, beta, n_seeds)[0])
     [block] = batch.env_blocks
     assert block.shape == (2, 6)
-    x = featurize_matrix(examples, vocab)[batch.rows]
+    x = featurize_matrix(examples, vocab)[0][batch.rows]
 
     def step(batch):
         stack, params, grads, gradient = _stack(config, theta.copy(), alpha, beta, n_seeds)
@@ -781,7 +781,7 @@ def test_a_non_finite_term_of_weight_zero_leaves_its_run_untouched():
         assert set(batch.y.ravel().tolist()) == {0, 1}
         with np.errstate(invalid="ignore"):
             breakdowns = objective_and_grad(
-                params, grads, featurize_matrix(examples, vocab)[batch.rows], batch, stack)
+                params, grads, featurize_matrix(examples, vocab)[0][batch.rows], batch, stack)
         return breakdowns, gradient
 
     [poisoned], _ = step(theta[1:], [1.6], [0.1])
