@@ -12,20 +12,20 @@ dominate.
 
 Accuracy reports and probes score an ``EvalSet``: examples featurized once
 under one vocabulary. A runner builds the EvalSet of that OOD union once per
-call and vocabulary, before it forks, so a job costs the training of its
-stack plus four predictions, each of one matrix for all the stack's runs at
-once (a stacked ``Snapshot``): the unmasked union, which gives both split
-accuracies and the probe baseline, and one masked matrix per probe group.
-The labels are checked once per probe, not once per run. Both runners
-build one job list (``_protocol_rows``) from cells: a cell is a training
-set, its arms and the tag its rows carry. An ablation is one cell, and a
-data-efficiency sweep one cell per size and kind of training subset. A job
-is one call of ``run_single``, which trains one stack: a cell's arms over
-the next SEEDS_PER_JOB seeds of the list. So the job list depends on the
-cells and the seed list alone, and a two-seed ablation is a single job,
-which runs in process. Several jobs go to the standard library's process
-pool, with at most ``workers`` forked workers that inherit the job list,
-and the rows come back in job order.
+call, OOD splits and vocabulary, before it forks, so a job costs the
+training of its stack plus four predictions, each of one matrix for all the
+stack's runs at once (a stacked ``Snapshot``): the unmasked union, which
+gives both split accuracies and the probe baseline, and one masked matrix
+per probe group. The labels are checked once per probe, not once per run.
+Both runners build one job list (``_protocol_rows``) from cells: a cell is a
+dataset (its runs' training set and OOD splits), its arms and the tag its
+rows carry. An ablation is one cell, and a data-efficiency sweep one cell
+per size and kind of training subset. A job is one call of ``run_single``,
+which trains one stack: a cell's arms over the next SEEDS_PER_JOB seeds of
+the list. So the job list depends on the cells and the seed list alone, and
+a two-seed ablation is a single job, which runs in process. Several jobs go
+to the standard library's process pool, with at most ``workers`` forked
+workers that inherit the job list, and the rows come back in job order.
 The first runner call sets OpenBLAS to one thread and leaves it there for
 the rest of the process, serial or forked, so parallel runs do not
 oversubscribe the cores. It is not restored: OpenBLAS shuts its thread pool
@@ -201,10 +201,10 @@ def run_single(configs: list[TrainConfig], dataset: GeneratedDataset, vocab: Voc
     run the reliance probe over their union. Returns one flat result row per
     config, in config order.
 
-    ood is ood_eval_set(dataset, vocab), which runners build once for all
-    their runs. One probe scores all the checkpoints, stacked, and predicts
-    the union once; its first len(dataset.ood) columns give acc_ood and the
-    rest acc_ood_stress.
+    ood is ood_eval_set(dataset, vocab), which a runner builds once per call,
+    OOD splits and vocabulary. One probe scores all the checkpoints, stacked,
+    and predicts the union once; its first len(dataset.ood) columns give
+    acc_ood and the rest acc_ood_stress.
     """
     checkpoints = [checkpoint for checkpoint, _ in train_arms(configs, dataset.train_pairs,
                                                               vocab=vocab)]
@@ -306,13 +306,13 @@ def _protocol_rows(base_config: TrainConfig, cells: list, seeds: list[int],
                    workers: int) -> list[dict]:
     """The rows of a protocol: one run per cell, arm and seed, where a cell
     is (name, dataset, arms, tag) and an arm is (name, changes to the base
-    config). The cells share their OOD splits.
+    config). Each cell is scored on its own dataset's OOD splits.
 
-    Each cell's vocabulary comes from its training split. A run sizes its
-    model from its training labels, so before any run, every cell whose
-    training labels stop below the OOD splits' largest label fails, the
-    first one in cell order; one walk over a cell's training examples gives
-    both. The OOD union is featurized once per distinct vocabulary. A job is
+    One walk over a cell's training examples gives its vocabulary and its
+    labels. The OOD union is featurized once per call, OOD splits and
+    vocabulary. A run sizes its model from its training labels, so before
+    any run, a cell whose training labels stop below the largest label of
+    its own OOD union fails, the first such cell in cell order. A job is
     one run_single call on one cell's arms over the next SEEDS_PER_JOB seeds
     of the list, with the configs seed by seed in arm order, so it trains
     them as one stack. The jobs go cell by cell through _run_jobs, and each
@@ -324,25 +324,24 @@ def _protocol_rows(base_config: TrainConfig, cells: list, seeds: list[int],
     _check_list(seeds, "seeds")
     for seed in seeds:
         replace(base_config, seed=seed)     # a negative seed fails here
-    first = cells[0][1]
-    top_ood = max(map(attrgetter("label"), first.ood + first.ood_stress), default=0)
-    vocabs = []
-    for what, dataset, _, _ in cells:
+    ood_sets: dict[tuple, EvalSet] = {}
+    jobs, labels = [], []
+    for what, dataset, arms, tag in cells:
         # one walk: zip gives each Example field across the examples
         _, tokens, train_labels, _, _ = list(zip(*dataset.train_examples())) or [()] * 5
+        vocab = Vocab(chain.from_iterable(tokens))
+        # cells keep their datasets, and so these ids, alive for the call
+        key = (id(dataset.ood), id(dataset.ood_stress), vocab.tokens)
+        if key not in ood_sets:
+            ood_sets[key] = ood_eval_set(dataset, vocab)
+        top_ood = ood_sets[key].labels.max()
         if max(train_labels, default=top_ood) < top_ood:
             raise ValueError(f"{what} lacks the OOD label {top_ood}")
-        vocabs.append(Vocab(chain.from_iterable(tokens)))
-    ood_sets: dict[tuple[str, ...], EvalSet] = {}
-    jobs, labels = [], []
-    for (_, dataset, arms, tag), vocab in zip(cells, vocabs):
-        if vocab.tokens not in ood_sets:
-            ood_sets[vocab.tokens] = ood_eval_set(dataset, vocab)
         for i in range(0, len(seeds), SEEDS_PER_JOB):
             chunk = seeds[i:i + SEEDS_PER_JOB]
             jobs.append(partial(run_single, [replace(base_config, **changes, seed=seed)
                                              for seed in chunk for _, changes in arms],
-                                dataset, vocab, ood_sets[vocab.tokens]))
+                                dataset, vocab, ood_sets[key]))
             labels += [{"arm": arm, **tag} for _ in chunk for arm, _ in arms]
     rows = _run_jobs(jobs, workers)
     for row, label in zip(rows, labels):

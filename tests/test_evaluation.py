@@ -420,6 +420,61 @@ def test_a_job_is_one_cells_arms_over_the_next_five_seeds(monkeypatch):
         for chunk in (seeds[:5], seeds[5:])]
 
 
+def test_each_cell_is_scored_on_its_own_ood_splits():
+    """Two cells with equal vocabularies but different OOD splits (rho_ood
+    0.1 and 0.5 on one generator seed): each cell's rows are the rows it
+    gives alone, at one worker and at two."""
+    cells = [(f"rho_ood {rho}", _dataset(n_pairs=300, n_ood=200, rho_ood=rho),
+              ABLATION_ARMS[:2], {"cell": rho}) for rho in (0.1, 0.5)]
+    vocabs = {Vocab.from_examples(ds.train_examples()).tokens for _, ds, _, _ in cells}
+    assert len(vocabs) == 1
+    base, seeds = _fast_config(epochs=1), [0, 1]
+    alone = [row for cell in cells
+             for row in evaluation._protocol_rows(base, [cell], seeds, workers=1)]
+    # so scoring the second cell on the first cell's splits would show
+    assert [r["acc_ood"] for r in alone[:4]] != [r["acc_ood"] for r in alone[4:]]
+    for workers in (1, 2):
+        assert evaluation._protocol_rows(base, cells, seeds, workers) == alone, workers
+
+
+def test_each_cells_label_check_reads_its_own_ood_splits(monkeypatch):
+    """A two-class cell, then a three-class cell whose training data lacks
+    label 2: the second cell fails before any run, naming itself."""
+    three = _dataset(n_pairs=18, n_ood=12, n_classes=3, seed=5)
+    no_label_2 = [u for u in three.train_pairs if all(ex.label != 2 for ex in u.members())]
+    cells = [("the two-class cell", _dataset(n_pairs=12, n_ood=16), ABLATION_ARMS, {}),
+             ("the three-class cell", replace(three, train_pairs=no_label_2), ABLATION_ARMS, {})]
+    trained = []
+    train_arms = evaluation.train_arms
+    monkeypatch.setattr(evaluation, "train_arms",
+                        lambda *a, **k: trained.append(1) or train_arms(*a, **k))
+    with pytest.raises(ValueError, match="^the three-class cell lacks the OOD label 2$"):
+        evaluation._protocol_rows(_fast_config(epochs=1), cells, [0, 1], workers=1)
+    assert trained == []
+
+
+def test_the_ood_union_is_featurized_once_per_ood_splits_and_vocabulary(monkeypatch):
+    """An ablation featurizes its OOD union once; a data-efficiency sweep,
+    whose cells share the dataset's OOD splits, once per distinct training
+    vocabulary among its cells."""
+    built = []
+    monkeypatch.setattr(evaluation, "ood_eval_set",
+                        lambda ds, vocab: built.append(vocab.tokens) or ood_eval_set(ds, vocab))
+    ds = _dataset(n_pairs=12, n_ood=16)
+    run_ablation(_fast_config(epochs=1), ds, seeds=[0, 1])
+    assert built == [Vocab.from_examples(ds.train_examples()).tokens]
+
+    built.clear()
+    ds, sizes = _dataset(n_pairs=24, n_ood=16), [8, 16, 24]
+    run_data_efficiency(_fast_config(epochs=1), ds, sizes=sizes, seeds=[0])
+    subsets = [*(ds.train_pairs[:s // 2] for s in sizes),
+               *([PairedExample(u.original) for u in ds.train_pairs[:s]] for s in sizes)]
+    vocabs = {Vocab.from_examples(replace(ds, train_pairs=pairs).train_examples()).tokens
+              for pairs in subsets}
+    # two of the six cells share a vocabulary, so one union more per cell would show
+    assert len(vocabs) == 5 and sorted(built) == sorted(vocabs)
+
+
 def test_run_single_scores_each_split_from_one_ood_eval_set():
     ds = _dataset(n_pairs=12, n_ood=16)
     vocab = Vocab.from_examples(ds.train_examples())
