@@ -10,16 +10,17 @@ representations and the label vectors it projects them against.
 Two implementations compute the same objective. ``objective_and_grad`` gives
 the loss values and the full parameter gradient of one step in closed form
 with numpy; training uses it. A step does only the arithmetic that reads the
-parameters: what depends only on its batch (each run's labels and their
-one-hot, the environment blocks, the pairs' labels and rows) comes in a
-``Batch``, built for a whole epoch at once, and what depends only on the
-stack of runs (the weights and what follows from them, the parameter and
-gradient views) in a ``Stack``, built once. ``combined_loss`` builds the objective as a
-scalar graph: a differentiable backward pass computes the invariance
-gradient, so the penalty itself stays differentiable, and ``autodiff.grad``
-then gives the parameter gradient. It is the reference that checks the
-closed form, on the same model: ``ModelParams`` holds a ``Snapshot``'s
-parameters, laid out alike, as graph leaves.
+parameters: what depends only on its batch (each run's labels, their one-hot
+and the step's pair count) comes in a ``Batch``, built for a whole epoch at
+once, whose rows are side-major so that environments and pair sides are
+slices; what depends only on the stack of runs (the weights, the parameter
+and gradient views) comes in a ``Stack``, built once. ``combined_loss``
+builds the objective as a scalar graph: a differentiable backward pass
+computes the invariance gradient, so the penalty itself stays
+differentiable, and ``autodiff.grad`` then gives the parameter gradient. It
+is the reference that checks the closed form, on the same model:
+``ModelParams`` holds a ``Snapshot``'s parameters, laid out alike, as graph
+leaves.
 """
 
 from __future__ import annotations
@@ -192,7 +193,8 @@ def combined_loss(batch: list[Example],
 # ---------------------------------------------------------------------------
 # closed form
 
-_SIDE_SIGNS = np.array([1.0, -1.0])   # the sign of each side's share of u
+_SIDE_SIGNS = np.array([-1.0, 1.0])   # the sign of each side's share of u, side-major
+_USABLE_NORM = DEGENERATE_NORM_EPS ** 2
 # ndarray.sum without its Python wrapper: the same reduction, one call fewer
 _sum = np.add.reduce
 
@@ -206,8 +208,8 @@ class Stack:
     place, so the views here stay valid); the embedding views are split by
     seed. alpha and beta hold each run's non-negative weights; with them go
     2 * alpha, the runs with alpha == 0, whose invariance terms are set to
-    0, and the runs with beta > 0 with their share of the pair-alignment
-    gradient per pair count."""
+    0, and the span of runs that the pair-alignment term reads (pick) with
+    2 * beta of each."""
 
     def __init__(self, params: Snapshot, grads: Snapshot, alpha: np.ndarray, beta: np.ndarray,
                  n_seeds: int):
@@ -222,7 +224,6 @@ class Stack:
         self.enc_bias = params.enc_bias[:, None]
         self.classifier_t = params.classifier.transpose(0, 2, 1)
         self.out_bias = params.out_bias[:, None]
-        self.run_index = np.arange(runs)
         self.zeros = np.zeros(runs)
         self.alpha = alpha
         self.beta = beta
@@ -230,86 +231,112 @@ class Stack:
         self.alpha2 = alpha[:, None] * 2.0
         # where a run has alpha == 0 its invariance terms are replaced by 0
         self.irm_kept = None if alpha.all() else (alpha > 0.0)[:, None, None, None]
-        # the weights are never negative
-        self.weighted = beta.nonzero()[0]
-        self.weighted_at = self.weighted[:, None, None]
-        self._side_factors: dict[int, np.ndarray] = {}
+        # the pair-alignment term reads one span, of every seed's runs when the
+        # seeds agree on which runs have beta > 0 (weights are never negative)
+        # or else of all runs: it holds them all and masks any other in it
+        weighted = beta > 0.0
+        self.ocd = bool(weighted.any())
+        by_seed = weighted.reshape(self.by_seed)
+        self.pair_view = self.by_seed if (by_seed == by_seed[:1]).all() else (1, runs)
+        hits = np.flatnonzero(weighted.reshape(self.pair_view)[0]).tolist() or [0]
+        span = slice(hits[0], hits[-1] + 1)
+        self.pair_span = None if span == slice(0, self.pair_view[1]) else span
+        # the span's runs with beta > 0, and whether it holds any other
+        self.pair_runs = self.pick(weighted)
+        self.pair_gaps = not self.pair_runs.all()
+        self.beta2 = self.pick(beta) * 2.0
 
-    def side_factor(self, group: np.ndarray, m: int) -> np.ndarray:
-        """2 * beta / m of each run of the group, times each side's sign (+
-        for the originals, - for the counterfactuals), shaped to scale the
-        group's (runs, 2, m, d) distances; kept per pair count m for the
-        runs with beta > 0."""
-        if group is not self.weighted:
-            return _side_factor(self.beta[group], m)
-        factor = self._side_factors.get(m)
-        if factor is None:
-            factor = self._side_factors[m] = _side_factor(self.beta[group], m)
-        return factor
+    def pick(self, a: np.ndarray) -> np.ndarray:
+        """The span's runs of a along the run axis: a, or an (S', span) view."""
+        if self.pair_span is None:
+            return a
+        return a.reshape(self.pair_view + a.shape[1:])[:, self.pair_span]
+
+    def unpick(self, a: np.ndarray) -> np.ndarray:
+        """The span's values back along the run axis, 0 for the other runs."""
+        if self.pair_span is None:
+            return a
+        out = np.zeros(len(self.alpha), a.dtype)
+        self.pick(out)[...] = a
+        return out
 
 
-def _side_factor(beta: np.ndarray, m: int) -> np.ndarray:
-    return np.multiply.outer(beta * 2.0 / m, _SIDE_SIGNS)[..., None, None]
+def _over_classes(ufunc, a: np.ndarray) -> np.ndarray:
+    """ufunc over a's last (class) axis at size 1, class by class: cheaper than a reduction."""
+    out = a[..., :1]
+    for k in range(1, a.shape[-1]):
+        out = ufunc(out, a[..., k:k + 1])
+    return out
+
+
+def _at_label(a: np.ndarray, gold: np.ndarray) -> np.ndarray:
+    """Each row's entry of a at its label (gold), class by class: exact, whatever the others."""
+    out = a[..., 0]
+    for k in range(1, a.shape[-1]):
+        out = np.where(gold[..., k], a[..., k], out)
+    return out
 
 
 class Batch(NamedTuple):
     """What a step needs from its batch alone, for every run of a stack of R
-    runs over S seeds (built by training.batch_index). The seeds' batches
-    agree in structure, so every position below holds for each seed's n
-    rows; run r trains on seed r // (R / S)'s rows. The environments come
-    in sorted name order, e_cad then e_ori, and G counts the runs with
-    beta > 0."""
+    runs over S seeds (built by training.batch_index). Its n rows are
+    side-major: [0, P) the counterfactuals of its P paired units, [P, 2P)
+    those units' originals in the same order, [2P, n) its unpaired
+    originals. So pair i is rows i and P + i, e_cad is rows [0, n_cad) and
+    e_ori rows [P, n). The seeds' batches agree in structure, so this holds
+    for each seed's rows; run r trains on seed r // (R / S)'s rows."""
     rows: np.ndarray          # (S, n): each seed's rows of the feature matrix
     y: np.ndarray             # (R, n): each run's labels
-    one_hot: np.ndarray       # (R, n, K): y == k, for each class k
-    gold: np.ndarray          # (R, n): each label's logit in the flattened (R, n, K) logits
-    env_blocks: list          # (E, m) positions of E non-empty environments of m members
-    pairs: np.ndarray         # (m, 2): the (original, counterfactual) positions of each pair
-    pair_labels: np.ndarray   # (G, 2, m): the labels of the pairs' two sides, for each run
-    pair_rows: np.ndarray     # (G, 2, m): those sides' rows in the flattened (R * n) rows
+    one_hot: np.ndarray       # (R, n, K): 1.0 where y == k, else 0.0
+    gold: np.ndarray          # (R, n, K): y == k
+    n_pairs: int              # P
+    n_cad: int                # P, or n with env_mode "overlap": e_cad holds every row
+
+
+def _env_blocks(n: int, n_pairs: int, n_cad: int) -> list[tuple[int, int, int]]:
+    """(first row, environments, rows of each) of each block of a step's
+    non-empty environments, e_cad then e_ori: one block for both when they
+    lie side by side at one size (fully paired, disjoint), else one each."""
+    if n_cad == n_pairs and n == 2 * n_pairs:
+        return [(0, 2, n_pairs)]
+    return ([(0, 1, n_cad)] if n_cad else []) + [(n_pairs, 1, n - n_pairs)]
 
 
 def objective_and_grad(params: Snapshot, grads: Snapshot, x: np.ndarray, batch: Batch,
                        stack: Stack) -> list[LossBreakdown]:
-    """combined_loss and its gradient in closed form, for one step of a
-    stack's runs: only the arithmetic that reads the parameters. What
-    depends only on the batch (labels, environments, pairs) comes in batch,
-    and what depends only on the stack (weights, parameter views) in stack,
-    built from these params and grads.
+    """combined_loss's values (one LossBreakdown per run) and gradient, in
+    closed form, for one step of a stack's runs: only the arithmetic that
+    reads the parameters, given batch, and stack built from these params and
+    grads. x holds each seed's (S, n, V) feature rows; the gradient goes into
+    grads. A run whose weight is 0 gets exactly 0 for that term and no share
+    of its gradient, even where the term is not finite.
 
-    The gradient is written into grads, and x holds each seed's (S, n, V)
-    feature rows. A run whose weight is 0 gets exactly 0 for that term and
-    no share of its gradient, even where the term is not finite. Returns one
-    LossBreakdown per run; the values are those of combined_loss.
-
-    Environments of one non-empty size take the invariance penalty in one
-    set of array calls (one block), others one at a time; both paths add
-    the same numbers in the same order.
-
-    Every run's arithmetic is that of the run alone, in the same order: each
-    matmul is one (seed, run) slice, and each sum runs over a C-ordered array
-    (gathers use take or index every axis, whose result is C-ordered, where
-    a slice before a fancy index would not be), so it adds as it does on the
-    one run's arrays.
+    The rows are side-major (Batch), so environments and pair sides are
+    slices: no gather, scatter or add.at. Label vectors, their norms and the
+    classes' shares of the pair term come from one-hot matmuls, exact on the
+    labels; pairs skipped for a degenerate label vector are masked. A run's
+    arithmetic is that of the run alone (each matmul is one run's slice,
+    each reduction runs along one run's contiguous axis), so step logs are
+    reproducible bit for bit within a tree; the side-major layout moved them
+    in the last bits (within 1e-12).
     """
     runs, n = batch.y.shape
     w = params.classifier
     xe = x[:, None] @ stack.embedding
     h = np.tanh(xe.reshape(runs, n, -1) + stack.enc_bias)
-    z = h @ stack.classifier_t + stack.out_bias
+    hw = h @ stack.classifier_t
+    z = hw + stack.out_bias
     # the largest logit, class by class: exact, and cheaper than a reduction
-    z_max = z[:, :, :1]
-    for k in range(1, stack.n_classes):
-        z_max = np.maximum(z_max, z[:, :, k:k + 1])
+    z_max = _over_classes(np.maximum, z)
     e = np.exp(z - z_max)
-    e_sum = _sum(e, axis=2, keepdims=True)
+    e_sum = _over_classes(np.add, e)
     p = e / e_sum
-    z_y = z.take(batch.gold)
-    ce = np.subtract((z_max + np.log(e_sum))[:, :, 0], z_y, order="C")
+    z_y = _at_label(z, batch.gold)
+    ce = (z_max + np.log(e_sum))[:, :, 0] - z_y
     l_p = _sum(ce, axis=1) * (1.0 / n)
 
     # dz: gradient of the total with respect to the logits; subtracting the
-    # one-hot labels (True counts as 1.0) changes only the gold entries, exactly
+    # one-hot labels changes only the gold entries, exactly
     dz = (p - batch.one_hot) * (1.0 / n)
 
     total = l_p
@@ -318,19 +345,20 @@ def objective_and_grad(params: Snapshot, grads: Snapshot, x: np.ndarray, batch: 
         # g_e = mean_i(sum_k p_ik z_ik - z_iy), the omega-gradient of the risk
         # at 1, for every run; dz holds no -0.0, so adding 0.0 where a run
         # has alpha == 0 leaves it as it was
-        z_bar = _sum(p * z, axis=2)
-        per_example = z_bar - z_y
-        dg = p * (1.0 + z - z_bar[:, :, None]) - batch.one_hot
-        for idx in batch.env_blocks:
-            m = idx.shape[1]
-            g = _sum(per_example.take(idx, axis=1), axis=2) * (1.0 / m)
-            step = dg.take(idx, axis=1) * (stack.alpha2 * g / m)[..., None, None]
+        z_bar = _over_classes(np.add, p * z)
+        per_example = z_bar[:, :, 0] - z_y
+        dg = p * (1.0 + z - z_bar) - batch.one_hot
+        for first, count, m in _env_blocks(n, batch.n_pairs, batch.n_cad):
+            last = first + count * m
+            g = _sum(per_example[:, first:last].reshape(runs, count, m), axis=2) * (1.0 / m)
+            step = (dg[:, first:last].reshape(runs, count, m, -1)
+                    * (stack.alpha2 * g / m)[..., None, None])
             if stack.irm_kept is not None:
                 step = np.where(stack.irm_kept, step, 0.0)
-            # adds in index order: environment after environment
-            np.add.at(dz, (slice(None), idx), step)
-            for g_e in (g * g).T:
-                l_irm = l_irm + g_e
+            # environment after environment: e_cad and e_ori overlap in overlap mode
+            dz_block = dz[:, first:last]
+            dz_block += step.reshape(dz_block.shape)
+            l_irm = l_irm + _sum(g * g, axis=1)
         if stack.irm_kept is not None:
             l_irm = np.where(stack.irm_kept[:, 0, 0, 0], l_irm, 0.0)
         # l_p is never -0.0, so adding a term of weight 0 leaves it as it was
@@ -338,71 +366,74 @@ def objective_and_grad(params: Snapshot, grads: Snapshot, x: np.ndarray, batch: 
 
     dh = dz @ w
     grads.classifier[...] = dz.transpose(0, 2, 1) @ h
-    n_pairs_used = [0] * runs
-    groups, q_k = _ocd_groups(w, batch, stack)
-    l_ocd = stack.zeros
-    if groups:
-        l_ocd = np.zeros(runs)
-        h_rows, dh_rows = h.reshape(runs * n, -1), dh.reshape(runs * n, -1)
-    for group, at, used, labels, rows in groups:
-        m = len(used)
-        for r in group.tolist():
-            n_pairs_used[r] = m
-        if m == 0:
-            if len(batch.pairs):
-                log.warning("all %d pairs skipped in the pair-alignment term "
-                            "(degenerate label vectors)", len(batch.pairs))
-            continue
-        # both sides at once along axis 1: the originals' rows, then the
-        # counterfactuals'; each is decomposed against its own label vector
-        h_s = h_rows.take(rows, axis=0)
-        w_y = w[at, labels]
-        q = q_k[at, labels]
-        s = _sum(h_s * w_y, axis=3)
-        h_perp = h_s - (s / q)[..., None] * w_y
-        diff = h_perp[:, 0] - h_perp[:, 1]
-        l_ocd[group] = _sum(diff * diff, axis=(1, 2)) * (1.0 / m)
-        # u = dL/dh_perp of each side; back through h_perp = h - (h.w / w.w) w
-        u = diff[:, None] * stack.side_factor(group, m)
-        t = _sum(u * w_y, axis=3)
-        dh_rows[rows] += u - (t / q)[..., None] * w_y
-        dw = ((2.0 * s * t / (q * q))[..., None] * w_y
-              - (t[..., None] * h_s + s[..., None] * u) / q[..., None])
-        np.add.at(grads.classifier, (at, labels), dw)
-
-    if groups:
+    l_ocd, n_pairs_used = stack.zeros, [0] * runs
+    if stack.ocd and batch.n_pairs:
+        l_ocd, n_pairs_used = _pair_alignment(w, h, hw, dh, grads, batch, stack)
         total = total + stack.beta * l_ocd
-    _sum(dz, axis=1, out=grads.out_bias)
+    # the biases' gradients sum the rows, as a matmul: one gemv per run
+    ones = np.ones((1, n))
+    np.matmul(ones, dz, out=grads.out_bias[:, None])
     da = dh * (1.0 - h * h)
     stack.grad_embedding[...] = x.transpose(0, 2, 1)[:, None] @ da.reshape(
         stack.by_seed + da.shape[1:])
-    _sum(da, axis=1, out=grads.enc_bias)
+    np.matmul(ones, da, out=grads.enc_bias[:, None])
     return [LossBreakdown(*values) for values in zip(
         l_p.tolist(), l_irm.tolist(), l_ocd.tolist(), total.tolist(), n_pairs_used)]
 
 
-def _ocd_groups(w: np.ndarray, batch: Batch, stack: Stack) -> tuple[list[tuple], np.ndarray]:
-    """(runs, their run indices shaped to index a (runs, 2, m) array, the
-    pairs they use, those pairs' labels and rows as in Batch) for the
-    pair-alignment term, and w_k . w_k of each run's classes. Each run with
-    beta > 0 uses the pairs whose two label vectors are both above the
-    degenerate norm; the runs that use every pair form one group, and each
-    other run a group of its own."""
-    weighted = stack.weighted
-    if not len(weighted):
-        return [], None
-    q_k = _sum(w * w, axis=2)
-    usable = q_k > DEGENERATE_NORM_EPS ** 2
-    if usable.all():
-        return [(weighted, stack.weighted_at, batch.pairs, batch.pair_labels,
-                 batch.pair_rows)], q_k
-    y, pairs = batch.y, batch.pairs
-    ok = usable[stack.run_index[:, None, None], y[:, pairs]].all(axis=2)
-    every = ok.all(axis=1)[weighted]
-    chosen = [(weighted[every], pairs)] if every.any() else []
-    chosen += [(np.array([r]), pairs[ok[r]]) for r in weighted[~every].tolist()]
-    groups = []
-    for group, used in chosen:
-        at, sides = group[:, None, None], used.T
-        groups.append((group, at, used, y[at, sides], at * y.shape[1] + sides))
-    return groups, q_k
+def _pair_alignment(w: np.ndarray, h: np.ndarray, hw: np.ndarray, dh: np.ndarray,
+                    grads: Snapshot, batch: Batch, stack: Stack) -> tuple[np.ndarray, list[int]]:
+    """The pair-alignment term of every run (0 where beta == 0) and the pairs
+    each used, for a step with pairs, adding its gradient through beta into dh
+    and grads.classifier. Reads the span's runs and the first 2P rows: both
+    sides of every pair, each against its label vector."""
+    n_pairs, pick = batch.n_pairs, stack.pick
+    sides = slice(0, 2 * n_pairs)
+    h_s, w = pick(h)[..., sides, :], pick(w)
+    by_side = h_s.shape[:-2] + (2, n_pairs)
+    one_hot, gold = pick(batch.one_hot)[..., sides, :], pick(batch.gold)[..., sides, :]
+    # each side's label vector w_y, its squared norm q and h . w_y, exactly
+    w_y = one_hot @ w
+    q_k = _sum(w * w, axis=-1)
+    q = one_hot @ q_k[..., None]
+    s = _at_label(pick(hw)[..., sides, :], gold)[..., None]
+    # the pairs whose two label vectors are both above the degenerate norm,
+    # of the runs with beta > 0: the rest are masked out of the same arithmetic
+    masked = stack.pair_gaps or not np.minimum.reduce(q_k, axis=None) > _USABLE_NORM
+    if masked:
+        kept = np.logical_and.reduce(q.reshape(by_side) > _USABLE_NORM, axis=-2)
+        kept &= stack.pair_runs[..., None]
+        counts = _sum(kept, axis=-1)
+        used = counts > 0
+        for _ in range(np.count_nonzero(stack.pair_runs & ~used)):
+            log.warning("all %d pairs skipped in the pair-alignment term "
+                        "(degenerate label vectors)", n_pairs)
+        m = np.maximum(counts, 1)
+        # a skipped pair divides by 1 rather than by a degenerate norm
+        kept_rows = np.broadcast_to(kept[..., None, :], by_side).reshape(q.shape)
+        q = np.where(kept_rows, q, 1.0)
+    else:
+        m, counts = n_pairs, stack.pair_runs * n_pairs
+    c = s / q
+    h_perp = h_s - c * w_y
+    diff = h_perp[..., n_pairs:, :] - h_perp[..., :n_pairs, :]
+    if masked:
+        diff = np.where(kept[..., None], diff, 0.0)
+    l_ocd = _sum(diff * diff, axis=(-2, -1)) * (1.0 / m)
+    # u = dL/dh_perp of each side (+-2 beta / m times diff), back through
+    # h_perp = h - c w_y with c = h . w_y / q: with tau = u . w_y / q, dh =
+    # u - tau w_y and dw_y = -(c dh + tau h_perp), summed per class
+    u = (diff[..., None, :, :] * np.multiply.outer(stack.beta2 / m, _SIDE_SIGNS)[
+        ..., None, None]).reshape(h_s.shape)
+    tau = (u[..., None, :] @ w_y[..., None])[..., 0] / q
+    dh_pair = u - tau * w_y
+    dw = c * dh_pair + tau * h_perp
+    dw_class = one_hot.swapaxes(-1, -2) @ dw
+    dh_s, classifier = pick(dh)[..., sides, :], pick(grads.classifier)
+    if masked:
+        np.add(dh_s, dh_pair, out=dh_s, where=kept_rows)
+        np.subtract(classifier, dw_class, out=classifier, where=used[..., None, None])
+    else:
+        dh_s += dh_pair
+        classifier -= dw_class
+    return stack.unpick(l_ocd), stack.unpick(counts).tolist()

@@ -4,17 +4,15 @@ Both members of a counterfactual pair always land in the same step, so the
 pairwise alignment term is computable. On partly augmented data a batch may
 hold no counterfactual: an environment with no member in the batch adds
 nothing to the invariance penalty, and a batch without a pair has a zero
-alignment term.
-The training data are featurized once, and their labels size the model:
-classes 0 to the largest label. A batch is a list of unit indices; which of
-its units are paired gives each step its rows, pairs and environments.
-Each epoch builds, for all its steps at once (``batch_index``), what a step
-needs from its batch alone: each run's labels and their one-hot, the
-environment blocks, and the pairs' labels and rows. Each stack builds once
-what a step needs from the stack alone (``losses.Stack``). A step then
-gathers its feature rows, takes the loss values and gradient in closed form
-(``losses.objective_and_grad``), which is only the arithmetic that reads the
-parameters, and takes the Adam update.
+alignment term. The training data are featurized once, and their labels
+size the model: classes 0 to the largest label. A batch is a list of unit
+indices. Each epoch lays out every step's rows at once (``batch_index``),
+side-major: the paired units' counterfactuals, then their originals, then
+the unpaired originals, so that pairs and environments are slices given by
+the step's pair count. Each stack builds once what a step needs from the
+stack alone (``losses.Stack``). A step then gathers its feature rows, takes
+the loss values and gradient in closed form (``losses.objective_and_grad``),
+only the arithmetic that reads the parameters, and takes the Adam update.
 Runs that differ only in seed, alpha and beta (an ablation's arms over its
 seeds) train as one stack (``train_arms``): they share that preparation, the
 runs of a seed share its batches and initial values, and each step gathers
@@ -22,12 +20,14 @@ every seed's rows and advances all the runs with one set of array calls. On
 partly augmented data the seeds' batches differ in which units are paired,
 and each seed is a stack of its own. A run's parameters are one float64
 vector, a row of the stack's matrix, which Adam updates with array
-operations. The list-based ``adam_step`` updates scalar
-graph leaves and serves, with ``combined_loss`` and ``autodiff.grad``, as the
-reference that the tests check this path against. Given (seed, config, data), every logged
-number is reproducible bit-for-bit. The checkpoint is always the epoch with
-the best train accuracy, the earliest on ties; each epoch's train accuracy
-is predicted for all the runs of a stack at once.
+operations. The list-based ``adam_step`` updates scalar graph leaves and
+serves, with ``combined_loss`` and ``autodiff.grad``, as the reference that
+the tests check this path against. Given (seed, config, data), every logged
+number is reproducible bit for bit within a tree; the side-major layout
+moved the step logs in the last bits (within 1e-12), and nothing else. The
+checkpoint is always the epoch with the best train accuracy, the earliest on
+ties; each epoch's train accuracy is predicted for all the runs of a stack
+at once.
 """
 
 from __future__ import annotations
@@ -219,64 +219,32 @@ def batch_index(units: np.ndarray, batches: list[list[list[int]]], env_mode: str
     of unit indices (one list per seed, as make_batches gives them; the
     seeds' batches of a step are of one size): for each step, its Batch.
 
-    A batch's rows are each unit's original, then its counterfactual. e_ori
-    holds the originals and e_cad the counterfactuals, or every row with
-    env_mode "overlap", so the environments and pairs follow from which of
-    a batch's units are paired. The seeds share them, taken from the first
-    seed's batches: their batches must be paired at the same positions, as
-    they are on fully paired or fully unpaired data. Every array is built
-    for the whole epoch, and each step takes its slice."""
+    A step's rows are side-major: the counterfactuals of its paired units,
+    then those units' originals, then its unpaired originals, each in batch
+    order. e_ori holds the originals and e_cad the counterfactuals, or every
+    row with env_mode "overlap", so pairs and environments are slices given
+    by the pair count. The seeds share the layout, taken from the first
+    seed's batches: theirs must be paired at the same positions, as on fully
+    paired or unpaired data. Each step slices arrays built for the epoch."""
     order = np.fromiter(chain.from_iterable(chain.from_iterable(batches)), dtype=np.intp)
-    members = units.take(order, axis=0).reshape(len(batches), -1, 2)
-    pattern = members[0] >= 0
-    paired = pattern[:, 1]
-    rows = members.reshape(len(batches), -1).take(np.flatnonzero(pattern), axis=1)
-    # each member's row among all the steps' rows
-    positions = (np.cumsum(pattern) - 1).reshape(pattern.shape)
-    pair_positions = positions.take(np.flatnonzero(paired), axis=0)
+    members = units.take(order, axis=0).reshape(len(batches), -1)
+    present = members[0] >= 0
+    paired = present[1::2]
     sizes = np.array([len(batch) for batch in batches[0]])
-    unit_ends = np.cumsum(sizes)
-    n_pairs = np.add.reduceat(paired, unit_ends - sizes, dtype=np.intp)
-    n_rows = sizes + n_pairs
-    # each step's first row: the units and pairs before it
-    firsts = np.cumsum(n_rows) - n_rows
-    # each row's, original's and pair's position in its step
-    local = np.arange(rows.shape[1]) - np.repeat(firsts, n_rows)
-    originals = positions[:, 0] - np.repeat(firsts, sizes)
-    pairs = pair_positions - np.repeat(firsts, n_pairs)[:, None]
-
-    k = stack.n_classes
-    seed_labels = labels.take(rows)
-    y = np.repeat(seed_labels, stack.runs_per_seed, axis=0)
-    one_hot = np.repeat(np.eye(k, dtype=bool).take(seed_labels, axis=0), stack.runs_per_seed,
-                        axis=0)
-    gold = np.multiply.outer(stack.run_index, np.repeat(n_rows * k, n_rows)) + (local * k + y)
-    pair_labels = y.take(stack.weighted, axis=0).take(pair_positions.T, axis=1)
-    pair_rows = (np.multiply.outer(stack.weighted, np.repeat(n_rows, n_pairs))[:, None]
-                 + pairs.T)
-    # e_cad: every row's position in overlap mode, the counterfactuals' in disjoint
-    overlap = env_mode == "overlap"
-    e_cad = local if overlap else pairs[:, 1]
-    # both environments of every step are one size when each e_cad holds a
-    # position per unit: one block each, in whose C order add.at adds
-    blocks = np.stack([e_cad, originals]) if len(e_cad) == len(originals) else None
-
-    steps = []
-    ends = zip(unit_ends.tolist(), np.cumsum(n_pairs).tolist(), (firsts + n_rows).tolist())
-    start = pairs_start = first = 0
-    for end, pairs_end, last in ends:
-        if blocks is not None:
-            env_blocks = [blocks[:, start:end]]
-        else:
-            cad = local[first:last] if overlap else pairs[pairs_start:pairs_end, 1]
-            env_blocks = [cad[None]] if len(cad) else []
-            env_blocks.append(originals[None, start:end])
-        steps.append(Batch(rows[:, first:last], y[:, first:last], one_hot[:, first:last],
-                           gold[:, first:last], env_blocks, pairs[pairs_start:pairs_end],
-                           pair_labels[..., pairs_start:pairs_end],
-                           pair_rows[..., pairs_start:pairs_end]))
-        start, pairs_start, first = end, pairs_end, last
-    return steps
+    n_pairs = np.add.reduceat(paired, np.cumsum(sizes) - sizes, dtype=np.intp)
+    # each member's place: its step, then its part (0 for a counterfactual, 1
+    # for a paired original, 2 for an unpaired one), in batch order (stable)
+    step = np.repeat(np.arange(len(sizes)) * 3, sizes)
+    place = np.stack([step + 2 - paired, step], axis=1).ravel()
+    slots = np.flatnonzero(present)
+    rows = members.take(slots.take(np.argsort(place.take(slots), kind="stable")), axis=1)
+    y = np.repeat(labels.take(rows), stack.runs_per_seed, axis=0)
+    one_hot = np.eye(stack.n_classes).take(y, axis=0)
+    gold = one_hot == 1.0
+    ends = np.cumsum(sizes + n_pairs).tolist()
+    return [Batch(rows[:, a:b], y[:, a:b], one_hot[:, a:b], gold[:, a:b], p,
+                  b - a if env_mode == "overlap" else p)
+            for a, b, p in zip([0] + ends, ends, n_pairs.tolist())]
 
 
 def _raise_if_non_finite(step: int, breakdowns: list[LossBreakdown], gradient: np.ndarray,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cadlab import training
+from cadlab import losses, training
 from cadlab.autodiff import const, grad, nsum, scale
 from cadlab.data import (
     ENV_COUNTERFACTUAL, ENV_ORIGINAL, EmptyEnvironmentError, GeneratorConfig, PairedExample,
@@ -270,30 +270,34 @@ def _labels(units):
 
 
 def _assert_indexes_the_batches(units, batches, step, env_mode):
-    """The positions of one step from batch_index select, from each seed's
-    rows, the members of each environment that partition_environments forms
-    of that seed's batch, in sorted name order (an environment absent from
-    the batch has no row in the blocks), and the (original, counterfactual)
-    of each of its paired units."""
+    """The rows of one step from batch_index hold, for each seed's batch, the
+    counterfactuals of its paired units, then those units' originals in the
+    same order, then its unpaired originals in batch order. So the step
+    keeps the batch's pair count, and its slices [0, n_cad) and [n_pairs, n)
+    are the environments, of the same members and sizes, that
+    partition_environments forms of the batch (an environment absent from
+    the batch is an empty slice)."""
     examples = [m for u in units for m in u.members()]
     assert step.rows.shape[0] == len(batches)
-    env_rows = [idx for block in step.env_blocks for idx in block]
+    n_pairs, n = step.n_pairs, step.rows.shape[1]
     for seed_rows, batch in zip(step.rows, batches):
         members = [examples[r] for r in seed_rows]
         chosen = [units[i] for i in batch]
-        assert members == [m for u in chosen for m in u.members()]
+        paired = [u for u in chosen if u.counterfactual is not None]
+        assert (n_pairs, n) == (len(paired), len(chosen) + len(paired))
+        assert members[:n_pairs] == [u.counterfactual for u in paired]
+        assert members[n_pairs:2 * n_pairs] == [u.original for u in paired]
+        assert members[2 * n_pairs:] == [u.original for u in chosen if u.counterfactual is None]
         envs = partition_environments(members, 0.0, env_mode)
-        assert [[members[i] for i in idx] for idx in env_rows] == [
-            envs[name] for name in sorted((ENV_ORIGINAL, ENV_COUNTERFACTUAL)) if name in envs]
-        assert [(members[o], members[c]) for o, c in step.pairs] == [
-            (u.original, u.counterfactual) for u in chosen if u.counterfactual is not None]
+        assert members[:step.n_cad] == envs.get(ENV_COUNTERFACTUAL, [])
+        assert members[n_pairs:] == envs[ENV_ORIGINAL]
 
 
 @pytest.mark.parametrize("env_mode", ["disjoint", "overlap"])
 def test_batch_index_takes_the_environments_and_pairs_from_the_pairing(env_mode):
-    """On partly augmented units, batch_index gives each step's positions
-    from the pairing. A batch without a counterfactual has no pairs, and in
-    disjoint mode an empty e_cad."""
+    """On partly augmented units, batch_index lays out each step's rows from
+    the pairing. A batch without a counterfactual has no pairs, and in
+    disjoint mode an empty e_cad, which the step skips."""
     units = _paired_every(_dataset(n_pairs=12, seed=4).train_pairs, 3)
     # units 0, 3, 6 and 9 are paired: two seeds' batches paired at the same
     # positions, and a batch of unpaired units alone
@@ -301,15 +305,17 @@ def test_batch_index_takes_the_environments_and_pairs_from_the_pairing(env_mode)
         [step] = batch_index(unit_rows(units), [[b] for b in batches], env_mode,
                              _labels(units), _index_stack(len(batches)))
         _assert_indexes_the_batches(units, batches, step, env_mode)
-    assert step.pairs.shape == (0, 2)
-    assert (sum(len(block) for block in step.env_blocks) == 1) == (env_mode == "disjoint")
+    assert step.n_pairs == 0
+    assert (step.n_cad == 0) == (env_mode == "disjoint")
+    assert losses._env_blocks(5, step.n_pairs, step.n_cad) == (
+        [(0, 1, 5)] if env_mode == "disjoint" else [(0, 1, 5), (0, 1, 5)])
 
 
 @pytest.mark.parametrize("env_mode", ["disjoint", "overlap"])
 @pytest.mark.parametrize("every", [1, 3])
 def test_batch_index_indexes_every_step_of_an_epoch_at_once(env_mode, every):
     """Every step of the seeds' make_batches, the short last one too, is
-    indexed as its batches alone are: on fully paired units for two seeds,
+    laid out as its batches alone are: on fully paired units for two seeds,
     and on partly augmented units (every third unit paired) for one."""
     units = _paired_every(_dataset(n_pairs=23, seed=5).train_pairs, every)
     seeds = (2, 0) if every == 1 else (2,)
@@ -319,6 +325,11 @@ def test_batch_index_indexes_every_step_of_an_epoch_at_once(env_mode, every):
     assert len(steps) == len(per_seed[0]) == 6
     for step, batches in zip(steps, zip(*per_seed)):
         _assert_indexes_the_batches(units, batches, step, env_mode)
+        for seed, batch in zip(seeds, batches):
+            [alone] = batch_index(unit_rows(units), [[batch]], env_mode, _labels(units),
+                                  _index_stack(1))
+            assert alone.rows[0].tolist() == step.rows[seeds.index(seed)].tolist()
+            assert (alone.n_pairs, alone.n_cad) == (step.n_pairs, step.n_cad)
 
 
 def _batches_paired_alike(units, batch_pairs, seeds, epoch):
@@ -341,12 +352,11 @@ def _batches_paired_alike(units, batch_pairs, seeds, epoch):
 @pytest.mark.parametrize("env_mode", ["disjoint", "overlap"])
 @pytest.mark.parametrize("every, n_seeds", [(1, 1), (1, 3), (3, 1), (3, 2), (0, 2)])
 def test_batch_index_builds_what_each_step_derived_from_its_rows(env_mode, every, n_seeds):
-    """Each step's labels per run, one-hot labels, gold-logit positions,
-    environment blocks, pair-side labels and pair-side rows are what a step
-    derives from its seeds' labels, environments and pairs: on fully paired,
-    partly augmented (every third unit paired) and unpaired units of three
-    classes, with a short last batch, for 1 to 3 seeds of four arms, two of
-    them with beta > 0."""
+    """Each step's labels per run, one-hot labels and gold masks are what a
+    step derives from its seeds' labels, and its environments and pair sides
+    are slices: on fully paired, partly augmented (every third unit paired)
+    and unpaired units of three classes, with a short last batch, for 1 to 3
+    seeds of four arms, two of them with beta > 0."""
     units = _paired_every(_dataset(n_pairs=23, seed=6, n_classes=3).train_pairs, every)
     labels = _labels(units)
     arms = ((1.6, 0.1), (0.0, 0.1), (1.6, 0.0), (0.0, 0.0))
@@ -354,30 +364,35 @@ def test_batch_index_builds_what_each_step_derived_from_its_rows(env_mode, every
     per_seed = _batches_paired_alike(units, 4, list(range(n_seeds)), epoch=2)
     steps = batch_index(unit_rows(units), per_seed, env_mode, labels, stack)
     assert [len(b) for b in per_seed[0]] == [4] * 5 + [3]
-    runs, weighted = n_seeds * len(arms), np.array([r for r in range(n_seeds * len(arms))
-                                                    if arms[r % len(arms)][1] > 0.0])
+    runs = n_seeds * len(arms)
     rng = np.random.default_rng(every)
     for step, batches in zip(steps, zip(*per_seed)):
         _assert_indexes_the_batches(units, batches, step, env_mode)
-        n = step.rows.shape[1]
+        n, n_pairs = step.rows.shape[1], step.n_pairs
         y = np.repeat(labels[step.rows], len(arms), axis=0)
         assert step.y.tolist() == y.tolist()
+        assert step.one_hot.dtype == np.float64
         assert step.one_hot.tolist() == (y[:, :, None] == np.arange(3)).tolist()
+        assert step.gold.tolist() == (y[:, :, None] == np.arange(3)).tolist()
         z = rng.normal(size=(runs, n, 3))
-        assert step.gold.shape == (runs, n)
-        assert z.take(step.gold).tolist() == z[np.arange(runs)[:, None], np.arange(n), y].tolist()
-        # one block when every step's environments are of one size (the
-        # counterfactuals of paired units, or every row of unpaired ones),
-        # else one per non-empty environment
-        one_size = every == (1 if env_mode == "disjoint" else 0)
-        n_envs = 1 if env_mode == "disjoint" and not len(step.pairs) else 2
-        assert [len(block) for block in step.env_blocks] == ([2] if one_size else [1] * n_envs)
-        sides = step.pairs.T
-        at = weighted[:, None, None]
-        assert step.pair_labels.tolist() == y[at, sides].tolist()
-        h = rng.normal(size=(runs, n, 2))
-        assert (h.reshape(runs * n, 2).take(step.pair_rows, axis=0).tolist()
-                == h[at, sides].tolist())
+        assert (np.where(step.gold, z, 0.0).sum(axis=2).tolist()
+                == z[np.arange(runs)[:, None], np.arange(n), y].tolist())
+        # one block when both environments are of one size side by side (the
+        # counterfactuals and originals of fully paired units), else one per
+        # non-empty environment; each has the batch's size
+        blocks = losses._env_blocks(n, n_pairs, step.n_cad)
+        if every == 1 and env_mode == "disjoint":
+            assert blocks == [(0, 2, len(batches[0]))]
+        else:
+            cad = [(0, 1, step.n_cad)] if step.n_cad else []
+            assert blocks == cad + [(n_pairs, 1, len(batches[0]))]
+        # each pair's sides, counterfactual and original, in one reshape
+        sides = y[:, :2 * n_pairs].reshape(runs, 2, n_pairs)
+        assert sides.tolist() == [[[units[i].counterfactual.label for i in batch if
+                                    units[i].counterfactual is not None],
+                                   [units[i].original.label for i in batch if
+                                    units[i].counterfactual is not None]]
+                                  for batch in batches for _ in arms]
 
 
 def _step_both_ways(units, batch, params, vocab, alpha, beta, env_mode):
@@ -643,6 +658,36 @@ def test_each_run_of_a_stack_is_the_run_trained_alone(monkeypatch, env_mode, pai
                     _snapshot_vector(alone.snapshot).tobytes()
 
 
+@pytest.mark.parametrize("betas, view, span", [
+    # the seeds differ in which runs have beta > 0: a span of all runs,
+    # with the runs of beta == 0 in it masked, or without any
+    (((0.1, 0.0), (0.0, 0.1)), (1, 4), None),
+    (((0.0, 0.1), (2.0, 0.0)), (1, 4), slice(1, 3)),
+    # every seed alike: a span of each seed's runs, or all of them with a
+    # run of beta == 0 between two of beta > 0
+    (((0.0, 0.1, 2.0), (0.0, 0.1, 2.0)), (2, 3), slice(1, 3)),
+    (((0.1, 0.0, 2.0), (0.1, 0.0, 2.0)), (2, 3), None),
+], ids=["crossed", "crossed-inside", "seed-span", "gap"])
+def test_the_pair_term_reads_a_span_of_runs_and_each_run_is_the_run_alone(betas, view, span):
+    """The pair-alignment term reads one span of a stack's runs, which holds
+    every run with beta > 0. Whatever the span, each run's logs and
+    checkpoint are bit for bit those of the run trained alone."""
+    ds = _dataset(n_pairs=24, seed=3)
+    base = TrainConfig(epochs=2, batch_pairs=4, embed_dim=4, learning_rate=0.02)
+    configs = [replace(base, seed=seed, beta=beta) for seed, arms in zip((0, 1), betas)
+               for beta in arms]
+    model = ModelConfig(vocab_size=3, n_classes=2, embed_dim=2)
+    stack = _stack(model, np.zeros((len(configs), model.n_params())), [1.6] * len(configs),
+                   [config.beta for config in configs], 2)[0]
+    assert (stack.pair_view, stack.pair_span) == (view, span)
+    for config, (checkpoint, log) in zip(configs, train_arms(configs, ds.train_pairs)):
+        alone, alone_log = train(config, ds.train_pairs)
+        assert log.step_csv() == alone_log.step_csv()
+        assert checkpoint.epoch == alone.epoch
+        assert _snapshot_vector(checkpoint.snapshot).tobytes() == \
+            _snapshot_vector(alone.snapshot).tobytes()
+
+
 def test_stacked_configs_differ_only_in_the_weights():
     ds = _dataset(n_pairs=8)
     base = TrainConfig(epochs=1, batch_pairs=4, embed_dim=4)
@@ -733,12 +778,12 @@ def test_stacked_step_matches_autodiff_for_each_run(seed, n_classes, env_mode, n
                      min_size=1, max_size=4))
 def test_both_invariance_paths_give_the_same_step_bit_for_bit(seed, n_classes, n_seeds, paired,
                                                               arms):
-    """Environments of one size take the invariance penalty in one set of
-    calls: both of a fully paired batch in disjoint mode, and the
-    overlapping ones of an unpaired batch in overlap mode. An extra empty
-    environment adds nothing by the per-batch rule and forces the
-    per-environment loop. Every run's breakdown and gradient are the same,
-    bit for bit, with arms of alpha 0 among them."""
+    """Environments of one size side by side take the invariance penalty in
+    one set of calls: both of a fully paired batch in disjoint mode. Taking
+    them one at a time instead gives every run the same breakdown and
+    gradient, bit for bit, with arms of alpha 0 among them. The overlapping
+    environments of an unpaired batch in overlap mode are one size too, but
+    are the same rows, and take the per-environment loop either way."""
     rng = random.Random(seed)
     ds = _dataset(n_pairs=10, seed=seed, n_classes=n_classes)
     units = ds.train_pairs if paired else _paired_every(ds.train_pairs, 0)
@@ -751,16 +796,24 @@ def test_both_invariance_paths_give_the_same_step_bit_for_bit(seed, n_classes, n
     alpha, beta = ([arm[i] for _ in range(n_seeds) for arm in arms] for i in (0, 1))
     [batch] = batch_index(unit_rows(units), batches, "disjoint" if paired else "overlap",
                           _labels(units), _stack(config, theta, alpha, beta, n_seeds)[0])
-    [block] = batch.env_blocks
-    assert block.shape == (2, 6)
+    blocks = losses._env_blocks(batch.rows.shape[1], batch.n_pairs, batch.n_cad)
+    assert blocks == ([(0, 2, 6)] if paired else [(0, 1, 6), (0, 1, 6)])
     x = featurize_matrix(examples, vocab)[0][batch.rows]
 
-    def step(batch):
+    def step():
         stack, params, grads, gradient = _stack(config, theta.copy(), alpha, beta, n_seeds)
         breakdowns = objective_and_grad(params, grads, x, batch, stack)
         return TrainingLog(steps=breakdowns).step_csv(), gradient.tobytes()
 
-    assert step(batch) == step(batch._replace(env_blocks=[block[:1], block[1:]]))
+    def one_at_a_time(*args):
+        return [(first + i * m, 1, m) for first, count, m in blocks_of(*args)
+                for i in range(count)]
+
+    blocks_of = losses._env_blocks
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(losses, "_env_blocks", one_at_a_time)
+        looped = step()
+    assert step() == looped
 
 
 def test_a_non_finite_term_of_weight_zero_leaves_its_run_untouched():
@@ -925,3 +978,68 @@ def test_seeds_share_a_stack_when_their_data_is_all_paired_or_all_unpaired(
         assert _snapshot_vector(checkpoint.snapshot).tobytes() == \
             _snapshot_vector(alone.snapshot).tobytes()
 
+
+
+# train's logs at the commit before the side-major layout, on 60 pairs with
+# the acceptance weights, 3 epochs at learning rate 0.02: the checkpoint
+# epoch, each step's l_p, l_irm, l_ocd and total and its pairs used, and
+# each epoch's train accuracy and mean l_p, l_irm, l_ocd and total
+RECORDED_LOGS = {
+    ("disjoint", 1): (2, [
+        (0.6936477100195445, 2.047132447330373e-05, 0.003911599538856825, 0.6940716240925875),
+        (0.6921335816585443, 2.8798918279556037e-05, 0.007758137387214521, 0.6929554736665131),
+        (0.6903070453822108, 1.8724045050400048e-05, 0.003330441047169804, 0.6906700479590084),
+        (0.6882573380094736, 0.0003397740772319871, 0.002732664338352192, 0.68907424296688),
+        (0.6854675527454054, 0.00032884470607966323, 0.002299637779593855, 0.6862236680530922),
+        (0.6818594117795771, 0.00027598714026186863, 0.002210381579731017, 0.6825220293619693),
+        (0.6773200818524692, 0.0005091273724222077, 0.0019849119894399404, 0.6783331768472887),
+        (0.6715163340131334, 0.0009902112098749232, 0.002059170137633536, 0.6733065889626967),
+        (0.6644393961462758, 0.0015935910274854906, 0.001538066920684518, 0.667142948482321),
+        (0.6565930919063556, 0.0025541542484204885, 0.0010866746758195229, 0.6607884061714103),
+        (0.6469223537351885, 0.004061461620999484, 0.0008349418710343545, 0.653504186515891),
+        (0.6364026085434271, 0.006080533443842354, 0.0012539511229375066, 0.6462568571658686),
+    ], [16, 16, 16, 12, 16, 16, 16, 12, 16, 16, 16, 12], [0.5, 0.9833333333333333, 1.0], [
+        (0.6910864187674433, 0.00010194209125881173, 0.004433210577898335, 0.6916928471712473),
+        (0.6790408450976462, 0.0005260426071596656, 0.002138525371599587, 0.6800963658062616),
+        (0.6510893625828118, 0.0035724350851869544, 0.0011784086476189755, 0.6569230995838727),
+    ]),
+    ("overlap", 5): (1, [
+        (0.6948749988893316, 1.9951227807703924e-05, 0.0032613222426941587, 0.6952330530780934),
+        (0.6922141869665849, 2.1728204189711096e-06, 0.006717859780607788, 0.692889449457316),
+        (0.6866703532996552, 7.047905513373044e-05, 0.0052212068515525185, 0.6873052404730244),
+        (0.7023433903770635, 0.0002229665534261631, 0.010114299474743437, 0.7037115668100198),
+        (0.670698801592748, 0.001229258478850828, 0.00357854249477263, 0.6730234694083866),
+        (0.6763562437466631, 0.0008688228945141316, 0.005966606556973282, 0.678343021033583),
+        (0.6668580539473874, 0.001357464287038171, 0.0049315588788365885, 0.6695231526945321),
+        (0.6633651010902438, 0.0020623192439318716, 0.008519687932008982, 0.6675167806737358),
+        (0.6498076450793806, 0.004339265797005363, 0.010548142035380785, 0.6578052845581273),
+        (0.635888459787502, 0.007814698727213045, 0.015083070432385, 0.6499002847942813),
+        (0.6179566902886118, 0.01220395748892886, 0.007332074542986941, 0.6382162297251966),
+        (0.6156382476727292, 0.012697624437585995, 0.006529596615114043, 0.6366074064343782),
+    ], [3, 6, 1, 2, 3, 5, 2, 2, 3, 3, 3, 3], [0.5, 0.9166666666666666, 0.9166666666666666], [
+        (0.6940257323831588, 7.889241419664214e-05, 0.006328672087399475, 0.6947848274546133),
+        (0.6693195500942606, 0.0013794662260837504, 0.005749098965647871, 0.6721016059525594),
+        (0.6298227607070559, 0.009263886612683316, 0.009873220906466692, 0.6456323013779959),
+    ]),
+}
+
+
+@pytest.mark.parametrize("env_mode, every", list(RECORDED_LOGS))
+def test_train_logs_match_the_recorded_logs_to_rounding(env_mode, every):
+    """The side-major layout moved only the rounding of a step's sums: every
+    logged loss is within 1e-12 (relative) of the logs recorded before it,
+    and the pairs used, train accuracies and checkpoint epoch are the same;
+    fully paired in disjoint mode, and every fifth unit paired in overlap
+    mode."""
+    units = _paired_every(_dataset(n_pairs=60, seed=4).train_pairs, every)
+    config = TrainConfig(alpha=1.6, beta=0.1, epochs=3, learning_rate=0.02, env_mode=env_mode)
+    checkpoint, log = train(config, units)
+    epoch, step_losses, used, accuracies, epoch_means = RECORDED_LOGS[env_mode, every]
+    assert checkpoint.epoch == epoch
+    assert [b.n_pairs_used for b in log.steps] == used
+    assert [e.train_accuracy for e in log.epochs] == accuracies
+    np.testing.assert_allclose([(b.l_p, b.l_irm, b.l_ocd, b.total) for b in log.steps],
+                               step_losses, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(
+        [(e.mean_l_p, e.mean_l_irm, e.mean_l_ocd, e.mean_total) for e in log.epochs],
+        epoch_means, rtol=1e-12, atol=0.0)
