@@ -14,7 +14,8 @@ parameters: what depends only on its batch (each run's labels, their one-hot
 and the step's pair count) comes in a ``Batch``, built for a whole epoch at
 once, whose rows are side-major so that environments and pair sides are
 slices; what depends only on the stack of runs (the weights, the parameter
-and gradient views) comes in a ``Stack``, built once. ``combined_loss``
+and gradient views) comes in a ``Stack``, built once, its runs term-major
+so that each weighted term reads one range of them. ``combined_loss``
 builds the objective as a scalar graph: a differentiable backward pass
 computes the invariance gradient, so the penalty itself stays
 differentiable, and ``autodiff.grad`` then gives the parameter gradient. It
@@ -201,64 +202,49 @@ _sum = np.add.reduce
 
 class Stack:
     """What every step of a stack needs from the stack alone, built once per
-    stack: R runs, seed by seed with R / S of them for each of S seeds.
+    stack: R runs, arm-major over S seeds (run r is arm r // S of seed r % S).
 
     params and grads hold the runs' arrays along a leading run axis (views
     into the rows of (R, n_params) matrices, which the optimizer updates in
     place, so the views here stay valid); the embedding views are split by
-    seed. alpha and beta hold each run's non-negative weights; with them go
-    2 * alpha, the runs with alpha == 0, whose invariance terms are set to
-    0, and the span of runs that the pair-alignment term reads (pick) with
-    2 * beta of each."""
+    arm and seed. alpha and beta hold each run's non-negative weights. irm
+    and ocd are the ranges of runs with alpha > 0 and with beta > 0 (None if
+    empty), which must be contiguous (training.train_arms sorts each seed's
+    arms so), with 2 * alpha and 2 * beta of their runs; a step writes those
+    runs' terms into l_irm and l_ocd, whose other runs stay 0."""
 
     def __init__(self, params: Snapshot, grads: Snapshot, alpha: np.ndarray, beta: np.ndarray,
                  n_seeds: int):
         runs = len(alpha)
         self.n_classes = params.classifier.shape[1]
-        self.runs_per_seed = runs // n_seeds
-        # (seed, run of the seed): splitting the run axis never copies, so
-        # these are views too
-        self.by_seed = (n_seeds, self.runs_per_seed)
-        self.embedding = params.embedding.reshape(self.by_seed + params.embedding.shape[1:])
-        self.grad_embedding = grads.embedding.reshape(self.by_seed + grads.embedding.shape[1:])
+        # (arm, seed): splitting the run axis never copies, so these are views too
+        self.by_arm = (runs // n_seeds, n_seeds)
+        self.embedding = params.embedding.reshape(self.by_arm + params.embedding.shape[1:])
+        self.grad_embedding = grads.embedding.reshape(self.by_arm + grads.embedding.shape[1:])
         self.enc_bias = params.enc_bias[:, None]
         self.classifier_t = params.classifier.transpose(0, 2, 1)
         self.out_bias = params.out_bias[:, None]
         self.zeros = np.zeros(runs)
         self.alpha = alpha
         self.beta = beta
-        self.irm = bool(alpha.any())
-        self.alpha2 = alpha[:, None] * 2.0
-        # where a run has alpha == 0 its invariance terms are replaced by 0
-        self.irm_kept = None if alpha.all() else (alpha > 0.0)[:, None, None, None]
-        # the pair-alignment term reads one span, of every seed's runs when the
-        # seeds agree on which runs have beta > 0 (weights are never negative)
-        # or else of all runs: it holds them all and masks any other in it
-        weighted = beta > 0.0
-        self.ocd = bool(weighted.any())
-        by_seed = weighted.reshape(self.by_seed)
-        self.pair_view = self.by_seed if (by_seed == by_seed[:1]).all() else (1, runs)
-        hits = np.flatnonzero(weighted.reshape(self.pair_view)[0]).tolist() or [0]
-        span = slice(hits[0], hits[-1] + 1)
-        self.pair_span = None if span == slice(0, self.pair_view[1]) else span
-        # the span's runs with beta > 0, and whether it holds any other
-        self.pair_runs = self.pick(weighted)
-        self.pair_gaps = not self.pair_runs.all()
-        self.beta2 = self.pick(beta) * 2.0
+        self.irm, self.ocd = _weighted_runs(alpha), _weighted_runs(beta)
+        self.l_irm, self.l_ocd = np.zeros(runs), np.zeros(runs)
+        if self.irm is not None:
+            self.alpha2 = alpha[self.irm, None] * 2.0
+            self.l_irm_w = self.l_irm[self.irm]
+        if self.ocd is not None:
+            self.beta2 = beta[self.ocd] * 2.0
+            self.l_ocd_w = self.l_ocd[self.ocd]
 
-    def pick(self, a: np.ndarray) -> np.ndarray:
-        """The span's runs of a along the run axis: a, or an (S', span) view."""
-        if self.pair_span is None:
-            return a
-        return a.reshape(self.pair_view + a.shape[1:])[:, self.pair_span]
 
-    def unpick(self, a: np.ndarray) -> np.ndarray:
-        """The span's values back along the run axis, 0 for the other runs."""
-        if self.pair_span is None:
-            return a
-        out = np.zeros(len(self.alpha), a.dtype)
-        self.pick(out)[...] = a
-        return out
+def _weighted_runs(weights: np.ndarray) -> slice | None:
+    """The runs of weight > 0, a range of the run axis, or None if none."""
+    hits = np.flatnonzero(weights > 0.0).tolist()
+    if not hits:
+        return None
+    if hits[-1] - hits[0] >= len(hits):
+        raise ValueError("the runs that weigh a term must lie side by side")
+    return slice(hits[0], hits[-1] + 1)
 
 
 def _over_classes(ufunc, a: np.ndarray) -> np.ndarray:
@@ -284,7 +270,7 @@ class Batch(NamedTuple):
     those units' originals in the same order, [2P, n) its unpaired
     originals. So pair i is rows i and P + i, e_cad is rows [0, n_cad) and
     e_ori rows [P, n). The seeds' batches agree in structure, so this holds
-    for each seed's rows; run r trains on seed r // (R / S)'s rows."""
+    for each seed's rows; run r trains on seed r % S's rows (Stack)."""
     rows: np.ndarray          # (S, n): each seed's rows of the feature matrix
     y: np.ndarray             # (R, n): each run's labels
     one_hot: np.ndarray       # (R, n, K): 1.0 where y == k, else 0.0
@@ -308,8 +294,9 @@ def objective_and_grad(params: Snapshot, grads: Snapshot, x: np.ndarray, batch: 
     closed form, for one step of a stack's runs: only the arithmetic that
     reads the parameters, given batch, and stack built from these params and
     grads. x holds each seed's (S, n, V) feature rows; the gradient goes into
-    grads. A run whose weight is 0 gets exactly 0 for that term and no share
-    of its gradient, even where the term is not finite.
+    grads. Each weighted term is taken on its runs alone (stack.irm,
+    stack.ocd), so a run whose weight is 0 gets exactly 0 for that term and
+    no share of its gradient, even where the term is not finite.
 
     The rows are side-major (Batch), so environments and pair sides are
     slices: no gather, scatter or add.at. Label vectors, their norms and the
@@ -317,12 +304,11 @@ def objective_and_grad(params: Snapshot, grads: Snapshot, x: np.ndarray, batch: 
     labels; pairs skipped for a degenerate label vector are masked. A run's
     arithmetic is that of the run alone (each matmul is one run's slice,
     each reduction runs along one run's contiguous axis), so step logs are
-    reproducible bit for bit within a tree; the side-major layout moved them
-    in the last bits (within 1e-12).
+    reproducible bit for bit within a tree.
     """
     runs, n = batch.y.shape
     w = params.classifier
-    xe = x[:, None] @ stack.embedding
+    xe = x[None] @ stack.embedding
     h = np.tanh(xe.reshape(runs, n, -1) + stack.enc_bias)
     hw = h @ stack.classifier_t
     z = hw + stack.out_bias
@@ -341,71 +327,68 @@ def objective_and_grad(params: Snapshot, grads: Snapshot, x: np.ndarray, batch: 
 
     total = l_p
     l_irm = stack.zeros
-    if stack.irm:
+    if stack.irm is not None:
         # g_e = mean_i(sum_k p_ik z_ik - z_iy), the omega-gradient of the risk
-        # at 1, for every run; dz holds no -0.0, so adding 0.0 where a run
-        # has alpha == 0 leaves it as it was
+        # at 1, taken for the runs of alpha > 0 (irm)
+        irm, l_irm = stack.irm, stack.l_irm
         z_bar = _over_classes(np.add, p * z)
         per_example = z_bar[:, :, 0] - z_y
         dg = p * (1.0 + z - z_bar) - batch.one_hot
+        stack.l_irm_w[...] = 0.0
         for first, count, m in _env_blocks(n, batch.n_pairs, batch.n_cad):
             last = first + count * m
-            g = _sum(per_example[:, first:last].reshape(runs, count, m), axis=2) * (1.0 / m)
-            step = (dg[:, first:last].reshape(runs, count, m, -1)
+            g = _sum(per_example[irm, first:last].reshape(-1, count, m), axis=2) * (1.0 / m)
+            step = (dg[irm, first:last].reshape(g.shape + (m, -1))
                     * (stack.alpha2 * g / m)[..., None, None])
-            if stack.irm_kept is not None:
-                step = np.where(stack.irm_kept, step, 0.0)
             # environment after environment: e_cad and e_ori overlap in overlap mode
-            dz_block = dz[:, first:last]
+            dz_block = dz[irm, first:last]
             dz_block += step.reshape(dz_block.shape)
-            l_irm = l_irm + _sum(g * g, axis=1)
-        if stack.irm_kept is not None:
-            l_irm = np.where(stack.irm_kept[:, 0, 0, 0], l_irm, 0.0)
+            stack.l_irm_w += _sum(g * g, axis=1)
         # l_p is never -0.0, so adding a term of weight 0 leaves it as it was
         total = total + stack.alpha * l_irm
 
     dh = dz @ w
     grads.classifier[...] = dz.transpose(0, 2, 1) @ h
     l_ocd, n_pairs_used = stack.zeros, [0] * runs
-    if stack.ocd and batch.n_pairs:
-        l_ocd, n_pairs_used = _pair_alignment(w, h, hw, dh, grads, batch, stack)
+    if stack.ocd is not None and batch.n_pairs:
+        l_ocd = stack.l_ocd
+        n_pairs_used[stack.ocd] = _pair_alignment(w, h, hw, dh, grads, batch, stack)
         total = total + stack.beta * l_ocd
     # the biases' gradients sum the rows, as a matmul: one gemv per run
     ones = np.ones((1, n))
     np.matmul(ones, dz, out=grads.out_bias[:, None])
     da = dh * (1.0 - h * h)
-    stack.grad_embedding[...] = x.transpose(0, 2, 1)[:, None] @ da.reshape(
-        stack.by_seed + da.shape[1:])
+    stack.grad_embedding[...] = x.transpose(0, 2, 1) @ da.reshape(stack.by_arm + da.shape[1:])
     np.matmul(ones, da, out=grads.enc_bias[:, None])
     return [LossBreakdown(*values) for values in zip(
         l_p.tolist(), l_irm.tolist(), l_ocd.tolist(), total.tolist(), n_pairs_used)]
 
 
 def _pair_alignment(w: np.ndarray, h: np.ndarray, hw: np.ndarray, dh: np.ndarray,
-                    grads: Snapshot, batch: Batch, stack: Stack) -> tuple[np.ndarray, list[int]]:
-    """The pair-alignment term of every run (0 where beta == 0) and the pairs
-    each used, for a step with pairs, adding its gradient through beta into dh
-    and grads.classifier. Reads the span's runs and the first 2P rows: both
-    sides of every pair, each against its label vector."""
-    n_pairs, pick = batch.n_pairs, stack.pick
+                    grads: Snapshot, batch: Batch, stack: Stack) -> list[int]:
+    """The pairs used by each run with beta > 0 (stack.ocd), for a step with
+    pairs: writes those runs' pair-alignment terms into stack.l_ocd and adds
+    their gradient through beta into dh and grads.classifier. Reads those
+    runs' first 2P rows: both sides of every pair, each against its label
+    vector."""
+    n_pairs, runs = batch.n_pairs, stack.ocd
     sides = slice(0, 2 * n_pairs)
-    h_s, w = pick(h)[..., sides, :], pick(w)
+    h_s, w = h[runs, sides], w[runs]
     by_side = h_s.shape[:-2] + (2, n_pairs)
-    one_hot, gold = pick(batch.one_hot)[..., sides, :], pick(batch.gold)[..., sides, :]
+    one_hot, gold = batch.one_hot[runs, sides], batch.gold[runs, sides]
     # each side's label vector w_y, its squared norm q and h . w_y, exactly
     w_y = one_hot @ w
     q_k = _sum(w * w, axis=-1)
     q = one_hot @ q_k[..., None]
-    s = _at_label(pick(hw)[..., sides, :], gold)[..., None]
-    # the pairs whose two label vectors are both above the degenerate norm,
-    # of the runs with beta > 0: the rest are masked out of the same arithmetic
-    masked = stack.pair_gaps or not np.minimum.reduce(q_k, axis=None) > _USABLE_NORM
+    s = _at_label(hw[runs, sides], gold)[..., None]
+    # the pairs whose two label vectors are both above the degenerate norm:
+    # the rest are masked out of the same arithmetic
+    masked = not np.minimum.reduce(q_k, axis=None) > _USABLE_NORM
     if masked:
         kept = np.logical_and.reduce(q.reshape(by_side) > _USABLE_NORM, axis=-2)
-        kept &= stack.pair_runs[..., None]
         counts = _sum(kept, axis=-1)
         used = counts > 0
-        for _ in range(np.count_nonzero(stack.pair_runs & ~used)):
+        for _ in range(np.count_nonzero(~used)):
             log.warning("all %d pairs skipped in the pair-alignment term "
                         "(degenerate label vectors)", n_pairs)
         m = np.maximum(counts, 1)
@@ -413,13 +396,13 @@ def _pair_alignment(w: np.ndarray, h: np.ndarray, hw: np.ndarray, dh: np.ndarray
         kept_rows = np.broadcast_to(kept[..., None, :], by_side).reshape(q.shape)
         q = np.where(kept_rows, q, 1.0)
     else:
-        m, counts = n_pairs, stack.pair_runs * n_pairs
+        m = n_pairs
     c = s / q
     h_perp = h_s - c * w_y
     diff = h_perp[..., n_pairs:, :] - h_perp[..., :n_pairs, :]
     if masked:
         diff = np.where(kept[..., None], diff, 0.0)
-    l_ocd = _sum(diff * diff, axis=(-2, -1)) * (1.0 / m)
+    np.multiply(_sum(diff * diff, axis=(-2, -1)), 1.0 / m, out=stack.l_ocd_w)
     # u = dL/dh_perp of each side (+-2 beta / m times diff), back through
     # h_perp = h - c w_y with c = h . w_y / q: with tau = u . w_y / q, dh =
     # u - tau w_y and dw_y = -(c dh + tau h_perp), summed per class
@@ -429,11 +412,11 @@ def _pair_alignment(w: np.ndarray, h: np.ndarray, hw: np.ndarray, dh: np.ndarray
     dh_pair = u - tau * w_y
     dw = c * dh_pair + tau * h_perp
     dw_class = one_hot.swapaxes(-1, -2) @ dw
-    dh_s, classifier = pick(dh)[..., sides, :], pick(grads.classifier)
+    dh_s, classifier = dh[runs, sides], grads.classifier[runs]
     if masked:
         np.add(dh_s, dh_pair, out=dh_s, where=kept_rows)
         np.subtract(classifier, dw_class, out=classifier, where=used[..., None, None])
     else:
         dh_s += dh_pair
         classifier -= dw_class
-    return stack.unpick(l_ocd), stack.unpick(counts).tolist()
+    return counts.tolist() if masked else [n_pairs] * len(w)

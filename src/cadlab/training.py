@@ -16,18 +16,18 @@ only the arithmetic that reads the parameters, and takes the Adam update.
 Runs that differ only in seed, alpha and beta (an ablation's arms over its
 seeds) train as one stack (``train_arms``): they share that preparation, the
 runs of a seed share its batches and initial values, and each step gathers
-every seed's rows and advances all the runs with one set of array calls. On
-partly augmented data the seeds' batches differ in which units are paired,
-and each seed is a stack of its own. A run's parameters are one float64
-vector, a row of the stack's matrix, which Adam updates with array
-operations. The list-based ``adam_step`` updates scalar graph leaves and
-serves, with ``combined_loss`` and ``autodiff.grad``, as the reference that
-the tests check this path against. Given (seed, config, data), every logged
-number is reproducible bit for bit within a tree; the side-major layout
-moved the step logs in the last bits (within 1e-12), and nothing else. The
-checkpoint is always the epoch with the best train accuracy, the earliest on
-ties; each epoch's train accuracy is predicted for all the runs of a stack
-at once.
+every seed's rows and advances all the runs with one set of array calls.
+The stack is term-major, so that each weighted term reads one range of its
+runs. The seeds train one at a time on partly augmented data, where their
+batches differ in which units are paired, and when their runs weigh
+different terms. A run's parameters are one float64 vector, a row of the
+stack's matrix, which Adam updates with array operations. The list-based
+``adam_step`` updates scalar graph leaves and serves, with ``combined_loss``
+and ``autodiff.grad``, as the reference that the tests check this path
+against. Given (seed, config, data), every logged number is reproducible
+bit for bit within a tree, whatever the stack. The checkpoint is always the
+epoch with the best train accuracy, the earliest on ties; each epoch's train
+accuracy is predicted for all the runs of a stack at once.
 """
 
 from __future__ import annotations
@@ -225,7 +225,8 @@ def batch_index(units: np.ndarray, batches: list[list[list[int]]], env_mode: str
     row with env_mode "overlap", so pairs and environments are slices given
     by the pair count. The seeds share the layout, taken from the first
     seed's batches: theirs must be paired at the same positions, as on fully
-    paired or unpaired data. Each step slices arrays built for the epoch."""
+    paired or unpaired data. The labels are tiled arm by arm: run r has seed
+    r % S's (losses.Stack). Each step slices arrays built for the epoch."""
     order = np.fromiter(chain.from_iterable(chain.from_iterable(batches)), dtype=np.intp)
     members = units.take(order, axis=0).reshape(len(batches), -1)
     present = members[0] >= 0
@@ -238,7 +239,7 @@ def batch_index(units: np.ndarray, batches: list[list[list[int]]], env_mode: str
     place = np.stack([step + 2 - paired, step], axis=1).ravel()
     slots = np.flatnonzero(present)
     rows = members.take(slots.take(np.argsort(place.take(slots), kind="stable")), axis=1)
-    y = np.repeat(labels.take(rows), stack.runs_per_seed, axis=0)
+    y = np.tile(labels.take(rows), (stack.by_arm[0], 1))
     one_hot = np.eye(stack.n_classes).take(y, axis=0)
     gold = one_hot == 1.0
     ends = np.cumsum(sizes + n_pairs).tolist()
@@ -248,9 +249,9 @@ def batch_index(units: np.ndarray, batches: list[list[list[int]]], env_mode: str
 
 
 def _raise_if_non_finite(step: int, breakdowns: list[LossBreakdown], gradient: np.ndarray,
-                         theta: np.ndarray) -> None:
-    """NonFiniteLossError for the lowest run of the stack with a non-finite
-    loss component, gradient or updated parameter, checked in that order."""
+                         theta: np.ndarray, config_order: list[int]) -> None:
+    """NonFiniteLossError for the first of the runs in config_order with a
+    non-finite loss component, gradient or updated parameter, in that order."""
     # a sum is finite only if every term is; one that overflows falls
     # through to the checks, which find nothing (_train_stack runs under
     # np.errstate, so the overflow does not warn)
@@ -259,7 +260,8 @@ def _raise_if_non_finite(step: int, breakdowns: list[LossBreakdown], gradient: n
         return
     grad_ok = np.isfinite(gradient).all(axis=1).tolist()
     params_ok = np.isfinite(theta).all(axis=1).tolist()
-    for r, b in enumerate(breakdowns):
+    for r in config_order:
+        b = breakdowns[r]
         for component, value in (("l_p", b.l_p), ("l_irm", b.l_irm),
                                  ("l_ocd", b.l_ocd), ("total", b.total)):
             if not math.isfinite(value):
@@ -281,24 +283,32 @@ def train(config: TrainConfig, pairs: list[PairedExample],
     return train_arms([config], pairs, vocab)[0]
 
 
+def _term_rank(alpha: float, beta: float) -> int:
+    """A run's place among its seed's runs by the terms it weighs (beta only,
+    both, alpha only, neither), so the runs that weigh either term lie together."""
+    return [(0, 1), (1, 1), (1, 0), (0, 0)].index((alpha > 0.0, beta > 0.0))
+
+
 def train_arms(configs: list[TrainConfig], pairs: list[PairedExample],
                vocab: Vocab | None = None) -> list[tuple[Checkpoint, TrainingLog]]:
     """Train one run per config, in stacks, and return their results in config
     order. The configs agree on every field but seed, alpha and beta. A seed's
     runs share its batches and initial values; the seeds share the
-    featurization. The seeds train as one stack when each has as many runs and
+    featurization. A stack is term-major: each seed's runs sorted by
+    _term_rank (stably), arm-major, so that run r is arm r // S of seed r %
+    S and each weighted term reads one range of runs (losses.Stack). The
+    seeds train as one stack when their sorted runs weigh the same terms and
     the units are all paired or all unpaired, so that every seed's batch is
-    paired at the same positions; otherwise (on partly augmented data) one
-    seed at a time. Each step advances a stack's runs with one set of array
-    calls. Each run keeps its own parameters, Adam state, log and checkpoint,
-    and they are bit for bit those of the config trained alone. The model has
-    one class per label value up to the largest training label.
+    paired at the same positions; otherwise one seed at a time. Each run
+    keeps its own parameters, Adam state, log and checkpoint, bit for bit
+    those of the config trained alone. The model has one class per label
+    value up to the largest training label.
 
     A non-finite value in any run stops training. The NonFiniteLossError
     raised is the one of the first seed, in config order, that fails when
     trained alone: its first non-finite step and, in that step, its lowest
-    run. A failing stack of several seeds finds it by training them again
-    one at a time on the same prepared data.
+    run in config order. A failing stack of several seeds finds it by
+    training them again one at a time on the same prepared data.
     """
     if not configs:
         raise ValueError("training requires at least one config")
@@ -327,18 +337,22 @@ def train_arms(configs: list[TrainConfig], pairs: list[PairedExample],
 
     model_cfg = ModelConfig(vocab_size=vocab.size, n_classes=int(labels.max()) + 1,
                             embed_dim=config.embed_dim)
+    ranks = [_term_rank(run.alpha, run.beta) for run in configs]
     by_seed: dict[int, list[int]] = {}
     for i, run in enumerate(configs):
         by_seed.setdefault(run.seed, []).append(i)
+    for runs in by_seed.values():
+        runs.sort(key=ranks.__getitem__)
     results = [None] * len(configs)
 
     def train_seeds(seeds: list[int]) -> None:
-        order = [i for seed in seeds for i in by_seed[seed]]
-        trained = _train_stack([configs[i] for i in order], units, features, labels, model_cfg)
+        order = [i for arm in zip(*(by_seed[seed] for seed in seeds)) for i in arm]
+        trained = _train_stack([configs[i] for i in order], np.argsort(order).tolist(), units,
+                               features, labels, model_cfg)
         for i, result in zip(order, trained):
             results[i] = result
 
-    if (len(by_seed) > 1 and len({len(runs) for runs in by_seed.values()}) == 1
+    if (len(by_seed) > 1 and len({tuple(ranks[i] for i in runs) for runs in by_seed.values()}) == 1
             and (paired.all() or not paired.any())):
         try:
             train_seeds(list(by_seed))
@@ -352,16 +366,17 @@ def train_arms(configs: list[TrainConfig], pairs: list[PairedExample],
 
 # a step that overflows raises NonFiniteLossError, so numpy need not warn
 @np.errstate(over="ignore", invalid="ignore")
-def _train_stack(runs: list[TrainConfig], units: np.ndarray, features: np.ndarray,
-                 labels: np.ndarray, model_cfg: ModelConfig) -> list[tuple[Checkpoint, TrainingLog]]:
-    """Train the runs, seed by seed with as many runs per seed, each step on
-    every seed's next batch from make_batches; the seeds' batches must be
-    paired at the same positions (batch_index). Raises the
-    NonFiniteLossError of the first step at which a run goes non-finite, for
-    the lowest such run."""
+def _train_stack(runs: list[TrainConfig], config_order: list[int], units: np.ndarray,
+                 features: np.ndarray, labels: np.ndarray,
+                 model_cfg: ModelConfig) -> list[tuple[Checkpoint, TrainingLog]]:
+    """Train the runs of a term-major stack (losses.Stack), each step on every
+    seed's next batch from make_batches; the seeds' batches must be paired
+    at the same positions (batch_index). Raises the NonFiniteLossError of
+    the first step at which a run goes non-finite, for the lowest such run
+    in config order (config_order lists the runs' indices in that order)."""
     seeds = list(dict.fromkeys(run.seed for run in runs))
-    theta = np.repeat(np.array([initial_values(model_cfg, seed) for seed in seeds]),
-                      len(runs) // len(seeds), axis=0)
+    theta = np.tile(np.array([initial_values(model_cfg, seed) for seed in seeds]),
+                    (len(runs) // len(seeds), 1))
     gradient = np.zeros_like(theta)
     params = Snapshot.from_flat(model_cfg, theta)
     grads = Snapshot.from_flat(model_cfg, gradient)
@@ -382,7 +397,7 @@ def _train_stack(runs: list[TrainConfig], units: np.ndarray, features: np.ndarra
                                             batch, stack)
             # a non-finite step raises below, so its update is never used
             adam_step_vector(theta, gradient, adam, config.learning_rate)
-            _raise_if_non_finite(step, breakdowns, gradient, theta)
+            _raise_if_non_finite(step, breakdowns, gradient, theta, config_order)
             for log, breakdown in zip(logs, breakdowns):
                 log.steps.append(breakdown)
             step += 1

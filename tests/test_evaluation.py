@@ -380,10 +380,10 @@ def test_a_runner_call_after_a_fork_does_not_call_the_blas_setter(monkeypatch):
 
 def test_a_job_is_one_cells_arms_over_the_next_five_seeds(monkeypatch):
     """Each run_single call is one job, which trains its configs as one
-    stack, seed by seed in arm order (train_arms orders a stack by seed): an
-    11-seed ablation is 3 jobs of 20, 20 and 4 runs, and a data-efficiency
-    sweep is one job per size, kind of subset and seed chunk, each pairs job
-    holding both pairs arms."""
+    stack, given seed by seed in arm order (train_arms lays the stack out
+    term-major): an 11-seed ablation is 3 jobs of 20, 20 and 4 runs, and a
+    data-efficiency sweep is one job per size, kind of subset and seed
+    chunk, each pairs job holding both pairs arms."""
     jobs = []
     train_and_score = evaluation.run_single
 

@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 import pickle
@@ -247,9 +248,9 @@ def _batch_environments(members, alpha, env_mode):
 
 
 def _stack(config, theta, alpha, beta, n_seeds=1):
-    """The Stack of the runs whose parameters are the rows of theta, with
-    their weights, the parameter and gradient Snapshots it was built from,
-    and the gradient matrix."""
+    """The Stack of the runs whose parameters are the rows of theta, arm-major
+    over n_seeds seeds, with their weights, the parameter and gradient
+    Snapshots it was built from, and the gradient matrix."""
     gradient = np.zeros_like(theta)
     params, grads = Snapshot.from_flat(config, theta), Snapshot.from_flat(config, gradient)
     stack = Stack(params, grads, np.array(alpha, dtype=np.float64),
@@ -257,10 +258,18 @@ def _stack(config, theta, alpha, beta, n_seeds=1):
     return stack, params, grads, gradient
 
 
+def _term_major(arms, n_seeds):
+    """Each run's alpha and beta, of the arms' (alpha, beta) sorted by the
+    terms they weigh as train_arms sorts a seed's runs, arm-major over
+    n_seeds seeds."""
+    arms = sorted(arms, key=lambda arm: training._term_rank(arm[0], arm[1]))
+    return ([arm[i] for arm in arms for _ in range(n_seeds)] for i in (0, 1))
+
+
 def _index_stack(n_seeds, arms=((1.6, 0.1),), n_classes=2):
-    """A stack of the arms over n_seeds seeds, for batch_index alone."""
+    """A term-major stack of the arms over n_seeds seeds, for batch_index alone."""
     config = ModelConfig(vocab_size=3, n_classes=n_classes, embed_dim=2)
-    alpha, beta = ([arm[i] for _ in range(n_seeds) for arm in arms] for i in (0, 1))
+    alpha, beta = _term_major(arms, n_seeds)
     theta = np.zeros((n_seeds * len(arms), config.n_params()))
     return _stack(config, theta, alpha, beta, n_seeds)[0]
 
@@ -356,10 +365,11 @@ def test_batch_index_builds_what_each_step_derived_from_its_rows(env_mode, every
     step derives from its seeds' labels, and its environments and pair sides
     are slices: on fully paired, partly augmented (every third unit paired)
     and unpaired units of three classes, with a short last batch, for 1 to 3
-    seeds of four arms, two of them with beta > 0."""
+    seeds of four arms, two of them with beta > 0, arm-major: run r trains on
+    seed r % S's rows."""
     units = _paired_every(_dataset(n_pairs=23, seed=6, n_classes=3).train_pairs, every)
     labels = _labels(units)
-    arms = ((1.6, 0.1), (0.0, 0.1), (1.6, 0.0), (0.0, 0.0))
+    arms = ((0.0, 0.1), (1.6, 0.1), (1.6, 0.0), (0.0, 0.0))
     stack = _index_stack(n_seeds, arms, n_classes=3)
     per_seed = _batches_paired_alike(units, 4, list(range(n_seeds)), epoch=2)
     steps = batch_index(unit_rows(units), per_seed, env_mode, labels, stack)
@@ -369,7 +379,7 @@ def test_batch_index_builds_what_each_step_derived_from_its_rows(env_mode, every
     for step, batches in zip(steps, zip(*per_seed)):
         _assert_indexes_the_batches(units, batches, step, env_mode)
         n, n_pairs = step.rows.shape[1], step.n_pairs
-        y = np.repeat(labels[step.rows], len(arms), axis=0)
+        y = np.tile(labels[step.rows], (len(arms), 1))
         assert step.y.tolist() == y.tolist()
         assert step.one_hot.dtype == np.float64
         assert step.one_hot.tolist() == (y[:, :, None] == np.arange(3)).tolist()
@@ -392,7 +402,7 @@ def test_batch_index_builds_what_each_step_derived_from_its_rows(env_mode, every
                                     units[i].counterfactual is not None],
                                    [units[i].original.label for i in batch if
                                     units[i].counterfactual is not None]]
-                                  for batch in batches for _ in arms]
+                                  for _ in arms for batch in batches]
 
 
 def _step_both_ways(units, batch, params, vocab, alpha, beta, env_mode):
@@ -617,6 +627,8 @@ def test_non_finite_grad_or_params_abort(monkeypatch, component, poison, lr):
 # a seed's arms trained as one stack
 
 ARMS = ({}, {"alpha": 0.0}, {"beta": 0.0}, {"alpha": 0.0, "beta": 0.0})
+# (alpha, beta) of each of the ARMS of a default config
+ARM_OF = {(1.6, 0.1): 0, (0.0, 0.1): 1, (1.6, 0.0): 2, (0.0, 0.0): 3}
 
 
 @pytest.mark.parametrize("env_mode", ["disjoint", "overlap"])
@@ -658,28 +670,23 @@ def test_each_run_of_a_stack_is_the_run_trained_alone(monkeypatch, env_mode, pai
                     _snapshot_vector(alone.snapshot).tobytes()
 
 
-@pytest.mark.parametrize("betas, view, span", [
-    # the seeds differ in which runs have beta > 0: a span of all runs,
-    # with the runs of beta == 0 in it masked, or without any
-    (((0.1, 0.0), (0.0, 0.1)), (1, 4), None),
-    (((0.0, 0.1), (2.0, 0.0)), (1, 4), slice(1, 3)),
-    # every seed alike: a span of each seed's runs, or all of them with a
-    # run of beta == 0 between two of beta > 0
-    (((0.0, 0.1, 2.0), (0.0, 0.1, 2.0)), (2, 3), slice(1, 3)),
-    (((0.1, 0.0, 2.0), (0.1, 0.0, 2.0)), (2, 3), None),
+@pytest.mark.parametrize("betas", [
+    # the seeds' runs with beta > 0 come at different places in config order
+    ((0.1, 0.0), (0.0, 0.1)),
+    ((0.0, 0.1), (2.0, 0.0)),
+    # every seed alike, with a run of beta == 0 before or between two of beta > 0
+    ((0.0, 0.1, 2.0), (0.0, 0.1, 2.0)),
+    ((0.1, 0.0, 2.0), (0.1, 0.0, 2.0)),
 ], ids=["crossed", "crossed-inside", "seed-span", "gap"])
-def test_the_pair_term_reads_a_span_of_runs_and_each_run_is_the_run_alone(betas, view, span):
-    """The pair-alignment term reads one span of a stack's runs, which holds
-    every run with beta > 0. Whatever the span, each run's logs and
-    checkpoint are bit for bit those of the run trained alone."""
+def test_the_pair_term_reads_a_span_of_runs_and_each_run_is_the_run_alone(betas):
+    """Sorted by the terms they weigh, a stack's runs with beta > 0 are one
+    span, which the pair-alignment term reads. Whatever the runs' config
+    order, each run's logs and checkpoint are bit for bit those of the run
+    trained alone."""
     ds = _dataset(n_pairs=24, seed=3)
     base = TrainConfig(epochs=2, batch_pairs=4, embed_dim=4, learning_rate=0.02)
     configs = [replace(base, seed=seed, beta=beta) for seed, arms in zip((0, 1), betas)
                for beta in arms]
-    model = ModelConfig(vocab_size=3, n_classes=2, embed_dim=2)
-    stack = _stack(model, np.zeros((len(configs), model.n_params())), [1.6] * len(configs),
-                   [config.beta for config in configs], 2)[0]
-    assert (stack.pair_view, stack.pair_span) == (view, span)
     for config, (checkpoint, log) in zip(configs, train_arms(configs, ds.train_pairs)):
         alone, alone_log = train(config, ds.train_pairs)
         assert log.step_csv() == alone_log.step_csv()
@@ -688,14 +695,88 @@ def test_the_pair_term_reads_a_span_of_runs_and_each_run_is_the_run_alone(betas,
             _snapshot_vector(alone.snapshot).tobytes()
 
 
-def test_stacked_configs_differ_only_in_the_weights():
+@pytest.mark.parametrize("arms, seeds", [(ARMS, (0, 1)), (ARMS[::3], (0, 1, 2, 3, 4))],
+                         ids=["ablation", "data-efficiency-pairs"])
+def test_every_order_of_the_arms_returns_each_run_in_config_order(monkeypatch, arms, seeds):
+    """Every order of the four ablation arms over two seeds, and of the
+    data-efficiency pair cell's two arms over five seeds: the seeds train
+    as one stack, whose runs that weigh either term are one range of the
+    run axis, and each run comes back in config order, its logs and
+    checkpoint bit for bit those of the run trained alone."""
+    ds = _dataset(n_pairs=24, seed=3)
+    base = TrainConfig(epochs=2, batch_pairs=4, embed_dim=4, learning_rate=0.02)
+
+    def outputs(checkpoint, log):
+        return (log.step_csv(), log.epoch_csv(), checkpoint.epoch,
+                _snapshot_vector(checkpoint.snapshot).tobytes())
+
+    configs = [replace(base, **changes, seed=seed) for seed in seeds for changes in arms]
+    alone = {(c.seed, c.alpha, c.beta): outputs(*train(c, ds.train_pairs)) for c in configs}
+    step, stacks = training.objective_and_grad, []
+
+    def recording(params, grads, x, batch, stack):
+        if not stacks or stacks[-1][1] is not stack:
+            stacks.append((len(x), stack))
+        return step(params, grads, x, batch, stack)
+
+    monkeypatch.setattr(training, "objective_and_grad", recording)
+    for order in itertools.permutations(arms):
+        configs = [replace(base, **changes, seed=seed) for seed in seeds for changes in order]
+        stacks.clear()
+        results = train_arms(configs, ds.train_pairs)
+        [(n_seeds, stack)] = stacks
+        assert n_seeds == len(seeds)
+        for weights, runs in ((stack.alpha, stack.irm), (stack.beta, stack.ocd)):
+            hits = np.flatnonzero(weights > 0.0).tolist()
+            assert hits == list(range(len(weights))[runs or slice(0)])
+        for config, result in zip(configs, results):
+            assert outputs(*result) == alone[config.seed, config.alpha, config.beta]
+
+
+def test_a_stack_takes_each_weighted_term_on_one_range_of_runs():
+    """Stack.irm and Stack.ocd are the ranges of runs with alpha > 0 and with
+    beta > 0, None when no run weighs the term; runs that weigh a term apart
+    from each other are refused."""
+    model = ModelConfig(vocab_size=3, n_classes=2, embed_dim=2)
+
+    def ranges(alpha, beta, n_seeds=1):
+        theta = np.zeros((len(alpha), model.n_params()))
+        stack = _stack(model, theta, alpha, beta, n_seeds)[0]
+        return stack.irm, stack.ocd
+
+    alpha, beta = _term_major([(1.6, 0.1), (0.0, 0.1), (1.6, 0.0), (0.0, 0.0)], 2)
+    assert ranges(alpha, beta, 2) == (slice(2, 6), slice(0, 4))
+    assert ranges([0.0, 0.0], [0.0, 0.0]) == (None, None)
+    assert ranges([1.6], [0.1]) == (slice(0, 1), slice(0, 1))
+    for alpha, beta in (([1.6, 0.0, 1.6], [0.0] * 3), ([0.0] * 3, [0.1, 0.0, 2.0])):
+        with pytest.raises(ValueError, match="must lie side by side"):
+            ranges(alpha, beta)
+
+
+def test_stacked_configs_differ_only_in_the_weights(monkeypatch):
     ds = _dataset(n_pairs=8)
     base = TrainConfig(epochs=1, batch_pairs=4, embed_dim=4)
-    # seeds with as many runs stack; with fewer, each seed is a stack of its own
-    for configs in ([base, replace(base, seed=1, alpha=0.0)],
-                    [base, replace(base, seed=1), replace(base, seed=1, beta=0.0)]):
-        for config, (checkpoint, log) in zip(configs, train_arms(configs, ds.train_pairs)):
-            assert log.step_csv() == train(config, ds.train_pairs)[1].step_csv()
+    train_stack, seen = training._train_stack, []
+
+    def spy(runs, *args):
+        seen.append([run.seed for run in runs])
+        return train_stack(runs, *args)
+
+    monkeypatch.setattr(training, "_train_stack", spy)
+    # seeds stack when their runs weigh the same terms; when the terms differ
+    # (full and no_irm), or a seed has fewer runs, each seed is a stack of its own
+    for configs, stacks in (
+            ([base, replace(base, seed=1, alpha=0.0)], [[0], [1]]),
+            ([base, replace(base, seed=1), replace(base, seed=1, beta=0.0)], [[0], [1, 1]]),
+            ([replace(base, alpha=0.4), replace(base, seed=1, beta=2.0)], [[0, 1]])):
+        seen.clear()
+        stacked = train_arms(configs, ds.train_pairs)
+        assert seen == stacks
+        for config, (checkpoint, log) in zip(configs, stacked):
+            alone, alone_log = train(config, ds.train_pairs)
+            assert log.step_csv() == alone_log.step_csv()
+            assert _snapshot_vector(checkpoint.snapshot).tobytes() == \
+                _snapshot_vector(alone.snapshot).tobytes()
     for changes in ({"learning_rate": 0.01}, {"env_mode": "overlap"}, {"epochs": 2},
                     {"batch_pairs": 2}, {"embed_dim": 3}):
         with pytest.raises(ValueError, match="differ only in seed, alpha and beta"):
@@ -717,7 +798,8 @@ def test_stacked_step_matches_autodiff_for_each_run(seed, n_classes, env_mode, n
     rows and labels, with paired and unpaired units at the same positions),
     and each run its own parameters and weights, zeros and a degenerate
     label vector included. Each run's loss values and gradient are those of
-    combined_loss and autodiff.grad on that run and its seed's batch alone."""
+    combined_loss and autodiff.grad on that run and its seed's batch alone.
+    The runs are term-major, as train_arms lays them out."""
     assume(n_paired + n_unpaired > 0)
     rng = random.Random(seed)
     ds = generate_cad(GeneratorConfig(n_pairs=8, n_ood=2, n_classes=n_classes,
@@ -738,8 +820,9 @@ def test_stacked_step_matches_autodiff_for_each_run(seed, n_classes, env_mode, n
     config = ModelConfig(vocab_size=vocab.size, n_classes=n_classes, embed_dim=3)
 
     runs, all_params, references = [], [], []
-    for batch in batches:
-        for alpha, beta, degenerate_class in arms:
+    arms = sorted(arms, key=lambda arm: training._term_rank(arm[0], arm[1]))
+    for alpha, beta, degenerate_class in arms:
+        for batch in batches:
             params = ModelParams(config, seed=rng.randrange(2 ** 20))
             for p in params.flat():
                 p.value = rng.uniform(-1.0, 1.0)
@@ -793,7 +876,7 @@ def test_both_invariance_paths_give_the_same_step_bit_for_bit(seed, n_classes, n
     batches = [[rng.sample(range(10), 6)] for _ in range(n_seeds)]
     theta = np.array([[rng.uniform(-1.0, 1.0) for _ in range(config.n_params())]
                       for _ in range(n_seeds * len(arms))])
-    alpha, beta = ([arm[i] for _ in range(n_seeds) for arm in arms] for i in (0, 1))
+    alpha, beta = _term_major(arms, n_seeds)
     [batch] = batch_index(unit_rows(units), batches, "disjoint" if paired else "overlap",
                           _labels(units), _stack(config, theta, alpha, beta, n_seeds)[0])
     blocks = losses._env_blocks(batch.rows.shape[1], batch.n_pairs, batch.n_cad)
@@ -857,15 +940,23 @@ def test_a_non_finite_term_of_weight_zero_leaves_its_run_untouched():
     ({1: {1: "total"}}, (1, "total")),
     # the first step at which any run goes non-finite
     ({2: {0: "l_irm"}, 1: {3: "l_irm"}}, (1, "l_irm")),
+    # full comes first in config order, no_irm first in the stack
+    ({1: {1: "l_p", 0: "grad"}}, (1, "grad")),
+    ({0: {1: "params", 0: "total"}}, (0, "total")),
 ])
 def test_a_stack_stops_at_the_first_non_finite_step_and_reports_its_lowest_run(
         monkeypatch, plan, expected):
+    """A plan names each run by its arm, its place in config order (ARMS).
+    The stack holds the arms sorted by the terms they weigh, no_irm before
+    full, so the lowest run is taken in config order, not stack order."""
     real = training.objective_and_grad
     steps = []
 
-    def planned(params, grads, *args):
-        breakdowns = real(params, grads, *args)
-        for run, component in plan.get(len(steps), {}).items():
+    def planned(params, grads, x, batch, stack):
+        breakdowns = real(params, grads, x, batch, stack)
+        arms = [ARM_OF[run] for run in zip(stack.alpha.tolist(), stack.beta.tolist())]
+        for arm, component in plan.get(len(steps), {}).items():
+            run = arms.index(arm)
             if component == "grad":
                 grads.enc_bias[run, 0] = float("nan")
             elif component == "params":
@@ -882,10 +973,6 @@ def test_a_stack_stops_at_the_first_non_finite_step_and_reports_its_lowest_run(
         train_arms([replace(base, **changes) for changes in ARMS], ds.train_pairs)
     assert (exc.value.step, exc.value.component) == expected
     assert len(steps) == expected[0] + 1
-
-
-# (alpha, beta) of each of the ARMS of a default config
-ARM_OF = {(1.6, 0.1): 0, (0.0, 0.1): 1, (1.6, 0.0): 2, (0.0, 0.0): 3}
 
 
 @pytest.mark.parametrize("paired", ["all", "every_fifth"])
