@@ -208,7 +208,8 @@ def load_jsonl(path) -> list[Example]:
     split alike: each pair_id names an original alone or an original and a
     counterfactual with another label (pair_examples). Other keys are
     ignored, such as the per-line "groups" that older files carry. A line
-    that is not UTF-8 text or not a JSON object is a ParseError.
+    that is not UTF-8 text, not a JSON object, or whose id, text or pair_id
+    is not a string is a ParseError.
     """
     examples = _read_jsonl(path)
     # an evaluation split of originals, each with a pair_id of its own, needs
@@ -262,8 +263,11 @@ def _read_jsonl(path) -> list[Example]:
             raise ParseError(path, line_no, f"label must be a non-negative int, got {label!r}")
         if label > LABEL_MAX:
             raise ParseError(path, line_no, f"label must be at most 2**63 - 1, got {label}")
-        examples.append(Example(str(obj["id"]), tuple(str(obj["text"]).split()), label,
-                                str(obj["pair_id"]), variant))
+        for name in ("id", "text", "pair_id"):
+            if type(obj[name]) is not str:
+                raise ParseError(path, line_no, f"{name} must be a string, got {obj[name]!r}")
+        examples.append(Example(obj["id"], tuple(obj["text"].split()), label, obj["pair_id"],
+                                variant))
     if bad is not None:
         raise ParseError(path, raw.count(b"\n", 0, bad.start) + 1,
                          f"not UTF-8 text: {bad.reason}") from bad

@@ -52,7 +52,7 @@ from .data import (
 )
 from .model import Snapshot
 # perfbench/spans.py wraps cadlab.evaluation.train by name
-from .training import NonFiniteLossError, TrainConfig, accuracy, train, train_arms
+from .training import TrainConfig, accuracy, train, train_arms  # noqa: F401
 
 PROBE_GROUPS = ("edited_causal", "nonedited_causal", "correlated")
 
@@ -318,6 +318,12 @@ def _protocol_rows(base_config: TrainConfig, cells: list, seeds: list[int],
     them as one stack. The jobs go cell by cell through _run_jobs, and each
     row gets its arm and its cell's tag here in the parent. The worker count
     and the seeds, each in its config, are checked before any of this.
+
+    A non-finite loss ends the protocol with one NonFiniteLossError at any
+    worker count and SEEDS_PER_JOB: that of the first cell, in cell order,
+    with a failing run, and in it of the first seed, in list order, whose
+    runs fail when it trains alone (train_arms), at that seed's first
+    non-finite step and, in that step, its lowest arm in arm order.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -395,10 +401,7 @@ def run_data_efficiency(base_config: TrainConfig, dataset: GeneratedDataset,
     below the OOD splits' largest fails before any run. Each size and kind
     of subset is one cell of _protocol_rows, whose arms train on the same
     units, so each job trains them as one stack over the next SEEDS_PER_JOB
-    seeds. Rows come size by size, arm by arm, seed by seed. A non-finite
-    loss ends the sweep with the error of the first run, in row order, that
-    fails when it trains alone: after a failure the runs train again one at
-    a time, in that order, until one fails."""
+    seeds. Rows come size by size, arm by arm, seed by seed."""
     _check_list(sizes, "sizes")
     units = dataset.train_pairs
     paired = [u for u in units if u.counterfactual is not None]
@@ -419,14 +422,7 @@ def run_data_efficiency(base_config: TrainConfig, dataset: GeneratedDataset,
             arms = [(arm, changes) for arm, changes, of in DATA_EFFICIENCY_ARMS if of == kind]
             cells.append((f"size {s}: the {kind} subset", replace(dataset, train_pairs=pairs),
                           arms, tag))
-    try:
-        rows = _protocol_rows(base_config, cells, seeds, workers)
-    except NonFiniteLossError:
-        # a stack reports its first failing seed; the sweep reports its
-        # first failing run in row order
-        _run_jobs([partial(train, replace(base_config, **changes, seed=seed), subset.train_pairs)
-                   for _, subset, arms, _ in cells for _, changes in arms for seed in seeds], 1)
-        raise
+    rows = _protocol_rows(base_config, cells, seeds, workers)
     arm_order = [arm for arm, _, _ in DATA_EFFICIENCY_ARMS]
     rows = sorted(rows, key=lambda row: (
         sizes.index(row["size"]), arm_order.index(row["arm"]), seeds.index(row["seed"])))

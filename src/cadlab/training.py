@@ -55,15 +55,13 @@ class NonFiniteLossError(RuntimeError):
     became non-finite at a training step."""
 
     def __init__(self, step: int, component: str, value: float):
-        super().__init__(f"step {step}: {component} became non-finite ({value!r})")
+        super().__init__(step, component, value)
         self.step = step
         self.component = component
         self.value = value
 
-    def __reduce__(self):
-        # args holds only the message, so rebuild from the fields: a runner's
-        # worker process sends the error to the parent pickled
-        return type(self), (self.step, self.component, self.value)
+    def __str__(self) -> str:
+        return f"step {self.step}: {self.component} became non-finite ({self.value!r})"
 
 
 @dataclass

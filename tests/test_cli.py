@@ -409,6 +409,9 @@ BROKEN_DATA_FILES = [
     pytest.param("train.jsonl", '{"id": "a", "label": 1%s, "pair_id": "a", "text": "x", '
                  '"variant": "original"}\n' % ("0" * 25),
                  "train.jsonl:1: label must be at most 2**63 - 1", id="train-oversized_label"),
+    pytest.param("train.jsonl", '{"id": 3, "label": 0, "pair_id": "a", "text": "x", '
+                 '"variant": "original"}\n', "train.jsonl:1: id must be a string, got 3",
+                 id="train-int_id"),
     pytest.param("", "", "Not a directory", id="data_directory-a_file"),
     pytest.param("train.jsonl", '{"id": "a", "label": 0, "pair_id": "p0", "text": "x", '
                  '"variant": "original"}\n{"id": "b", "label": 0, "pair_id": "p0", "text": "y", '
@@ -672,6 +675,13 @@ BAD_EVAL_INPUTS = [
          f"bad.jsonl:1: Exceeds the limit ({len(_LONG_LABEL) - 1} digits) for integer string"),
         # json's scanner raises RecursionError on it
         ("deep_nesting", "[" * 100_000 + "\n", "bad.jsonl:1: invalid JSON: nested too deeply"),
+        # str() would load the tokens "['good'," and "'movie']", and the pair_id "None"
+        ("list_text", '{"id": "a", "label": 0, "pair_id": "a", "text": ["good", "movie"], '
+                      '"variant": "original"}\n',
+         "bad.jsonl:1: text must be a string, got ['good', 'movie']"),
+        ("null_pair_id", '{"id": "a", "label": 0, "pair_id": null, "text": "x", '
+                         '"variant": "original"}\n',
+         "bad.jsonl:1: pair_id must be a string, got None"),
         ("directory", DIRECTORY, "Is a directory"),
         ("lone_counterfactual", '{"id": "a", "label": 1, "pair_id": "a", "text": "x", '
                                 '"variant": "counterfactual"}\n',
@@ -1070,14 +1080,20 @@ def test_stacked_arms_report_the_first_step_and_lowest_arm_at_any_worker_count(s
 
 @pytest.mark.parametrize("plan, failure", [
     # seed 0's erm_pairs fails at step 0 and its ecf_pairs at step 2, in one stack
-    ({(0, "neither"): {0: "l_p"}, (0, "full"): {2: "l_ocd"}}, "step 2: l_ocd"),
+    ({(0, "neither"): {0: "l_p"}, (0, "full"): {2: "l_ocd"}}, "step 0: l_p"),
     # seed 0's erm_pairs fails in the first job, the last seed's ecf_pairs in the second
-    ({(0, "neither"): {0: "l_p"}, (LAST_SEED, "full"): {1: "l_irm"}}, "step 1: l_irm"),
-], ids=["one-job", "two-jobs"])
-def test_data_efficiency_reports_the_first_failing_run_in_row_order(small_data, plan, failure):
-    """Rows come arm by arm before seed by seed, so a failing ecf_pairs run is
-    reported before an erm_pairs run that fails earlier in a stack or in an
-    earlier job, at any worker count. In a subprocess, so a hang fails."""
+    ({(0, "neither"): {0: "l_p"}, (LAST_SEED, "full"): {1: "l_irm"}}, "step 0: l_p"),
+    # the first job fails at step 3, after the second job has failed at step 0
+    ({(0, "full"): {3: "l_ocd"}, (LAST_SEED, "neither"): {0: "l_p"}}, "step 3: l_ocd"),
+], ids=["one-job", "two-jobs", "later-first-job"])
+def test_data_efficiency_reports_the_first_failing_seed_in_job_order(small_data, plan, failure):
+    """A sweep reports its failure as ablate does: in the first failing cell
+    (size 8's pairs subset here), the first seed that fails alone, at its
+    first failing step and, in that step, its lowest arm; so a failing
+    erm_pairs run is reported before a later ecf_pairs failure of its seed
+    or of a later job, and the first job's failure before the second's even
+    when the second fails first in time. At 1 and 2 workers, in a
+    subprocess, so a hang fails."""
     assert _planned_failures(small_data, plan, "data-efficiency", "--sizes", "8",
                              "--epochs", "2", "--batch-pairs", "2") == [
         f"runtime failure: {failure} became non-finite (nan)"] * 2

@@ -117,6 +117,22 @@ def test_boolean_label_is_parse_error(tmp_path):
         load_jsonl(p)
 
 
+@pytest.mark.parametrize("value", [7, 2.5, None, True, ["good", "movie"], {"a": "b"}],
+                         ids=["int", "float", "null", "bool", "list", "object"])
+@pytest.mark.parametrize("name", ["id", "text", "pair_id"])
+def test_a_non_string_id_text_or_pair_id_is_a_parse_error_at_its_line(tmp_path, name, value):
+    """str() would load ["good", "movie"] as the tokens "['good'," and
+    "'movie']", and null as "None"."""
+    p = tmp_path / "d.jsonl"
+    row = {**_row("b", "y", 0, "b", "original"), name: value}
+    for sort_keys in (False, True):
+        p.write_bytes(_good_line("a", sort_keys) + b"\n"
+                      + json.dumps(row, sort_keys=sort_keys).encode() + b"\n")
+        with pytest.raises(ParseError) as exc:
+            load_jsonl(p)
+        assert str(exc.value) == f"{p}:2: {name} must be a string, got {value!r}"
+
+
 def _undecodable_reason(line: bytes) -> str:
     """The reason that decoding this line on its own gives."""
     with pytest.raises(UnicodeDecodeError) as exc:
@@ -767,6 +783,36 @@ def test_config_dict_round_trips_every_field(config):
     assert config == restored
     with pytest.raises(ValueError, match=r"unknown \w+ config keys: \['bogus'\]"):
         cls.from_dict({**config.to_dict(), "bogus": 1})
+
+
+CONFIGS = (GeneratorConfig, TrainConfig, ModelConfig)
+# what each config needs besides its defaults
+REQUIRED_FIELDS = {ModelConfig: {"vocab_size": 11}}
+# per annotated field type: what its check says, and values that must fail it
+BAD_VALUES = {"int": ("an int", [2.5, True, "1"]),
+              "float": ("a finite number", [True, "0.5", math.nan, math.inf])}
+BAD_VALUES["float | None"] = BAD_VALUES["float"]
+# read from the field list, so a new int or float field needs its type checked
+FIELD_TYPE_CASES = [
+    pytest.param(cls, f.name, value, f"{f.name} must be {kind}, got {value!r}",
+                 id=f"{cls.__name__}-{f.name}-{value!r}")
+    for cls in CONFIGS for f in fields(cls) if f.type in BAD_VALUES
+    for kind, values in [BAD_VALUES[f.type]] for value in values]
+
+
+@pytest.mark.parametrize("cls, name, value, message", FIELD_TYPE_CASES)
+def test_every_numeric_config_field_checks_its_type(cls, name, value, message):
+    for make in (lambda d: cls(**d), cls.from_dict):
+        with pytest.raises(cls.ERROR) as exc:
+            make({**REQUIRED_FIELDS.get(cls, {}), name: value})
+        assert type(exc.value) is cls.ERROR and str(exc.value) == message
+
+
+@pytest.mark.parametrize("cls, name", [(cls, f.name) for cls in CONFIGS for f in fields(cls)
+                                       if f.type.endswith(" | None")])
+def test_an_optional_config_field_accepts_none(cls, name):
+    for make in (lambda d: cls(**d), cls.from_dict):
+        make({**REQUIRED_FIELDS.get(cls, {}), name: None})
 
 
 def test_dataset_directory_roundtrip(tmp_path):
